@@ -1,18 +1,19 @@
 """Command-line entry points.
 
-Every command accepts --seed and produces byte-identical output given
-identical inputs and seed.  File formats are described in io.py; all
-emitted files start with the version line ``# uatrack-v1``.
+`simulate` and `check-losses` take --seed; every command is byte-deterministic.
+A flag that sets a config field falls back to --config, then to the config
+dataclass default.  All emitted files start with ``# uatrack-v1`` (see io.py).
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .boxes import encode_variance, self_anchor
@@ -20,9 +21,10 @@ from .checks import run_loss_checks
 from .io import (
     DetectionRecord,
     FormatError,
-    RunConfig,
+    config_from_dict,
     detections_to_frames,
-    load_config,
+    format_float,
+    read_config,
     read_detections,
     read_tracks,
     tracks_to_frames,
@@ -30,56 +32,84 @@ from .io import (
     write_tracks,
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
-from .metrics import EvalConfig, clear_mot, detection_pr
+from .metrics import EvalConfig, TrackingReport, clear_mot, detection_pr
 from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, score_detection
 from .sim import generate_scenario
-from .tracker import Tracker, TrackerConfig, constant_sigma_config
+from .tracker import Tracker, TrackerConfig
+
+# Detection AP defaults to IoU 0.7, the KITTI car threshold; tracking
+# evaluation uses EvalConfig's default.
+DET_IOU_THRESHOLD = 0.7
+
+# eval-track --out columns, in TrackingReport field order; sweep reports the first six.
+_REPORT_COLUMNS = [f.name for f in fields(TrackingReport)]
+
+# The config sections each sweep mode may vary.
+_SWEEP_SECTIONS = {"track": ("tracker",), "nms": ("scoring", "nms")}
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def _float_list(text: str) -> list[float]:
+    return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _parse_float_list(text: str, n: int, what: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != n:
-        raise FormatError(f"{what} expects {n} comma-separated values")
-    return tuple(float(p) for p in parts)
+def _set(data: dict, key: str, value) -> None:
+    """Set `section.field` in a config dict.
+
+    `tracker.constant_sigma` is derived: it sets one observation sigma for
+    every box parameter and stops feeding per-detection covariance.
+    """
+    if key == "tracker.constant_sigma":
+        data.setdefault("tracker", {}).update(default_obs_sigma=[value] * 7, use_detection_covariance=False)
+    else:
+        section, _, name = key.partition(".")
+        data.setdefault(section, {})[name] = value
 
 
-def _load_run_config(path: str | None) -> RunConfig:
-    return load_config(path) if path else RunConfig()
+def _config_dict(args, iou_threshold: float | None = None) -> dict:
+    """The run config as a dict: --config if given, patched by every flag given.
+
+    A flag whose argparse dest is a `section.field` key sets that key; such
+    flags default to None, so that --config and the dataclass defaults apply.
+    `iou_threshold` replaces EvalConfig's default where neither sets it.
+    """
+    data = read_config(args.config) if getattr(args, "config", None) else {}
+    for key, value in vars(args).items():
+        if "." in key and value is not None:
+            _set(data, key, value)
+    if iou_threshold is not None:
+        data.setdefault("eval", {}).setdefault("iou_threshold", iou_threshold)
+    return data
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the --out file, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _report_cells(report: TrackingReport, columns: list[str]) -> list[str]:
+    values = [getattr(report, c) for c in columns]
+    return [format_float(v) if isinstance(v, float) else str(v) for v in values]
+
+
+def _detection_scores(gt, records: list[DetectionRecord], cfg: EvalConfig) -> tuple[float, float]:
+    """AP and max F1 (percent) of detection records against per-frame ground-truth tracks."""
+    pred = [[] for _ in range(max((r.frame for r in records), default=-1) + 1)]
+    for r in records:
+        pred[r.frame].append(r.box)
+    ap, max_f1, _ = detection_pr([[b for _, b in frame] for frame in gt], pred, cfg)
+    return ap, max_f1
 
 
 # --- simulate ------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_run_config(args.config).scenario
-    overrides = {}
-    for key, attr in (
-        ("n_targets", "n_targets"), ("n_frames", "n_frames"), ("dt", "dt"),
-        ("field_extent", "field_extent"), ("fp_rate", "fp_rate"), ("fn_rate", "fn_rate"),
-        ("miscalibration_factor", "miscalibration"),
-    ):
-        val = getattr(args, attr)
-        if val is not None:
-            overrides[key] = val
-    if args.noise_base is not None:
-        overrides["noise_base"] = _parse_float_list(args.noise_base, 7, "--noise-base")
-    if args.noise_range_coeff is not None:
-        overrides["noise_range_coeff"] = _parse_float_list(args.noise_range_coeff, 7, "--noise-range-coeff")
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = replace(cfg, **overrides)
-
-    scenario = generate_scenario(cfg)
+    scenario = generate_scenario(config_from_dict(_config_dict(args)).scenario)
     gt_rows = [(f, tid, box) for f, frame in enumerate(scenario.ground_truth) for tid, box in frame]
     write_tracks(args.out_gt, gt_rows)
-    records = [
-        DetectionRecord(f, det.box, det.variance)
-        for f, frame in enumerate(scenario.detections)
-        for det in frame
-    ]
+    records = [DetectionRecord(f, d.box, d.variance) for f, frame in enumerate(scenario.detections) for d in frame]
     write_detections(args.out_dets, records)
     print(f"wrote {len(gt_rows)} ground-truth rows to {args.out_gt}")
     print(f"wrote {len(records)} detections to {args.out_dets}")
@@ -90,26 +120,15 @@ def _cmd_simulate(args) -> int:
 
 def _run_tracker(frames, tracker_cfg: TrackerConfig, dt: float):
     tracker = Tracker(tracker_cfg)
-    rows = []
-    for f, frame in enumerate(frames):
-        for track in tracker.step(frame, dt):
-            rows.append((f, track.id, track.to_box()))
-    return rows
+    return [(f, track.id, track.to_box()) for f, frame in enumerate(frames) for track in tracker.step(frame, dt)]
 
 
 def _cmd_track(args) -> int:
-    run_cfg = _load_run_config(args.config)
-    tracker_cfg = run_cfg.tracker
-    if args.constant_sigma is not None and args.use_variance:
+    if getattr(args, "tracker.constant_sigma") is not None and getattr(args, "tracker.use_detection_covariance"):
         raise FormatError("--constant-sigma and --use-variance are mutually exclusive")
-    if args.constant_sigma is not None:
-        tracker_cfg = constant_sigma_config(tracker_cfg, args.constant_sigma)
-    elif args.use_variance:
-        tracker_cfg = replace(tracker_cfg, use_detection_covariance=True)
-    dt = args.dt if args.dt is not None else run_cfg.scenario.dt
-
+    cfg = config_from_dict(_config_dict(args))
     frames = detections_to_frames(read_detections(args.dets))
-    rows = _run_tracker(frames, tracker_cfg, dt)
+    rows = _run_tracker(frames, cfg.tracker, cfg.scenario.dt)
     write_tracks(args.out, rows)
     print(f"wrote {len(rows)} track rows to {args.out}")
     return 0
@@ -117,45 +136,26 @@ def _cmd_track(args) -> int:
 
 # --- evaluation ----------------------------------------------------------
 
-def _eval_config(args, default_threshold: float) -> EvalConfig:
-    return EvalConfig(
-        iou_threshold=args.iou_threshold if args.iou_threshold is not None else default_threshold,
-        iou_kind=IouKind(args.iou_kind),
-        recall_points=args.recall_points,
-    )
-
-
 def _cmd_eval_track(args) -> int:
-    cfg = _eval_config(args, 0.5)
+    cfg = config_from_dict(_config_dict(args)).eval
     gt = tracks_to_frames(read_tracks(args.gt))
     pred = tracks_to_frames(read_tracks(args.tracks))
     report = clear_mot(gt, pred, cfg)
     for line in report.lines():
         print(line)
     if args.out:
-        header = "ap,max_f1,idsw,frag,ml,mota,fn,fp,gt_total"
-        row = ",".join(
-            [_fmt(report.ap), _fmt(report.max_f1), str(report.idsw), str(report.frag),
-             _fmt(report.ml), _fmt(report.mota), str(report.fn), str(report.fp), str(report.gt_total)]
-        )
-        Path(args.out).write_text(f"# uatrack-v1\n{header}\n{row}\n")
+        row = ",".join(_report_cells(report, _REPORT_COLUMNS))
+        Path(args.out).write_text(f"# uatrack-v1\n{','.join(_REPORT_COLUMNS)}\n{row}\n")
     return 0
 
 
 def _cmd_eval_det(args) -> int:
-    cfg = _eval_config(args, 0.7)
-    gt_frames = [[b for _, b in frame] for frame in tracks_to_frames(read_tracks(args.gt))]
-    records = read_detections(args.dets)
-    n_frames = max(len(gt_frames), max((r.frame for r in records), default=-1) + 1)
-    pred_frames = [[] for _ in range(n_frames)]
-    for r in records:
-        pred_frames[r.frame].append(r.box)
-    gt_frames += [[] for _ in range(n_frames - len(gt_frames))]
-    ap, max_f1, _ = detection_pr(gt_frames, pred_frames, cfg)
+    cfg = config_from_dict(_config_dict(args, DET_IOU_THRESHOLD)).eval
+    ap, max_f1 = _detection_scores(tracks_to_frames(read_tracks(args.gt)), read_detections(args.dets), cfg)
     print(f"AP:     {ap:.2f} %")
     print(f"Max F1: {max_f1:.2f} %")
     if args.out:
-        Path(args.out).write_text(f"# uatrack-v1\nap,max_f1\n{_fmt(ap)},{_fmt(max_f1)}\n")
+        Path(args.out).write_text(f"# uatrack-v1\nap,max_f1\n{format_float(ap)},{format_float(max_f1)}\n")
     return 0
 
 
@@ -183,20 +183,9 @@ def _rescore_and_suppress(records, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig
 
 
 def _cmd_nms(args) -> int:
-    score_cfg = ScoreMapConfig(
-        strategy=ScoreStrategy(args.strategy),
-        k_s=args.ks,
-        b_s=args.bs,
-        aggregate=AggregateMode(args.aggregate),
-        alpha=args.alpha,
-    )
-    nms_cfg = NmsConfig(
-        iou_threshold=args.iou_threshold,
-        pre_top_k=args.pre_top_k,
-        iou_kind=IouKind(args.iou_kind),
-    )
+    cfg = config_from_dict(_config_dict(args))
     records = read_detections(args.dets)
-    kept = _rescore_and_suppress(records, score_cfg, nms_cfg)
+    kept = _rescore_and_suppress(records, cfg.scoring, cfg.nms)
     write_detections(args.out, kept)
     print(f"kept {len(kept)} of {len(records)} detections -> {args.out}")
     return 0
@@ -205,26 +194,13 @@ def _cmd_nms(args) -> int:
 # --- check-losses ----------------------------------------------------------
 
 def _cmd_check_losses(args) -> int:
-    results = run_loss_checks(args.seed if args.seed is not None else 0)
-    ok = True
+    results = run_loss_checks(args.seed)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        ok = ok and r.passed
-        print(f"{status} {r.name}: {r.detail}")
-    return 0 if ok else 1
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 # --- sweep -----------------------------------------------------------------
-
-_TRACK_SWEEP_KEYS = {
-    "tracker.gate_distance", "tracker.t_init", "tracker.t_drop",
-    "tracker.use_detection_covariance", "tracker.constant_sigma",
-}
-_NMS_SWEEP_KEYS = {
-    "scoring.strategy", "scoring.k_s", "scoring.b_s", "scoring.aggregate", "scoring.alpha",
-    "nms.iou_threshold", "nms.pre_top_k",
-}
-
 
 def _parse_sweep_value(text: str):
     try:
@@ -233,86 +209,48 @@ def _parse_sweep_value(text: str):
         return text
 
 
-def _apply_tracker_param(cfg: TrackerConfig, key: str, value) -> TrackerConfig:
-    if key == "tracker.constant_sigma":
-        return constant_sigma_config(cfg, float(value))
-    field_name = key.split(".", 1)[1]
-    return replace(cfg, **{field_name: value})
-
-
 def _cmd_sweep(args) -> int:
-    run_cfg = _load_run_config(args.config)
-    allowed = _TRACK_SWEEP_KEYS if args.mode == "track" else _NMS_SWEEP_KEYS
+    sections = _SWEEP_SECTIONS[args.mode]
+    base = _config_dict(args, DET_IOU_THRESHOLD if args.mode == "nms" else None)
     axes = []
     for spec_arg in args.param:
-        if "=" not in spec_arg:
-            raise FormatError(f"--param expects key=v1,v2,... got {spec_arg!r}")
-        key, values = spec_arg.split("=", 1)
+        key, sep, values = spec_arg.partition("=")
         key = key.strip()
-        if key not in allowed:
-            raise FormatError(f"unknown sweep key {key!r} for mode {args.mode}")
+        if not sep:
+            raise FormatError(f"--param expects key=v1,v2,... got {spec_arg!r}")
+        if key.partition(".")[0] not in sections:
+            raise FormatError(f"sweep --mode {args.mode} varies only {'/'.join(sections)} keys, got {key!r}")
         axes.append((key, [_parse_sweep_value(v) for v in values.split(",")]))
     if not axes:
         raise FormatError("at least one --param axis is required")
 
-    gt_rows = read_tracks(args.gt)
-    gt_frames_tracks = tracks_to_frames(gt_rows)
-    records = read_detections(args.dets)
-    det_frames = detections_to_frames(records)
-    dt = args.dt if args.dt is not None else run_cfg.scenario.dt
-
-    lines = []
-    header = [k for k, _ in axes]
-    if args.mode == "track":
-        header += ["ap", "max_f1", "idsw", "frag", "ml", "mota"]
-        eval_cfg = EvalConfig(iou_threshold=0.5, iou_kind=run_cfg.eval.iou_kind,
-                              recall_points=run_cfg.eval.recall_points)
-    else:
-        header += ["ap", "max_f1"]
-        eval_cfg = EvalConfig(iou_threshold=0.7, iou_kind=run_cfg.eval.iou_kind,
-                              recall_points=run_cfg.eval.recall_points)
-    lines.append(",".join(header))
-
+    grid = []
     for combo in itertools.product(*(vals for _, vals in axes)):
-        cells = [str(v) for v in combo]
-        if args.mode == "track":
-            tracker_cfg = run_cfg.tracker
-            for (key, _), value in zip(axes, combo):
-                tracker_cfg = _apply_tracker_param(tracker_cfg, key, value)
-            n_frames = len(gt_frames_tracks)
-            frames = det_frames + [[] for _ in range(n_frames - len(det_frames))]
-            rows = _run_tracker(frames, tracker_cfg, dt)
-            report = clear_mot(gt_frames_tracks, tracks_to_frames(rows, n_frames), eval_cfg)
-            cells += [_fmt(report.ap), _fmt(report.max_f1), str(report.idsw), str(report.frag),
-                      _fmt(report.ml), _fmt(report.mota)]
-        else:
-            score_cfg, nms_cfg = run_cfg.scoring, run_cfg.nms
-            for (key, _), value in zip(axes, combo):
-                section, field_name = key.split(".", 1)
-                if section == "scoring":
-                    if field_name == "strategy":
-                        value = ScoreStrategy(value)
-                    elif field_name == "aggregate":
-                        value = AggregateMode(value)
-                    score_cfg = replace(score_cfg, **{field_name: value})
-                else:
-                    nms_cfg = replace(nms_cfg, **{field_name: value})
-            kept = _rescore_and_suppress(records, score_cfg, nms_cfg)
-            gt_frames = [[b for _, b in frame] for frame in gt_frames_tracks]
-            n_frames = max(len(gt_frames), max((r.frame for r in kept), default=-1) + 1)
-            pred_frames = [[] for _ in range(n_frames)]
-            for r in kept:
-                pred_frames[r.frame].append(r.box)
-            gt_padded = gt_frames + [[] for _ in range(n_frames - len(gt_frames))]
-            ap, max_f1, _ = detection_pr(gt_padded, pred_frames, eval_cfg)
-            cells += [_fmt(ap), _fmt(max_f1)]
-        lines.append(",".join(cells))
+        data = copy.deepcopy(base)
+        for (key, _), value in zip(axes, combo):
+            _set(data, key, value)
+        grid.append(([str(v) for v in combo], config_from_dict(data)))
 
-    text = "# uatrack-v1\n" + "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    gt = tracks_to_frames(read_tracks(args.gt))
+    records = read_detections(args.dets)
+    if args.mode == "track":
+        columns = _REPORT_COLUMNS[:6]
+        frames = detections_to_frames(records)
+        frames += [[] for _ in range(len(gt) - len(frames))]
+
+        def score(cfg):
+            rows = _run_tracker(frames, cfg.tracker, cfg.scenario.dt)
+            return _report_cells(clear_mot(gt, tracks_to_frames(rows), cfg.eval), columns)
     else:
-        sys.stdout.write(text)
+        columns = ["ap", "max_f1"]
+
+        def score(cfg):
+            kept = _rescore_and_suppress(records, cfg.scoring, cfg.nms)
+            return [format_float(v) for v in _detection_scores(gt, kept, cfg.eval)]
+
+    lines = [",".join([key for key, _ in axes] + columns)]
+    lines += [",".join(cells + score(cfg)) for cells, cfg in grid]
+    _emit("# uatrack-v1\n" + "\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -323,26 +261,30 @@ def _cmd_plot_data(args) -> int:
     columns = []
     if args.family == "gaussian":
         residual = math.sqrt(args.d2)
-        for lam in _parse_float_list(args.lambda_g, len(args.lambda_g.split(",")), "--lambda-g"):
+        for lam in args.lambda_g:
             cfg = GaussianNllConfig(lambda_g=lam)
-            columns.append((f"lambda_g={_fmt(lam)}", [gaussian_nll(residual, 0.0, s, cfg).value for s in s_values]))
+            curve = [gaussian_nll(residual, 0.0, s, cfg).value for s in s_values]
+            columns.append((f"lambda_g={format_float(lam)}", curve))
     else:
         delta = math.acos(args.cos)
-        for lam in _parse_float_list(args.lambda_v, len(args.lambda_v.split(",")), "--lambda-v"):
+        for lam in args.lambda_v:
             cfg = VonMisesNllConfig(lambda_v=lam, s0=args.s0)
-            columns.append((f"lambda_v={_fmt(lam)}", [von_mises_nll(delta, 0.0, s, cfg).value for s in s_values]))
+            curve = [von_mises_nll(delta, 0.0, s, cfg).value for s in s_values]
+            columns.append((f"lambda_v={format_float(lam)}", curve))
     lines = ["# uatrack-v1", ",".join(["s"] + [name for name, _ in columns])]
     for i, s in enumerate(s_values):
-        lines.append(",".join([_fmt(s)] + [_fmt(vals[i]) for _, vals in columns]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        lines.append(",".join([format_float(s)] + [format_float(vals[i]) for _, vals in columns]))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 # --- parser ------------------------------------------------------------------
+
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--iou-threshold", dest="eval.iou_threshold", type=float)
+    p.add_argument("--iou-kind", dest="eval.iou_kind", choices=[k.value for k in IouKind])
+    p.add_argument("--recall-points", dest="eval.recall_points", type=int)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uatrack", description=__doc__)
@@ -352,91 +294,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-dets", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-targets", dest="n_targets", type=int)
-    p.add_argument("--n-frames", dest="n_frames", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--field-extent", dest="field_extent", type=float)
-    p.add_argument("--fp-rate", dest="fp_rate", type=float)
-    p.add_argument("--fn-rate", dest="fn_rate", type=float)
-    p.add_argument("--miscalibration", type=float)
-    p.add_argument("--noise-base", dest="noise_base")
-    p.add_argument("--noise-range-coeff", dest="noise_range_coeff")
+    p.add_argument("--seed", dest="scenario.seed", type=int)
+    p.add_argument("--n-targets", dest="scenario.n_targets", type=int)
+    p.add_argument("--n-frames", dest="scenario.n_frames", type=int)
+    p.add_argument("--dt", dest="scenario.dt", type=float)
+    p.add_argument("--field-extent", dest="scenario.field_extent", type=float)
+    p.add_argument("--fp-rate", dest="scenario.fp_rate", type=float)
+    p.add_argument("--fn-rate", dest="scenario.fn_rate", type=float)
+    p.add_argument("--miscalibration", dest="scenario.miscalibration_factor", type=float)
+    p.add_argument("--noise-base", dest="scenario.noise_base", type=_float_list)
+    p.add_argument("--noise-range-coeff", dest="scenario.noise_range_coeff", type=_float_list)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("track", help="run the tracker over a detection file")
     p.add_argument("--dets", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--constant-sigma", dest="constant_sigma", type=float,
+    p.add_argument("--dt", dest="scenario.dt", type=float)
+    p.add_argument("--constant-sigma", dest="tracker.constant_sigma", type=float,
                    help="ignore variance columns; constant observation sigma for all parameters")
-    p.add_argument("--use-variance", dest="use_variance", action="store_true",
-                   help="feed per-detection variance to the filter")
+    p.add_argument("--use-variance", dest="tracker.use_detection_covariance", action="store_const", const=True,
+                   help="feed per-detection variance to the filter, also where --config turns it off")
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("eval-track", help="CLEAR tracking metrics")
     p.add_argument("--gt", required=True)
     p.add_argument("--tracks", required=True)
-    p.add_argument("--iou-threshold", dest="iou_threshold", type=float)
-    p.add_argument("--iou-kind", dest="iou_kind", default="bev", choices=["bev", "3d"])
-    p.add_argument("--recall-points", dest="recall_points", type=int, default=40)
+    _add_eval_flags(p)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_eval_track)
 
-    p = sub.add_parser("eval-det", help="detection AP / max F1")
+    p = sub.add_parser("eval-det", help=f"detection AP / max F1 (IoU threshold {DET_IOU_THRESHOLD} by default)")
     p.add_argument("--gt", required=True)
     p.add_argument("--dets", required=True)
-    p.add_argument("--iou-threshold", dest="iou_threshold", type=float)
-    p.add_argument("--iou-kind", dest="iou_kind", default="bev", choices=["bev", "3d"])
-    p.add_argument("--recall-points", dest="recall_points", type=int, default=40)
+    _add_eval_flags(p)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_eval_det)
 
     p = sub.add_parser("nms", help="rescore by uncertainty and suppress duplicates")
     p.add_argument("--dets", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strategy", default="none", choices=[s.value for s in ScoreStrategy])
-    p.add_argument("--ks", type=float, default=0.001)
-    p.add_argument("--bs", type=float, default=0.0)
-    p.add_argument("--aggregate", default="sum", choices=[m.value for m in AggregateMode])
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--iou-threshold", dest="iou_threshold", type=float, default=0.5)
-    p.add_argument("--pre-top-k", dest="pre_top_k", type=int, default=100)
-    p.add_argument("--iou-kind", dest="iou_kind", default="bev", choices=["bev", "3d"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--strategy", dest="scoring.strategy", choices=[s.value for s in ScoreStrategy])
+    p.add_argument("--ks", dest="scoring.k_s", type=float)
+    p.add_argument("--bs", dest="scoring.b_s", type=float)
+    p.add_argument("--aggregate", dest="scoring.aggregate", choices=[m.value for m in AggregateMode])
+    p.add_argument("--alpha", dest="scoring.alpha", type=float)
+    p.add_argument("--iou-threshold", dest="nms.iou_threshold", type=float)
+    p.add_argument("--pre-top-k", dest="nms.pre_top_k", type=int)
+    p.add_argument("--iou-kind", dest="nms.iou_kind", choices=[k.value for k in IouKind])
     p.set_defaults(func=_cmd_nms)
 
     p = sub.add_parser("check-losses", help="gradient and minimum-location suites")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check_losses)
 
     p = sub.add_parser("sweep", help="grid over config values, one report row per cell")
-    p.add_argument("--mode", required=True, choices=["track", "nms"])
+    p.add_argument("--mode", required=True, choices=list(_SWEEP_SECTIONS))
     p.add_argument("--gt", required=True)
     p.add_argument("--dets", required=True)
     p.add_argument("--config")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--param", action="append", default=[], help="section.key=v1,v2,...")
+    p.add_argument("--dt", dest="scenario.dt", type=float)
+    p.add_argument("--param", action="append", default=[],
+                   help="section.key=v1,v2,...; track mode varies tracker keys and "
+                        "tracker.constant_sigma, nms mode scoring and nms keys")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("plot-data", help="emit loss-curve x,y series")
     p.add_argument("family", choices=["gaussian", "von-mises"])
     p.add_argument("--d2", type=float, default=1.0, help="squared residual for the gaussian family")
     p.add_argument("--cos", type=float, default=0.5, help="cos of the angular residual")
-    p.add_argument("--lambda-g", dest="lambda_g", default="1.0")
-    p.add_argument("--lambda-v", dest="lambda_v", default="1.0")
+    p.add_argument("--lambda-g", dest="lambda_g", type=_float_list, default="1.0")
+    p.add_argument("--lambda-v", dest="lambda_v", type=_float_list, default="1.0")
     p.add_argument("--s0", type=float, default=1.0)
     p.add_argument("--s-min", dest="s_min", type=float, default=-5.0)
     p.add_argument("--s-max", dest="s_max", type=float, default=5.0)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_plot_data)
 
     return parser

@@ -4,7 +4,7 @@ Detections and tracks travel as versioned CSV files with a fixed header;
 floats are printed with 9 significant digits, which round-trips exactly
 through parse/print.  KITTI object/tracking label files can be imported
 as ground truth.  Run configuration is namespaced JSON with strict key
-checking.
+checking; its keys and defaults are the fields of the config dataclasses.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .boxes import Box3D, BoxVariance, DetectionWithCovariance, FrameDetections, wrap_angle
 from .metrics import EvalConfig
-from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy
+from .scoring import NmsConfig, ScoreMapConfig
 from .sim import ScenarioConfig
 from .tracker import TrackerConfig
 
@@ -53,12 +55,14 @@ class DetectionRecord:
     variance: BoxVariance | None = None
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """A float printed with 9 significant digits, the precision of every emitted file."""
     return format(float(x), ".9g")
 
 
 def _box_fields(box: Box3D) -> list[str]:
-    return [box.class_id] + [_fmt(v) for v in (box.x, box.y, box.z, box.w, box.l, box.h, box.theta, box.score)]
+    values = (box.x, box.y, box.z, box.w, box.l, box.h, box.theta, box.score)
+    return [box.class_id] + [format_float(v) for v in values]
 
 
 def write_detections(path: str | Path, records: list[DetectionRecord]) -> None:
@@ -71,57 +75,70 @@ def write_detections(path: str | Path, records: list[DetectionRecord]) -> None:
     for r in records:
         row = [str(r.frame)] + _box_fields(r.box)
         if has_var:
-            row += [_fmt(v) for v in r.variance.as_tuple()]
+            row += [format_float(v) for v in r.variance.as_tuple()]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _read_versioned(path: str | Path, expected_headers: dict[str, bool]) -> tuple[bool, list[tuple[int, list[str]]]]:
+    """The header's flag and the (line number, fields) of each non-blank row."""
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != FORMAT_VERSION_LINE:
         raise FormatError(f"{path}: missing version line {FORMAT_VERSION_LINE!r}")
-    if len(text) < 2 or text[1].strip() not in expected_headers:
-        raise FormatError(f"{path}: unrecognized header {text[1].strip() if len(text) > 1 else ''!r}")
-    flag = expected_headers[text[1].strip()]
-    rows = []
-    for lineno, line in enumerate(text[2:], start=3):
-        if not line.strip():
-            continue
-        rows.append((lineno, line.split(",")))
-    return flag, rows
+    header = text[1].strip() if len(text) > 1 else ""
+    if header not in expected_headers:
+        raise FormatError(f"{path}: unrecognized header {header!r}")
+    want = header.count(",") + 1
+    rows = [(lineno, line.split(",")) for lineno, line in enumerate(text[2:], start=3) if line.strip()]
+    for lineno, parts in rows:
+        if len(parts) != want:
+            raise FormatError(f"{path}:{lineno}: expected {want} fields, got {len(parts)}")
+    return expected_headers[header], rows
+
+
+def _frame_and_values(frame_text: str, value_texts: list[str]) -> tuple[int, list[float]]:
+    """Parse a row's frame index and float columns; raises ValueError on bad values."""
+    frame = int(frame_text)
+    if frame < 0:
+        raise ValueError(f"negative frame index {frame}")
+    vals = [float(v) for v in value_texts]
+    # the sum is finite whenever every value is, short of overflow
+    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+        raise ValueError("non-finite value")
+    return frame, vals
 
 
 def read_detections(path: str | Path) -> list[DetectionRecord]:
     has_var, rows = _read_versioned(path, {DET_HEADER: False, DET_HEADER_VAR: True})
-    want = 17 if has_var else 10
     records = []
     for lineno, parts in rows:
-        if len(parts) != want:
-            raise FormatError(f"{path}:{lineno}: expected {want} fields, got {len(parts)}")
         try:
-            frame = int(parts[0])
-            vals = [float(v) for v in parts[2:]]
+            frame, vals = _frame_and_values(parts[0], parts[2:])
+            box = Box3D(*vals[:7], class_id=parts[1], score=vals[7])
+            variance = BoxVariance(*vals[8:15]) if has_var else None
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        box = Box3D(
-            x=vals[0], y=vals[1], z=vals[2], w=vals[3], l=vals[4], h=vals[5],
-            theta=vals[6], class_id=parts[1], score=vals[7],
-        )
-        variance = BoxVariance(*vals[8:15]) if has_var else None
         records.append(DetectionRecord(frame, box, variance))
     return records
 
 
+def _by_frame(frame_of: list[int], items: list, n_frames: int | None) -> list[list]:
+    """Group items into consecutive per-frame lists starting at frame 0."""
+    if n_frames is None:
+        n_frames = max(frame_of, default=-1) + 1
+    if frame_of and (min(frame_of) < 0 or max(frame_of) >= n_frames):
+        bad = next(f for f in frame_of if not 0 <= f < n_frames)
+        raise FormatError(f"frame index {bad} out of range [0, {n_frames})")
+    frames: list[list] = [[] for _ in range(n_frames)]
+    for frame, item in zip(frame_of, items):
+        frames[frame].append(item)
+    return frames
+
+
 def detections_to_frames(records: list[DetectionRecord], n_frames: int | None = None) -> list[FrameDetections]:
     """Group records into consecutive per-frame lists starting at frame 0."""
-    if n_frames is None:
-        n_frames = max((r.frame for r in records), default=-1) + 1
-    frames: list[FrameDetections] = [[] for _ in range(n_frames)]
-    for r in records:
-        if r.frame < 0 or r.frame >= n_frames:
-            raise FormatError(f"frame index {r.frame} out of range [0, {n_frames})")
-        frames[r.frame].append(DetectionWithCovariance(r.box, r.variance))
-    return frames
+    items = [DetectionWithCovariance(r.box, r.variance) for r in records]
+    return _by_frame([r.frame for r in records], items, n_frames)
 
 
 def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
@@ -133,32 +150,27 @@ def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
 
 
 def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:
+    """Read (frame, track id, box) rows; an id appears at most once per frame."""
     _, rows = _read_versioned(path, {TRACK_HEADER: True})
     out = []
+    seen: set[tuple[int, int]] = set()
     for lineno, parts in rows:
-        if len(parts) != 11:
-            raise FormatError(f"{path}:{lineno}: expected 11 fields, got {len(parts)}")
         try:
-            frame = int(parts[0])
+            frame, vals = _frame_and_values(parts[0], parts[3:])
             track_id = int(parts[1])
-            vals = [float(v) for v in parts[3:]]
+            box = Box3D(*vals[:7], class_id=parts[2], score=vals[7])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        box = Box3D(
-            x=vals[0], y=vals[1], z=vals[2], w=vals[3], l=vals[4], h=vals[5],
-            theta=vals[6], class_id=parts[2], score=vals[7],
-        )
+        if (frame, track_id) in seen:
+            raise FormatError(f"{path}:{lineno}: id {track_id} repeated in frame {frame}")
+        seen.add((frame, track_id))
         out.append((frame, track_id, box))
     return out
 
 
 def tracks_to_frames(rows: list[tuple[int, int, Box3D]], n_frames: int | None = None) -> list[list[tuple[int, Box3D]]]:
-    if n_frames is None:
-        n_frames = max((frame for frame, _, _ in rows), default=-1) + 1
-    frames: list[list[tuple[int, Box3D]]] = [[] for _ in range(n_frames)]
-    for frame, track_id, box in rows:
-        frames[frame].append((track_id, box))
-    return frames
+    """Group (frame, id, box) rows into consecutive per-frame (id, box) lists starting at frame 0."""
+    return _by_frame([row[0] for row in rows], [(track_id, box) for _, track_id, box in rows], n_frames)
 
 
 def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
@@ -214,7 +226,6 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
 
 @dataclass
 class RunConfig:
-    seed: int = 0
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     scoring: ScoreMapConfig = field(default_factory=ScoreMapConfig)
@@ -222,144 +233,98 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
+def _diagonal(q: np.ndarray) -> list[float]:
+    if np.any(q != np.diag(np.diag(q))):
+        raise FormatError("config files express diagonal process noise only")
+    return [float(v) for v in np.diag(q)]
+
+
+def _obs_noise_from_sigmas(values) -> BoxVariance:
+    sigmas = [float(v) for v in values]
+    if len(sigmas) != 7 or not all(s > 0.0 for s in sigmas):
+        raise FormatError("default_obs_sigma must hold 7 positive values")
+    return BoxVariance(*(s * s for s in sigmas))
+
+
+# TrackerConfig fields kept on disk under another key and in another
+# form: field -> (key on disk, to disk, from disk).
+_CODECS = {
+    "process_noise": ("process_noise_diag", _diagonal, lambda v: np.diag([float(x) for x in v])),
+    "default_obs_noise": ("default_obs_sigma", lambda obs: [math.sqrt(v) for v in obs.as_tuple()],
+                          _obs_noise_from_sigmas),
+}
+
+
+def _layout(cls) -> dict[str, tuple[str, Callable, Callable]]:
+    """Key on disk -> (field name, to disk, from disk) for a config class.
+
+    Enums are stored by value and tuples as lists of floats; other
+    fields are stored as they are, under their own name.
+    """
+    out = {}
+    for f in fields(cls):
+        if f.name in _CODECS:
+            key, to_disk, from_disk = _CODECS[f.name]
+            out[key] = (f.name, to_disk, from_disk)
+        elif isinstance(f.default, Enum):
+            out[f.name] = (f.name, lambda v: v.value, type(f.default))
+        elif isinstance(f.default, tuple):
+            out[f.name] = (f.name, list, lambda v: tuple(float(x) for x in v))
+        else:
+            out[f.name] = (f.name, lambda v: v, lambda v: v)
+    return out
+
+
+def _check_keys(where: str, given, allowed) -> None:
+    if not isinstance(given, dict):
+        raise FormatError(f"config {where} must be a JSON object")
+    unknown = set(given) - set(allowed)
     if unknown:
-        raise FormatError(f"unknown config key(s) in {section}: {', '.join(sorted(unknown))}")
+        raise FormatError(f"unknown config key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    q = np.asarray(cfg.tracker.process_noise)
-    if np.any(q != np.diag(np.diag(q))):
-        raise FormatError("config files express diagonal process noise only")
-    obs = cfg.tracker.default_obs_noise
-    return {
-        "seed": cfg.seed,
-        "scenario": {
-            "n_targets": cfg.scenario.n_targets,
-            "n_frames": cfg.scenario.n_frames,
-            "dt": cfg.scenario.dt,
-            "field_extent": cfg.scenario.field_extent,
-            "noise_base": list(cfg.scenario.noise_base),
-            "noise_range_coeff": list(cfg.scenario.noise_range_coeff),
-            "fp_rate": cfg.scenario.fp_rate,
-            "fn_rate": cfg.scenario.fn_rate,
-            "miscalibration_factor": cfg.scenario.miscalibration_factor,
-            "seed": cfg.scenario.seed,
-        },
-        "tracker": {
-            "gate_distance": cfg.tracker.gate_distance,
-            "t_init": cfg.tracker.t_init,
-            "t_drop": cfg.tracker.t_drop,
-            "process_noise_diag": [float(v) for v in np.diag(q)],
-            "default_obs_sigma": [math.sqrt(v) for v in obs.as_tuple()],
-            "use_detection_covariance": cfg.tracker.use_detection_covariance,
-        },
-        "scoring": {
-            "strategy": cfg.scoring.strategy.value,
-            "k_s": cfg.scoring.k_s,
-            "b_s": cfg.scoring.b_s,
-            "aggregate": cfg.scoring.aggregate.value,
-            "alpha": cfg.scoring.alpha,
-        },
-        "nms": {
-            "iou_threshold": cfg.nms.iou_threshold,
-            "pre_top_k": cfg.nms.pre_top_k,
-            "iou_kind": cfg.nms.iou_kind.value,
-        },
-        "eval": {
-            "iou_threshold": cfg.eval.iou_threshold,
-            "iou_kind": cfg.eval.iou_kind.value,
-            "recall_points": cfg.eval.recall_points,
-        },
-    }
+    out = {}
+    for sec in fields(RunConfig):
+        section = getattr(cfg, sec.name)
+        layout = _layout(sec.default_factory).items()
+        out[sec.name] = {key: to_disk(getattr(section, name)) for key, (name, to_disk, _) in layout}
+    return out
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    _check_keys("top level", data, {"seed", "scenario", "tracker", "scoring", "nms", "eval"})
-    out = RunConfig(seed=int(data.get("seed", 0)))
+    """Build a RunConfig from its dict form; absent keys take the dataclass defaults.
 
-    sc = data.get("scenario", {})
-    _check_keys(
-        "scenario", sc,
-        {"n_targets", "n_frames", "dt", "field_extent", "noise_base", "noise_range_coeff",
-         "fp_rate", "fn_rate", "miscalibration_factor", "seed"},
-    )
-    base = dict(
-        n_targets=sc.get("n_targets", 5),
-        n_frames=sc.get("n_frames", 100),
-        dt=sc.get("dt", 0.1),
-        field_extent=sc.get("field_extent", 80.0),
-        fp_rate=sc.get("fp_rate", 0.0),
-        fn_rate=sc.get("fn_rate", 0.0),
-        miscalibration_factor=sc.get("miscalibration_factor", 1.0),
-        seed=sc.get("seed", 0),
-    )
-    if "noise_base" in sc:
-        base["noise_base"] = tuple(float(v) for v in sc["noise_base"])
-    if "noise_range_coeff" in sc:
-        base["noise_range_coeff"] = tuple(float(v) for v in sc["noise_range_coeff"])
-    out.scenario = ScenarioConfig(**base)
-
-    tr = data.get("tracker", {})
-    _check_keys(
-        "tracker", tr,
-        {"gate_distance", "t_init", "t_drop", "process_noise_diag", "default_obs_sigma",
-         "use_detection_covariance"},
-    )
-    kwargs = dict(
-        gate_distance=tr.get("gate_distance", 2.5),
-        t_init=tr.get("t_init", 3),
-        t_drop=tr.get("t_drop", 5),
-        use_detection_covariance=tr.get("use_detection_covariance", True),
-    )
-    if "process_noise_diag" in tr:
-        diag = [float(v) for v in tr["process_noise_diag"]]
-        if len(diag) != 6:
-            raise FormatError("process_noise_diag must hold 6 values")
-        kwargs["process_noise"] = np.diag(diag)
-    if "default_obs_sigma" in tr:
-        sig = [float(v) for v in tr["default_obs_sigma"]]
-        if len(sig) != 7:
-            raise FormatError("default_obs_sigma must hold 7 values")
-        kwargs["default_obs_noise"] = BoxVariance(*(s * s for s in sig))
-    out.tracker = TrackerConfig(**kwargs)
-
-    sco = data.get("scoring", {})
-    _check_keys("scoring", sco, {"strategy", "k_s", "b_s", "aggregate", "alpha"})
-    out.scoring = ScoreMapConfig(
-        strategy=ScoreStrategy(sco.get("strategy", "none")),
-        k_s=sco.get("k_s", 0.001),
-        b_s=sco.get("b_s", 0.0),
-        aggregate=AggregateMode(sco.get("aggregate", "sum")),
-        alpha=sco.get("alpha", 1.0),
-    )
-
-    nm = data.get("nms", {})
-    _check_keys("nms", nm, {"iou_threshold", "pre_top_k", "iou_kind"})
-    out.nms = NmsConfig(
-        iou_threshold=nm.get("iou_threshold", 0.5),
-        pre_top_k=nm.get("pre_top_k", 100),
-        iou_kind=IouKind(nm.get("iou_kind", "bev")),
-    )
-
-    ev = data.get("eval", {})
-    _check_keys("eval", ev, {"iou_threshold", "iou_kind", "recall_points"})
-    out.eval = EvalConfig(
-        iou_threshold=ev.get("iou_threshold", 0.5),
-        iou_kind=IouKind(ev.get("iou_kind", "bev")),
-        recall_points=ev.get("recall_points", 40),
-    )
-    return out
+    Unknown keys and values the config dataclasses reject raise FormatError.
+    """
+    _check_keys("top level", data, [sec.name for sec in fields(RunConfig)])
+    sections = {}
+    for sec in fields(RunConfig):
+        given = data.get(sec.name, {})
+        layout = _layout(sec.default_factory)
+        _check_keys(sec.name, given, layout)
+        try:
+            sections[sec.name] = sec.default_factory(
+                **{layout[key][0]: layout[key][2](value) for key, value in given.items()}
+            )
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"config {sec.name}: {exc}") from exc
+    return RunConfig(**sections)
 
 
 def save_config(path: str | Path, cfg: RunConfig) -> None:
     Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_config(path: str | Path) -> dict:
+    """The dict form of a config file, checked to build a valid RunConfig."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+    config_from_dict(data)
+    return data
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return config_from_dict(read_config(path))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from uatrack.cli import main
+from uatrack.cli import build_parser, main
 from uatrack.io import read_detections, read_tracks
 
 
@@ -173,3 +173,85 @@ class TestPlotData:
                     "--s0", "1", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines[1].split(",")) == 4
+
+
+@pytest.fixture
+def scenario_files(tmp_path):
+    gt = tmp_path / "gt.csv"
+    dets = tmp_path / "dets.csv"
+    assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets),
+                "--n-targets", "4", "--n-frames", "20", "--fp-rate", "0.3", "--seed", "8",
+                "--noise-base", "0.4,0.4,0.1,0.2,0.2,0.1,0.05"]) == 0
+    return gt, dets
+
+
+class TestConfigPath:
+    @pytest.mark.parametrize("argv", [
+        ["nms", "--dets", "{dets}", "--out", "{tmp}/o.csv", "--iou-threshold", "1.5"],
+        ["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "scoring.strategy=none",
+         "--config", "{tmp}/bad_strategy.json"],
+        ["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "scoring.k_s=-1"],
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--n-targets", "0"],
+        ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{tmp}/bad_gate.json"],
+        ["eval-det", "--gt", "{gt}", "--dets", "{dets}", "--recall-points", "0"],
+    ])
+    def test_invalid_value_exits_2(self, tmp_path, scenario_files, capsys, argv):
+        gt, dets = scenario_files
+        (tmp_path / "bad_strategy.json").write_text('{"scoring": {"strategy": "bogus"}}')
+        (tmp_path / "bad_gate.json").write_text('{"tracker": {"gate_distance": -1}}')
+        capsys.readouterr()
+        assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_input_row_exits_2(self, tmp_path, scenario_files, capsys):
+        gt, dets = scenario_files
+        lines = dets.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = "-1"  # w
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["eval-det", "--gt", str(gt), "--dets", str(bad)]) == 2
+        assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_use_variance_overrides_config(self, tmp_path, scenario_files):
+        _, dets = scenario_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tracker": {"use_detection_covariance": false}}')
+        out = {}
+        for tag, flags in (("default", []), ("config", ["--config", str(cfg)]),
+                           ("config_use_variance", ["--config", str(cfg), "--use-variance"])):
+            path = tmp_path / f"{tag}.csv"
+            assert run(["track", "--dets", str(dets), "--out", str(path)] + flags) == 0
+            out[tag] = path.read_bytes()
+        assert out["config_use_variance"] == out["default"] != out["config"]
+
+    def test_sweep_takes_eval_threshold_from_config(self, tmp_path, scenario_files):
+        gt, dets = scenario_files
+        kept = tmp_path / "kept.csv"
+        assert run(["nms", "--dets", str(dets), "--out", str(kept)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"eval": {"iou_threshold": 0.3}}')
+        rows = {}
+        for tag, eval_flags, sweep_flags in (("default", [], []),
+                                             ("config", ["--iou-threshold", "0.3"], ["--config", str(cfg)])):
+            ev = tmp_path / f"ev_{tag}.csv"
+            sw = tmp_path / f"sw_{tag}.csv"
+            assert run(["eval-det", "--gt", str(gt), "--dets", str(kept), "--out", str(ev)] + eval_flags) == 0
+            assert run(["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
+                        "--param", "scoring.strategy=none", "--out", str(sw)] + sweep_flags) == 0
+            rows[tag] = sw.read_text().splitlines()[2]
+            assert rows[tag] == "none," + ev.read_text().splitlines()[2]
+        assert rows["default"] != rows["config"]
+
+    @pytest.mark.parametrize("command", [
+        ["track", "--dets", "d", "--out", "o"],
+        ["eval-track", "--gt", "g", "--tracks", "t"],
+        ["eval-det", "--gt", "g", "--dets", "d"],
+        ["nms", "--dets", "d", "--out", "o"],
+        ["sweep", "--mode", "track", "--gt", "g", "--dets", "d"],
+        ["plot-data", "gaussian"],
+    ])
+    def test_seed_only_where_randomness_is_drawn(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--seed", "1"])

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from uatrack.io import (
     read_detections,
     read_tracks,
     save_config,
+    tracks_to_frames,
     write_detections,
     write_tracks,
 )
@@ -187,3 +190,65 @@ class TestRunConfig:
     def test_process_noise_diag_length_checked(self):
         with pytest.raises(FormatError):
             config_from_dict({"tracker": {"process_noise_diag": [1.0, 2.0]}})
+
+    @pytest.mark.parametrize("data", [
+        {"scoring": {"strategy": "bogus"}},
+        {"tracker": {"gate_distance": -1}},
+        {"tracker": {"default_obs_sigma": [-0.5] * 7}},
+        {"nms": {"iou_threshold": 1.5}},
+        {"scenario": {"n_targets": 0}},
+        {"scenario": {"noise_base": [0.1] * 6}},
+        {"eval": {"recall_points": 0}},
+        {"tracker": 5},
+    ])
+    def test_invalid_values_raise_format_error(self, data):
+        with pytest.raises(FormatError, match="config"):
+            config_from_dict(data)
+
+    def test_readme_example_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        assert json.loads(block) == config_to_dict(RunConfig())
+
+
+def _write_rows(path, header, rows):
+    path.write_text("\n".join(["# uatrack-v1", header] + rows) + "\n")
+
+
+DET_ROW = "0,Car,1,2,0,1.8,4.2,1.5,0.3,0.9"
+VAR_ROW = DET_ROW + ",0.1,0.1,0.1,0.1,0.1,0.1,0.1"
+TRACK_ROW = "0,1,Car,1,2,0,1.8,4.2,1.5,0.3,0.9"
+
+
+class TestReaderChecks:
+    @pytest.mark.parametrize("bad", [
+        DET_ROW.replace("0,Car,1,", "0,Car,nan,") + ",0.1,0.1,0.1,0.1,0.1,0.1,0.1",
+        VAR_ROW[: -len("0.1")] + "inf",
+        VAR_ROW.replace(",1.8,", ",-1,"),
+        VAR_ROW[: -len("0.1")] + "0",
+        "-1" + VAR_ROW[1:],
+    ])
+    def test_bad_detection_row_names_line(self, tmp_path, bad):
+        path = tmp_path / "dets.csv"
+        _write_rows(path, ",".join(["frame", "class", "x", "y", "z", "w", "l", "h", "theta", "score",
+                                    "var_x", "var_y", "var_z", "var_w", "var_l", "var_h", "var_theta"]),
+                    [VAR_ROW, bad])
+        with pytest.raises(FormatError, match=":4:"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("bad", [
+        TRACK_ROW.replace(",Car,1,", ",Car,nan,"),
+        "-1" + TRACK_ROW[1:],
+        TRACK_ROW,  # the same id twice in one frame
+    ])
+    def test_bad_track_row_names_line(self, tmp_path, bad):
+        path = tmp_path / "tracks.csv"
+        _write_rows(path, "frame,id,class,x,y,z,w,l,h,theta,score", [TRACK_ROW, bad])
+        with pytest.raises(FormatError, match=":4:"):
+            read_tracks(path)
+
+    @pytest.mark.parametrize("frame", [-1, 2])
+    def test_tracks_to_frames_range_checked(self, frame):
+        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        with pytest.raises(FormatError, match="out of range"):
+            tracks_to_frames([(frame, 1, box)], 2)
