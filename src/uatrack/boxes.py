@@ -113,8 +113,11 @@ class BoxVariance:
     var_theta: float
 
     def __post_init__(self):
-        if min(self.as_tuple()) <= 0.0:
-            raise ValueError("variances must be positive")
+        t = self.as_tuple()
+        # NaN fails every comparison, so finiteness is checked apart; the
+        # sum is finite whenever every value is, short of overflow
+        if not (min(t) > 0.0 and (math.isfinite(sum(t)) or all(map(math.isfinite, t)))):
+            raise ValueError("variances must be finite and positive")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.var_x, self.var_y, self.var_z, self.var_w, self.var_l, self.var_h, self.var_theta)

@@ -20,6 +20,7 @@ from uatrack.boxes import (
     self_anchor,
     wrap_angle,
 )
+from uatrack.tracker import TrackerConfig, constant_sigma_config
 
 
 class TestWrapAngle:
@@ -151,6 +152,26 @@ class TestDecodeVariance:
         assert a.diagonal == pytest.approx(math.hypot(1.8, 4.2))
         var = BoxVariance(0.1, 0.2, 0.05, 0.01, 0.02, 0.01, 0.004)
         assert decode_variance(encode_variance(var, a, box), a, box).var_l == pytest.approx(0.02, rel=1e-12)
+
+
+class TestBoxVarianceChecks:
+    GOOD = (0.1, 0.2, 0.05, 0.01, 0.02, 0.01, 0.004)
+
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_rejects_non_finite_or_non_positive(self, index, bad):
+        values = list(self.GOOD)
+        values[index] = bad
+        with pytest.raises(ValueError):
+            BoxVariance(*values)
+
+    def test_accepts_finite_values_whose_sum_overflows(self):
+        assert BoxVariance(*[1e308] * 7).var_h == 1e308
+
+    def test_overflowing_constant_sigma_rejected(self):
+        # sigma**2 overflows to inf
+        with pytest.raises(ValueError):
+            constant_sigma_config(TrackerConfig(), 1e200)
 
 
 class TestVariancePropagationMonteCarlo:

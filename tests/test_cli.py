@@ -194,11 +194,15 @@ class TestConfigPath:
         ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--n-targets", "0"],
         ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{tmp}/bad_gate.json"],
         ["eval-det", "--gt", "{gt}", "--dets", "{dets}", "--recall-points", "0"],
+        # sigma**2 overflows to an infinite variance
+        ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--constant-sigma", "1e200"],
+        ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{tmp}/huge_sigma.json"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, scenario_files, capsys, argv):
         gt, dets = scenario_files
         (tmp_path / "bad_strategy.json").write_text('{"scoring": {"strategy": "bogus"}}')
         (tmp_path / "bad_gate.json").write_text('{"tracker": {"gate_distance": -1}}')
+        (tmp_path / "huge_sigma.json").write_text('{"tracker": {"default_obs_sigma": [1, 1, 1, 1e200, 1, 1, 1]}}')
         capsys.readouterr()
         assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
