@@ -44,17 +44,13 @@ from .scoring import (
 from .sim import Scenario, ScenarioConfig, generate_scenario
 from .special import bessel_i0, bessel_ratio_i1_i0, elu, log_bessel_i0
 from .tracker import (
-    PoseState,
-    SizeState,
     Track,
     Tracker,
     TrackerConfig,
-    TrackStatus,
     associate,
-    ctra_propagate,
     size_update,
-    ukf_predict,
-    ukf_update,
+    ukf_predict_batch,
+    ukf_update_batch,
 )
 from .assignment import hungarian_assign
 

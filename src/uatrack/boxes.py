@@ -37,6 +37,10 @@ class Box3D:
     score: float = 1.0
 
     def __post_init__(self):
+        t = (self.x, self.y, self.z, self.w, self.l, self.h, self.theta, self.score)
+        # the sum is finite whenever every value is, short of overflow
+        if not (math.isfinite(sum(t)) or all(map(math.isfinite, t))):
+            raise ValueError(f"box values must be finite, got {t}")
         if not (self.w > 0.0 and self.l > 0.0 and self.h > 0.0):
             raise ValueError(f"box dimensions must be positive, got w={self.w} l={self.l} h={self.h}")
         object.__setattr__(self, "theta", wrap_angle(self.theta))

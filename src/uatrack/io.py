@@ -97,15 +97,15 @@ def _read_versioned(path: str | Path, expected_headers: dict[str, bool]) -> tupl
 
 
 def _frame_and_values(frame_text: str, value_texts: list[str]) -> tuple[int, list[float]]:
-    """Parse a row's frame index and float columns; raises ValueError on bad values."""
+    """Parse a row's frame index and float columns.
+
+    Raises ValueError on a bad frame index or number; Box3D and
+    BoxVariance check the values themselves.
+    """
     frame = int(frame_text)
     if frame < 0:
         raise ValueError(f"negative frame index {frame}")
-    vals = [float(v) for v in value_texts]
-    # the sum is finite whenever every value is, short of overflow
-    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
-        raise ValueError("non-finite value")
-    return frame, vals
+    return frame, [float(v) for v in value_texts]
 
 
 def read_detections(path: str | Path) -> list[DetectionRecord]:

@@ -1,28 +1,32 @@
 """Covariance-aware multi-object tracking.
 
-Per-object state is split the way the detections are used: an unscented
-Kalman filter over the planar pose (x, y, theta) with CTRA dynamics on
-the hidden (v, a, omega), an independent scalar Kalman filter per box
-dimension, and pass-through of the latest z and h.  When detections
-carry their own variance it is used directly as the observation noise
-(and as the initial state noise of new tracks); otherwise a fixed
-default applies, which is the classic constant-covariance tracker.
+Each track's state is split the way the detections are used: an
+unscented Kalman filter over the planar pose (x, y, theta) with CTRA
+dynamics on the hidden (v, a, omega), an independent scalar Kalman
+filter per box dimension, and pass-through of the latest z and h.  When
+detections carry their own variance it is used directly as the
+observation noise (and as the initial state noise of new tracks);
+otherwise a fixed default applies, which is the classic
+constant-covariance tracker.
 
-The filter math is written over batches of tracks (leading axis T) so a
-frame's predictions and updates cost a handful of numpy calls; the
-single-track operations are the T=1 case of the same code path.
+A Tracker keeps every track in one table, a numpy structured array with
+one row per track (see TRACK_DTYPE).  step() reads the frame into arrays
+and checks it, then predicts, associates, updates, drops and spawns with
+array operations on a copy of the table, which replaces the old one only
+when the step completes.  The filter math takes a batch of states
+(leading axis T); a single state is the T=1 case.  Track records are
+built only for the confirmed tracks a step returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
 from .assignment import FORBIDDEN_COST, hungarian_assign
-from .boxes import Box3D, BoxVariance, DetectionWithCovariance, FrameDetections, wrap_angle
+from .boxes import Box3D, BoxVariance, FrameDetections
 from .motion import ctra_step
 
 # Unscented-transform scaling.  alpha=1 with kappa=0 gives lambda=0: every
@@ -57,96 +61,64 @@ SCORE_SMOOTHING = 0.7
 DEFAULT_PROCESS_DIAG = (1e-4, 1e-4, 1e-5, 0.01, 0.64, 0.0225)
 DEFAULT_OBS_NOISE = BoxVariance(0.25, 0.25, 0.25, 0.04, 0.04, 0.04, 0.01)
 
+# One row per track: pose mean (x, y, theta, v, a, omega) and covariance,
+# filtered (w, l, h) and their variances, z and h of the latest matched
+# detection, smoothed score, consecutive hits and misses.
+TRACK_DTYPE = np.dtype(
+    [
+        ("id", np.int64),
+        ("class_id", object),
+        ("mean", float, (_N,)),
+        ("cov", float, (_N, _N)),
+        ("size", float, (3,)),
+        ("size_var", float, (3,)),
+        ("z", float),
+        ("h", float),
+        ("score", float),
+        ("hits", np.int64),
+        ("misses", np.int64),
+        ("confirmed", bool),
+    ],
+    align=True,
+)
 
-class TrackStatus(Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    LOST = "lost"
+# One row per detection: observed (x, y, theta), (w, l, h), z, score and
+# the observation variances of (x, y, theta, w, l, h).
+_DETECTION_DTYPE = np.dtype(
+    [
+        ("obs", float, (3,)),
+        ("size", float, (3,)),
+        ("z", float),
+        ("score", float),
+        ("var", float, (6,)),
+        ("class_id", object),
+    ]
+)
 
-
-@dataclass
-class PoseState:
-    """Planar pose filter state: mean (x, y, theta, v, a, omega) + 6x6 cov."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).copy()
-        self.cov = np.asarray(self.cov, dtype=float).copy()
-        if self.mean.shape != (6,) or self.cov.shape != (6, 6):
-            raise ValueError("pose state is a 6-vector with a 6x6 covariance")
-        self.mean[2] = wrap_angle(self.mean[2])
-        self.cov = 0.5 * (self.cov + self.cov.T)
-
-    @property
-    def x(self) -> float:
-        return float(self.mean[0])
-
-    @property
-    def y(self) -> float:
-        return float(self.mean[1])
-
-    @property
-    def theta(self) -> float:
-        return float(self.mean[2])
-
-    @property
-    def v(self) -> float:
-        return float(self.mean[3])
-
-    @property
-    def a(self) -> float:
-        return float(self.mean[4])
-
-    @property
-    def omega(self) -> float:
-        return float(self.mean[5])
-
-
-@dataclass
-class SizeState:
-    """Per-dimension scalar KF state for the box extents."""
-
-    w: float
-    l: float
-    h: float
-    var_w: float
-    var_l: float
-    var_h: float
-
-    def __post_init__(self):
-        if not (self.w > 0.0 and self.l > 0.0 and self.h > 0.0):
-            raise ValueError("size means must be positive")
-        if min(self.var_w, self.var_l, self.var_h) < 0.0:
-            raise ValueError("size variances must be >= 0")
+_POSE = np.arange(3)  # observed state components (x, y, theta)
+_HIDDEN = np.arange(3, _N)  # never observed (v, a, omega)
+_PRIOR_HIDDEN_VAR = (PRIOR_SPEED_STD**2, PRIOR_ACCEL_STD**2, PRIOR_TURN_STD**2)
 
 
 @dataclass
 class Track:
+    """A confirmed track as step() reports it."""
+
     id: int
     class_id: str
-    pose: PoseState
-    size: SizeState
-    z_latest: float
-    h_latest: float
-    hits: int = 1
-    misses: int = 0
-    status: TrackStatus = TrackStatus.TENTATIVE
-    score: float = 1.0
+    x: float
+    y: float
+    z: float
+    w: float
+    l: float
+    h: float
+    theta: float
+    score: float
 
     def to_box(self) -> Box3D:
         """Reported box: filtered pose and footprint, pass-through z and h."""
         return Box3D(
-            x=self.pose.x,
-            y=self.pose.y,
-            z=self.z_latest,
-            w=self.size.w,
-            l=self.size.l,
-            h=self.h_latest,
-            theta=self.pose.theta,
-            class_id=self.class_id,
-            score=self.score,
+            self.x, self.y, self.z, self.w, self.l, self.h, self.theta, class_id=self.class_id, score=self.score
         )
 
 
@@ -221,6 +193,20 @@ def _wrap_array(a: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
 
 
+def _wrap_mean(a: np.ndarray) -> np.ndarray:
+    """Wrap angles to (-pi, pi]: bitwise boxes.wrap_angle of _wrap_array's result.
+
+    _wrap_array returns -pi where its modulus rounds up to 2 pi; elsewhere
+    wrap_angle leaves its result unchanged.
+    """
+    out = _wrap_array(a)
+    return np.where(out == -np.pi, np.pi, out)
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def _batch_moments(pts: np.ndarray, angle_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and covariance of sigma points, circular in one axis."""
     mean = np.einsum("p,tpn->tn", _WM, pts)
@@ -229,18 +215,21 @@ def _batch_moments(pts: np.ndarray, angle_index: int) -> tuple[np.ndarray, np.nd
     dev = pts - mean[:, None, :]
     dev[..., angle_index] = _wrap_array(dev[..., angle_index])
     cov = np.einsum("p,tpi,tpj->tij", _WC, dev, dev)
-    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return mean, _sym(cov)
 
 
 def ukf_predict_batch(
     means: np.ndarray, covs: np.ndarray, dt: float, process_noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unscented CTRA prediction for a batch of pose states."""
+    """Unscented CTRA prediction for a batch of pose states; adds process_noise * dt.
+
+    Means leave with theta in (-pi, pi], covariances exactly symmetric.
+    """
     pts = ctra_step(_batch_sigma_points(means, covs), dt)
     mean, cov = _batch_moments(pts, angle_index=2)
-    mean[:, 2] = _wrap_array(mean[:, 2])
-    cov += np.asarray(process_noise, dtype=float) * dt
-    return mean, cov
+    mean[:, 2] = _wrap_mean(mean[:, 2])
+    # process noise may be asymmetric within TrackerConfig's tolerance
+    return mean, _sym(cov + np.asarray(process_noise, dtype=float) * dt)
 
 
 def ukf_update_batch(
@@ -249,7 +238,8 @@ def ukf_update_batch(
     """Measurement update on (x, y, theta) with per-state noise variances.
 
     obs is (T, 3) measurements, obs_var the matching (T, 3) diagonal
-    observation-noise variances.
+    observation-noise variances.  Means leave with theta in (-pi, pi],
+    covariances exactly symmetric.
     """
     pts = _batch_sigma_points(means, covs)
     z_pts = pts[:, :, :3]
@@ -271,205 +261,143 @@ def ukf_update_batch(
     innovation = obs - z_mean
     innovation[:, 2] = _wrap_array(innovation[:, 2])
     new_means = means + np.einsum("tij,tj->ti", gain, innovation)
-    new_means[:, 2] = _wrap_array(new_means[:, 2])
-    new_covs = covs - gain @ s_mat @ np.swapaxes(gain, -1, -2)
-    new_covs = 0.5 * (new_covs + np.swapaxes(new_covs, -1, -2))
-    return new_means, new_covs
+    new_means[:, 2] = _wrap_mean(new_means[:, 2])
+    return new_means, _sym(covs - gain @ s_mat @ np.swapaxes(gain, -1, -2))
 
 
-def ctra_propagate(state: PoseState, dt: float) -> PoseState:
-    """Mean-only CTRA propagation of a pose state."""
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
-    return PoseState(ctra_step(state.mean, dt), state.cov)
+def size_update(
+    size: np.ndarray, size_var: np.ndarray, meas: np.ndarray, meas_var: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent scalar KF update of every box dimension at once.
 
-
-def ukf_predict(track: Track, dt: float, process_noise: np.ndarray) -> Track:
-    """Unscented CTRA prediction; adds process_noise * dt."""
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
-    mean, cov = ukf_predict_batch(
-        track.pose.mean[None, :], track.pose.cov[None, :, :], dt, process_noise
-    )
-    return replace(track, pose=PoseState(mean[0], cov[0]))
-
-
-def _observation_noise(det: DetectionWithCovariance, cfg: TrackerConfig) -> tuple[float, float, float]:
-    if cfg.use_detection_covariance and det.variance is not None:
-        v = det.variance
-    else:
-        v = cfg.default_obs_noise
-    return v.var_x, v.var_y, v.var_theta
-
-
-def ukf_update(track: Track, det: DetectionWithCovariance, cfg: TrackerConfig) -> Track:
-    """Measurement update on (x, y, theta) with per-detection noise."""
-    if det.box.class_id != track.class_id:
-        raise ValueError("detection class does not match track class")
-    noise = _observation_noise(det, cfg)
-    if not all(v > 0.0 and math.isfinite(v) for v in noise):
-        raise ValueError("observation noise must be positive definite")
-    obs = np.array([[det.box.x, det.box.y, det.box.theta]])
-    mean, cov = ukf_update_batch(
-        track.pose.mean[None, :], track.pose.cov[None, :, :], obs, np.array([noise])
-    )
-    return replace(track, pose=PoseState(mean[0], cov[0]))
-
-
-def size_update(size: SizeState, det: DetectionWithCovariance, cfg: TrackerConfig) -> SizeState:
-    """Independent scalar KF update of each box dimension."""
-    if cfg.use_detection_covariance and det.variance is not None:
-        noise = (det.variance.var_w, det.variance.var_l, det.variance.var_h)
-    else:
-        d = cfg.default_obs_noise
-        noise = (d.var_w, d.var_l, d.var_h)
-    meas = (det.box.w, det.box.l, det.box.h)
-    out_mean = []
-    out_var = []
-    for prior, pv, z, rv in zip((size.w, size.l, size.h), (size.var_w, size.var_l, size.var_h), meas, noise):
-        if pv <= 0.0:
-            out_mean.append(prior)
-            out_var.append(pv)
-            continue
-        k = pv / (pv + rv)
-        out_mean.append(prior + k * (z - prior))
-        out_var.append((1.0 - k) * pv)
-    return SizeState(out_mean[0], out_mean[1], out_mean[2], out_var[0], out_var[1], out_var[2])
+    A zero prior variance gives zero gain, so a perfect prior ignores the
+    measurement.
+    """
+    gain = size_var / (size_var + meas_var)
+    return size + gain * (meas - size), (1.0 - gain) * size_var
 
 
 def associate(
-    tracks: list[Track],
-    dets: FrameDetections,
-    cfg: TrackerConfig,
+    track_xy: np.ndarray,
+    det_xy: np.ndarray,
+    track_class: np.ndarray,
+    det_class: np.ndarray,
+    gate_distance: float,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Global nearest neighbor on planar center distance.
 
+    Takes (T, 2) track and (D, 2) detection centers with their classes.
     Pairs with distance above the gate or with differing classes are
     forbidden; the optimal assignment is then re-checked against the gate
-    so a forced pairing never survives.
+    so a forced pairing never survives.  Returns the (track, detection)
+    matches and the unmatched track and detection rows.
     """
-    if not tracks or not dets:
-        return [], list(range(len(tracks))), list(range(len(dets)))
-    t_xy = np.array([[t.pose.x, t.pose.y] for t in tracks])
-    d_xy = np.array([[d.box.x, d.box.y] for d in dets])
-    dist = np.hypot(t_xy[:, 0:1] - d_xy[None, :, 0], t_xy[:, 1:2] - d_xy[None, :, 1])
-    t_cls = np.array([t.class_id for t in tracks])
-    d_cls = np.array([d.box.class_id for d in dets])
-    allowed = (dist <= cfg.gate_distance) & (t_cls[:, None] == d_cls[None, :])
-    cost = np.where(allowed, dist, FORBIDDEN_COST)
-
-    matches = []
-    matched_t: set[int] = set()
-    matched_d: set[int] = set()
-    for ti, di in hungarian_assign(cost):
-        if allowed[ti, di]:
-            matches.append((ti, di))
-            matched_t.add(ti)
-            matched_d.add(di)
-    unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
-    unmatched_d = [i for i in range(len(dets)) if i not in matched_d]
-    return matches, unmatched_t, unmatched_d
+    n_t, n_d = len(track_xy), len(det_xy)
+    if not n_t or not n_d:
+        return [], list(range(n_t)), list(range(n_d))
+    dist = np.hypot(track_xy[:, 0:1] - det_xy[None, :, 0], track_xy[:, 1:2] - det_xy[None, :, 1])
+    same_class = np.asarray(track_class, dtype=object)[:, None] == np.asarray(det_class, dtype=object)[None, :]
+    allowed = (dist <= gate_distance) & same_class
+    matches = [(ti, di) for ti, di in hungarian_assign(np.where(allowed, dist, FORBIDDEN_COST)) if allowed[ti, di]]
+    matched_t = {ti for ti, _ in matches}
+    matched_d = {di for _, di in matches}
+    return matches, [i for i in range(n_t) if i not in matched_t], [i for i in range(n_d) if i not in matched_d]
 
 
 class Tracker:
     """Single-writer tracker instance; one per sequence.
 
-    step() mutates internal state and must not be called concurrently on
-    the same instance.  Track ids are assigned from a strictly increasing
-    counter and never reused.
+    step() replaces the track table and must not be called concurrently
+    on the same instance.  Track ids are assigned from a strictly
+    increasing counter and never reused.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
-        self.tracks: list[Track] = []
+        self.table = np.zeros(0, dtype=TRACK_DTYPE)
         self._next_id = 1
 
-    def _spawn(self, det: DetectionWithCovariance) -> Track:
-        box = det.box
-        if self.config.use_detection_covariance and det.variance is not None:
-            var = det.variance
-        else:
-            var = self.config.default_obs_noise
-        mean = np.array([box.x, box.y, box.theta, 0.0, 0.0, 0.0])
-        cov = np.diag(
-            [
-                var.var_x,
-                var.var_y,
-                var.var_theta,
-                PRIOR_SPEED_STD**2,
-                PRIOR_ACCEL_STD**2,
-                PRIOR_TURN_STD**2,
-            ]
-        )
-        track = Track(
-            id=self._next_id,
-            class_id=box.class_id,
-            pose=PoseState(mean, cov),
-            size=SizeState(box.w, box.l, box.h, var.var_w, var.var_l, var.var_h),
-            z_latest=box.z,
-            h_latest=box.h,
-            score=box.score,
-        )
-        self._next_id += 1
-        return track
+    def _read_frame(self, detections: FrameDetections) -> np.ndarray:
+        """The frame as detection rows, checked before any state changes.
 
-    def _predict_all(self, dt: float) -> None:
-        means = np.stack([t.pose.mean for t in self.tracks])
-        covs = np.stack([t.pose.cov for t in self.tracks])
-        means, covs = ukf_predict_batch(means, covs, dt, self.config.process_noise)
-        for i, track in enumerate(self.tracks):
-            track.pose = PoseState(means[i], covs[i])
-
-    def _update_matched(self, matches: list[tuple[int, int]], detections: FrameDetections) -> None:
+        The one place that chooses each detection's observation variance:
+        its own when the config feeds detection covariance and it has one,
+        else the configured default.
+        """
         cfg = self.config
-        means = np.stack([self.tracks[ti].pose.mean for ti, _ in matches])
-        covs = np.stack([self.tracks[ti].pose.cov for ti, _ in matches])
-        obs = np.array([[detections[di].box.x, detections[di].box.y, detections[di].box.theta] for _, di in matches])
-        obs_var = np.array([_observation_noise(detections[di], cfg) for _, di in matches])
-        if np.any(obs_var <= 0.0) or not np.all(np.isfinite(obs_var)):
+        rows = []
+        for det in detections:
+            b = det.box
+            v = det.variance if cfg.use_detection_covariance and det.variance is not None else cfg.default_obs_noise
+            rows.append(((b.x, b.y, b.theta), (b.w, b.l, b.h), b.z, b.score,
+                         (v.var_x, v.var_y, v.var_theta, v.var_w, v.var_l, v.var_h), b.class_id))
+        frame = np.array(rows, dtype=_DETECTION_DTYPE)
+        var = frame["var"]
+        if not np.all((var > 0.0) & (var < np.inf)):
             raise ValueError("observation noise must be positive definite")
-        means, covs = ukf_update_batch(means, covs, obs, obs_var)
-        for row, (ti, di) in enumerate(matches):
-            det = detections[di]
-            track = self.tracks[ti]
-            track.pose = PoseState(means[row], covs[row])
-            track.size = size_update(track.size, det, cfg)
-            track.z_latest = det.box.z
-            track.h_latest = det.box.h
-            track.hits += 1
-            track.misses = 0
-            track.score = SCORE_SMOOTHING * track.score + (1.0 - SCORE_SMOOTHING) * det.box.score
+        return frame
+
+    def _spawn(self, dets: np.ndarray) -> np.ndarray:
+        """New tentative rows, one per detection, ids in detection order."""
+        new = np.zeros(len(dets), dtype=TRACK_DTYPE)
+        new["id"] = np.arange(self._next_id, self._next_id + len(dets))
+        new["class_id"] = dets["class_id"]
+        new["mean"][:, :3] = dets["obs"]
+        new["mean"][:, 2] = _wrap_mean(dets["obs"][:, 2])
+        new["cov"][:, _POSE, _POSE] = dets["var"][:, :3]
+        new["cov"][:, _HIDDEN, _HIDDEN] = _PRIOR_HIDDEN_VAR
+        new["size"] = dets["size"]
+        new["size_var"] = dets["var"][:, 3:]
+        new["z"] = dets["z"]
+        new["h"] = dets["size"][:, 2]
+        new["score"] = dets["score"]
+        new["hits"] = 1
+        return new
 
     def step(self, detections: FrameDetections, dt: float) -> list[Track]:
-        """Advance one frame; returns the confirmed tracks."""
+        """Advance one frame; returns the confirmed tracks.
+
+        Raises ValueError, leaving the tracker unchanged, on a
+        non-positive dt or a non-positive or non-finite observation
+        variance.
+        """
         if not dt > 0.0:
             raise ValueError("dt must be > 0")
         cfg = self.config
+        dets = self._read_frame(detections)
+        table = self.table.copy()
 
-        if self.tracks:
-            self._predict_all(dt)
-        matches, unmatched_t, unmatched_d = associate(self.tracks, detections, cfg)
+        if len(table):
+            table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, cfg.process_noise)
+        matches, _, unmatched_d = associate(
+            table["mean"][:, :2], dets["obs"][:, :2], table["class_id"], dets["class_id"], cfg.gate_distance
+        )
+        ti, di = np.array(matches, dtype=np.intp).reshape(-1, 2).T
         if matches:
-            self._update_matched(matches, detections)
+            matched, det = table[ti], dets[di]
+            table["mean"][ti], table["cov"][ti] = ukf_update_batch(
+                matched["mean"], matched["cov"], det["obs"], det["var"][:, :3]
+            )
+            table["size"][ti], table["size_var"][ti] = size_update(
+                matched["size"], matched["size_var"], det["size"], det["var"][:, 3:]
+            )
+            table["z"][ti] = det["z"]
+            table["h"][ti] = det["size"][:, 2]
+            table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * det["score"]
 
-        for ti in unmatched_t:
-            track = self.tracks[ti]
-            track.misses += 1
-            track.hits = 0
+        hit = np.zeros(len(table), dtype=bool)
+        hit[ti] = True
+        table["hits"] = np.where(hit, table["hits"] + 1, 0)
+        table["misses"] = np.where(hit, 0, table["misses"] + 1)
+        table = table[table["misses"] < cfg.t_drop]
+        if unmatched_d:
+            table = np.concatenate([table, self._spawn(dets[unmatched_d])], dtype=TRACK_DTYPE)
+        table["confirmed"] |= table["hits"] >= cfg.t_init
 
-        survivors = []
-        for track in self.tracks:
-            if track.misses >= cfg.t_drop:
-                track.status = TrackStatus.LOST
-            else:
-                survivors.append(track)
-        self.tracks = survivors
-
-        for di in unmatched_d:
-            self.tracks.append(self._spawn(detections[di]))
-
-        for track in self.tracks:
-            if track.status is TrackStatus.TENTATIVE and track.hits >= cfg.t_init:
-                track.status = TrackStatus.CONFIRMED
-
-        return [t for t in self.tracks if t.status is TrackStatus.CONFIRMED]
+        self.table = table
+        self._next_id += len(unmatched_d)
+        out = table[table["confirmed"]]
+        mean, size = out["mean"], out["size"]
+        columns = (out["id"], out["class_id"], mean[:, 0], mean[:, 1], out["z"], size[:, 0], size[:, 1], out["h"],
+                   mean[:, 2], out["score"])
+        return [Track(*row) for row in zip(*(c.tolist() for c in columns))]

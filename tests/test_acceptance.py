@@ -38,7 +38,7 @@ from uatrack.scoring import (
 )
 from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.special import bessel_i0, log_bessel_i0
-from uatrack.tracker import SizeState, Track, TrackerConfig, PoseState, ukf_predict, ukf_update
+from uatrack.tracker import TrackerConfig, ukf_predict_batch, ukf_update_batch
 from uatrack.experiments import compare_adaptive_vs_constant
 
 from test_special import i0_power_series
@@ -170,13 +170,16 @@ def test_criterion_5_assignment_optimality():
 
 # --- criterion 6: filter consistency ------------------------------------------
 
-def _make_track(mean, cov):
-    return Track(
-        id=1, class_id="Car",
-        pose=PoseState(np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)),
-        size=SizeState(1.8, 4.2, 1.5, 0.04, 0.04, 0.04),
-        z_latest=0.75, h_latest=1.5,
-    )
+def _predict(state, dt, q):
+    mean, cov = ukf_predict_batch(state[0][None], state[1][None], dt, q)
+    return mean[0], cov[0]
+
+
+def _update(state, det):
+    b, v = det.box, det.variance
+    mean, cov = ukf_update_batch(state[0][None], state[1][None], np.array([[b.x, b.y, b.theta]]),
+                                 np.array([[v.var_x, v.var_y, v.var_theta]]))
+    return mean[0], cov[0]
 
 
 def test_criterion_6_filter_consistency():
@@ -186,7 +189,7 @@ def test_criterion_6_filter_consistency():
     mean = np.array([0.0, 0.0, theta0, 4.0, 0.0, 0.0])
     cov = np.diag([0.4, 0.9, 0.0, 2.0, 0.0, 0.0])
     q = np.diag([0.02, 0.02, 0.0, 0.2, 0.0, 0.0])
-    track = _make_track(mean, cov)
+    state = (mean, cov)
     f_lin = np.eye(3)
     f_lin[0, 2] = math.cos(theta0) * dt
     f_lin[1, 2] = math.sin(theta0) * dt
@@ -198,7 +201,7 @@ def test_criterion_6_filter_consistency():
     cfg = TrackerConfig()
     worst = 0.0
     for step in range(100):
-        track = ukf_predict(track, dt, q)
+        state = _predict(state, dt, q)
         x = f_lin @ x
         p = f_lin @ p @ f_lin.T + q[np.ix_([0, 1, 3], [0, 1, 3])] * dt
         z = np.array([x[0] + rng.normal(0, 0.3), x[1] + rng.normal(0, 0.5)])
@@ -206,33 +209,33 @@ def test_criterion_6_filter_consistency():
             Box3D(z[0], z[1], 0.75, 1.8, 4.2, 1.5, theta0),
             BoxVariance(0.3, 0.5, 1.0, 1.0, 1.0, 1.0, 1e12),
         )
-        track = ukf_update(track, det, cfg)
+        state = _update(state, det)
         s_mat = h_lin @ p @ h_lin.T + r_lin
         k_gain = p @ h_lin.T @ np.linalg.inv(s_mat)
         x = x + k_gain @ (z - h_lin @ x)
         p = p - k_gain @ s_mat @ k_gain.T
         worst = max(
             worst,
-            float(np.max(np.abs(track.pose.mean[[0, 1, 3]] - x))),
-            float(np.max(np.abs(track.pose.cov[np.ix_([0, 1, 3], [0, 1, 3])] - p))),
+            float(np.max(np.abs(state[0][[0, 1, 3]] - x))),
+            float(np.max(np.abs(state[1][np.ix_([0, 1, 3], [0, 1, 3])] - p))),
         )
     linear_ok = worst < 1e-8
 
     # covariance health across 1e4 randomized predict/update steps
     rng = np.random.default_rng(401)
-    track = _make_track(np.zeros(6), np.diag([0.5, 0.5, 0.1, 4.0, 1.0, 0.05]))
+    state = (np.zeros(6), np.diag([0.5, 0.5, 0.1, 4.0, 1.0, 0.05]))
     worst_asym = 0.0
     worst_eig = 0.0
     for i in range(10_000):
-        track = ukf_predict(track, 0.1, cfg.process_noise)
+        state = _predict(state, 0.1, cfg.process_noise)
         if i % 2 == 0:
             det = DetectionWithCovariance(
-                Box3D(track.pose.x + rng.normal(0, 0.6), track.pose.y + rng.normal(0, 0.6), 0.75,
-                      1.8, 4.2, 1.5, track.pose.theta + rng.normal(0, 0.3)),
+                Box3D(state[0][0] + rng.normal(0, 0.6), state[0][1] + rng.normal(0, 0.6), 0.75,
+                      1.8, 4.2, 1.5, state[0][2] + rng.normal(0, 0.3)),
                 BoxVariance(*rng.uniform(0.004, 3.0, 7)),
             )
-            track = ukf_update(track, det, cfg)
-        cov = track.pose.cov
+            state = _update(state, det)
+        cov = state[1]
         worst_asym = max(worst_asym, float(np.max(np.abs(cov - cov.T))))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(cov).min()))
     psd_ok = worst_asym < 1e-9 and worst_eig > -1e-9

@@ -174,6 +174,27 @@ class TestBoxVarianceChecks:
             constant_sigma_config(TrackerConfig(), 1e200)
 
 
+class TestBox3DChecks:
+    GOOD = dict(x=1.0, y=-2.0, z=0.5, w=1.8, l=4.2, h=1.5, theta=0.3, score=0.9)
+
+    @pytest.mark.parametrize("name", ["x", "w", "theta", "score"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, bad):
+        values = dict(self.GOOD, **{name: bad})
+        with pytest.raises(ValueError, match="finite"):
+            Box3D(**values)
+
+    def test_accepts_finite_values_whose_sum_overflows(self):
+        assert Box3D(1e308, 1e308, 1e308, 1.0, 1.0, 1.0, 0.0).x == 1e308
+
+    def test_nan_score_rejected(self):
+        # accepted, a NaN score made detection_pr depend on prediction order:
+        # one gt and two identical predictions scored NaN and 0.5 gave AP 0.0
+        # in one order and 100.0 in the other
+        with pytest.raises(ValueError):
+            Box3D(0.0, 0.0, 0.75, 2.0, 4.0, 1.5, 0.0, score=math.nan)
+
+
 class TestVariancePropagationMonteCarlo:
     """Sampling checks of the variance transport rules (reduced scale)."""
 

@@ -2,48 +2,72 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from uatrack.assignment import hungarian_assign
-from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance
+from uatrack.assignment import FORBIDDEN_COST, hungarian_assign
+from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance, wrap_angle
 from uatrack.motion import ctra_step
+from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import (
-    PoseState,
-    SizeState,
-    Track,
+    DEFAULT_OBS_NOISE,
+    DEFAULT_PROCESS_DIAG,
+    PRIOR_ACCEL_STD,
+    PRIOR_SPEED_STD,
+    PRIOR_TURN_STD,
+    SCORE_SMOOTHING,
     Tracker,
     TrackerConfig,
+    _wrap_array,
+    _wrap_mean,
     associate,
     constant_sigma_config,
-    ctra_propagate,
     size_update,
-    ukf_predict,
-    ukf_update,
+    ukf_predict_batch,
+    ukf_update_batch,
 )
 
 
-def make_pose(mean=None, cov=None):
+def pose(mean=None, cov=None):
     mean = np.zeros(6) if mean is None else np.asarray(mean, dtype=float)
     cov = np.eye(6) if cov is None else np.asarray(cov, dtype=float)
-    return PoseState(mean, cov)
+    return mean, cov
 
 
-def make_track(mean=None, cov=None, class_id="Car"):
-    return Track(
-        id=1,
-        class_id=class_id,
-        pose=make_pose(mean, cov),
-        size=SizeState(1.8, 4.2, 1.5, 0.04, 0.04, 0.04),
-        z_latest=0.75,
-        h_latest=1.5,
+def predict(state, dt, process_noise):
+    """One state through the T=1 batch prediction."""
+    mean, cov = ukf_predict_batch(state[0][None], state[1][None], dt, process_noise)
+    return mean[0], cov[0]
+
+
+def update(state, det):
+    """One state updated by a detection with its own variance (T=1 batch)."""
+    b, v = det.box, det.variance
+    mean, cov = ukf_update_batch(
+        state[0][None], state[1][None], np.array([[b.x, b.y, b.theta]]), np.array([[v.var_x, v.var_y, v.var_theta]])
     )
+    return mean[0], cov[0]
+
+
+def sizes(size, size_var, det):
+    """One size state updated by a detection, its variance chosen as by TrackerConfig()."""
+    v = det.variance if det.variance is not None else DEFAULT_OBS_NOISE
+    mean, var = size_update(
+        np.array([size]), np.array([size_var]), np.array([[det.box.w, det.box.l, det.box.h]]),
+        np.array([[v.var_w, v.var_l, v.var_h]]),
+    )
+    return mean[0], var[0]
 
 
 def detection(x, y, theta=0.0, variance=None, class_id="Car", score=0.9):
     box = Box3D(x, y, 0.75, 1.8, 4.2, 1.5, theta, class_id=class_id, score=score)
     return DetectionWithCovariance(box, variance)
+
+
+def centers(*xy):
+    return np.array(xy, dtype=float).reshape(-1, 2)
 
 
 class TestCtra:
@@ -84,28 +108,21 @@ class TestCtra:
         assert out[0] == pytest.approx(x, abs=1e-8)
         assert out[1] == pytest.approx(y, abs=1e-8)
 
-    def test_propagate_wrapper(self):
-        pose = make_pose([0, 0, 0, math.pi, 0, math.pi / 2])
-        out = ctra_propagate(pose, 1.0)
-        assert out.x == pytest.approx(2.0)
-        assert out.theta == pytest.approx(math.pi / 2)
-        assert np.allclose(out.cov, pose.cov)
-
 
 class TestUkfPredict:
     def test_stationary_zero_noise(self):
-        track = make_track(cov=np.diag([1, 1, 0.1, 0, 0, 0]))
-        out = ukf_predict(track, 1.0, np.zeros((6, 6)))
-        assert np.max(np.abs(out.pose.cov - track.pose.cov)) < 1e-10
-        assert np.allclose(out.pose.mean, track.pose.mean)
+        state = pose(cov=np.diag([1, 1, 0.1, 0, 0, 0]))
+        out = predict(state, 1.0, np.zeros((6, 6)))
+        assert np.max(np.abs(out[1] - state[1])) < 1e-10
+        assert np.allclose(out[0], state[0])
 
     def test_symmetry_contract(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = rng.normal(size=(6, 6))
-            track = make_track(mean=rng.normal(size=6), cov=a @ a.T + 0.1 * np.eye(6))
-            out = ukf_predict(track, 0.1, np.diag(rng.uniform(0, 0.1, 6)))
-            assert np.max(np.abs(out.pose.cov - out.pose.cov.T)) < 1e-9
+            state = pose(mean=rng.normal(size=6), cov=a @ a.T + 0.1 * np.eye(6))
+            out = predict(state, 0.1, np.diag(rng.uniform(0, 0.1, 6)))
+            assert np.max(np.abs(out[1] - out[1].T)) < 1e-9
 
     def test_linear_regime_matches_kf(self):
         # theta, a, omega pinned (zero variance): dynamics are linear in
@@ -115,7 +132,7 @@ class TestUkfPredict:
         mean = np.array([1.0, 2.0, theta0, 5.0, 0.0, 0.0])
         cov = np.diag([0.5, 0.8, 0.0, 1.5, 0.0, 0.0])
         q = np.diag([0.01, 0.01, 0.0, 0.1, 0.0, 0.0])
-        track = make_track(mean=mean, cov=cov)
+        state = pose(mean=mean, cov=cov)
 
         f = np.eye(3)
         f[0, 2] = math.cos(theta0) * dt
@@ -123,89 +140,131 @@ class TestUkfPredict:
         x_lin = mean[[0, 1, 3]]
         p_lin = cov[np.ix_([0, 1, 3], [0, 1, 3])]
         for _ in range(100):
-            track = ukf_predict(track, dt, q)
+            state = predict(state, dt, q)
             x_lin = f @ x_lin
             p_lin = f @ p_lin @ f.T + q[np.ix_([0, 1, 3], [0, 1, 3])] * dt
-        assert np.max(np.abs(track.pose.mean[[0, 1, 3]] - x_lin)) < 1e-8
-        assert np.max(np.abs(track.pose.cov[np.ix_([0, 1, 3], [0, 1, 3])] - p_lin)) < 1e-8
-        assert track.pose.mean[2] == pytest.approx(theta0, abs=1e-12)
+        assert np.max(np.abs(state[0][[0, 1, 3]] - x_lin)) < 1e-8
+        assert np.max(np.abs(state[1][np.ix_([0, 1, 3], [0, 1, 3])] - p_lin)) < 1e-8
+        assert state[0][2] == pytest.approx(theta0, abs=1e-12)
+
+
+class TestAngleWrap:
+    def test_just_above_pi_lands_on_pi(self):
+        # _wrap_array's modulus rounds up to 2 pi here and gives -pi
+        x = np.array([3.1415926535897936])
+        assert _wrap_array(x)[0] == -math.pi
+        assert _wrap_mean(x)[0] == math.pi == wrap_angle(wrap_angle(x[0]))
+
+    def test_matches_wrap_angle_of_wrap_array(self):
+        rng = np.random.default_rng(3)
+        ulp = np.spacing(math.pi)
+        x = np.concatenate([
+            rng.uniform(-20.0, 20.0, 20_000),
+            math.pi + ulp * rng.integers(-40, 40, 2_000),
+            -math.pi + ulp * rng.integers(-40, 40, 2_000),
+            3.0 * math.pi + 2.0 * ulp * rng.integers(-40, 40, 2_000),
+        ])
+        want = np.array([wrap_angle(v) for v in _wrap_array(x)])
+        assert np.array_equal(_wrap_mean(x), want)
+        assert np.all(_wrap_mean(x) > -math.pi)
+
+    def test_update_moving_just_past_pi_lands_on_pi(self):
+        # the correction takes theta one ulp past pi, where _wrap_array gives -pi
+        mean = np.array([[0.0, 0.0, math.pi, 0.0, 0.0, 0.0]])
+        obs = np.array([[0.0, 0.0, 3.141592653589794]])
+        out, _ = ukf_update_batch(mean, np.eye(6)[None], obs, np.ones((1, 3)))
+        assert out[0, 2] == math.pi
+
+
+    def test_spawned_heading_lands_on_pi(self):
+        # Box3D wraps a heading one ulp past pi to -pi
+        tracker = Tracker()
+        tracker.step([detection(0.0, 0.0, 3.1415926535897936)], 0.1)
+        assert tracker.table["mean"][0, 2] == math.pi
 
 
 class TestUkfUpdate:
     def test_uninformative_measurement(self):
-        track = make_track(mean=[1, 2, 0.3, 4, 0, 0], cov=np.eye(6))
+        state = pose(mean=[1, 2, 0.3, 4, 0, 0], cov=np.eye(6))
         det = detection(5.0, 5.0, 1.0, BoxVariance(1e12, 1e12, 1e12, 1e12, 1e12, 1e12, 1e12))
-        out = ukf_update(track, det, TrackerConfig())
-        assert np.max(np.abs(out.pose.mean - track.pose.mean)) < 1e-4
+        out = update(state, det)
+        assert np.max(np.abs(out[0] - state[0])) < 1e-4
 
     def test_scalar_kf_halving(self):
-        track = make_track(mean=[0, 0, 0, 0, 0, 0], cov=np.diag([1.0, 1.0, 1.0, 0, 0, 0]))
+        state = pose(mean=[0, 0, 0, 0, 0, 0], cov=np.diag([1.0, 1.0, 1.0, 0, 0, 0]))
         det = detection(0.0, 0.0, 0.0, BoxVariance(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
-        out = ukf_update(track, det, TrackerConfig())
+        out = update(state, det)
         for i in range(3):
-            assert out.pose.cov[i, i] == pytest.approx(0.5, abs=1e-9)
+            assert out[1][i, i] == pytest.approx(0.5, abs=1e-9)
 
     def test_innovation_wraps(self):
-        track = make_track(mean=[0, 0, 3.1, 0, 0, 0], cov=np.diag([1e-6, 1e-6, 1.0, 0, 0, 0]))
+        state = pose(mean=[0, 0, 3.1, 0, 0, 0], cov=np.diag([1e-6, 1e-6, 1.0, 0, 0, 0]))
         det = detection(0.0, 0.0, -3.1, BoxVariance(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-6))
-        out = ukf_update(track, det, TrackerConfig())
+        out = update(state, det)
         # the short way from 3.1 to -3.1 crosses pi (|distance| ~ 0.083);
         # an unwrapped update would drag theta toward 0 instead
-        assert abs(math.remainder(out.pose.theta - (-3.1), 2 * math.pi)) < 0.01
+        assert abs(math.remainder(out[0][2] - (-3.1), 2 * math.pi)) < 0.01
         innovation = math.remainder(-3.1 - 3.1, 2 * math.pi)
         assert abs(innovation) == pytest.approx(2 * math.pi - 6.2, abs=1e-9)
 
     def test_trace_never_grows(self):
         rng = np.random.default_rng(1)
-        cfg = TrackerConfig()
         for _ in range(50):
             a = rng.normal(size=(6, 6))
-            track = make_track(mean=rng.normal(size=6), cov=a @ a.T + 0.1 * np.eye(6))
+            state = pose(mean=rng.normal(size=6), cov=a @ a.T + 0.1 * np.eye(6))
             var = BoxVariance(*rng.uniform(0.01, 2.0, 7))
-            out = ukf_update(track, detection(*rng.normal(size=2), rng.uniform(-3, 3), var), cfg)
-            assert np.trace(out.pose.cov) <= np.trace(track.pose.cov) + 1e-9
+            out = update(state, detection(*rng.normal(size=2), rng.uniform(-3, 3), var))
+            assert np.trace(out[1]) <= np.trace(state[1]) + 1e-9
 
-    def test_class_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ukf_update(make_track(class_id="Car"), detection(0, 0, class_id="Pedestrian"), TrackerConfig())
-
-    def test_bad_noise_rejected(self):
+    @staticmethod
+    def _rejects_without_change(bad_x):
+        # a variance the config hands out, corrupted after validation: step()
+        # raises before it touches any state
         cfg = TrackerConfig(use_detection_covariance=False,
                             default_obs_noise=BoxVariance(1, 1, 1, 1, 1, 1, 1))
+        tracker = Tracker(cfg)
+        for _ in range(3):
+            tracker.step([detection(5.0, 5.0), detection(20.0, 0.0, class_id="Pedestrian")], 0.1)
+        table, before, next_id = tracker.table, tracker.table.copy(), tracker._next_id
         object.__setattr__(cfg.default_obs_noise, "var_x", -1.0)
         with pytest.raises(ValueError):
-            ukf_update(make_track(), detection(0, 0), cfg)
+            tracker.step([detection(bad_x, 5.0)], 0.1)
+        assert tracker.table is table and tracker._next_id == next_id
+        for name in before.dtype.names:
+            assert np.array_equal(table[name], before[name]), name
+
+    def test_bad_noise_rejected(self):
+        self._rejects_without_change(5.0)  # would update the Car track
+
+    def test_bad_noise_of_unmatched_detection_rejected(self):
+        self._rejects_without_change(50.0)  # would spawn a track
 
 
 class TestSizeUpdate:
     def test_halving(self):
-        size = SizeState(2.0, 2.0, 2.0, 1.0, 1.0, 1.0)
         det = DetectionWithCovariance(
             Box3D(0, 0, 0, 2.0, 2.0, 2.0, 0.0), BoxVariance(1, 1, 1, 1.0, 1.0, 1.0, 1)
         )
-        out = size_update(size, det, TrackerConfig())
-        assert out.w == pytest.approx(2.0)
-        assert out.var_w == pytest.approx(0.5)
+        mean, var = sizes((2.0, 2.0, 2.0), (1.0, 1.0, 1.0), det)
+        assert mean[0] == pytest.approx(2.0)
+        assert var[0] == pytest.approx(0.5)
 
     def test_uninformative(self):
-        size = SizeState(2.0, 4.0, 1.5, 0.1, 0.1, 0.1)
         det = DetectionWithCovariance(
             Box3D(0, 0, 0, 3.0, 5.0, 2.0, 0.0), BoxVariance(1, 1, 1, 1e12, 1e12, 1e12, 1)
         )
-        out = size_update(size, det, TrackerConfig())
-        assert out.w == pytest.approx(2.0, abs=1e-4)
+        mean, _ = sizes((2.0, 4.0, 1.5), (0.1, 0.1, 0.1), det)
+        assert mean[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_perfect_prior_ignores_measurement(self):
-        size = SizeState(2.0, 4.0, 1.5, 0.0, 0.0, 0.0)
         det = DetectionWithCovariance(Box3D(0, 0, 0, 3.0, 5.0, 2.0, 0.0), None)
-        out = size_update(size, det, TrackerConfig())
-        assert (out.w, out.l, out.h) == (2.0, 4.0, 1.5)
+        mean, _ = sizes((2.0, 4.0, 1.5), (0.0, 0.0, 0.0), det)
+        assert tuple(mean) == (2.0, 4.0, 1.5)
 
     def test_posterior_variance_shrinks(self):
-        size = SizeState(2.0, 4.0, 1.5, 0.3, 0.3, 0.3)
         det = DetectionWithCovariance(Box3D(0, 0, 0, 2.1, 4.1, 1.4, 0.0), BoxVariance(1, 1, 1, 0.5, 0.5, 0.5, 1))
-        out = size_update(size, det, TrackerConfig())
-        assert out.var_w < 0.3 and out.var_l < 0.3 and out.var_h < 0.3
+        _, var = sizes((2.0, 4.0, 1.5), (0.3, 0.3, 0.3), det)
+        assert var[0] < 0.3 and var[1] < 0.3 and var[2] < 0.3
 
 
 class TestHungarian:
@@ -244,29 +303,27 @@ class TestHungarian:
 
 class TestAssociate:
     def test_simple_match(self):
-        track = make_track(mean=[0, 0, 0, 0, 0, 0])
-        matches, ut, ud = associate([track], [detection(0.1, 0.0)], TrackerConfig(gate_distance=2.0))
+        matches, ut, ud = associate(centers(0, 0), centers(0.1, 0.0), ["Car"], ["Car"], 2.0)
         assert matches == [(0, 0)] and not ut and not ud
 
     def test_gated_out(self):
-        track = make_track(mean=[0, 0, 0, 0, 0, 0])
-        matches, ut, ud = associate([track], [detection(5.0, 0.0)], TrackerConfig(gate_distance=2.0))
+        matches, ut, ud = associate(centers(0, 0), centers(5.0, 0.0), ["Car"], ["Car"], 2.0)
         assert not matches and ut == [0] and ud == [0]
 
     def test_class_separation(self):
-        track = make_track(mean=[0, 0, 0, 0, 0, 0], class_id="Car")
-        matches, _, _ = associate([track], [detection(0.1, 0.0, class_id="Pedestrian")], TrackerConfig())
+        matches, _, _ = associate(centers(0, 0), centers(0.1, 0.0), ["Car"], ["Pedestrian"],
+                                  TrackerConfig().gate_distance)
         assert not matches
 
     def test_crossing_matches_brute_force(self):
         rng = np.random.default_rng(8)
         cfg = TrackerConfig(gate_distance=50.0)
         for _ in range(50):
-            tracks = [make_track(mean=[*rng.uniform(-5, 5, 2), 0, 0, 0, 0]) for _ in range(3)]
-            dets = [detection(*rng.uniform(-5, 5, 2)) for _ in range(3)]
-            matches, _, _ = associate(tracks, dets, cfg)
+            tracks = rng.uniform(-5, 5, (3, 2))
+            dets = rng.uniform(-5, 5, (3, 2))
+            matches, _, _ = associate(tracks, dets, ["Car"] * 3, ["Car"] * 3, cfg.gate_distance)
             dist = np.array(
-                [[math.hypot(t.pose.x - d.box.x, t.pose.y - d.box.y) for d in dets] for t in tracks]
+                [[math.hypot(t[0] - d[0], t[1] - d[1]) for d in dets] for t in tracks]
             )
             best = min(
                 sum(dist[i, p[i]] for i in range(3)) for p in itertools.permutations(range(3))
@@ -299,7 +356,7 @@ class TestTrackerLifecycle:
         first_id = first[0].id
         for _ in range(3):
             tracker.step([], 0.1)
-        assert not tracker.tracks
+        assert len(tracker.table) == 0
         again = tracker.step([self._stationary_det()], 0.1)
         assert len(again) == 1
         assert again[0].id != first_id
@@ -308,7 +365,7 @@ class TestTrackerLifecycle:
         tracker = Tracker(TrackerConfig(t_init=1))
         a = tracker.step([self._stationary_det()], 0.1)[0].id
         b = tracker.step([self._stationary_det(), detection(50.0, 50.0, 0.0)], 0.1)
-        ids = sorted(t.id for t in tracker.tracks)
+        ids = sorted(tracker.table["id"])
         assert ids[0] == a and ids[-1] > a
 
     def test_miss_resets_consecutive_hits(self):
@@ -332,18 +389,232 @@ class TestCovarianceHealth:
     def test_random_steps_keep_psd(self):
         rng = np.random.default_rng(17)
         cfg = TrackerConfig()
-        track = make_track(cov=np.diag([0.5, 0.5, 0.1, 4.0, 1.0, 0.05]))
+        state = pose(cov=np.diag([0.5, 0.5, 0.1, 4.0, 1.0, 0.05]))
         for i in range(1000):
-            track = ukf_predict(track, 0.1, cfg.process_noise)
+            state = predict(state, 0.1, cfg.process_noise)
             if i % 2 == 0:
                 var = BoxVariance(*rng.uniform(0.005, 3.0, 7))
                 det = detection(
-                    track.pose.x + rng.normal(0, 0.5),
-                    track.pose.y + rng.normal(0, 0.5),
-                    track.pose.theta + rng.normal(0, 0.2),
+                    state[0][0] + rng.normal(0, 0.5),
+                    state[0][1] + rng.normal(0, 0.5),
+                    state[0][2] + rng.normal(0, 0.2),
                     var,
                 )
-                track = ukf_update(track, det, cfg)
-            cov = track.pose.cov
+                state = update(state, det)
+            cov = state[1]
             assert np.max(np.abs(cov - cov.T)) < 1e-9
             assert np.linalg.eigvalsh(cov).min() > -1e-9
+
+
+# --- reference: the per-track object bookkeeping the track table replaced ---
+
+
+@dataclass
+class _RefTrack:
+    id: int
+    class_id: str
+    mean: np.ndarray
+    cov: np.ndarray
+    size: tuple
+    size_var: tuple
+    z_latest: float
+    h_latest: float
+    hits: int = 1
+    misses: int = 0
+    confirmed: bool = False
+    score: float = 1.0
+
+    def set_pose(self, mean, cov):
+        # copy, re-wrap theta and symmetrize after every batch call
+        self.mean = np.asarray(mean, dtype=float).copy()
+        self.cov = np.asarray(cov, dtype=float).copy()
+        self.mean[2] = wrap_angle(self.mean[2])
+        self.cov = 0.5 * (self.cov + self.cov.T)
+
+
+def _ref_noise(det, cfg):
+    return det.variance if cfg.use_detection_covariance and det.variance is not None else cfg.default_obs_noise
+
+
+def _ref_size_update(track, det, cfg):
+    v = _ref_noise(det, cfg)
+    out_mean, out_var = [], []
+    for prior, pv, z, rv in zip(track.size, track.size_var, (det.box.w, det.box.l, det.box.h),
+                                (v.var_w, v.var_l, v.var_h)):
+        if pv <= 0.0:
+            out_mean.append(prior)
+            out_var.append(pv)
+            continue
+        k = pv / (pv + rv)
+        out_mean.append(prior + k * (z - prior))
+        out_var.append((1.0 - k) * pv)
+    return tuple(out_mean), tuple(out_var)
+
+
+def _ref_associate(tracks, dets, cfg):
+    if not tracks or not dets:
+        return [], list(range(len(tracks))), list(range(len(dets)))
+    t_xy = np.array([[float(t.mean[0]), float(t.mean[1])] for t in tracks])
+    d_xy = np.array([[d.box.x, d.box.y] for d in dets])
+    dist = np.hypot(t_xy[:, 0:1] - d_xy[None, :, 0], t_xy[:, 1:2] - d_xy[None, :, 1])
+    t_cls = np.array([t.class_id for t in tracks])
+    d_cls = np.array([d.box.class_id for d in dets])
+    allowed = (dist <= cfg.gate_distance) & (t_cls[:, None] == d_cls[None, :])
+    matches = [(ti, di) for ti, di in hungarian_assign(np.where(allowed, dist, FORBIDDEN_COST)) if allowed[ti, di]]
+    return (matches, [i for i in range(len(tracks)) if i not in {m[0] for m in matches}],
+            [i for i in range(len(dets)) if i not in {m[1] for m in matches}])
+
+
+class ReferenceTracker:
+    """One object per track, unpacked and repacked around the batch filter."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.tracks = []
+        self.next_id = 1
+
+    def _spawn(self, det):
+        b, var = det.box, _ref_noise(det, self.cfg)
+        track = _RefTrack(self.next_id, b.class_id, None, None, (b.w, b.l, b.h),
+                          (var.var_w, var.var_l, var.var_h), b.z, b.h, score=b.score)
+        track.set_pose(np.array([b.x, b.y, b.theta, 0.0, 0.0, 0.0]),
+                       np.diag([var.var_x, var.var_y, var.var_theta,
+                                PRIOR_SPEED_STD**2, PRIOR_ACCEL_STD**2, PRIOR_TURN_STD**2]))
+        self.next_id += 1
+        return track
+
+    def step(self, detections, dt):
+        cfg = self.cfg
+        if self.tracks:
+            means, covs = ukf_predict_batch(np.stack([t.mean for t in self.tracks]),
+                                            np.stack([t.cov for t in self.tracks]), dt, cfg.process_noise)
+            for i, track in enumerate(self.tracks):
+                track.set_pose(means[i], covs[i])
+        matches, unmatched_t, unmatched_d = _ref_associate(self.tracks, detections, cfg)
+        if matches:
+            obs = np.array([[detections[di].box.x, detections[di].box.y, detections[di].box.theta]
+                            for _, di in matches])
+            obs_var = np.array([[_ref_noise(detections[di], cfg).var_x, _ref_noise(detections[di], cfg).var_y,
+                                 _ref_noise(detections[di], cfg).var_theta] for _, di in matches])
+            means, covs = ukf_update_batch(np.stack([self.tracks[ti].mean for ti, _ in matches]),
+                                           np.stack([self.tracks[ti].cov for ti, _ in matches]), obs, obs_var)
+            for row, (ti, di) in enumerate(matches):
+                det, track = detections[di], self.tracks[ti]
+                track.set_pose(means[row], covs[row])
+                track.size, track.size_var = _ref_size_update(track, det, cfg)
+                track.z_latest, track.h_latest = det.box.z, det.box.h
+                track.hits += 1
+                track.misses = 0
+                track.score = SCORE_SMOOTHING * track.score + (1.0 - SCORE_SMOOTHING) * det.box.score
+        for ti in unmatched_t:
+            self.tracks[ti].misses += 1
+            self.tracks[ti].hits = 0
+        self.tracks = [t for t in self.tracks if t.misses < cfg.t_drop]
+        self.tracks += [self._spawn(detections[di]) for di in unmatched_d]
+        for track in self.tracks:
+            track.confirmed = track.confirmed or track.hits >= cfg.t_init
+        return [(t.id, Box3D(float(t.mean[0]), float(t.mean[1]), t.z_latest, t.size[0], t.size[1], t.h_latest,
+                             float(t.mean[2]), class_id=t.class_id, score=t.score))
+                for t in self.tracks if t.confirmed]
+
+
+def oracle_frames(seed, n_frames=80):
+    """Seeded detections: two classes, births and deaths, misses, clutter,
+    empty frames, detections without variance, and one target whose heading
+    crosses +-pi."""
+    rng = np.random.default_rng(seed)
+    targets = []
+    for k in range(9):
+        state = np.array([*rng.uniform(-40, 40, 2), rng.uniform(-math.pi, math.pi), rng.uniform(0, 8),
+                          0.0, rng.normal(0, 0.15)])
+        born = int(rng.integers(0, n_frames // 2))
+        targets.append(("Pedestrian" if k % 3 == 0 else "Car", state, born, born + int(rng.integers(15, n_frames))))
+    # turning left through theta = pi at about frame 17
+    targets.append(("Car", np.array([0.0, 0.0, math.pi - 1.0, 4.0, 0.0, 0.6]), 0, n_frames))
+    frames = []
+    for f in range(n_frames):
+        dets = []
+        for i, (cls, state, born, dies) in enumerate(targets):
+            if born <= f < dies and f % 23 != 5 and rng.uniform() < 0.85:
+                var = BoxVariance(*rng.uniform(0.001, 0.3, 7))
+                noise = rng.normal(0.0, np.sqrt(var.as_tuple()))
+                w, l, h = np.array([1.8, 4.2, 1.5]) * np.exp(noise[3:6])
+                box = Box3D(state[0] + noise[0], state[1] + noise[1], 0.8 + noise[2], w, l, h,
+                            state[2] + noise[6], class_id=cls,
+                            score=float(rng.uniform(0.3, 1.0)))
+                dets.append(DetectionWithCovariance(box, var if rng.uniform() < 0.9 else None))
+            targets[i] = (cls, ctra_step(state, 0.1), born, dies)
+        for _ in range(rng.poisson(0.6) if f % 23 != 5 else 0):
+            box = Box3D(*rng.uniform(-40, 40, 2), 0.8, 1.8, 4.2, 1.5, rng.uniform(-math.pi, math.pi),
+                        class_id=str(rng.choice(["Car", "Pedestrian"])), score=float(rng.uniform(0.1, 0.6)))
+            dets.append(DetectionWithCovariance(box, BoxVariance(*rng.uniform(0.01, 1.0, 7))))
+        if f % 23 != 5:
+            # driving along -x, heading one ulp past pi: Box3D wraps that to -pi
+            dets.append(DetectionWithCovariance(Box3D(12.0 - 0.3 * f + rng.normal(0, 0.1), -30.0, 0.8, 1.8, 4.2,
+                                                      1.5, 3.1415926535897936), BoxVariance(*[0.01] * 7)))
+        frames.append([dets[i] for i in rng.permutation(len(dets))])
+    return frames
+
+
+def sim_frames(seed):
+    cfg = ScenarioConfig(n_targets=12, n_frames=60, seed=seed, fp_rate=0.1, fn_rate=0.1,
+                         noise_range_coeff=(0.01, 0.01, 0.005, 0.002, 0.002, 0.002, 0.004))
+    return generate_scenario(cfg).detections
+
+
+ORACLE_CFGS = {
+    "adaptive": TrackerConfig(),
+    "sigma=0.5": constant_sigma_config(TrackerConfig(), 0.5),
+    "t_init=1": TrackerConfig(t_init=1, t_drop=2),
+    "sigma=0.3,t_init=1": constant_sigma_config(TrackerConfig(t_init=1, t_drop=3, gate_distance=4.0), 0.3),
+    # asymmetric within the config's 1e-9 tolerance
+    "asymmetric_q": TrackerConfig(process_noise=np.diag(DEFAULT_PROCESS_DIAG) + np.triu(np.full((6, 6), 3e-10), 1)),
+}
+
+
+def _bits(frame):
+    return [(tid, b.class_id, *(float(v).hex() for v in (b.x, b.y, b.z, b.w, b.l, b.h, b.theta, b.score)))
+            for tid, b in frame]
+
+
+def _run_both(frames, cfg):
+    tracker, reference = Tracker(cfg), ReferenceTracker(cfg)
+    for frame in frames:
+        got = [(t.id, t.to_box()) for t in tracker.step(frame, 0.1)]
+        want = reference.step(frame, 0.1)
+        assert _bits(got) == _bits(want)
+        yield want
+
+
+class TestOracle:
+    """The track table reports bitwise what per-track objects did."""
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS.values(), ids=ORACLE_CFGS.keys())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_reference(self, cfg, seed):
+        for _ in _run_both(oracle_frames(seed), cfg):
+            pass
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS.values(), ids=ORACLE_CFGS.keys())
+    def test_simulated_scenario_equals_reference(self, cfg):
+        for _ in _run_both(sim_frames(5), cfg):
+            pass
+
+    def test_inputs_exercise_the_hard_cases(self):
+        for seed in range(3):
+            frames = oracle_frames(seed)
+            assert any(not frame for frame in frames)
+            assert any(d.variance is None for frame in frames for d in frame)
+            out = list(_run_both(frames, ORACLE_CFGS["t_init=1"]))
+            classes = {b.class_id for frame in out for _, b in frame}
+            assert classes == {"Car", "Pedestrian"}
+            ids_per_frame = [{tid for tid, _ in frame} for frame in out]
+            # tracks end (dropped) and begin (spawned) mid-sequence
+            assert any(a - b for a, b in zip(ids_per_frame, ids_per_frame[1:]))
+            assert any(b - a for a, b in zip(ids_per_frame, ids_per_frame[1:]))
+            # one track reports headings on both sides of +-pi
+            by_id = {}
+            for frame in out:
+                for tid, b in frame:
+                    by_id.setdefault(tid, []).append(b.theta)
+            assert any(max(t) > 3.0 and min(t) < -3.0 for t in by_id.values())
