@@ -205,19 +205,19 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
             x_cam, y_cam, z_cam = (float(v) for v in fields[11:14])
             ry = float(fields[14])
             score = float(fields[15]) if len(fields) == 16 else 1.0
+            box = Box3D(
+                x=z_cam,
+                y=-x_cam,
+                z=-y_cam + h / 2.0,
+                w=w,
+                l=l,
+                h=h,
+                theta=wrap_angle(-ry - math.pi / 2.0),
+                class_id=obj_type,
+                score=score,
+            )
         except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed numeric fields") from exc
-        box = Box3D(
-            x=z_cam,
-            y=-x_cam,
-            z=-y_cam + h / 2.0,
-            w=w,
-            l=l,
-            h=h,
-            theta=wrap_angle(-ry - math.pi / 2.0),
-            class_id=obj_type,
-            score=score,
-        )
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
         frames.setdefault(frame, []).append(box)
     return frames
 

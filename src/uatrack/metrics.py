@@ -6,11 +6,12 @@ paths as predictions become active (AP over interpolated precision at
 fixed recall levels, plus the best F1 along the sweep).
 Tracking quality follows the CLEAR protocol: sticky correspondences,
 identity switches, fragmentations, mostly-lost ratio and MOTA.
+Both score a whole sequence's IoUs with one call of the geometry kernel
+and read them frame by frame as dense gt x prediction matrices.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .assignment import FORBIDDEN_COST, hungarian_assign
 from .boxes import Box3D
-from .geometry import iou_3d, iou_bev
+# iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
+from .geometry import _box_table, _pair_iou, _pairs_in_reach, iou_3d, iou_bev  # noqa: F401
 from .scoring import IouKind
 
 # A ground-truth track matched in less than this fraction of its frames
@@ -62,25 +64,28 @@ class TrackingReport:
         ]
 
 
-def _iou_fn(kind: IouKind):
-    return iou_bev if kind is IouKind.BEV else iou_3d
+def _frame_ious(gt_frames: list[list[Box3D]], pred_frames: list[list[Box3D]], kind: IouKind):
+    """Each frame's dense gt x pred IoU matrix, in frame order.
 
-
-def _gated_iou_matrix(gt: list[Box3D], pred: list[Box3D], kind: IouKind) -> np.ndarray:
-    """Pairwise IoU with a vectorized center-distance reject."""
-    iou = np.zeros((len(gt), len(pred)))
-    if not gt or not pred:
-        return iou
-    g_xy = np.array([[b.x, b.y] for b in gt])
-    p_xy = np.array([[b.x, b.y] for b in pred])
-    g_r = np.array([0.5 * math.hypot(b.w, b.l) for b in gt])
-    p_r = np.array([0.5 * math.hypot(b.w, b.l) for b in pred])
-    d2 = (g_xy[:, 0:1] - p_xy[None, :, 0]) ** 2 + (g_xy[:, 1:2] - p_xy[None, :, 1]) ** 2
-    near = d2 <= (g_r[:, None] + p_r[None, :]) ** 2
-    fn = _iou_fn(kind)
-    for gi, pi in zip(*np.nonzero(near)):
-        iou[gi, pi] = fn(gt[gi], pred[pi])
-    return iou
+    Every frame's pairs in reach are found first and the kernel scores
+    them all in one call; a frame's matrix is filled only when the
+    caller asks for it, so no more than one is alive at a time.
+    """
+    gt = _box_table([b for frame in gt_frames for b in frame])
+    pred = _box_table([b for frame in pred_frames for b in frame])
+    g_lo = np.cumsum([0] + [len(frame) for frame in gt_frames]).tolist()
+    p_lo = np.cumsum([0] + [len(frame) for frame in pred_frames]).tolist()
+    pairs = [_pairs_in_reach(gt, g_lo[f], g_lo[f + 1], pred, p_lo[f], p_lo[f + 1]) for f in range(len(gt_frames))]
+    if not pairs:
+        return
+    ends = np.cumsum([0] + [len(ig) for ig, _ in pairs]).tolist()
+    values = _pair_iou(gt, np.concatenate([ig for ig, _ in pairs]), pred, np.concatenate([ip for _, ip in pairs]),
+                       kind is IouKind.THREE_D)
+    del gt, pred  # the frame loop below needs only the values
+    for f, (ig, ip) in enumerate(pairs):
+        iou = np.zeros((g_lo[f + 1] - g_lo[f], p_lo[f + 1] - p_lo[f]))
+        iou[ig - g_lo[f], ip - p_lo[f]] = values[ends[f]:ends[f + 1]]
+        yield iou
 
 
 def _match_from_matrix(iou: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
@@ -100,7 +105,7 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], cfg: EvalConfig) -> list[tup
     Pairs below the IoU threshold are forbidden.  Returns (gt index,
     pred index, iou) triples.
     """
-    return _match_from_matrix(_gated_iou_matrix(gt, pred, cfg.iou_kind), cfg.iou_threshold)
+    return _match_from_matrix(next(_frame_ious([gt], [pred], cfg.iou_kind)), cfg.iou_threshold)
 
 
 def _sweep_frame(iou: np.ndarray, pred: list[Box3D], threshold: float) -> tuple[list[float], list[list[int]], int]:
@@ -232,8 +237,8 @@ def detection_pr(
     pred_frames = list(pred_frames) + [[] for _ in range(n_frames - len(pred_frames))]
 
     frames = [
-        _sweep_frame(_gated_iou_matrix(gt, pred, cfg.iou_kind), pred, cfg.iou_threshold)
-        for gt, pred in zip(gt_frames, pred_frames)
+        _sweep_frame(iou, pred, cfg.iou_threshold)
+        for iou, pred in zip(_frame_ious(gt_frames, pred_frames, cfg.iou_kind), pred_frames)
     ]
     return _pr_sweep(frames, cfg.recall_points)
 
@@ -264,13 +269,17 @@ def clear_mot(
     presence: dict[int, list[bool]] = {}  # gt id -> matched flag per present frame
     prev: dict[int, int] = {}
     sweep_frames = []
+    ious = _frame_ious(
+        [[b for _, b in frame] for frame in gt_tracks],
+        [[b for _, b in frame] for frame in pred_tracks],
+        cfg.iou_kind,
+    )
 
-    for f in range(n_frames):
+    for f, iou in enumerate(ious):
         gt = gt_tracks[f]
         pred = pred_tracks[f]
         gt_total += len(gt)
         pred_boxes = [b for _, b in pred]
-        iou = _gated_iou_matrix([b for _, b in gt], pred_boxes, cfg.iou_kind)
         # row/column of each id; a repeated id resolves to its last box
         gt_row = {i: k for k, (i, _) in enumerate(gt)}
         pred_col = {i: k for k, (i, _) in enumerate(pred)}

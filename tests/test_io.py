@@ -156,6 +156,18 @@ class TestKittiLabels:
         with pytest.raises(FormatError, match=":2:"):
             parse_kitti_labels(path)
 
+    @pytest.mark.parametrize(
+        "width, message",
+        [("-1.8", "dimensions must be positive"), ("nan", "must be finite"), ("x", "could not convert")],
+    )
+    def test_bad_box_names_line(self, tmp_path, width, message):
+        fields = self.CAR_LINE.split()
+        fields[9] = width
+        path = tmp_path / "bad.txt"
+        path.write_text(self.CAR_LINE + "\n" + " ".join(fields) + "\n")
+        with pytest.raises(FormatError, match=f"bad.txt:2: .*{message}"):
+            parse_kitti_labels(path)
+
 
 class TestRunConfig:
     def test_default_round_trip(self, tmp_path):

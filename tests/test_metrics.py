@@ -8,8 +8,10 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+import frozen_geometry as frozen
+from uatrack.assignment import FORBIDDEN_COST, hungarian_assign
 from uatrack.boxes import Box3D
-from uatrack.geometry import iou_3d, iou_bev
+from uatrack.geometry import iou_bev
 from uatrack.metrics import MOSTLY_LOST_FRACTION, EvalConfig, TrackingReport, clear_mot, detection_pr, match_frame
 from uatrack.scoring import IouKind
 
@@ -213,7 +215,7 @@ def reference_detection_pr(gt_frames, pred_frames, cfg):
                 total_active += 1
                 changed = True
             if changed:
-                new_tp = len(match_frame(gt_frames[f], preds[: active[f]], cfg))
+                new_tp = len(reference_match_frame(gt_frames[f], preds[: active[f]], cfg))
                 total_tp += new_tp - tp_frame[f]
                 tp_frame[f] = new_tp
         precision = total_tp / total_active if total_active else 0.0
@@ -237,7 +239,16 @@ def reference_iou_gated(a, b, kind):
     rr = 0.5 * (math.hypot(a.w, a.l) + math.hypot(b.w, b.l))
     if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 > rr * rr:
         return 0.0
-    return (iou_bev if kind is IouKind.BEV else iou_3d)(a, b)
+    return (frozen.iou_bev if kind is IouKind.BEV else frozen.iou_3d)(a, b)
+
+
+def reference_match_frame(gt, pred, cfg):
+    """match_frame on a matrix of frozen per-pair IoUs, so the references share no IoU code with the package."""
+    iou = np.array([[reference_iou_gated(g, p, cfg.iou_kind) for p in pred] for g in gt]).reshape(len(gt), len(pred))
+    if iou.size == 0 or not np.any(iou >= cfg.iou_threshold):
+        return []
+    cost = np.where(iou >= cfg.iou_threshold, -iou, FORBIDDEN_COST)
+    return [(gi, pi, float(iou[gi, pi])) for gi, pi in hungarian_assign(cost) if iou[gi, pi] >= cfg.iou_threshold]
 
 
 def reference_clear_mot(gt_tracks, pred_tracks, cfg):
@@ -267,7 +278,7 @@ def reference_clear_mot(gt_tracks, pred_tracks, cfg):
 
         rem_gt = [(i, b) for i, b in gt if i not in matches]
         rem_pred = [(i, b) for i, b in pred if i not in used_pred]
-        for gi, pi, _ in match_frame([b for _, b in rem_gt], [b for _, b in rem_pred], cfg):
+        for gi, pi, _ in reference_match_frame([b for _, b in rem_gt], [b for _, b in rem_pred], cfg):
             matches[rem_gt[gi][0]] = rem_pred[pi][0]
             used_pred.add(rem_pred[pi][0])
 

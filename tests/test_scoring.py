@@ -1,10 +1,13 @@
 """Uncertainty scoring strategies and NMS behavior."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frozen_geometry as frozen
 from uatrack.boxes import Box3D, EncodedLogVar
 from uatrack.scoring import (
     AggregateMode,
@@ -137,3 +140,90 @@ class TestNms:
         b = Box3D(0, 0, 0.9, 1, 1, 1, 0, score=0.8)  # thin vertical overlap
         kept = nms([a, b], NmsConfig(iou_threshold=0.5, iou_kind=IouKind.THREE_D))
         assert len(kept) == 2
+
+
+# --- batched NMS against the per-pair greedy loop it replaced ----------------
+
+def reference_nms(boxes, cfg):
+    """The greedy loop, one scalar IoU per (candidate, kept) pair, frozen clipper."""
+    iou = frozen.iou_bev if cfg.iou_kind is IouKind.BEV else frozen.iou_3d
+    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    order = order[: cfg.pre_top_k]
+    kept = []
+    for i in order:
+        candidate = boxes[i]
+        if all(iou(candidate, k) <= cfg.iou_threshold for k in kept):
+            kept.append(candidate)
+    return kept
+
+
+def clustered_boxes(seed, n_clusters=12, per_cluster=6):
+    """Near-duplicate clusters, some boxes repeated exactly, scores from few values."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for _ in range(n_clusters):
+        cx, cy, cz = rng.uniform(-6, 6), rng.uniform(-6, 6), rng.uniform(-0.3, 0.3)
+        w, l, h, theta = rng.uniform(1.0, 2.5), rng.uniform(2.0, 5.0), rng.uniform(1.0, 2.0), rng.uniform(-math.pi, math.pi)
+        for _ in range(per_cluster):
+            boxes.append(Box3D(
+                cx + rng.normal(0, 0.4), cy + rng.normal(0, 0.4), cz + rng.normal(0, 0.3),
+                w * rng.uniform(0.8, 1.2), l * rng.uniform(0.8, 1.2), h, theta + rng.normal(0, 0.2),
+                score=float(rng.choice([0.3, 0.5, 0.7, 0.9])),
+            ))
+        boxes.append(boxes[-1])
+    rng.shuffle(boxes)
+    return boxes
+
+
+class TestNmsOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", list(IouKind))
+    @pytest.mark.parametrize("pre_top_k", [1, 30, 84, 500])
+    @pytest.mark.parametrize("threshold", [0.1, 0.5])
+    def test_same_objects_same_order(self, seed, kind, pre_top_k, threshold):
+        boxes = clustered_boxes(seed)
+        assert len(boxes) == 84
+        cfg = NmsConfig(iou_threshold=threshold, pre_top_k=pre_top_k, iou_kind=kind)
+        got = nms(boxes, cfg)
+        want = reference_nms(boxes, cfg)
+        assert [id(b) for b in got] == [id(b) for b in want]
+
+    def test_inputs_hold_ties_duplicates_and_suppression(self):
+        boxes = clustered_boxes(0)
+        assert len({b.score for b in boxes}) < len(boxes)
+        assert len({id(b) for b in boxes}) < len(boxes)
+        kept = reference_nms(boxes, NmsConfig(iou_threshold=0.1, pre_top_k=500))
+        assert 1 < len(kept) < len(boxes) // 2
+
+    def test_empty(self):
+        assert nms([], NmsConfig()) == []
+
+    def test_candidate_is_the_first_box(self):
+        # rounding makes this pair's IoU depend on argument order; with the
+        # threshold between the two values, only iou(candidate, kept) decides right
+        kept = Box3D(0.0, 0.0, 0.0, 1.8, 4.2, 1.5, 0.3, score=0.9)
+        candidate = Box3D(0.274, -0.46, 0.0, 1.8, 4.2, 1.5, -0.918, score=0.8)
+        forward = frozen.iou_bev(candidate, kept)
+        threshold = frozen.iou_bev(kept, candidate)
+        assert threshold < forward
+        cfg = NmsConfig(iou_threshold=threshold)
+        assert nms([kept, candidate], cfg) == reference_nms([kept, candidate], cfg) == [kept]
+
+    def test_no_dense_matrix(self):
+        rng = np.random.default_rng(7)
+        grid = [(i % 64, i // 64) for i in range(4000)]
+        boxes = [
+            Box3D(6.0 * gx + rng.uniform(-2, 2), 6.0 * gy + rng.uniform(-2, 2), 0.0,
+                  rng.uniform(1.0, 2.0), rng.uniform(2.0, 4.5), 1.5, rng.uniform(-math.pi, math.pi),
+                  score=float(rng.uniform(0.1, 1.0)))
+            for gx, gy in grid
+        ]
+        cfg = NmsConfig(iou_threshold=0.1, pre_top_k=4000)
+        tracemalloc.start()
+        try:
+            kept = nms(boxes, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # a dense float64 4000 x 4000 matrix alone is 128 MB
+        assert len(boxes) // 2 < len(kept) < len(boxes)
