@@ -49,6 +49,7 @@ from .tracker import (
     TrackerConfig,
     associate,
     size_update,
+    track_frames,
     ukf_predict_batch,
     ukf_update_batch,
 )

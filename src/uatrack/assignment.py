@@ -1,27 +1,34 @@
-"""Minimum-cost one-to-one assignment used by association and matching."""
+"""Gated minimum-cost one-to-one assignment used by association and matching."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-# Cost used to encode a forbidden pairing; assignments at or above this
-# value are treated as "no match" by callers.
+# Cost that stands in for a forbidden pairing inside the solver.  Far above
+# any allowed cost, so the solver pairs as many allowed cells as it can
+# before it minimizes their total cost.
 FORBIDDEN_COST = 1e9
 
 
-def hungarian_assign(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Optimal assignment of min(n, m) pairs minimizing total cost.
+def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
+    """Optimal matching over the allowed cells of a cost matrix.
 
-    Costs must be finite; encode disallowed pairs with a large sentinel
-    such as FORBIDDEN_COST and drop them from the returned pairing.
+    Maximizes the number of allowed pairs, then minimizes their total
+    cost, as long as allowed costs are finite and far below
+    FORBIDDEN_COST in magnitude.  allowed is a boolean mask of the
+    cost's shape; forbidden cells may hold anything.  Returns (row, col)
+    pairs, rows ascending, all of them allowed.
     """
     cost = np.asarray(cost, dtype=float)
+    allowed = np.asarray(allowed, dtype=bool)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2D matrix")
-    if cost.size == 0:
+    if allowed.shape != cost.shape:
+        raise ValueError("allowed must have the shape of cost")
+    if not allowed.any():
         return []
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    if not np.all(np.isfinite(cost[allowed])):
+        raise ValueError("allowed costs must be finite")
+    rows, cols = linear_sum_assignment(np.where(allowed, cost, FORBIDDEN_COST))
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if allowed[r, c]]

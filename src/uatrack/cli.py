@@ -35,7 +35,7 @@ from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mise
 from .metrics import EvalConfig, TrackingReport, clear_mot, detection_pr
 from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, score_detection
 from .sim import generate_scenario
-from .tracker import Tracker, TrackerConfig
+from .tracker import track_frames
 
 # Detection AP defaults to IoU 0.7, the KITTI car threshold; tracking
 # evaluation uses EvalConfig's default.
@@ -118,17 +118,13 @@ def _cmd_simulate(args) -> int:
 
 # --- track ---------------------------------------------------------------
 
-def _run_tracker(frames, tracker_cfg: TrackerConfig, dt: float):
-    tracker = Tracker(tracker_cfg)
-    return [(f, track.id, track.to_box()) for f, frame in enumerate(frames) for track in tracker.step(frame, dt)]
-
-
 def _cmd_track(args) -> int:
     if getattr(args, "tracker.constant_sigma") is not None and getattr(args, "tracker.use_detection_covariance"):
         raise FormatError("--constant-sigma and --use-variance are mutually exclusive")
     cfg = config_from_dict(_config_dict(args))
     frames = detections_to_frames(read_detections(args.dets))
-    rows = _run_tracker(frames, cfg.tracker, cfg.scenario.dt)
+    tracked = track_frames(frames, cfg.tracker, cfg.scenario.dt)
+    rows = [(f, track_id, box) for f, frame in enumerate(tracked) for track_id, box in frame]
     write_tracks(args.out, rows)
     print(f"wrote {len(rows)} track rows to {args.out}")
     return 0
@@ -236,11 +232,10 @@ def _cmd_sweep(args) -> int:
     if args.mode == "track":
         columns = _REPORT_COLUMNS[:6]
         frames = detections_to_frames(records)
-        frames += [[] for _ in range(len(gt) - len(frames))]
 
         def score(cfg):
-            rows = _run_tracker(frames, cfg.tracker, cfg.scenario.dt)
-            return _report_cells(clear_mot(gt, tracks_to_frames(rows), cfg.eval), columns)
+            pred = track_frames(frames, cfg.tracker, cfg.scenario.dt)
+            return _report_cells(clear_mot(gt, pred, cfg.eval), columns)
     else:
         columns = ["ap", "max_f1"]
 

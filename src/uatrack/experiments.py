@@ -12,25 +12,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import FORBIDDEN_COST, hungarian_assign
+from .assignment import hungarian_assign
 from .boxes import Box3D
 from .metrics import EvalConfig, clear_mot
 from .sim import Scenario, ScenarioConfig, generate_scenario
-from .tracker import Tracker, TrackerConfig, constant_sigma_config
+from .tracker import TrackerConfig, constant_sigma_config, track_frames
 
 # Track-to-truth pairing radius for the RMSE pool.  Tight on purpose:
 # wrong-identity pairings from crossings are association errors and are
 # scored by MOTA/IDSW, not smeared into the localization number.
 RMSE_MATCH_GATE = 2.0
-
-
-def track_scenario(scenario: Scenario, cfg: TrackerConfig) -> list[list[tuple[int, Box3D]]]:
-    """Run a fresh tracker over the scenario; confirmed tracks per frame."""
-    tracker = Tracker(cfg)
-    out = []
-    for frame in scenario.detections:
-        out.append([(t.id, t.to_box()) for t in tracker.step(frame, scenario.config.dt)])
-    return out
 
 
 def position_rmse(
@@ -47,11 +38,9 @@ def position_rmse(
         g_xy = np.array([[b.x, b.y] for _, b in gt_frame])
         p_xy = np.array([[b.x, b.y] for _, b in pred_frame])
         dist = np.hypot(g_xy[:, 0:1] - p_xy[None, :, 0], g_xy[:, 1:2] - p_xy[None, :, 1])
-        cost = np.where(dist <= gate, dist, FORBIDDEN_COST)
-        for gi, pi in hungarian_assign(cost):
-            if dist[gi, pi] <= gate:
-                sq_sum += float(dist[gi, pi]) ** 2
-                count += 1
+        for gi, pi in hungarian_assign(dist, dist <= gate):
+            sq_sum += float(dist[gi, pi]) ** 2
+            count += 1
     return math.sqrt(sq_sum / count) if count else float("inf")
 
 
@@ -73,15 +62,11 @@ def compare_adaptive_vs_constant(
     ev = eval_cfg if eval_cfg is not None else EvalConfig(iou_threshold=0.5)
     scenario = generate_scenario(scenario_cfg)
 
+    arms = [("adaptive", replace(base, use_detection_covariance=True))]
+    arms += [(f"sigma={sigma:g}", constant_sigma_config(base, sigma)) for sigma in sigma_grid]
     results = []
-    adaptive = replace(base, use_detection_covariance=True)
-    pred = track_scenario(scenario, adaptive)
-    report = clear_mot(scenario.ground_truth, pred, ev)
-    results.append(ArmResult("adaptive", position_rmse(scenario, pred), report.mota))
-
-    for sigma in sigma_grid:
-        cfg = constant_sigma_config(base, sigma)
-        pred = track_scenario(scenario, cfg)
+    for label, cfg in arms:
+        pred = track_frames(scenario.detections, cfg, scenario.config.dt)
         report = clear_mot(scenario.ground_truth, pred, ev)
-        results.append(ArmResult(f"sigma={sigma:g}", position_rmse(scenario, pred), report.mota))
+        results.append(ArmResult(label, position_rmse(scenario, pred), report.mota))
     return results

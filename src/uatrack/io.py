@@ -1,10 +1,13 @@
 """File formats and run configuration.
 
 Detections and tracks travel as versioned CSV files with a fixed header;
-floats are printed with 9 significant digits, which round-trips exactly
-through parse/print.  KITTI object/tracking label files can be imported
-as ground truth.  Run configuration is namespaced JSON with strict key
-checking; its keys and defaults are the fields of the config dataclasses.
+floats are printed with 9 significant digits.  That is exact for float32
+but not for float64: a value read back may differ from the one written
+by up to half a unit in its ninth significant digit.  A file written
+here reads back and writes again to the same bytes.  KITTI
+object/tracking label files can be imported as ground truth.  Run
+configuration is namespaced JSON with strict key checking; its keys and
+defaults are the fields of the config dataclasses.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -96,16 +99,21 @@ def _read_versioned(path: str | Path, expected_headers: dict[str, bool]) -> tupl
     return expected_headers[header], rows
 
 
+def _frame_index(text: str) -> int:
+    """A row's frame index; raises ValueError unless it is a nonnegative integer."""
+    frame = int(text)
+    if frame < 0:
+        raise ValueError(f"negative frame index {frame}")
+    return frame
+
+
 def _frame_and_values(frame_text: str, value_texts: list[str]) -> tuple[int, list[float]]:
     """Parse a row's frame index and float columns.
 
     Raises ValueError on a bad frame index or number; Box3D and
     BoxVariance check the values themselves.
     """
-    frame = int(frame_text)
-    if frame < 0:
-        raise ValueError(f"negative frame index {frame}")
-    return frame, [float(v) for v in value_texts]
+    return _frame_index(frame_text), [float(v) for v in value_texts]
 
 
 def read_detections(path: str | Path) -> list[DetectionRecord]:
@@ -191,9 +199,9 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
             fields = parts
         elif len(parts) in (17, 18):
             try:
-                frame = int(float(parts[0]))
+                frame = _frame_index(parts[0])
             except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad frame index") from exc
+                raise FormatError(f"{path}:{lineno}: bad frame index: {exc}") from exc
             fields = parts[2:]
         else:
             raise FormatError(f"{path}:{lineno}: expected 15-18 fields, got {len(parts)}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import FORBIDDEN_COST, hungarian_assign
+from .assignment import hungarian_assign
 from .boxes import Box3D
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
 from .geometry import _box_table, _pair_iou, _pairs_in_reach, iou_3d, iou_bev  # noqa: F401
@@ -89,14 +89,7 @@ def _frame_ious(gt_frames: list[list[Box3D]], pred_frames: list[list[Box3D]], ki
 
 
 def _match_from_matrix(iou: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
-    if iou.size == 0 or not np.any(iou >= threshold):
-        return []
-    cost = np.where(iou >= threshold, -iou, FORBIDDEN_COST)
-    out = []
-    for gi, pi in hungarian_assign(cost):
-        if iou[gi, pi] >= threshold:
-            out.append((gi, pi, float(iou[gi, pi])))
-    return out
+    return [(gi, pi, float(iou[gi, pi])) for gi, pi in hungarian_assign(-iou, iou >= threshold)]
 
 
 def match_frame(gt: list[Box3D], pred: list[Box3D], cfg: EvalConfig) -> list[tuple[int, int, float]]:

@@ -72,18 +72,18 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_targets < 1 or self.n_frames < 1:
             raise ValueError("n_targets and n_frames must be >= 1")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
-        if not self.field_extent > 0.0:
-            raise ValueError("field_extent must be > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not 0.0 < self.field_extent < math.inf:
+            raise ValueError("field_extent must be finite and > 0")
         for name, rate in (("fp_rate", self.fp_rate), ("fn_rate", self.fn_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         for name, vec in (("noise_base", self.noise_base), ("noise_range_coeff", self.noise_range_coeff)):
-            if len(vec) != 7 or min(vec) < 0.0:
-                raise ValueError(f"{name} must hold 7 nonnegative values")
-        if not self.miscalibration_factor > 0.0:
-            raise ValueError("miscalibration_factor must be > 0")
+            if len(vec) != 7 or not all(0.0 <= v < math.inf for v in vec):
+                raise ValueError(f"{name} must hold 7 finite nonnegative values")
+        if not 0.0 < self.miscalibration_factor < math.inf:
+            raise ValueError("miscalibration_factor must be finite and > 0")
 
 
 @dataclass

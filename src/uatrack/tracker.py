@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assignment import FORBIDDEN_COST, hungarian_assign
+from .assignment import hungarian_assign
 from .boxes import Box3D, BoxVariance, FrameDetections
 from .motion import ctra_step
 
@@ -139,6 +139,8 @@ class TrackerConfig:
         q = np.asarray(self.process_noise, dtype=float)
         if q.shape != (6, 6):
             raise ValueError("process_noise must be 6x6")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("process_noise must be finite")
         if np.max(np.abs(q - q.T)) > 1e-9 or np.min(np.linalg.eigvalsh(q)) < -1e-9:
             raise ValueError("process_noise must be symmetric PSD")
         self.process_noise = q
@@ -288,20 +290,16 @@ def associate(
 
     Takes (T, 2) track and (D, 2) detection centers with their classes.
     Pairs with distance above the gate or with differing classes are
-    forbidden; the optimal assignment is then re-checked against the gate
-    so a forced pairing never survives.  Returns the (track, detection)
-    matches and the unmatched track and detection rows.
+    forbidden.  Returns the (track, detection) matches and the unmatched
+    track and detection rows.
     """
-    n_t, n_d = len(track_xy), len(det_xy)
-    if not n_t or not n_d:
-        return [], list(range(n_t)), list(range(n_d))
     dist = np.hypot(track_xy[:, 0:1] - det_xy[None, :, 0], track_xy[:, 1:2] - det_xy[None, :, 1])
     same_class = np.asarray(track_class, dtype=object)[:, None] == np.asarray(det_class, dtype=object)[None, :]
-    allowed = (dist <= gate_distance) & same_class
-    matches = [(ti, di) for ti, di in hungarian_assign(np.where(allowed, dist, FORBIDDEN_COST)) if allowed[ti, di]]
+    matches = hungarian_assign(dist, (dist <= gate_distance) & same_class)
     matched_t = {ti for ti, _ in matches}
     matched_d = {di for _, di in matches}
-    return matches, [i for i in range(n_t) if i not in matched_t], [i for i in range(n_d) if i not in matched_d]
+    return (matches, [i for i in range(len(track_xy)) if i not in matched_t],
+            [i for i in range(len(det_xy)) if i not in matched_d])
 
 
 class Tracker:
@@ -358,11 +356,11 @@ class Tracker:
         """Advance one frame; returns the confirmed tracks.
 
         Raises ValueError, leaving the tracker unchanged, on a
-        non-positive dt or a non-positive or non-finite observation
-        variance.
+        non-positive or non-finite dt or a non-positive or non-finite
+        observation variance.
         """
-        if not dt > 0.0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
         cfg = self.config
         dets = self._read_frame(detections)
         table = self.table.copy()
@@ -401,3 +399,9 @@ class Tracker:
         columns = (out["id"], out["class_id"], mean[:, 0], mean[:, 1], out["z"], size[:, 0], size[:, 1], out["h"],
                    mean[:, 2], out["score"])
         return [Track(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def track_frames(frames: list[FrameDetections], cfg: TrackerConfig, dt: float) -> list[list[tuple[int, Box3D]]]:
+    """Run a fresh tracker over a frame list; the confirmed (id, box) pairs of each frame."""
+    tracker = Tracker(cfg)
+    return [[(t.id, t.to_box()) for t in tracker.step(frame, dt)] for frame in frames]

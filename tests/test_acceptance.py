@@ -159,7 +159,7 @@ def test_criterion_5_assignment_optimality():
     for n in range(2, 8):
         for _ in range(100):
             cost = rng.uniform(0.0, 1.0, (n, n))
-            pairs = hungarian_assign(cost)
+            pairs = hungarian_assign(cost, np.ones((n, n), dtype=bool))
             got = sum(cost[i, j] for i, j in pairs)
             best = min(sum(cost[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
             total += 1

@@ -131,6 +131,26 @@ class TestSweep:
         assert lines[1].startswith("tracker.constant_sigma,ap,")
         assert len(lines) == 4
 
+    def test_track_sweep_equals_track_then_eval(self, tmp_path):
+        """A sweep cell scores what `track` then `eval-track` score, also past the last detection."""
+        from uatrack.io import write_detections
+
+        gt = tmp_path / "gt.csv"
+        dets = tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets),
+                    "--n-targets", "6", "--n-frames", "40", "--seed", "9"]) == 0
+        cut = tmp_path / "cut.csv"
+        write_detections(cut, [r for r in read_detections(dets) if r.frame < 37])
+        trk = tmp_path / "trk.csv"
+        rep = tmp_path / "rep.csv"
+        rows = tmp_path / "rows.csv"
+        assert run(["track", "--dets", str(cut), "--out", str(trk)]) == 0
+        assert run(["eval-track", "--gt", str(gt), "--tracks", str(trk), "--out", str(rep)]) == 0
+        assert run(["sweep", "--mode", "track", "--gt", str(gt), "--dets", str(cut),
+                    "--param", "tracker.t_init=3", "--out", str(rows)]) == 0
+        report = rep.read_text().splitlines()[2].split(",")
+        assert rows.read_text().splitlines()[2] == ",".join(["3"] + report[:6])
+
     def test_nms_sweep(self, tmp_path):
         gt = tmp_path / "gt.csv"
         dets = tmp_path / "dets.csv"
@@ -197,12 +217,18 @@ class TestConfigPath:
         # sigma**2 overflows to an infinite variance
         ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--constant-sigma", "1e200"],
         ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{tmp}/huge_sigma.json"],
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--field-extent", "inf"],
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv",
+         "--noise-base", "nan,0.1,0.1,0.1,0.1,0.1,0.1"],
+        ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--dt", "inf"],
+        ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{tmp}/nan_noise.json"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, scenario_files, capsys, argv):
         gt, dets = scenario_files
         (tmp_path / "bad_strategy.json").write_text('{"scoring": {"strategy": "bogus"}}')
         (tmp_path / "bad_gate.json").write_text('{"tracker": {"gate_distance": -1}}')
         (tmp_path / "huge_sigma.json").write_text('{"tracker": {"default_obs_sigma": [1, 1, 1, 1e200, 1, 1, 1]}}')
+        (tmp_path / "nan_noise.json").write_text('{"tracker": {"process_noise_diag": [NaN, 1, 1, 1, 1, 1]}}')
         capsys.readouterr()
         assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")

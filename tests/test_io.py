@@ -156,6 +156,13 @@ class TestKittiLabels:
         with pytest.raises(FormatError, match=":2:"):
             parse_kitti_labels(path)
 
+    @pytest.mark.parametrize("frame", ["inf", "-3", "1.7"])
+    def test_bad_tracking_frame_names_line(self, tmp_path, frame):
+        path = tmp_path / "seq.txt"
+        path.write_text("0 2 " + self.CAR_LINE + "\n" + f"{frame} 2 " + self.CAR_LINE + "\n")
+        with pytest.raises(FormatError, match="seq.txt:2: bad frame index"):
+            parse_kitti_labels(path)
+
     @pytest.mark.parametrize(
         "width, message",
         [("-1.8", "dimensions must be positive"), ("nan", "must be finite"), ("x", "could not convert")],

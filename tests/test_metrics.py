@@ -5,15 +5,19 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import frozen_geometry as frozen
-from uatrack.assignment import FORBIDDEN_COST, hungarian_assign
 from uatrack.boxes import Box3D
 from uatrack.geometry import iou_bev
 from uatrack.metrics import MOSTLY_LOST_FRACTION, EvalConfig, TrackingReport, clear_mot, detection_pr, match_frame
 from uatrack.scoring import IouKind
+
+
+# The references' own cost for a forbidden pair.
+REFERENCE_FORBIDDEN = 1e9
 
 
 def box(x=0.0, y=0.0, score=1.0, w=2.0, l=4.0, theta=0.0):
@@ -243,12 +247,13 @@ def reference_iou_gated(a, b, kind):
 
 
 def reference_match_frame(gt, pred, cfg):
-    """match_frame on a matrix of frozen per-pair IoUs, so the references share no IoU code with the package."""
+    """match_frame on frozen per-pair IoUs and scipy's solver: the references share no IoU or assignment code."""
     iou = np.array([[reference_iou_gated(g, p, cfg.iou_kind) for p in pred] for g in gt]).reshape(len(gt), len(pred))
     if iou.size == 0 or not np.any(iou >= cfg.iou_threshold):
         return []
-    cost = np.where(iou >= cfg.iou_threshold, -iou, FORBIDDEN_COST)
-    return [(gi, pi, float(iou[gi, pi])) for gi, pi in hungarian_assign(cost) if iou[gi, pi] >= cfg.iou_threshold]
+    rows, cols = linear_sum_assignment(np.where(iou >= cfg.iou_threshold, -iou, REFERENCE_FORBIDDEN))
+    return [(gi, pi, float(iou[gi, pi])) for gi, pi in zip(rows.tolist(), cols.tolist())
+            if iou[gi, pi] >= cfg.iou_threshold]
 
 
 def reference_clear_mot(gt_tracks, pred_tracks, cfg):

@@ -160,3 +160,12 @@ class TestValidation:
             ScenarioConfig(noise_base=(0.1,) * 6)
         with pytest.raises(ValueError):
             ScenarioConfig(miscalibration_factor=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.inf), ("dt", math.nan), ("field_extent", math.inf),
+        ("noise_base", (math.nan,) + (0.1,) * 6), ("noise_range_coeff", (0.0,) * 6 + (math.inf,)),
+        ("miscalibration_factor", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(**{field: value})

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from uatrack.assignment import FORBIDDEN_COST, hungarian_assign
+from uatrack.assignment import hungarian_assign
 from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance, wrap_angle
 from uatrack.motion import ctra_step
 from uatrack.sim import ScenarioConfig, generate_scenario
@@ -239,6 +240,24 @@ class TestUkfUpdate:
     def test_bad_noise_of_unmatched_detection_rejected(self):
         self._rejects_without_change(50.0)  # would spawn a track
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_dt_rejected_without_change(self, dt):
+        tracker = Tracker(TrackerConfig(t_init=1))
+        tracker.step([detection(5.0, 5.0)], 0.1)
+        table, before, next_id = tracker.table, tracker.table.copy(), tracker._next_id
+        with pytest.raises(ValueError, match="dt"):
+            tracker.step([detection(5.0, 5.0), detection(20.0, 0.0)], dt)
+        assert tracker.table is table and tracker._next_id == next_id
+        for name in before.dtype.names:
+            assert np.array_equal(table[name], before[name]), name
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_process_noise_rejected(self, bad):
+        q = np.diag(DEFAULT_PROCESS_DIAG)
+        q[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TrackerConfig(process_noise=q)
+
 
 class TestSizeUpdate:
     def test_halving(self):
@@ -267,23 +286,27 @@ class TestSizeUpdate:
         assert var[0] < 0.3 and var[1] < 0.3 and var[2] < 0.3
 
 
+def all_allowed(cost):
+    return np.ones(np.shape(cost), dtype=bool)
+
+
 class TestHungarian:
     def test_two_by_two(self):
-        pairs = hungarian_assign(np.array([[1.0, 2.0], [2.0, 4.0]]))
         cost = np.array([[1.0, 2.0], [2.0, 4.0]])
+        pairs = hungarian_assign(cost, all_allowed(cost))
         assert sum(cost[i, j] for i, j in pairs) == pytest.approx(4.0)
         assert pairs == [(0, 1), (1, 0)]
 
     def test_diagonal_dominant(self):
         cost = np.ones((4, 4)) - np.eye(4)
-        assert hungarian_assign(cost) == [(i, i) for i in range(4)]
+        assert hungarian_assign(cost, all_allowed(cost)) == [(i, i) for i in range(4)]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for n in range(2, 8):
             for _ in range(20):
                 cost = rng.uniform(0, 1, (n, n))
-                pairs = hungarian_assign(cost)
+                pairs = hungarian_assign(cost, all_allowed(cost))
                 got = sum(cost[i, j] for i, j in pairs)
                 best = min(
                     sum(cost[i, p[i]] for i in range(n))
@@ -293,12 +316,65 @@ class TestHungarian:
 
     def test_rectangular(self):
         cost = np.array([[1.0, 0.1, 5.0], [2.0, 3.0, 0.2]])
-        pairs = hungarian_assign(cost)
+        pairs = hungarian_assign(cost, all_allowed(cost))
         assert len(pairs) == 2
 
     def test_rejects_nonfinite(self):
+        cost = np.array([[np.inf, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
-            hungarian_assign(np.array([[np.inf, 1.0], [1.0, 2.0]]))
+            hungarian_assign(cost, all_allowed(cost))
+
+
+def brute_force_gated(cost, allowed):
+    """(pair count, total cost) of the best matching: most allowed pairs, then least cost."""
+    n_rows, n_cols = cost.shape
+    best = (0, 0.0)
+    for k in range(1, min(n_rows, n_cols) + 1):
+        for rows in itertools.combinations(range(n_rows), k):
+            for cols in itertools.permutations(range(n_cols), k):
+                if all(allowed[r, c] for r, c in zip(rows, cols)):
+                    total = sum(cost[r, c] for r, c in zip(rows, cols))
+                    if k > best[0] or total < best[1]:
+                        best = (k, total)
+    return best
+
+
+class TestGatedAssignment:
+    def test_matches_brute_force_on_random_masks(self):
+        rng = np.random.default_rng(11)
+        for n_rows in range(1, 6):
+            for n_cols in range(1, 6):
+                for _ in range(12):
+                    cost = rng.uniform(-1.0, 3.0, (n_rows, n_cols))
+                    allowed = rng.uniform(size=cost.shape) < rng.uniform(0.2, 0.9)
+                    pairs = hungarian_assign(cost, allowed)
+                    assert all(allowed[r, c] for r, c in pairs)
+                    assert [r for r, _ in pairs] == sorted({r for r, _ in pairs})
+                    assert len({c for _, c in pairs}) == len(pairs)
+                    count, total = brute_force_gated(cost, allowed)
+                    assert len(pairs) == count
+                    assert sum(cost[r, c] for r, c in pairs) == pytest.approx(total, abs=1e-12)
+
+    def test_prefers_more_pairs_to_lower_cost(self):
+        cost = np.array([[0.0, 1.0], [0.5, 9.0]])
+        allowed = np.array([[True, True], [True, False]])
+        assert hungarian_assign(cost, allowed) == [(0, 1), (1, 0)]
+
+    def test_all_forbidden(self):
+        cost = np.arange(6.0).reshape(2, 3)
+        assert hungarian_assign(cost, np.zeros((2, 3), dtype=bool)) == []
+
+    def test_forbidden_cells_never_read(self):
+        cost = np.array([[np.nan, 1.0], [np.inf, 2.0]])
+        assert hungarian_assign(cost, np.array([[False, True], [False, False]])) == [(0, 1)]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix(self, shape):
+        assert hungarian_assign(np.zeros(shape), np.zeros(shape, dtype=bool)) == []
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ValueError, match="shape"):
+            hungarian_assign(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
 
 
 class TestAssociate:
@@ -460,7 +536,8 @@ def _ref_associate(tracks, dets, cfg):
     t_cls = np.array([t.class_id for t in tracks])
     d_cls = np.array([d.box.class_id for d in dets])
     allowed = (dist <= cfg.gate_distance) & (t_cls[:, None] == d_cls[None, :])
-    matches = [(ti, di) for ti, di in hungarian_assign(np.where(allowed, dist, FORBIDDEN_COST)) if allowed[ti, di]]
+    rows, cols = linear_sum_assignment(np.where(allowed, dist, 1e9))  # the reference's own forbidden cost
+    matches = [(ti, di) for ti, di in zip(rows.tolist(), cols.tolist()) if allowed[ti, di]]
     return (matches, [i for i in range(len(tracks)) if i not in {m[0] for m in matches}],
             [i for i in range(len(dets)) if i not in {m[1] for m in matches}])
 
