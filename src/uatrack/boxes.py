@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 TWO_PI = 2.0 * math.pi
+
+# The order of a box's seven numbers in every array row and file: center, extents, yaw.
+BOX_FIELDS = ("x", "y", "z", "w", "l", "h", "theta")
+box_values = attrgetter(*BOX_FIELDS)  # a box's BOX_FIELDS values as a tuple
 
 
 def wrap_angle(theta: float) -> float:
@@ -37,7 +42,7 @@ class Box3D:
     score: float = 1.0
 
     def __post_init__(self):
-        t = (self.x, self.y, self.z, self.w, self.l, self.h, self.theta, self.score)
+        t = (*box_values(self), self.score)
         # the sum is finite whenever every value is, short of overflow
         if not (math.isfinite(sum(t)) or all(map(math.isfinite, t))):
             raise ValueError(f"box values must be finite, got {t}")
@@ -214,7 +219,7 @@ def self_anchor(box: Box3D) -> Anchor:
     variances, recover encoded-space log-variances via
     :func:`encode_variance` without the original anchor grid.
     """
-    return Anchor(box.x, box.y, box.z, box.w, box.l, box.h, box.theta)
+    return Anchor(*box_values(box))
 
 
 def anchor_grid(

@@ -106,7 +106,11 @@ def _detection_scores(gt, records: list[DetectionRecord], cfg: EvalConfig) -> tu
 # --- simulate ------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    scenario = generate_scenario(config_from_dict(_config_dict(args)).scenario)
+    cfg = config_from_dict(_config_dict(args)).scenario
+    try:
+        scenario = generate_scenario(cfg)
+    except ValueError as exc:  # a noise model whose variance overflows
+        raise FormatError(f"config scenario: {exc}") from exc
     gt_rows = [(f, tid, box) for f, frame in enumerate(scenario.ground_truth) for tid, box in frame]
     write_tracks(args.out_gt, gt_rows)
     records = [DetectionRecord(f, d.box, d.variance) for f, frame in enumerate(scenario.detections) for d in frame]

@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boxes import Box3D
+from .boxes import Box3D, box_values
 
 EDGE_EPS = 1e-9
 
@@ -74,7 +73,7 @@ class _Boxes(NamedTuple):
 
 
 def _table(fields: np.ndarray) -> _Boxes:
-    """Kernel rows from an (N, 7) array of x, y, z, w, l, h, theta."""
+    """Kernel rows from an (N, 7) array of box rows in BOX_FIELDS order."""
     n = len(fields)
     x, y, z, w, l, h, theta = fields.T
 
@@ -103,11 +102,8 @@ def _table(fields: np.ndarray) -> _Boxes:
     )
 
 
-_FIELDS = attrgetter("x", "y", "z", "w", "l", "h", "theta")
-
-
 def _box_table(boxes: Sequence[Box3D]) -> _Boxes:
-    return _table(np.fromiter(map(_FIELDS, boxes), np.dtype((float, 7)), len(boxes)))
+    return _table(np.fromiter(map(box_values, boxes), np.dtype((float, 7)), len(boxes)))
 
 
 def _rect_table(rects: Sequence[RotatedRect]) -> _Boxes:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import Box3D, BoxVariance, DetectionWithCovariance, FrameDetections, wrap_angle
+from .boxes import BOX_FIELDS, Box3D, BoxVariance, DetectionWithCovariance, FrameDetections, box_values, wrap_angle
 from .metrics import EvalConfig
 from .scoring import NmsConfig, ScoreMapConfig
 from .sim import ScenarioConfig
@@ -38,11 +38,12 @@ from .tracker import TrackerConfig
 
 FORMAT_VERSION_LINE = "# uatrack-v1"
 
-_DET_COLS = ["frame", "class", "x", "y", "z", "w", "l", "h", "theta", "score"]
-_VAR_COLS = ["var_x", "var_y", "var_z", "var_w", "var_l", "var_h", "var_theta"]
-DET_HEADER = ",".join(_DET_COLS)
-DET_HEADER_VAR = ",".join(_DET_COLS + _VAR_COLS)
-TRACK_HEADER = ",".join(["frame", "id", "class", "x", "y", "z", "w", "l", "h", "theta", "score"])
+# A box's columns: class, its BOX_FIELDS values, score.
+_BOX_COLS = ["class", *BOX_FIELDS, "score"]
+_VAR_COLS = [f"var_{name}" for name in BOX_FIELDS]
+DET_HEADER = ",".join(["frame", *_BOX_COLS])
+DET_HEADER_VAR = ",".join(["frame", *_BOX_COLS, *_VAR_COLS])
+TRACK_HEADER = ",".join(["frame", "id", *_BOX_COLS])
 
 KITTI_SKIP_TYPES = {"DontCare"}
 
@@ -64,8 +65,7 @@ def format_float(x: float) -> str:
 
 
 def _box_fields(box: Box3D) -> list[str]:
-    values = (box.x, box.y, box.z, box.w, box.l, box.h, box.theta, box.score)
-    return [box.class_id] + [format_float(v) for v in values]
+    return [box.class_id] + [format_float(v) for v in (*box_values(box), box.score)]
 
 
 def write_detections(path: str | Path, records: list[DetectionRecord]) -> None:
@@ -263,11 +263,18 @@ _CODECS = {
 }
 
 
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):  # bool is an int subclass
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _layout(cls) -> dict[str, tuple[str, Callable, Callable]]:
     """Key on disk -> (field name, to disk, from disk) for a config class.
 
-    Enums are stored by value and tuples as lists of floats; other
-    fields are stored as they are, under their own name.
+    Enums are stored by value and tuples as lists of floats; integer
+    fields take integers only; other fields are stored as they are,
+    under their own name.
     """
     out = {}
     for f in fields(cls):
@@ -278,6 +285,8 @@ def _layout(cls) -> dict[str, tuple[str, Callable, Callable]]:
             out[f.name] = (f.name, lambda v: v.value, type(f.default))
         elif isinstance(f.default, tuple):
             out[f.name] = (f.name, list, lambda v: tuple(float(x) for x in v))
+        elif type(f.default) is int:
+            out[f.name] = (f.name, lambda v: v, lambda v, name=f.name: _integer(name, v))
         else:
             out[f.name] = (f.name, lambda v: v, lambda v: v)
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3D, BoxVariance, DetectionWithCovariance, FrameDetections, wrap_angle
+from .boxes import Box3D, BoxVariance, DetectionWithCovariance, FrameDetections
 from .motion import ctra_step
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -41,6 +41,10 @@ TURN_DECAY = 0.95
 STEER_GAIN = 0.12
 STEER_LIMIT = 0.25
 
+# Uniform ranges of box width, length and height, for targets and false
+# positives alike.
+SIZE_RANGES = ((1.5, 2.0), (3.5, 4.6), (1.4, 1.8))
+
 # Minimum box dimension after noise; keeps degenerate draws valid.
 MIN_DIMENSION = 0.05
 
@@ -53,7 +57,7 @@ class ScenarioConfig:
     """Scenario shape and noise model.
 
     noise_base and noise_range_coeff hold one entry per box parameter in
-    the order (x, y, z, w, l, h, theta); sigma(range) = base + coeff * range.
+    BOX_FIELDS order; sigma(range) = base + coeff * range.
     miscalibration_factor scales the variance the detections *report*
     without changing the noise actually injected.
     """
@@ -103,20 +107,11 @@ class Scenario:
     gt_states: list[np.ndarray]
 
 
-def _sigma_at(cfg: ScenarioConfig, rng_dist: float) -> np.ndarray:
-    base = np.asarray(cfg.noise_base)
-    coeff = np.asarray(cfg.noise_range_coeff)
-    return base + coeff * rng_dist
-
-
-def _score_at(cfg: ScenarioConfig, rng_dist: float, jitter: float) -> float:
-    raw = 0.9 - 0.5 * rng_dist / cfg.field_extent + jitter
-    return float(min(max(raw, 0.05), 0.99))
-
-
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
+    """Raises ValueError where the noise model's variance leaves float64's positive finite range."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_targets
+    base, coeff = np.asarray(cfg.noise_base), np.asarray(cfg.noise_range_coeff)
 
     # Initial ranges are stratified from near to far so every scenario
     # carries the full sweep of range-dependent noise levels; bearings
@@ -131,9 +126,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     states[:, 4] = rng.uniform(-0.5, 0.5, n)
     states[:, 5] = rng.uniform(-0.15, 0.15, n)
     cruise_speed = states[:, 3].copy()
-    widths = rng.uniform(1.5, 2.0, n)
-    lengths = rng.uniform(3.5, 4.6, n)
-    heights = rng.uniform(1.4, 1.8, n)
+    widths, lengths, heights = (rng.uniform(lo, hi, n) for lo, hi in SIZE_RANGES)
     z_centers = heights / 2.0
 
     ground_truth: list[list[tuple[int, Box3D]]] = []
@@ -143,79 +136,42 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
     for _ in range(cfg.n_frames):
         gt_states.append(states.copy())
-        frame_gt = []
-        for i in range(n):
-            frame_gt.append(
-                (
-                    i,
-                    Box3D(
-                        x=states[i, 0],
-                        y=states[i, 1],
-                        z=z_centers[i],
-                        w=widths[i],
-                        l=lengths[i],
-                        h=heights[i],
-                        theta=wrap_angle(states[i, 2]),
-                    ),
-                )
-            )
-        ground_truth.append(frame_gt)
-
-        frame_dets: FrameDetections = []
-        frame_true: list[BoxVariance] = []
+        # box rows in BOX_FIELDS order; Box3D wraps theta
+        truth = np.column_stack([states[:, 0], states[:, 1], z_centers, widths, lengths, heights, states[:, 2]])
+        ground_truth.append([(i, Box3D(*row)) for i, row in enumerate(truth.tolist())])
 
         noise = rng.standard_normal((n, 7))
         fn_draws = rng.random(n)
         score_jitter = rng.normal(0.0, 0.01, n)
-        for i in range(n):
-            dist = math.hypot(states[i, 0], states[i, 1])
-            sigma = _sigma_at(cfg, dist)
-            sample = noise[i] * sigma
-            if fn_draws[i] < cfg.fn_rate:
-                continue
-            box = Box3D(
-                x=states[i, 0] + sample[0],
-                y=states[i, 1] + sample[1],
-                z=z_centers[i] + sample[2],
-                w=max(widths[i] + sample[3], MIN_DIMENSION),
-                l=max(lengths[i] + sample[4], MIN_DIMENSION),
-                h=max(heights[i] + sample[5], MIN_DIMENSION),
-                theta=wrap_angle(states[i, 2] + sample[6]),
-                score=_score_at(cfg, dist, float(score_jitter[i])),
-            )
-            var = np.maximum(sigma**2, VARIANCE_FLOOR)
-            true_var = BoxVariance(*var)
-            reported = BoxVariance(*(var * cfg.miscalibration_factor))
-            frame_dets.append(DetectionWithCovariance(box, reported))
-            frame_true.append(true_var)
-
         n_fp = int(rng.poisson(cfg.fp_rate))
-        if n_fp > 0:
-            fp_xy = rng.uniform(-cfg.field_extent, cfg.field_extent, (n_fp, 2))
-            fp_theta = rng.uniform(-math.pi, math.pi, n_fp)
-            fp_w = rng.uniform(1.5, 2.0, n_fp)
-            fp_l = rng.uniform(3.5, 4.6, n_fp)
-            fp_h = rng.uniform(1.4, 1.8, n_fp)
-            fp_score = rng.uniform(0.05, 0.5, n_fp)
-            for j in range(n_fp):
-                dist = math.hypot(fp_xy[j, 0], fp_xy[j, 1])
-                sigma = _sigma_at(cfg, dist)
-                box = Box3D(
-                    x=fp_xy[j, 0],
-                    y=fp_xy[j, 1],
-                    z=fp_h[j] / 2.0,
-                    w=fp_w[j],
-                    l=fp_l[j],
-                    h=fp_h[j],
-                    theta=fp_theta[j],
-                    score=float(fp_score[j]),
-                )
-                var = np.maximum(sigma**2, VARIANCE_FLOOR)
-                frame_dets.append(DetectionWithCovariance(box, BoxVariance(*(var * cfg.miscalibration_factor))))
-                frame_true.append(BoxVariance(*var))
+        fp_xy = rng.uniform(-cfg.field_extent, cfg.field_extent, (n_fp, 2))
+        fp_theta = rng.uniform(-math.pi, math.pi, n_fp)
+        fp_w, fp_l, fp_h = (rng.uniform(lo, hi, n_fp) for lo, hi in SIZE_RANGES)
+        fp_score = rng.uniform(0.05, 0.5, n_fp)
 
-        detections.append(frame_dets)
-        true_variances.append(frame_true)
+        # The frame's detections as one block of rows, detected targets
+        # first, then false positives: true_rows holds the box each is
+        # drawn around (a false positive's own), rows the box it reports.
+        kept = fn_draws >= cfg.fn_rate
+        n_tp = int(kept.sum())
+        true_rows = np.concatenate([truth[kept], np.column_stack([fp_xy, fp_h / 2.0, fp_w, fp_l, fp_h, fp_theta])])
+        dist = np.array([math.hypot(x, y) for x, y in true_rows[:, :2].tolist()])
+        with np.errstate(over="ignore"):
+            sigma = base + coeff * dist[:, None]
+            var = np.maximum(sigma**2, VARIANCE_FLOOR)
+            reported = var * cfg.miscalibration_factor
+        if not np.all((reported > 0.0) & (reported < math.inf)):
+            raise ValueError("noise_base, noise_range_coeff and miscalibration_factor give a reported "
+                             "variance outside float64's positive finite range")
+        rows = true_rows.copy()
+        rows[:n_tp] += noise[kept] * sigma[:n_tp]
+        rows[:n_tp, 3:6] = np.maximum(rows[:n_tp, 3:6], MIN_DIMENSION)
+        tp_scores = 0.9 - 0.5 * dist[:n_tp] / cfg.field_extent + score_jitter[kept]
+        scores = np.concatenate([np.clip(tp_scores, 0.05, 0.99), fp_score])
+
+        detections.append([DetectionWithCovariance(Box3D(*row, score=score), BoxVariance(*v))
+                           for row, score, v in zip(rows.tolist(), scores.tolist(), reported.tolist())])
+        true_variances.append([BoxVariance(*v) for v in var.tolist()])
 
         # next frame: exact CTRA, then perturb the accel and turn rate
         states = ctra_step(states, cfg.dt)

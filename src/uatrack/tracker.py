@@ -3,19 +3,20 @@
 Each track's state is split the way the detections are used: an
 unscented Kalman filter over the planar pose (x, y, theta) with CTRA
 dynamics on the hidden (v, a, omega), an independent scalar Kalman
-filter per box dimension, and pass-through of the latest z and h.  When
-detections carry their own variance it is used directly as the
-observation noise (and as the initial state noise of new tracks);
+filter per footprint dimension (w, l), and pass-through of the latest z
+and h.  When detections carry their own variance it is used directly as
+the observation noise (and as the initial state noise of new tracks);
 otherwise a fixed default applies, which is the classic
 constant-covariance tracker.
 
 A Tracker keeps every track in one table, a numpy structured array with
-one row per track (see TRACK_DTYPE).  step() reads the frame into arrays
-and checks it, then predicts, associates, updates, drops and spawns with
-array operations on a copy of the table, which replaces the old one only
-when the step completes.  The filter math takes a batch of states
-(leading axis T); a single state is the T=1 case.  Track records are
-built only for the confirmed tracks a step returns.
+one row per track (see TRACK_DTYPE).  step() reads the frame into
+detection rows and checks them, then predicts, associates, updates,
+drops and spawns with array operations on a copy of the table, which
+replaces the old one only when the step completes.  The filter math
+takes a batch of states (leading axis T); a single state is the T=1
+case.  Track records are built only for the confirmed tracks a step
+returns.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assignment import hungarian_assign
-from .boxes import Box3D, BoxVariance, FrameDetections
+from .boxes import Box3D, BoxVariance, FrameDetections, box_values
 from .motion import ctra_step
 
 # Unscented-transform scaling.  alpha=1 with kappa=0 gives lambda=0: every
@@ -62,7 +63,7 @@ DEFAULT_PROCESS_DIAG = (1e-4, 1e-4, 1e-5, 0.01, 0.64, 0.0225)
 DEFAULT_OBS_NOISE = BoxVariance(0.25, 0.25, 0.25, 0.04, 0.04, 0.04, 0.01)
 
 # One row per track: pose mean (x, y, theta, v, a, omega) and covariance,
-# filtered (w, l, h) and their variances, z and h of the latest matched
+# filtered (w, l) and their variances, z and h of the latest matched
 # detection, smoothed score, consecutive hits and misses.
 TRACK_DTYPE = np.dtype(
     [
@@ -70,8 +71,8 @@ TRACK_DTYPE = np.dtype(
         ("class_id", object),
         ("mean", float, (_N,)),
         ("cov", float, (_N, _N)),
-        ("size", float, (3,)),
-        ("size_var", float, (3,)),
+        ("size", float, (2,)),
+        ("size_var", float, (2,)),
         ("z", float),
         ("h", float),
         ("score", float),
@@ -82,18 +83,12 @@ TRACK_DTYPE = np.dtype(
     align=True,
 )
 
-# One row per detection: observed (x, y, theta), (w, l, h), z, score and
-# the observation variances of (x, y, theta, w, l, h).
-_DETECTION_DTYPE = np.dtype(
-    [
-        ("obs", float, (3,)),
-        ("size", float, (3,)),
-        ("z", float),
-        ("score", float),
-        ("var", float, (6,)),
-        ("class_id", object),
-    ]
-)
+# One row per detection: the box and its observation variances, both in
+# BOX_FIELDS order, then score and class.  The pose filter observes
+# columns _OBS (x, y, theta), the size filter 3:5 (w, l); z (2) and h (5)
+# pass through.
+_DETECTION_DTYPE = np.dtype([("box", float, (7,)), ("var", float, (7,)), ("score", float), ("class_id", object)])
+_OBS = [0, 1, 6]
 
 _POSE = np.arange(3)  # observed state components (x, y, theta)
 _HIDDEN = np.arange(3, _N)  # never observed (v, a, omega)
@@ -117,9 +112,7 @@ class Track:
 
     def to_box(self) -> Box3D:
         """Reported box: filtered pose and footprint, pass-through z and h."""
-        return Box3D(
-            self.x, self.y, self.z, self.w, self.l, self.h, self.theta, class_id=self.class_id, score=self.score
-        )
+        return Box3D(*box_values(self), class_id=self.class_id, score=self.score)
 
 
 @dataclass
@@ -270,7 +263,7 @@ def ukf_update_batch(
 def size_update(
     size: np.ndarray, size_var: np.ndarray, meas: np.ndarray, meas_var: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Independent scalar KF update of every box dimension at once.
+    """Independent scalar KF update of every footprint dimension at once.
 
     A zero prior variance gives zero gain, so a perfect prior ignores the
     measurement.
@@ -323,13 +316,12 @@ class Tracker:
         else the configured default.
         """
         cfg = self.config
-        rows = []
-        for det in detections:
-            b = det.box
-            v = det.variance if cfg.use_detection_covariance and det.variance is not None else cfg.default_obs_noise
-            rows.append(((b.x, b.y, b.theta), (b.w, b.l, b.h), b.z, b.score,
-                         (v.var_x, v.var_y, v.var_theta, v.var_w, v.var_l, v.var_h), b.class_id))
-        frame = np.array(rows, dtype=_DETECTION_DTYPE)
+        own, default = cfg.use_detection_covariance, cfg.default_obs_noise
+        frame = np.array(
+            [(box_values(d.box), (d.variance if own and d.variance is not None else default).as_tuple(),
+              d.box.score, d.box.class_id) for d in detections],
+            dtype=_DETECTION_DTYPE,
+        )
         var = frame["var"]
         if not np.all((var > 0.0) & (var < np.inf)):
             raise ValueError("observation noise must be positive definite")
@@ -339,15 +331,14 @@ class Tracker:
         """New tentative rows, one per detection, ids in detection order."""
         new = np.zeros(len(dets), dtype=TRACK_DTYPE)
         new["id"] = np.arange(self._next_id, self._next_id + len(dets))
+        box, var = dets["box"], dets["var"]
         new["class_id"] = dets["class_id"]
-        new["mean"][:, :3] = dets["obs"]
-        new["mean"][:, 2] = _wrap_mean(dets["obs"][:, 2])
-        new["cov"][:, _POSE, _POSE] = dets["var"][:, :3]
+        new["mean"][:, :3] = box[:, _OBS]
+        new["mean"][:, 2] = _wrap_mean(new["mean"][:, 2])
+        new["cov"][:, _POSE, _POSE] = var[:, _OBS]
         new["cov"][:, _HIDDEN, _HIDDEN] = _PRIOR_HIDDEN_VAR
-        new["size"] = dets["size"]
-        new["size_var"] = dets["var"][:, 3:]
-        new["z"] = dets["z"]
-        new["h"] = dets["size"][:, 2]
+        new["size"], new["size_var"] = box[:, 3:5], var[:, 3:5]
+        new["z"], new["h"] = box[:, 2], box[:, 5]
         new["score"] = dets["score"]
         new["hits"] = 1
         return new
@@ -368,20 +359,19 @@ class Tracker:
         if len(table):
             table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, cfg.process_noise)
         matches, _, unmatched_d = associate(
-            table["mean"][:, :2], dets["obs"][:, :2], table["class_id"], dets["class_id"], cfg.gate_distance
+            table["mean"][:, :2], dets["box"][:, :2], table["class_id"], dets["class_id"], cfg.gate_distance
         )
         ti, di = np.array(matches, dtype=np.intp).reshape(-1, 2).T
         if matches:
-            matched, det = table[ti], dets[di]
+            matched, box, var = table[ti], dets["box"][di], dets["var"][di]
             table["mean"][ti], table["cov"][ti] = ukf_update_batch(
-                matched["mean"], matched["cov"], det["obs"], det["var"][:, :3]
+                matched["mean"], matched["cov"], box[:, _OBS], var[:, _OBS]
             )
             table["size"][ti], table["size_var"][ti] = size_update(
-                matched["size"], matched["size_var"], det["size"], det["var"][:, 3:]
+                matched["size"], matched["size_var"], box[:, 3:5], var[:, 3:5]
             )
-            table["z"][ti] = det["z"]
-            table["h"][ti] = det["size"][:, 2]
-            table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * det["score"]
+            table["z"][ti], table["h"][ti] = box[:, 2], box[:, 5]
+            table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * dets["score"][di]
 
         hit = np.zeros(len(table), dtype=bool)
         hit[ti] = True

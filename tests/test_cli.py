@@ -222,6 +222,17 @@ class TestConfigPath:
          "--noise-base", "nan,0.1,0.1,0.1,0.1,0.1,0.1"],
         ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--dt", "inf"],
         ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{tmp}/nan_noise.json"],
+        # the simulated variance overflows: sigma**2, or a finite miscalibration times it
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv",
+         "--noise-base", "1e200,0.1,0.1,0.1,0.1,0.1,0.1"],
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv",
+         "--noise-base", "1e100,0.1,0.1,0.1,0.1,0.1,0.1", "--miscalibration", "1e200"],
+        # integer config fields take integers only
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{tmp}/half_target.json"],
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{tmp}/half_seed.json"],
+        ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{tmp}/bool_frames.json"],
+        ["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "nms.pre_top_k=2.5"],
+        ["sweep", "--mode", "track", "--gt", "{gt}", "--dets", "{dets}", "--param", "tracker.t_init=2.5"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, scenario_files, capsys, argv):
         gt, dets = scenario_files
@@ -229,6 +240,9 @@ class TestConfigPath:
         (tmp_path / "bad_gate.json").write_text('{"tracker": {"gate_distance": -1}}')
         (tmp_path / "huge_sigma.json").write_text('{"tracker": {"default_obs_sigma": [1, 1, 1, 1e200, 1, 1, 1]}}')
         (tmp_path / "nan_noise.json").write_text('{"tracker": {"process_noise_diag": [NaN, 1, 1, 1, 1, 1]}}')
+        (tmp_path / "half_target.json").write_text('{"scenario": {"n_targets": 2.5}}')
+        (tmp_path / "half_seed.json").write_text('{"scenario": {"seed": 1.5}}')
+        (tmp_path / "bool_frames.json").write_text('{"scenario": {"n_frames": true}}')
         capsys.readouterr()
         assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")

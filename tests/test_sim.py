@@ -1,5 +1,6 @@
 """Scenario generation: determinism, noise calibration, motion fidelity."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -169,3 +170,41 @@ class TestValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(**{field: value})
+
+
+def _scenario_digest(sc) -> str:
+    """sha256 over float.hex of every box, variance and state the scenario holds."""
+    h = hashlib.sha256()
+
+    def put(values):
+        h.update(",".join(float(v).hex() for v in values).encode() + b";")
+
+    for gt_frame, det_frame, true_frame, states in zip(
+        sc.ground_truth, sc.detections, sc.true_variances, sc.gt_states
+    ):
+        for tid, b in gt_frame:
+            put((tid, b.x, b.y, b.z, b.w, b.l, b.h, b.theta, b.score))
+        for det, true_var in zip(det_frame, true_frame):
+            b = det.box
+            put((b.x, b.y, b.z, b.w, b.l, b.h, b.theta, b.score) + det.variance.as_tuple() + true_var.as_tuple())
+        for row in states:
+            put(row)
+        h.update(b"|")
+    return h.hexdigest()
+
+
+class TestBits:
+    """Pins the simulator's output bits; a refactor of generate_scenario must keep them."""
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        (dict(fp_rate=0.7, fn_rate=0.2, noise_range_coeff=(0.01,) * 7),
+         "23f4f3d517e0f11d9200a6d46e4f6251e315355c5a7de2d44565cf555b83cb5d"),
+        (dict(miscalibration_factor=2.5, noise_range_coeff=(0.005,) * 7),
+         "bfa66445f475d663a78cd74360ab5abc1a34a6d29e9851ab736b661f1796da7d"),
+        (dict(noise_base=(0.0,) * 7, noise_range_coeff=(0.0,) * 7),
+         "e844624b54fae7dd443708c008ec541322dfbe921f0aa2957019edd93301e69f"),
+        (dict(n_targets=1, fn_rate=1.0, fp_rate=0.5),
+         "ad8cba9822ace4574d40961373e3dcd667b16c394cc2da415f9b57fd8dcde504"),
+    ], ids=["fp_fn", "miscalibrated", "noiseless", "one_target_all_missed"])
+    def test_scenario_digest(self, kwargs, expected):
+        assert _scenario_digest(generate_scenario(small_config(**kwargs))) == expected
