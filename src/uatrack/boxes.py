@@ -24,7 +24,15 @@ def wrap_angle(theta: float) -> float:
     m = math.fmod(math.pi - theta, TWO_PI)
     if m < 0.0:
         m += TWO_PI
+        if m == TWO_PI:  # a tiny negative m rounds up to 2 pi, which would give -pi
+            m = 0.0
     return math.pi - m
+
+
+def all_finite(values: tuple[float, ...]) -> bool:
+    """Whether every value is finite."""
+    # the sum is finite whenever every value is, short of overflow
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,7 @@ class Box3D:
 
     def __post_init__(self):
         t = (*box_values(self), self.score)
-        # the sum is finite whenever every value is, short of overflow
-        if not (math.isfinite(sum(t)) or all(map(math.isfinite, t))):
+        if not all_finite(t):
             raise ValueError(f"box values must be finite, got {t}")
         if not (self.w > 0.0 and self.l > 0.0 and self.h > 0.0):
             raise ValueError(f"box dimensions must be positive, got w={self.w} l={self.l} h={self.h}")
@@ -123,9 +130,8 @@ class BoxVariance:
 
     def __post_init__(self):
         t = self.as_tuple()
-        # NaN fails every comparison, so finiteness is checked apart; the
-        # sum is finite whenever every value is, short of overflow
-        if not (min(t) > 0.0 and (math.isfinite(sum(t)) or all(map(math.isfinite, t)))):
+        # NaN fails every comparison, so finiteness is checked apart
+        if not (min(t) > 0.0 and all_finite(t)):
             raise ValueError("variances must be finite and positive")
 
     def as_tuple(self) -> tuple[float, ...]:

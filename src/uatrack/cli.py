@@ -2,7 +2,8 @@
 
 `simulate` and `check-losses` take --seed; every command is byte-deterministic.
 A flag that sets a config field falls back to --config, then to the config
-dataclass default.  All emitted files start with ``# uatrack-v1`` (see io.py).
+dataclass default.  Every emitted table, a file or stdout, starts with
+``# uatrack-v1`` (see io.write_table).
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
 from .boxes import encode_variance, self_anchor
 from .checks import run_loss_checks
 from .io import (
     DetectionRecord,
     FormatError,
+    _by_frame,
     config_from_dict,
     detections_to_frames,
     format_float,
@@ -29,6 +30,7 @@ from .io import (
     read_tracks,
     tracks_to_frames,
     write_detections,
+    write_table,
     write_tracks,
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
@@ -81,14 +83,6 @@ def _config_dict(args, iou_threshold: float | None = None) -> dict:
     return data
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the --out file, or to stdout without one."""
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _report_cells(report: TrackingReport, columns: list[str]) -> list[str]:
     values = [getattr(report, c) for c in columns]
     return [format_float(v) if isinstance(v, float) else str(v) for v in values]
@@ -96,9 +90,7 @@ def _report_cells(report: TrackingReport, columns: list[str]) -> list[str]:
 
 def _detection_scores(gt, records: list[DetectionRecord], cfg: EvalConfig) -> tuple[float, float]:
     """AP and max F1 (percent) of detection records against per-frame ground-truth tracks."""
-    pred = [[] for _ in range(max((r.frame for r in records), default=-1) + 1)]
-    for r in records:
-        pred[r.frame].append(r.box)
+    pred = _by_frame([r.frame for r in records], [r.box for r in records], None)
     ap, max_f1, _ = detection_pr([[b for _, b in frame] for frame in gt], pred, cfg)
     return ap, max_f1
 
@@ -144,8 +136,7 @@ def _cmd_eval_track(args) -> int:
     for line in report.lines():
         print(line)
     if args.out:
-        row = ",".join(_report_cells(report, _REPORT_COLUMNS))
-        Path(args.out).write_text(f"# uatrack-v1\n{','.join(_REPORT_COLUMNS)}\n{row}\n")
+        write_table(args.out, _REPORT_COLUMNS, [_report_cells(report, _REPORT_COLUMNS)])
     return 0
 
 
@@ -155,19 +146,18 @@ def _cmd_eval_det(args) -> int:
     print(f"AP:     {ap:.2f} %")
     print(f"Max F1: {max_f1:.2f} %")
     if args.out:
-        Path(args.out).write_text(f"# uatrack-v1\nap,max_f1\n{format_float(ap)},{format_float(max_f1)}\n")
+        write_table(args.out, ["ap", "max_f1"], [[format_float(ap), format_float(max_f1)]])
     return 0
 
 
 # --- nms -----------------------------------------------------------------
 
 def _rescore_and_suppress(records, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig):
-    frames: dict[int, list[DetectionRecord]] = {}
-    for r in records:
-        frames.setdefault(r.frame, []).append(r)
+    """The records NMS keeps, frame by frame in ascending order, each frame in input order."""
     out = []
-    for f in sorted(frames):
-        recs = frames[f]
+    for recs in _by_frame([r.frame for r in records], records, None):
+        if not recs:
+            continue
         if score_cfg.strategy is not ScoreStrategy.NONE:
             rescored = []
             for r in recs:
@@ -247,9 +237,7 @@ def _cmd_sweep(args) -> int:
             kept = _rescore_and_suppress(records, cfg.scoring, cfg.nms)
             return [format_float(v) for v in _detection_scores(gt, kept, cfg.eval)]
 
-    lines = [",".join([key for key, _ in axes] + columns)]
-    lines += [",".join(cells + score(cfg)) for cells, cfg in grid]
-    _emit("# uatrack-v1\n" + "\n".join(lines) + "\n", args.out)
+    write_table(args.out, [key for key, _ in axes] + columns, (cells + score(cfg) for cells, cfg in grid))
     return 0
 
 
@@ -270,10 +258,8 @@ def _cmd_plot_data(args) -> int:
             cfg = VonMisesNllConfig(lambda_v=lam, s0=args.s0)
             curve = [von_mises_nll(delta, 0.0, s, cfg).value for s in s_values]
             columns.append((f"lambda_v={format_float(lam)}", curve))
-    lines = ["# uatrack-v1", ",".join(["s"] + [name for name, _ in columns])]
-    for i, s in enumerate(s_values):
-        lines.append(",".join([format_float(s)] + [format_float(vals[i]) for _, vals in columns]))
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = ([format_float(s)] + [format_float(vals[i]) for _, vals in columns] for i, s in enumerate(s_values))
+    write_table(args.out, ["s"] + [name for name, _ in columns], rows)
     return 0
 
 
@@ -363,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["gaussian", "von-mises"])
     p.add_argument("--d2", type=float, default=1.0, help="squared residual for the gaussian family")
     p.add_argument("--cos", type=float, default=0.5, help="cos of the angular residual")
-    p.add_argument("--lambda-g", dest="lambda_g", type=_float_list, default="1.0")
-    p.add_argument("--lambda-v", dest="lambda_v", type=_float_list, default="1.0")
-    p.add_argument("--s0", type=float, default=1.0)
+    p.add_argument("--lambda-g", dest="lambda_g", type=_float_list, default=[GaussianNllConfig.lambda_g])
+    p.add_argument("--lambda-v", dest="lambda_v", type=_float_list, default=[VonMisesNllConfig.lambda_v])
+    p.add_argument("--s0", type=float, default=VonMisesNllConfig.s0)
     p.add_argument("--s-min", dest="s_min", type=float, default=-5.0)
     p.add_argument("--s-max", dest="s_max", type=float, default=5.0)
     p.add_argument("--points", type=int, default=201)

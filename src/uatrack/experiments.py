@@ -59,7 +59,7 @@ def compare_adaptive_vs_constant(
 ) -> list[ArmResult]:
     """One adaptive run plus one run per constant sigma; adaptive first."""
     base = tracker_base if tracker_base is not None else TrackerConfig()
-    ev = eval_cfg if eval_cfg is not None else EvalConfig(iou_threshold=0.5)
+    ev = eval_cfg if eval_cfg is not None else EvalConfig()
     scenario = generate_scenario(scenario_cfg)
 
     arms = [("adaptive", replace(base, use_detection_covariance=True))]

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boxes import Box3D, box_values
+from .boxes import Box3D, all_finite, box_values
 
 EDGE_EPS = 1e-9
 
@@ -51,8 +51,7 @@ class RotatedRect:
 
     def __post_init__(self):
         t = (self.cx, self.cy, self.w, self.l, self.theta)
-        # the sum is finite whenever every value is, short of overflow
-        if not (math.isfinite(sum(t)) or all(map(math.isfinite, t))):
+        if not all_finite(t):
             raise ValueError(f"rectangle values must be finite, got {t}")
         if not (self.w > 0.0 and self.l > 0.0):
             raise ValueError("rectangle extents must be positive")

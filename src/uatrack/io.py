@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -40,10 +41,9 @@ FORMAT_VERSION_LINE = "# uatrack-v1"
 
 # A box's columns: class, its BOX_FIELDS values, score.
 _BOX_COLS = ["class", *BOX_FIELDS, "score"]
-_VAR_COLS = [f"var_{name}" for name in BOX_FIELDS]
-DET_HEADER = ",".join(["frame", *_BOX_COLS])
-DET_HEADER_VAR = ",".join(["frame", *_BOX_COLS, *_VAR_COLS])
-TRACK_HEADER = ",".join(["frame", "id", *_BOX_COLS])
+DET_COLUMNS = ["frame", *_BOX_COLS]
+DET_COLUMNS_VAR = [*DET_COLUMNS, *(f"var_{name}" for name in BOX_FIELDS)]
+TRACK_COLUMNS = ["frame", "id", *_BOX_COLS]
 
 KITTI_SKIP_TYPES = {"DontCare"}
 
@@ -68,35 +68,53 @@ def _box_fields(box: Box3D) -> list[str]:
     return [box.class_id] + [format_float(v) for v in (*box_values(box), box.score)]
 
 
+def write_table(path: str | Path | None, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write the version line, the header and one comma-joined line per row.
+
+    The table goes to stdout when there is no path.
+    """
+    text = "\n".join([FORMAT_VERSION_LINE, ",".join(header), *(",".join(row) for row in rows)]) + "\n"
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def write_detections(path: str | Path, records: list[DetectionRecord]) -> None:
     """Write detection records; variance columns are all-or-none."""
     with_var = [r.variance is not None for r in records]
     if any(with_var) and not all(with_var):
         raise FormatError("either every record carries a variance or none does")
     has_var = bool(records) and with_var[0]
-    lines = [FORMAT_VERSION_LINE, DET_HEADER_VAR if has_var else DET_HEADER]
-    for r in records:
-        row = [str(r.frame)] + _box_fields(r.box)
-        if has_var:
-            row += [format_float(v) for v in r.variance.as_tuple()]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ([str(r.frame), *_box_fields(r.box), *(map(format_float, r.variance.as_tuple()) if has_var else ())]
+            for r in records)
+    write_table(path, DET_COLUMNS_VAR if has_var else DET_COLUMNS, rows)
 
 
-def _read_versioned(path: str | Path, expected_headers: dict[str, bool]) -> tuple[bool, list[tuple[int, list[str]]]]:
-    """The header's flag and the (line number, fields) of each non-blank row."""
+def _read_table(path: str | Path, headers: list[list[str]], parse_row: Callable[[list[str]], object]) -> list:
+    """Each non-blank row of a versioned table with one of the given headers, parsed.
+
+    A ValueError from `parse_row` becomes a FormatError naming the row's path:line.
+    """
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != FORMAT_VERSION_LINE:
         raise FormatError(f"{path}: missing version line {FORMAT_VERSION_LINE!r}")
     header = text[1].strip() if len(text) > 1 else ""
-    if header not in expected_headers:
+    if header not in [",".join(columns) for columns in headers]:
         raise FormatError(f"{path}: unrecognized header {header!r}")
     want = header.count(",") + 1
     rows = [(lineno, line.split(",")) for lineno, line in enumerate(text[2:], start=3) if line.strip()]
+    del text  # the rows hold every field; free the lines before parsing
     for lineno, parts in rows:
         if len(parts) != want:
             raise FormatError(f"{path}:{lineno}: expected {want} fields, got {len(parts)}")
-    return expected_headers[header], rows
+    out = []
+    for lineno, parts in rows:
+        try:
+            out.append(parse_row(parts))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    return out
 
 
 def _frame_index(text: str) -> int:
@@ -107,27 +125,13 @@ def _frame_index(text: str) -> int:
     return frame
 
 
-def _frame_and_values(frame_text: str, value_texts: list[str]) -> tuple[int, list[float]]:
-    """Parse a row's frame index and float columns.
-
-    Raises ValueError on a bad frame index or number; Box3D and
-    BoxVariance check the values themselves.
-    """
-    return _frame_index(frame_text), [float(v) for v in value_texts]
-
-
 def read_detections(path: str | Path) -> list[DetectionRecord]:
-    has_var, rows = _read_versioned(path, {DET_HEADER: False, DET_HEADER_VAR: True})
-    records = []
-    for lineno, parts in rows:
-        try:
-            frame, vals = _frame_and_values(parts[0], parts[2:])
-            box = Box3D(*vals[:7], class_id=parts[1], score=vals[7])
-            variance = BoxVariance(*vals[8:15]) if has_var else None
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        records.append(DetectionRecord(frame, box, variance))
-    return records
+    def parse(parts: list[str]) -> DetectionRecord:
+        frame, vals = _frame_index(parts[0]), [float(v) for v in parts[2:]]
+        box = Box3D(*vals[:7], class_id=parts[1], score=vals[7])
+        return DetectionRecord(frame, box, BoxVariance(*vals[8:]) if len(vals) > 8 else None)
+
+    return _read_table(path, [DET_COLUMNS, DET_COLUMNS_VAR], parse)
 
 
 def _by_frame(frame_of: list[int], items: list, n_frames: int | None) -> list[list]:
@@ -151,29 +155,23 @@ def detections_to_frames(records: list[DetectionRecord], n_frames: int | None = 
 
 def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
     """Write (frame, track id, box) rows."""
-    lines = [FORMAT_VERSION_LINE, TRACK_HEADER]
-    for frame, track_id, box in rows:
-        lines.append(",".join([str(frame), str(track_id)] + _box_fields(box)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, TRACK_COLUMNS, ([str(frame), str(track_id), *_box_fields(box)] for frame, track_id, box in rows))
 
 
 def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:
     """Read (frame, track id, box) rows; an id appears at most once per frame."""
-    _, rows = _read_versioned(path, {TRACK_HEADER: True})
-    out = []
     seen: set[tuple[int, int]] = set()
-    for lineno, parts in rows:
-        try:
-            frame, vals = _frame_and_values(parts[0], parts[3:])
-            track_id = int(parts[1])
-            box = Box3D(*vals[:7], class_id=parts[2], score=vals[7])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+
+    def parse(parts: list[str]) -> tuple[int, int, Box3D]:
+        frame, vals = _frame_index(parts[0]), [float(v) for v in parts[3:]]
+        track_id = int(parts[1])
+        box = Box3D(*vals[:7], class_id=parts[2], score=vals[7])
         if (frame, track_id) in seen:
-            raise FormatError(f"{path}:{lineno}: id {track_id} repeated in frame {frame}")
+            raise ValueError(f"id {track_id} repeated in frame {frame}")
         seen.add((frame, track_id))
-        out.append((frame, track_id, box))
-    return out
+        return frame, track_id, box
+
+    return _read_table(path, [TRACK_COLUMNS], parse)
 
 
 def tracks_to_frames(rows: list[tuple[int, int, Box3D]], n_frames: int | None = None) -> list[list[tuple[int, Box3D]]]:

@@ -88,6 +88,12 @@ def _frame_ious(gt_frames: list[list[Box3D]], pred_frames: list[list[Box3D]], ki
         yield iou
 
 
+def _padded(*frame_lists: list[list]) -> list[list[list]]:
+    """The frame lists, each padded with empty frames to the longest one's length."""
+    n_frames = max(map(len, frame_lists))
+    return [list(frames) + [[] for _ in range(n_frames - len(frames))] for frames in frame_lists]
+
+
 def _match_from_matrix(iou: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
     return [(gi, pi, float(iou[gi, pi])) for gi, pi in hungarian_assign(-iou, iou >= threshold)]
 
@@ -225,10 +231,7 @@ def detection_pr(
     search per newly active prediction.  AP is the mean interpolated
     precision at recall levels i/recall_points, i = 1..recall_points.
     """
-    n_frames = max(len(gt_frames), len(pred_frames))
-    gt_frames = list(gt_frames) + [[] for _ in range(n_frames - len(gt_frames))]
-    pred_frames = list(pred_frames) + [[] for _ in range(n_frames - len(pred_frames))]
-
+    gt_frames, pred_frames = _padded(gt_frames, pred_frames)
     frames = [
         _sweep_frame(iou, pred, cfg.iou_threshold)
         for iou, pred in zip(_frame_ious(gt_frames, pred_frames, cfg.iou_kind), pred_frames)
@@ -251,9 +254,7 @@ def clear_mot(
     frame's match graph to the AP sweep, which scores the boxes as
     detection_pr would.
     """
-    n_frames = max(len(gt_tracks), len(pred_tracks))
-    gt_tracks = list(gt_tracks) + [[] for _ in range(n_frames - len(gt_tracks))]
-    pred_tracks = list(pred_tracks) + [[] for _ in range(n_frames - len(pred_tracks))]
+    gt_tracks, pred_tracks = _padded(gt_tracks, pred_tracks)
     thr = cfg.iou_threshold
 
     fn = fp = idsw = 0

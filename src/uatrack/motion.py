@@ -46,3 +46,8 @@ def ctra_step(state: np.ndarray, dt: float) -> np.ndarray:
     out[..., IA] = a
     out[..., IOMEGA] = om
     return out
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """Wrap angles to [-pi, pi] elementwise; -pi only where the modulus rounds up to 2 pi."""
+    return np.pi - np.mod(np.pi - a, 2.0 * np.pi)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box3D, BoxVariance, DetectionWithCovariance, FrameDetections
-from .motion import ctra_step
+from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
 # Deliberately lively: targets brake, accelerate and swerve, so trackers
@@ -179,7 +179,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         turn_noise = rng.normal(0.0, TURN_WALK_STD * math.sqrt(cfg.dt), n)
         ranges = np.hypot(states[:, 0], states[:, 1])
         bearing_home = np.arctan2(-states[:, 1], -states[:, 0])
-        heading_err = np.pi - np.mod(np.pi - (bearing_home - states[:, 2]), 2.0 * np.pi)
+        heading_err = wrap_angles(bearing_home - states[:, 2])
         steer = np.where(ranges > cfg.field_extent, np.clip(0.5 * heading_err, -STEER_LIMIT, STEER_LIMIT), 0.0)
         states[:, 4] = np.clip(
             ACCEL_DECAY * states[:, 4] + ACCEL_PULL * (cruise_speed - states[:, 3]) + accel_noise,

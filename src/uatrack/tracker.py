@@ -28,7 +28,7 @@ import numpy as np
 
 from .assignment import hungarian_assign
 from .boxes import Box3D, BoxVariance, FrameDetections, box_values
-from .motion import ctra_step
+from .motion import ctra_step, wrap_angles
 
 # Unscented-transform scaling.  alpha=1 with kappa=0 gives lambda=0: every
 # covariance weight is nonnegative (center weight 2, others 1/12), so the
@@ -184,17 +184,13 @@ def _batch_sigma_points(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _wrap_array(a: np.ndarray) -> np.ndarray:
-    return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
-
-
 def _wrap_mean(a: np.ndarray) -> np.ndarray:
-    """Wrap angles to (-pi, pi]: bitwise boxes.wrap_angle of _wrap_array's result.
+    """Wrap angles to (-pi, pi], bitwise as boxes.wrap_angle does.
 
-    _wrap_array returns -pi where its modulus rounds up to 2 pi; elsewhere
-    wrap_angle leaves its result unchanged.
+    wrap_angles returns -pi where its modulus rounds up to 2 pi; both
+    give pi there.
     """
-    out = _wrap_array(a)
+    out = wrap_angles(a)
     return np.where(out == -np.pi, np.pi, out)
 
 
@@ -208,7 +204,7 @@ def _batch_moments(pts: np.ndarray, angle_index: int) -> tuple[np.ndarray, np.nd
     ang = pts[..., angle_index]
     mean[:, angle_index] = np.arctan2(np.sin(ang) @ _WM, np.cos(ang) @ _WM)
     dev = pts - mean[:, None, :]
-    dev[..., angle_index] = _wrap_array(dev[..., angle_index])
+    dev[..., angle_index] = wrap_angles(dev[..., angle_index])
     cov = np.einsum("p,tpi,tpj->tij", _WC, dev, dev)
     return mean, _sym(cov)
 
@@ -243,9 +239,9 @@ def ukf_update_batch(
     z_mean[:, 2] = np.arctan2(np.sin(ang) @ _WM, np.cos(ang) @ _WM)
 
     dz = z_pts - z_mean[:, None, :]
-    dz[..., 2] = _wrap_array(dz[..., 2])
+    dz[..., 2] = wrap_angles(dz[..., 2])
     dx = pts - means[:, None, :]
-    dx[..., 2] = _wrap_array(dx[..., 2])
+    dx[..., 2] = wrap_angles(dx[..., 2])
 
     s_mat = np.einsum("p,tpi,tpj->tij", _WC, dz, dz)
     idx = np.arange(3)
@@ -254,7 +250,7 @@ def ukf_update_batch(
     gain = np.swapaxes(np.linalg.solve(s_mat, np.swapaxes(p_xz, -1, -2)), -1, -2)
 
     innovation = obs - z_mean
-    innovation[:, 2] = _wrap_array(innovation[:, 2])
+    innovation[:, 2] = wrap_angles(innovation[:, 2])
     new_means = means + np.einsum("tij,tj->ti", gain, innovation)
     new_means[:, 2] = _wrap_mean(new_means[:, 2])
     return new_means, _sym(covs - gain @ s_mat @ np.swapaxes(gain, -1, -2))

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from uatrack.assignment import hungarian_assign
 from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance, wrap_angle
-from uatrack.motion import ctra_step
+from uatrack.motion import ctra_step, wrap_angles
 from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import (
     DEFAULT_OBS_NOISE,
@@ -21,7 +21,6 @@ from uatrack.tracker import (
     SCORE_SMOOTHING,
     Tracker,
     TrackerConfig,
-    _wrap_array,
     _wrap_mean,
     associate,
     constant_sigma_config,
@@ -151,9 +150,9 @@ class TestUkfPredict:
 
 class TestAngleWrap:
     def test_just_above_pi_lands_on_pi(self):
-        # _wrap_array's modulus rounds up to 2 pi here and gives -pi
+        # wrap_angles's modulus rounds up to 2 pi here and gives -pi
         x = np.array([3.1415926535897936])
-        assert _wrap_array(x)[0] == -math.pi
+        assert wrap_angles(x)[0] == -math.pi
         assert _wrap_mean(x)[0] == math.pi == wrap_angle(wrap_angle(x[0]))
 
     def test_matches_wrap_angle_of_wrap_array(self):
@@ -165,12 +164,12 @@ class TestAngleWrap:
             -math.pi + ulp * rng.integers(-40, 40, 2_000),
             3.0 * math.pi + 2.0 * ulp * rng.integers(-40, 40, 2_000),
         ])
-        want = np.array([wrap_angle(v) for v in _wrap_array(x)])
+        want = np.array([wrap_angle(v) for v in wrap_angles(x)])
         assert np.array_equal(_wrap_mean(x), want)
         assert np.all(_wrap_mean(x) > -math.pi)
 
     def test_update_moving_just_past_pi_lands_on_pi(self):
-        # the correction takes theta one ulp past pi, where _wrap_array gives -pi
+        # the correction takes theta one ulp past pi, where wrap_angles gives -pi
         mean = np.array([[0.0, 0.0, math.pi, 0.0, 0.0, 0.0]])
         obs = np.array([[0.0, 0.0, 3.141592653589794]])
         out, _ = ukf_update_batch(mean, np.eye(6)[None], obs, np.ones((1, 3)))
