@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
+from operator import attrgetter
 
 from .boxes import encode_variance, self_anchor
 from .checks import run_loss_checks
@@ -155,9 +156,10 @@ def _cmd_eval_det(args) -> int:
 def _rescore_and_suppress(records, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig):
     """The records NMS keeps, frame by frame in ascending order, each frame in input order."""
     out = []
-    for recs in _by_frame([r.frame for r in records], records, None):
-        if not recs:
-            continue
+    frame_of = attrgetter("frame")
+    # only the frames present, so memory does not grow with the largest frame index
+    for _, group in itertools.groupby(sorted(records, key=frame_of), key=frame_of):
+        recs = list(group)
         if score_cfg.strategy is not ScoreStrategy.NONE:
             rescored = []
             for r in recs:
@@ -184,6 +186,8 @@ def _cmd_nms(args) -> int:
 # --- check-losses ----------------------------------------------------------
 
 def _cmd_check_losses(args) -> int:
+    if args.seed < 0:
+        raise FormatError("--seed must be >= 0")
     results = run_loss_checks(args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -244,22 +248,26 @@ def _cmd_sweep(args) -> int:
 # --- plot-data ---------------------------------------------------------------
 
 def _cmd_plot_data(args) -> int:
+    if args.points < 2:
+        raise FormatError("--points must be >= 2")
+    if not math.isfinite(args.s_max - args.s_min):  # nan or inf unless both ends are finite
+        raise FormatError("--s-min and --s-max must span a finite range")
+    if not (0.0 <= args.d2 < math.inf and -1.0 <= args.cos <= 1.0):
+        raise FormatError("--d2 must be finite and >= 0, --cos in [-1, 1]")
+    try:
+        if args.family == "gaussian":
+            loss, residual = gaussian_nll, math.sqrt(args.d2)
+            curves = [(f"lambda_g={format_float(lam)}", GaussianNllConfig(lambda_g=lam)) for lam in args.lambda_g]
+        else:
+            loss, residual = von_mises_nll, math.acos(args.cos)
+            curves = [(f"lambda_v={format_float(lam)}", VonMisesNllConfig(lambda_v=lam, s0=args.s0))
+                      for lam in args.lambda_v]
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     s_values = [args.s_min + i * (args.s_max - args.s_min) / (args.points - 1) for i in range(args.points)]
-    columns = []
-    if args.family == "gaussian":
-        residual = math.sqrt(args.d2)
-        for lam in args.lambda_g:
-            cfg = GaussianNllConfig(lambda_g=lam)
-            curve = [gaussian_nll(residual, 0.0, s, cfg).value for s in s_values]
-            columns.append((f"lambda_g={format_float(lam)}", curve))
-    else:
-        delta = math.acos(args.cos)
-        for lam in args.lambda_v:
-            cfg = VonMisesNllConfig(lambda_v=lam, s0=args.s0)
-            curve = [von_mises_nll(delta, 0.0, s, cfg).value for s in s_values]
-            columns.append((f"lambda_v={format_float(lam)}", curve))
-    rows = ([format_float(s)] + [format_float(vals[i]) for _, vals in columns] for i, s in enumerate(s_values))
-    write_table(args.out, ["s"] + [name for name, _ in columns], rows)
+    rows = ([format_float(s)] + [format_float(loss(residual, 0.0, s, cfg).value) for _, cfg in curves]
+            for s in s_values)
+    write_table(args.out, ["s"] + [name for name, _ in curves], rows)
     return 0
 
 

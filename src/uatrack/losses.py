@@ -25,8 +25,8 @@ class GaussianNllConfig:
     lambda_g: float = 1.0
 
     def __post_init__(self):
-        if not self.lambda_g > 0.0:
-            raise ValueError("lambda_g must be > 0")
+        if not 0.0 < self.lambda_g < math.inf:
+            raise ValueError("lambda_g must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,10 @@ class VonMisesNllConfig:
     s0: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_v < 0.0:
-            raise ValueError("lambda_v must be >= 0")
+        if not 0.0 <= self.lambda_v < math.inf:
+            raise ValueError("lambda_v must be finite and >= 0")
+        if not math.isfinite(self.s0):
+            raise ValueError("s0 must be finite")
 
 
 @dataclass(frozen=True)

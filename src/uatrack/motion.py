@@ -49,5 +49,7 @@ def ctra_step(state: np.ndarray, dt: float) -> np.ndarray:
 
 
 def wrap_angles(a: np.ndarray) -> np.ndarray:
-    """Wrap angles to [-pi, pi] elementwise; -pi only where the modulus rounds up to 2 pi."""
-    return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
+    """Wrap angles to (-pi, pi] elementwise, bitwise as boxes.wrap_angle does."""
+    out = np.pi - np.mod(np.pi - a, 2.0 * np.pi)
+    # just above pi the modulus rounds up to 2 pi, which would give -pi
+    return np.where(out == -np.pi, np.pi, out)

@@ -150,63 +150,58 @@ def constant_sigma_config(base: TrackerConfig, sigma: float) -> TrackerConfig:
     )
 
 
-def _matrix_sqrt_psd(cov: np.ndarray) -> np.ndarray:
-    """Factor M with cov = M M^T for a single PSD matrix.
+def _sigma_points(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """(T, 2n+1, n) sigma points for T states.
 
-    Cholesky when positive definite; otherwise an eigen factor with
-    negative eigenvalues clamped to zero, which keeps exactly-singular
-    covariances (pinned state components) singular.
+    Each covariance is factored as M M^T by Cholesky when it is positive
+    definite; otherwise by an eigen factor with negative eigenvalues clamped
+    to zero, which keeps exactly-singular covariances (pinned state
+    components) singular.
     """
     try:
-        return np.linalg.cholesky(cov)
+        factors = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        vals = np.clip(vals, 0.0, None)
-        return vecs * np.sqrt(vals)
-
-
-def _batch_sqrt(covs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        return np.stack([_matrix_sqrt_psd(c) for c in covs])
-
-
-def _batch_sigma_points(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """(T, 2n+1, n) sigma points for T states."""
-    factors = _batch_sqrt(covs)
+        factors = np.empty_like(covs)
+        for i, cov in enumerate(covs):
+            try:
+                factors[i] = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+                factors[i] = vecs * np.sqrt(np.clip(vals, 0.0, None))
     offsets = _GAMMA * np.swapaxes(factors, -1, -2)  # rows are scaled sqrt columns
-    t = means.shape[0]
-    pts = np.empty((t, 2 * _N + 1, _N))
-    pts[:, 0, :] = means
-    pts[:, 1 : _N + 1, :] = means[:, None, :] + offsets
-    pts[:, _N + 1 :, :] = means[:, None, :] - offsets
-    return pts
+    center = means[:, None, :]
+    return np.concatenate([center, center + offsets, center - offsets], axis=1)
 
 
-def _wrap_mean(a: np.ndarray) -> np.ndarray:
-    """Wrap angles to (-pi, pi], bitwise as boxes.wrap_angle does.
+def _moments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean of sigma points and their deviations from it, circular in theta.
 
-    wrap_angles returns -pi where its modulus rounds up to 2 pi; both
-    give pi there.
+    Each row's weighted sums run over its own points in one fixed order,
+    and its heading comes from math.atan2 (numpy's own may round
+    differently), so a row's result does not depend on the rows batched
+    with it.  The mean's theta is in (-pi, pi]; deviations in theta are
+    wrapped.
     """
-    out = wrap_angles(a)
-    return np.where(out == -np.pi, np.pi, out)
+    t, p, n = pts.shape
+    # C-contiguous, so that every row is summed by the same einsum loop
+    rows = np.empty((t, n + 2, p))
+    rows[:, :n] = np.swapaxes(pts, 1, 2)
+    rows[:, n], rows[:, n + 1] = np.sin(pts[..., 2]), np.cos(pts[..., 2])
+    sums = np.einsum("tp,p->t", rows.reshape(-1, p), _WM).reshape(t, n + 2)
+    mean = sums[:, :n]
+    mean[:, 2] = wrap_angles(np.array([math.atan2(s, c) for s, c in sums[:, n:].tolist()]))
+    dev = pts - mean[:, None, :]
+    dev[..., 2] = wrap_angles(dev[..., 2])
+    return mean, dev
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weighted cross-covariance sum_p Wc[p] a[p] b[p]^T of each row, one matrix product each."""
+    return (np.swapaxes(a, -1, -2) * _WC) @ b
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
-def _batch_moments(pts: np.ndarray, angle_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean and covariance of sigma points, circular in one axis."""
-    mean = np.einsum("p,tpn->tn", _WM, pts)
-    ang = pts[..., angle_index]
-    mean[:, angle_index] = np.arctan2(np.sin(ang) @ _WM, np.cos(ang) @ _WM)
-    dev = pts - mean[:, None, :]
-    dev[..., angle_index] = wrap_angles(dev[..., angle_index])
-    cov = np.einsum("p,tpi,tpj->tij", _WC, dev, dev)
-    return mean, _sym(cov)
 
 
 def ukf_predict_batch(
@@ -216,11 +211,9 @@ def ukf_predict_batch(
 
     Means leave with theta in (-pi, pi], covariances exactly symmetric.
     """
-    pts = ctra_step(_batch_sigma_points(means, covs), dt)
-    mean, cov = _batch_moments(pts, angle_index=2)
-    mean[:, 2] = _wrap_mean(mean[:, 2])
+    mean, dev = _moments(ctra_step(_sigma_points(means, covs), dt))
     # process noise may be asymmetric within TrackerConfig's tolerance
-    return mean, _sym(cov + np.asarray(process_noise, dtype=float) * dt)
+    return mean, _sym(_cross(dev, dev) + np.asarray(process_noise, dtype=float) * dt)
 
 
 def ukf_update_batch(
@@ -232,27 +225,19 @@ def ukf_update_batch(
     observation-noise variances.  Means leave with theta in (-pi, pi],
     covariances exactly symmetric.
     """
-    pts = _batch_sigma_points(means, covs)
-    z_pts = pts[:, :, :3]
-    z_mean = np.einsum("p,tpn->tn", _WM, z_pts)
-    ang = z_pts[..., 2]
-    z_mean[:, 2] = np.arctan2(np.sin(ang) @ _WM, np.cos(ang) @ _WM)
-
-    dz = z_pts - z_mean[:, None, :]
-    dz[..., 2] = wrap_angles(dz[..., 2])
+    pts = _sigma_points(means, covs)
+    z_mean, dz = _moments(pts[:, :, :3])
     dx = pts - means[:, None, :]
     dx[..., 2] = wrap_angles(dx[..., 2])
 
-    s_mat = np.einsum("p,tpi,tpj->tij", _WC, dz, dz)
-    idx = np.arange(3)
-    s_mat[:, idx, idx] += obs_var
-    p_xz = np.einsum("p,tpi,tpj->tij", _WC, dx, dz)
-    gain = np.swapaxes(np.linalg.solve(s_mat, np.swapaxes(p_xz, -1, -2)), -1, -2)
+    s_mat = _cross(dz, dz)
+    s_mat[:, _POSE, _POSE] += obs_var
+    gain = np.swapaxes(np.linalg.solve(s_mat, np.swapaxes(_cross(dx, dz), -1, -2)), -1, -2)
 
     innovation = obs - z_mean
     innovation[:, 2] = wrap_angles(innovation[:, 2])
     new_means = means + np.einsum("tij,tj->ti", gain, innovation)
-    new_means[:, 2] = _wrap_mean(new_means[:, 2])
+    new_means[:, 2] = wrap_angles(new_means[:, 2])
     return new_means, _sym(covs - gain @ s_mat @ np.swapaxes(gain, -1, -2))
 
 
@@ -330,7 +315,7 @@ class Tracker:
         box, var = dets["box"], dets["var"]
         new["class_id"] = dets["class_id"]
         new["mean"][:, :3] = box[:, _OBS]
-        new["mean"][:, 2] = _wrap_mean(new["mean"][:, 2])
+        new["mean"][:, 2] = wrap_angles(new["mean"][:, 2])
         new["cov"][:, _POSE, _POSE] = var[:, _OBS]
         new["cov"][:, _HIDDEN, _HIDDEN] = _PRIOR_HIDDEN_VAR
         new["size"], new["size_var"] = box[:, 3:5], var[:, 3:5]

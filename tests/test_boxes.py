@@ -238,10 +238,10 @@ class TestWrapAngleEdges:
         assert wrap_angle(math.nextafter(math.pi, 4.0)) == math.pi
 
     def test_bitwise_equal_to_the_tracker_array_wrap(self):
-        from uatrack.tracker import _wrap_mean
+        from uatrack.motion import wrap_angles
 
         edges = [math.pi, -math.pi]
         edges += [math.nextafter(e, toward) for e in edges for toward in (-4.0, 4.0)]
         x = np.concatenate([np.random.default_rng(8).uniform(-30.0, 30.0, 5_000), edges])
         got = np.array([wrap_angle(v) for v in x.tolist()])
-        assert np.array_equal(got.view(np.uint64), _wrap_mean(x).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), wrap_angles(x).view(np.uint64))

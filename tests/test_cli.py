@@ -233,6 +233,14 @@ class TestConfigPath:
         ["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{tmp}/bool_frames.json"],
         ["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "nms.pre_top_k=2.5"],
         ["sweep", "--mode", "track", "--gt", "{gt}", "--dets", "{dets}", "--param", "tracker.t_init=2.5"],
+        # plot-data and check-losses flags
+        ["plot-data", "gaussian", "--points", "1"],
+        ["plot-data", "gaussian", "--d2", "-1"],
+        ["plot-data", "von-mises", "--cos", "2"],
+        ["plot-data", "gaussian", "--lambda-g", "0"],
+        ["plot-data", "von-mises", "--lambda-v", "-1"],
+        ["plot-data", "gaussian", "--s-min", "nan"],
+        ["check-losses", "--seed", "-1"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, scenario_files, capsys, argv):
         gt, dets = scenario_files
@@ -306,7 +314,7 @@ class TestConfigPath:
 GOLDEN_SHA256 = {
     "gt.csv": "0e05d0b7fa011fd9a79e5eafbd041695951cbe7a17ee10f4e0a511b7b2e66c85",
     "dets.csv": "d24d7b2a694898a4276a4cacca6100f5963644f87d745c35a574e7df7dbd5541",
-    "tracks.csv": "79ef2a89ab800c7a570ced380027b05e1ede78da85944676c4b530e7c839ff1c",
+    "tracks.csv": "9ab53917b4bc0f39136bb509828ddecc2881c8b566fc38f899053a61322558fd",
     "eval_track.csv": "272d62e2e58195404726ca8bce188be7f3dc0f3726331261ef34e72c3277550e",
     "eval_det.csv": "a507800394638ec72088754caf9d6add907bddeddde76c322a699a6f9f89dbc3",
     "kept.csv": "aa4f658b12bbb84fb16d5477b9b4a0326103a029b720680955a84ceab31e3458",
@@ -316,40 +324,58 @@ GOLDEN_SHA256 = {
     "von_mises.stdout": "2f29ce8100bb32593cef8fa073c408d0b135ad614f0aecf4163ef5879a96747a",
 }
 
+# Runs each (argv, stdout file) of a JSON list through the CLI in one process.
+_RUN_COMMANDS = """
+import json, sys
+from contextlib import redirect_stdout
+from uatrack.cli import main
+for argv, out in json.loads(sys.argv[1]):
+    with open(out, "w") as f, redirect_stdout(f):
+        assert main(argv) == 0, argv
+"""
 
-def test_cli_outputs_match_golden_digests(tmp_path, capsys):
+
+def test_cli_outputs_match_golden_digests(tmp_path):
     import hashlib
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import uatrack
 
     def path(name):
         return str(tmp_path / name)
 
-    def stdout_of(argv):
-        capsys.readouterr()
-        assert run(argv) == 0
-        return capsys.readouterr().out.encode()
-
-    assert run(["simulate", "--out-gt", path("gt.csv"), "--out-dets", path("dets.csv"),
-                "--n-targets", "4", "--n-frames", "30", "--fp-rate", "0.3", "--fn-rate", "0.1",
-                "--noise-range-coeff", "0.012,0.002,0.002,0.001,0.001,0.001,0.001", "--seed", "5"]) == 0
-    assert run(["track", "--dets", path("dets.csv"), "--out", path("tracks.csv"), "--dt", "0.1"]) == 0
-    assert run(["eval-track", "--gt", path("gt.csv"), "--tracks", path("tracks.csv"),
-                "--out", path("eval_track.csv")]) == 0
-    assert run(["eval-det", "--gt", path("gt.csv"), "--dets", path("dets.csv"), "--out", path("eval_det.csv")]) == 0
-    assert run(["nms", "--dets", path("dets.csv"), "--out", path("kept.csv"), "--strategy", "exponential"]) == 0
-    assert run(["sweep", "--mode", "track", "--gt", path("gt.csv"), "--dets", path("dets.csv"),
-                "--param", "tracker.constant_sigma=0.5,1.5", "--out", path("sweep_track.csv")]) == 0
-    assert run(["plot-data", "gaussian", "--points", "11", "--out", path("gauss.csv")]) == 0
-    outputs = {name: (tmp_path / name).read_bytes() for name in (
-        "gt.csv", "dets.csv", "tracks.csv", "eval_track.csv", "eval_det.csv", "kept.csv",
-        "sweep_track.csv", "gauss.csv")}
-    outputs["sweep_nms.stdout"] = stdout_of([
-        "sweep", "--mode", "nms", "--gt", path("gt.csv"), "--dets", path("dets.csv"),
-        "--param", "scoring.strategy=none,exponential"])
-    outputs["von_mises.stdout"] = stdout_of(["plot-data", "von-mises", "--points", "11"])
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    log = path("log.txt")
+    commands = [
+        (["simulate", "--out-gt", path("gt.csv"), "--out-dets", path("dets.csv"),
+          "--n-targets", "4", "--n-frames", "30", "--fp-rate", "0.3", "--fn-rate", "0.1",
+          "--noise-range-coeff", "0.012,0.002,0.002,0.001,0.001,0.001,0.001", "--seed", "5"], log),
+        (["track", "--dets", path("dets.csv"), "--out", path("tracks.csv"), "--dt", "0.1"], log),
+        (["eval-track", "--gt", path("gt.csv"), "--tracks", path("tracks.csv"), "--out", path("eval_track.csv")], log),
+        (["eval-det", "--gt", path("gt.csv"), "--dets", path("dets.csv"), "--out", path("eval_det.csv")], log),
+        (["nms", "--dets", path("dets.csv"), "--out", path("kept.csv"), "--strategy", "exponential"], log),
+        (["sweep", "--mode", "track", "--gt", path("gt.csv"), "--dets", path("dets.csv"),
+          "--param", "tracker.constant_sigma=0.5,1.5", "--out", path("sweep_track.csv")], log),
+        (["plot-data", "gaussian", "--points", "11", "--out", path("gauss.csv")], log),
+        (["sweep", "--mode", "nms", "--gt", path("gt.csv"), "--dets", path("dets.csv"),
+          "--param", "scoring.strategy=none,exponential"], path("sweep_nms.stdout")),
+        (["plot-data", "von-mises", "--points", "11"], path("von_mises.stdout")),
+    ]
+    # track's bytes depend on the BLAS kernel that LAPACK's Cholesky and solve
+    # run on, so the commands run in a child process pinned to OpenBLAS's
+    # Haswell kernel, which every x86-64 CPU with AVX2 runs; OpenBLAS reads
+    # the variable when it loads
+    src = str(Path(uatrack.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], env=env, check=True)
+    outputs = {name: (tmp_path / name).read_bytes() for name in GOLDEN_SHA256}
     for name, data in outputs.items():
         assert data.startswith(b"# uatrack-v1\n"), name
-    assert digests == GOLDEN_SHA256
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == GOLDEN_SHA256
 
 
 def test_nms_output_is_in_frame_order_and_input_order_within_a_frame(tmp_path):
@@ -368,3 +394,22 @@ def test_nms_output_is_in_frame_order_and_input_order_within_a_frame(tmp_path):
     got = [(r.frame, r.box.x, r.box.score) for r in read_detections(kept)]
     # the box at x=0.1 in frame 2 overlaps the higher-scored one at x=0.0
     assert got == [(0, 0.0, 0.5), (2, 0.0, 0.2), (2, 10.0, 0.7), (5, 0.0, 0.3), (5, 10.0, 0.6), (5, 20.0, 0.9)]
+
+
+def test_nms_memory_does_not_grow_with_the_largest_frame_index(tmp_path):
+    import tracemalloc
+
+    from uatrack.boxes import Box3D
+    from uatrack.io import DetectionRecord, write_detections
+
+    dets = tmp_path / "dets.csv"
+    write_detections(dets, [DetectionRecord(1_000_000, Box3D(0.0, 0.0, 0.0, 1.6, 3.9, 1.5, 0.0, score=0.5))])
+    tracemalloc.start()
+    try:
+        assert run(["nms", "--dets", str(dets), "--out", str(tmp_path / "kept.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a list per frame index up to 1,000,000 would peak near 64 MB
+    assert peak < 1_000_000
+    assert [r.frame for r in read_detections(tmp_path / "kept.csv")] == [1_000_000]

@@ -21,7 +21,6 @@ from uatrack.tracker import (
     SCORE_SMOOTHING,
     Tracker,
     TrackerConfig,
-    _wrap_mean,
     associate,
     constant_sigma_config,
     size_update,
@@ -150,10 +149,9 @@ class TestUkfPredict:
 
 class TestAngleWrap:
     def test_just_above_pi_lands_on_pi(self):
-        # wrap_angles's modulus rounds up to 2 pi here and gives -pi
+        # the modulus rounds up to 2 pi here, which would give -pi
         x = np.array([3.1415926535897936])
-        assert wrap_angles(x)[0] == -math.pi
-        assert _wrap_mean(x)[0] == math.pi == wrap_angle(wrap_angle(x[0]))
+        assert wrap_angles(x)[0] == math.pi == wrap_angle(x[0])
 
     def test_matches_wrap_angle_of_wrap_array(self):
         rng = np.random.default_rng(3)
@@ -165,22 +163,63 @@ class TestAngleWrap:
             3.0 * math.pi + 2.0 * ulp * rng.integers(-40, 40, 2_000),
         ])
         want = np.array([wrap_angle(v) for v in wrap_angles(x)])
-        assert np.array_equal(_wrap_mean(x), want)
-        assert np.all(_wrap_mean(x) > -math.pi)
+        assert np.array_equal(wrap_angles(x), want)
+        assert np.all(wrap_angles(x) > -math.pi)
 
     def test_update_moving_just_past_pi_lands_on_pi(self):
-        # the correction takes theta one ulp past pi, where wrap_angles gives -pi
+        # the correction takes theta one ulp past pi, where the modulus rounds up to 2 pi
         mean = np.array([[0.0, 0.0, math.pi, 0.0, 0.0, 0.0]])
         obs = np.array([[0.0, 0.0, 3.141592653589794]])
         out, _ = ukf_update_batch(mean, np.eye(6)[None], obs, np.ones((1, 3)))
         assert out[0, 2] == math.pi
-
 
     def test_spawned_heading_lands_on_pi(self):
         # Box3D wraps a heading one ulp past pi to -pi
         tracker = Tracker()
         tracker.step([detection(0.0, 0.0, 3.1415926535897936)], 0.1)
         assert tracker.table["mean"][0, 2] == math.pi
+
+
+class TestRowIndependence:
+    """Every row of a batch is bitwise what its own T=1 call gives."""
+
+    MAX_T = 1000
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        # headings within a few ulps of +-pi, and row 1 with a singular
+        # covariance (zero acceleration variance), so that Cholesky fails there
+        # and its eigen fallback runs inside a mixed batch
+        n = self.MAX_T
+        rng = np.random.default_rng(11)
+        ulp = np.spacing(math.pi)
+        means = np.column_stack([rng.normal(0.0, 20.0, (n, 2)), rng.uniform(-math.pi, math.pi, n),
+                                 rng.uniform(0.0, 10.0, n), rng.normal(0.0, 1.0, n), rng.normal(0.0, 0.3, n)])
+        near_pi = means[::3, 2]
+        near_pi[:] = math.pi * rng.choice([-1.0, 1.0], len(near_pi)) + ulp * rng.integers(-4, 5, len(near_pi))
+        a = rng.normal(0.0, 0.3, (n, 6, 6))
+        covs = a @ np.swapaxes(a, 1, 2) + 1e-3 * np.eye(6)
+        covs[1] = np.diag([0.5, 0.5, 0.1, 1.0, 0.0, 0.01])
+        obs = means[:, :3] + rng.normal(0.0, 0.5, (n, 3))
+        obs[::5, 2] = math.pi + ulp * rng.integers(-4, 5, len(obs[::5]))
+        obs_var = rng.uniform(0.01, 1.0, (n, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(covs[1])
+        q = TrackerConfig().process_noise
+        alone = [(ukf_predict_batch(means[i:i + 1], covs[i:i + 1], 0.1, q),
+                  ukf_update_batch(means[i:i + 1], covs[i:i + 1], obs[i:i + 1], obs_var[i:i + 1]))
+                 for i in range(self.MAX_T)]
+        return means, covs, obs, obs_var, q, alone
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 7, 15, 16, 17, 64, 240, MAX_T])
+    def test_rows_equal_their_own_call(self, states, t):
+        means, covs, obs, obs_var, q, alone = states
+        batch = (ukf_predict_batch(means[:t], covs[:t], 0.1, q),
+                 ukf_update_batch(means[:t], covs[:t], obs[:t], obs_var[:t]))
+        for i in range(t):
+            for (got_mean, got_cov), (want_mean, want_cov) in zip(batch, alone[i]):
+                assert got_mean[i].tobytes() == want_mean[0].tobytes(), i
+                assert got_cov[i].tobytes() == want_cov[0].tobytes(), i
 
 
 class TestUkfUpdate:
