@@ -17,12 +17,11 @@ import sys
 from dataclasses import fields, replace
 from operator import attrgetter
 
-from .boxes import encode_variance, self_anchor
+from .boxes import Box3D, encode_variance, self_anchor
 from .checks import run_loss_checks
 from .io import (
     DetectionRecord,
     FormatError,
-    _by_frame,
     config_from_dict,
     detections_to_frames,
     format_float,
@@ -89,11 +88,31 @@ def _report_cells(report: TrackingReport, columns: list[str]) -> list[str]:
     return [format_float(v) if isinstance(v, float) else str(v) for v in values]
 
 
-def _detection_scores(gt, records: list[DetectionRecord], cfg: EvalConfig) -> tuple[float, float]:
-    """AP and max F1 (percent) of detection records against per-frame ground-truth tracks."""
-    pred = _by_frame([r.frame for r in records], [r.box for r in records], None)
-    ap, max_f1, _ = detection_pr([[b for _, b in frame] for frame in gt], pred, cfg)
+def _boxes_by_frame(pairs) -> dict[int, list[Box3D]]:
+    """(frame, box) pairs grouped by frame, each frame's boxes in input order."""
+    out: dict[int, list[Box3D]] = {}
+    for frame, box in pairs:
+        out.setdefault(frame, []).append(box)
+    return out
+
+
+def _detection_scores(
+    gt: dict[int, list[Box3D]], records: list[DetectionRecord], cfg: EvalConfig
+) -> tuple[float, float]:
+    """AP and max F1 (percent) of detection records against ground-truth boxes by frame.
+
+    Only the frames that hold a ground-truth box or a detection are
+    scored: any other frame adds nothing to the sweep, so memory does
+    not grow with the largest frame index.
+    """
+    pred = _boxes_by_frame((r.frame, r.box) for r in records)
+    frames = sorted(gt.keys() | pred.keys())
+    ap, max_f1, _ = detection_pr([gt.get(f, []) for f in frames], [pred.get(f, []) for f in frames], cfg)
     return ap, max_f1
+
+
+def _gt_boxes(path) -> dict[int, list[Box3D]]:
+    return _boxes_by_frame((frame, box) for frame, _, box in read_tracks(path))
 
 
 # --- simulate ------------------------------------------------------------
@@ -143,7 +162,7 @@ def _cmd_eval_track(args) -> int:
 
 def _cmd_eval_det(args) -> int:
     cfg = config_from_dict(_config_dict(args, DET_IOU_THRESHOLD)).eval
-    ap, max_f1 = _detection_scores(tracks_to_frames(read_tracks(args.gt)), read_detections(args.dets), cfg)
+    ap, max_f1 = _detection_scores(_gt_boxes(args.gt), read_detections(args.dets), cfg)
     print(f"AP:     {ap:.2f} %")
     print(f"Max F1: {max_f1:.2f} %")
     if args.out:
@@ -225,16 +244,16 @@ def _cmd_sweep(args) -> int:
             _set(data, key, value)
         grid.append(([str(v) for v in combo], config_from_dict(data)))
 
-    gt = tracks_to_frames(read_tracks(args.gt))
-    records = read_detections(args.dets)
     if args.mode == "track":
+        gt = tracks_to_frames(read_tracks(args.gt))
+        frames = detections_to_frames(read_detections(args.dets))
         columns = _REPORT_COLUMNS[:6]
-        frames = detections_to_frames(records)
 
         def score(cfg):
             pred = track_frames(frames, cfg.tracker, cfg.scenario.dt)
             return _report_cells(clear_mot(gt, pred, cfg.eval), columns)
     else:
+        gt, records = _gt_boxes(args.gt), read_detections(args.dets)
         columns = ["ap", "max_f1"]
 
         def score(cfg):

@@ -7,7 +7,8 @@ by up to half a unit in its ninth significant digit.  A file written
 here reads back and writes again to the same bytes.  KITTI
 object/tracking label files can be imported as ground truth.  Run
 configuration is namespaced JSON with strict key checking; its keys and
-defaults are the fields of the config dataclasses.
+defaults are the fields of the config dataclasses, each stored under its
+own name and in its own form.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -28,8 +29,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-
-import numpy as np
 
 from .boxes import BOX_FIELDS, Box3D, BoxVariance, DetectionWithCovariance, FrameDetections, box_values, wrap_angle
 from .metrics import EvalConfig
@@ -239,54 +238,28 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _diagonal(q: np.ndarray) -> list[float]:
-    if np.any(q != np.diag(np.diag(q))):
-        raise FormatError("config files express diagonal process noise only")
-    return [float(v) for v in np.diag(q)]
-
-
-def _obs_noise_from_sigmas(values) -> BoxVariance:
-    sigmas = [float(v) for v in values]
-    if len(sigmas) != 7 or not all(s > 0.0 for s in sigmas):
-        raise FormatError("default_obs_sigma must hold 7 positive values")
-    return BoxVariance(*(s * s for s in sigmas))
-
-
-# TrackerConfig fields kept on disk under another key and in another
-# form: field -> (key on disk, to disk, from disk).
-_CODECS = {
-    "process_noise": ("process_noise_diag", _diagonal, lambda v: np.diag([float(x) for x in v])),
-    "default_obs_noise": ("default_obs_sigma", lambda obs: [math.sqrt(v) for v in obs.as_tuple()],
-                          _obs_noise_from_sigmas),
-}
-
-
 def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):  # bool is an int subclass
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _layout(cls) -> dict[str, tuple[str, Callable, Callable]]:
-    """Key on disk -> (field name, to disk, from disk) for a config class.
+def _layout(cls) -> dict[str, tuple[Callable, Callable]]:
+    """Field name -> (to disk, from disk) for a config class.
 
     Enums are stored by value and tuples as lists of floats; integer
-    fields take integers only; other fields are stored as they are,
-    under their own name.
+    fields take integers only; other fields are stored as they are.
     """
     out = {}
     for f in fields(cls):
-        if f.name in _CODECS:
-            key, to_disk, from_disk = _CODECS[f.name]
-            out[key] = (f.name, to_disk, from_disk)
-        elif isinstance(f.default, Enum):
-            out[f.name] = (f.name, lambda v: v.value, type(f.default))
+        if isinstance(f.default, Enum):
+            out[f.name] = (lambda v: v.value, type(f.default))
         elif isinstance(f.default, tuple):
-            out[f.name] = (f.name, list, lambda v: tuple(float(x) for x in v))
+            out[f.name] = (list, lambda v: tuple(float(x) for x in v))
         elif type(f.default) is int:
-            out[f.name] = (f.name, lambda v: v, lambda v, name=f.name: _integer(name, v))
+            out[f.name] = (lambda v: v, lambda v, name=f.name: _integer(name, v))
         else:
-            out[f.name] = (f.name, lambda v: v, lambda v: v)
+            out[f.name] = (lambda v: v, lambda v: v)
     return out
 
 
@@ -303,7 +276,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
     for sec in fields(RunConfig):
         section = getattr(cfg, sec.name)
         layout = _layout(sec.default_factory).items()
-        out[sec.name] = {key: to_disk(getattr(section, name)) for key, (name, to_disk, _) in layout}
+        out[sec.name] = {name: to_disk(getattr(section, name)) for name, (to_disk, _) in layout}
     return out
 
 
@@ -319,9 +292,7 @@ def config_from_dict(data: dict) -> RunConfig:
         layout = _layout(sec.default_factory)
         _check_keys(sec.name, given, layout)
         try:
-            sections[sec.name] = sec.default_factory(
-                **{layout[key][0]: layout[key][2](value) for key, value in given.items()}
-            )
+            sections[sec.name] = sec.default_factory(**{name: layout[name][1](v) for name, v in given.items()})
         except (TypeError, ValueError) as exc:
             raise FormatError(f"config {sec.name}: {exc}") from exc
     return RunConfig(**sections)

@@ -46,10 +46,12 @@ class ScoreMapConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.k_s > 0.0:
-            raise ValueError("k_s must be > 0")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be > 0")
+        if not 0.0 < self.k_s < math.inf:
+            raise ValueError("k_s must be finite and > 0")
+        if not math.isfinite(self.b_s):
+            raise ValueError("b_s must be finite")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
 
 
 @dataclass(frozen=True)

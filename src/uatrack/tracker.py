@@ -7,7 +7,8 @@ filter per footprint dimension (w, l), and pass-through of the latest z
 and h.  When detections carry their own variance it is used directly as
 the observation noise (and as the initial state noise of new tracks);
 otherwise a fixed default applies, which is the classic
-constant-covariance tracker.
+constant-covariance tracker.  TrackerConfig states both noises as a
+config file does: a process-noise diagonal and observation sigmas.
 
 A Tracker keeps every track in one table, a numpy structured array with
 one row per track (see TRACK_DTYPE).  step() reads the frame into
@@ -22,12 +23,12 @@ returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assignment import hungarian_assign
-from .boxes import Box3D, BoxVariance, FrameDetections, box_values
+from .boxes import Box3D, FrameDetections, box_values
 from .motion import ctra_step, wrap_angles
 
 # Unscented-transform scaling.  alpha=1 with kappa=0 gives lambda=0: every
@@ -56,11 +57,14 @@ PRIOR_TURN_STD = 0.5
 # EMA weight on the previous value when smoothing track scores.
 SCORE_SMOOTHING = 0.7
 
-# Matched to the bundled simulator's dynamics: position, heading and
-# speed evolve by CTRA exactly, so nearly all model error enters through
-# the acceleration and turn-rate random walks.
+# Process noise per second on (x, y, theta, v, a, omega), matched to the
+# bundled simulator's dynamics: position, heading and speed evolve by
+# CTRA exactly, so nearly all model error enters through the acceleration
+# and turn-rate random walks.
 DEFAULT_PROCESS_DIAG = (1e-4, 1e-4, 1e-5, 0.01, 0.64, 0.0225)
-DEFAULT_OBS_NOISE = BoxVariance(0.25, 0.25, 0.25, 0.04, 0.04, 0.04, 0.01)
+# Observation sigmas in BOX_FIELDS order, wherever a detection's own
+# variance is not used.
+DEFAULT_OBS_SIGMA = (0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.1)
 
 # One row per track: pose mean (x, y, theta, v, a, omega) and covariance,
 # filtered (w, l) and their variances, z and h of the latest matched
@@ -115,13 +119,13 @@ class Track:
         return Box3D(*box_values(self), class_id=self.class_id, score=self.score)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackerConfig:
     gate_distance: float = 2.5
     t_init: int = 3
     t_drop: int = 5
-    process_noise: np.ndarray = field(default_factory=lambda: np.diag(DEFAULT_PROCESS_DIAG))
-    default_obs_noise: BoxVariance = field(default_factory=lambda: DEFAULT_OBS_NOISE)
+    process_noise_diag: tuple[float, ...] = DEFAULT_PROCESS_DIAG
+    default_obs_sigma: tuple[float, ...] = DEFAULT_OBS_SIGMA
     use_detection_covariance: bool = True
 
     def __post_init__(self):
@@ -129,25 +133,17 @@ class TrackerConfig:
             raise ValueError("gate_distance must be > 0")
         if self.t_init < 1 or self.t_drop < 1:
             raise ValueError("t_init and t_drop must be >= 1")
-        q = np.asarray(self.process_noise, dtype=float)
-        if q.shape != (6, 6):
-            raise ValueError("process_noise must be 6x6")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("process_noise must be finite")
-        if np.max(np.abs(q - q.T)) > 1e-9 or np.min(np.linalg.eigvalsh(q)) < -1e-9:
-            raise ValueError("process_noise must be symmetric PSD")
-        self.process_noise = q
+        if len(self.process_noise_diag) != _N or not all(0.0 <= q < math.inf for q in self.process_noise_diag):
+            raise ValueError(f"process_noise_diag must hold {_N} finite nonnegative values")
+        # the sign is checked on its own: a negative sigma has a valid square
+        if len(self.default_obs_sigma) != 7 or not all(s > 0.0 and 0.0 < s * s < math.inf
+                                                        for s in self.default_obs_sigma):
+            raise ValueError("default_obs_sigma must hold 7 values > 0 with positive finite squares")
 
 
 def constant_sigma_config(base: TrackerConfig, sigma: float) -> TrackerConfig:
     """Baseline configuration: one constant sigma for every box parameter."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be > 0")
-    return replace(
-        base,
-        default_obs_noise=BoxVariance(*([sigma * sigma] * 7)),
-        use_detection_covariance=False,
-    )
+    return replace(base, default_obs_sigma=(sigma,) * 7, use_detection_covariance=False)
 
 
 def _sigma_points(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -212,8 +208,8 @@ def ukf_predict_batch(
     Means leave with theta in (-pi, pi], covariances exactly symmetric.
     """
     mean, dev = _moments(ctra_step(_sigma_points(means, covs), dt))
-    # process noise may be asymmetric within TrackerConfig's tolerance
-    return mean, _sym(_cross(dev, dev) + np.asarray(process_noise, dtype=float) * dt)
+    # the weighted product is symmetric only up to rounding
+    return mean, _sym(_cross(dev, dev) + process_noise * dt)
 
 
 def ukf_update_batch(
@@ -288,6 +284,8 @@ class Tracker:
         self.config = config if config is not None else TrackerConfig()
         self.table = np.zeros(0, dtype=TRACK_DTYPE)
         self._next_id = 1
+        self._process_noise = np.diag(self.config.process_noise_diag)
+        self._default_var = tuple(s * s for s in self.config.default_obs_sigma)
 
     def _read_frame(self, detections: FrameDetections) -> np.ndarray:
         """The frame as detection rows, checked before any state changes.
@@ -296,10 +294,9 @@ class Tracker:
         its own when the config feeds detection covariance and it has one,
         else the configured default.
         """
-        cfg = self.config
-        own, default = cfg.use_detection_covariance, cfg.default_obs_noise
+        own, default = self.config.use_detection_covariance, self._default_var
         frame = np.array(
-            [(box_values(d.box), (d.variance if own and d.variance is not None else default).as_tuple(),
+            [(box_values(d.box), d.variance.as_tuple() if own and d.variance is not None else default,
               d.box.score, d.box.class_id) for d in detections],
             dtype=_DETECTION_DTYPE,
         )
@@ -338,7 +335,7 @@ class Tracker:
         table = self.table.copy()
 
         if len(table):
-            table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, cfg.process_noise)
+            table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, self._process_noise)
         matches, _, unmatched_d = associate(
             table["mean"][:, :2], dets["box"][:, :2], table["class_id"], dets["class_id"], cfg.gate_distance
         )

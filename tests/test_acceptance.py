@@ -227,7 +227,7 @@ def test_criterion_6_filter_consistency():
     worst_asym = 0.0
     worst_eig = 0.0
     for i in range(10_000):
-        state = _predict(state, 0.1, cfg.process_noise)
+        state = _predict(state, 0.1, np.diag(cfg.process_noise_diag))
         if i % 2 == 0:
             det = DetectionWithCovariance(
                 Box3D(state[0][0] + rng.normal(0, 0.6), state[0][1] + rng.normal(0, 0.6), 0.75,

@@ -3,7 +3,7 @@
 import pytest
 
 from uatrack.cli import build_parser, main
-from uatrack.io import read_detections, read_tracks
+from uatrack.io import read_detections, read_tracks, write_tracks
 
 
 def run(args):
@@ -241,6 +241,11 @@ class TestConfigPath:
         ["plot-data", "von-mises", "--lambda-v", "-1"],
         ["plot-data", "gaussian", "--s-min", "nan"],
         ["check-losses", "--seed", "-1"],
+        # scoring parameters must be finite
+        ["nms", "--dets", "{dets}", "--out", "{tmp}/o.csv", "--strategy", "exponential", "--bs", "nan"],
+        ["nms", "--dets", "{dets}", "--out", "{tmp}/o.csv", "--strategy", "exponential", "--ks", "inf"],
+        ["nms", "--dets", "{dets}", "--out", "{tmp}/o.csv", "--strategy", "linear", "--alpha", "inf"],
+        ["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "scoring.b_s=-Infinity"],
     ])
     def test_invalid_value_exits_2(self, tmp_path, scenario_files, capsys, argv):
         gt, dets = scenario_files
@@ -295,6 +300,29 @@ class TestConfigPath:
             rows[tag] = sw.read_text().splitlines()[2]
             assert rows[tag] == "none," + ev.read_text().splitlines()[2]
         assert rows["default"] != rows["config"]
+
+    def test_track_default_config_equals_no_config(self, tmp_path):
+        import re
+        from dataclasses import replace
+        from pathlib import Path
+
+        from uatrack.io import write_detections
+
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets),
+                    "--n-targets", "10", "--n-frames", "80", "--fp-rate", "0.2", "--seed", "4"]) == 0
+        bare = tmp_path / "bare.csv"
+        write_detections(bare, [replace(r, variance=None) for r in read_detections(dets)])
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        out = {}
+        for tag, flags in (("none", []), ("defaults", ["--config", str(cfg)])):
+            path = tmp_path / f"{tag}.csv"
+            assert run(["track", "--dets", str(bare), "--out", str(path)] + flags) == 0
+            out[tag] = path.read_bytes()
+        assert len(read_tracks(tmp_path / "none.csv")) > 100
+        assert out["none"] == out["defaults"]
 
     @pytest.mark.parametrize("command", [
         ["track", "--dets", "d", "--out", "o"],
@@ -413,3 +441,33 @@ def test_nms_memory_does_not_grow_with_the_largest_frame_index(tmp_path):
     # a list per frame index up to 1,000,000 would peak near 64 MB
     assert peak < 1_000_000
     assert [r.frame for r in read_detections(tmp_path / "kept.csv")] == [1_000_000]
+
+
+def test_eval_det_memory_does_not_grow_with_the_largest_frame_index(tmp_path):
+    import tracemalloc
+
+    from uatrack.boxes import Box3D
+    from uatrack.io import DetectionRecord, write_detections
+
+    def car(x, score=1.0):
+        return Box3D(x, 0.0, 0.0, 1.6, 3.9, 1.5, 0.0, score=score)
+
+    # the same two frames, once at frames 0 and 1, once at frames 0 and 100,000
+    reports = {}
+    for last in (1, 100_000):
+        gt, dets, out = (tmp_path / f"{name}_{last}.csv" for name in ("gt", "dets", "ap"))
+        write_tracks(gt, [(0, 1, car(0.0)), (last, 1, car(5.0))])
+        write_detections(dets, [DetectionRecord(0, car(0.0, 0.6)), DetectionRecord(last, car(20.0, 0.9)),
+                                DetectionRecord(last, car(5.0, 0.5))])
+        tracemalloc.start()
+        try:
+            assert run(["eval-det", "--gt", str(gt), "--dets", str(dets), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a frame list padded up to frame 100,000 would peak near 64 MB
+        assert peak < 1_000_000
+        reports[last] = out.read_text()
+    assert reports[1] == reports[100_000]
+    ap, max_f1 = map(float, reports[1].splitlines()[2].split(","))
+    assert 0.0 < ap < 100.0 and 0.0 < max_f1 < 100.0

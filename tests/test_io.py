@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uatrack.boxes import Box3D, BoxVariance
+from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance
 from uatrack.io import (
     DetectionRecord,
     FormatError,
@@ -25,6 +25,7 @@ from uatrack.io import (
     write_detections,
     write_tracks,
 )
+from uatrack.tracker import Tracker
 
 
 def random_records(rng, n, with_var=True):
@@ -183,6 +184,7 @@ class TestRunConfig:
         save_config(path, cfg)
         again = load_config(path)
         assert config_to_dict(again) == config_to_dict(cfg)
+        assert again == cfg
 
     def test_modified_round_trip(self):
         d = config_to_dict(RunConfig())
@@ -204,7 +206,12 @@ class TestRunConfig:
 
     def test_default_obs_sigma_maps_to_variance(self):
         cfg = config_from_dict({"tracker": {"default_obs_sigma": [0.5] * 7}})
-        assert cfg.tracker.default_obs_noise.var_x == pytest.approx(0.25)
+        assert cfg.tracker.default_obs_sigma == (0.5,) * 7
+        # a variance-free detection spawns a track with variance sigma**2
+        tracker = Tracker(cfg.tracker)
+        tracker.step([DetectionWithCovariance(Box3D(1.0, 2.0, 0.0, 1.8, 4.2, 1.5, 0.3))], 0.1)
+        assert np.diag(tracker.table["cov"][0])[:3].tolist() == [0.25] * 3
+        assert tracker.table["size_var"][0].tolist() == [0.25] * 2
 
     def test_process_noise_diag_length_checked(self):
         with pytest.raises(FormatError):
@@ -219,6 +226,8 @@ class TestRunConfig:
         {"scenario": {"noise_base": [0.1] * 6}},
         {"eval": {"recall_points": 0}},
         {"tracker": 5},
+        {"tracker": {"process_noise_diag": [-1e-4, 1e-4, 1e-5, 0.01, 0.64, 0.0225]}},
+        {"tracker": {"default_obs_sigma": [1e-200] * 7}},  # the squares underflow to 0
     ])
     def test_invalid_values_raise_format_error(self, data):
         with pytest.raises(FormatError, match="config"):

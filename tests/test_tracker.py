@@ -13,7 +13,7 @@ from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance, wrap_angl
 from uatrack.motion import ctra_step, wrap_angles
 from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import (
-    DEFAULT_OBS_NOISE,
+    DEFAULT_OBS_SIGMA,
     DEFAULT_PROCESS_DIAG,
     PRIOR_ACCEL_STD,
     PRIOR_SPEED_STD,
@@ -52,7 +52,7 @@ def update(state, det):
 
 def sizes(size, size_var, det):
     """One size state updated by a detection, its variance chosen as by TrackerConfig()."""
-    v = det.variance if det.variance is not None else DEFAULT_OBS_NOISE
+    v = det.variance if det.variance is not None else BoxVariance(*(s * s for s in DEFAULT_OBS_SIGMA))
     mean, var = size_update(
         np.array([size]), np.array([size_var]), np.array([[det.box.w, det.box.l, det.box.h]]),
         np.array([[v.var_w, v.var_l, v.var_h]]),
@@ -205,7 +205,7 @@ class TestRowIndependence:
         obs_var = rng.uniform(0.01, 1.0, (n, 3))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(covs[1])
-        q = TrackerConfig().process_noise
+        q = np.diag(TrackerConfig().process_noise_diag)
         alone = [(ukf_predict_batch(means[i:i + 1], covs[i:i + 1], 0.1, q),
                   ukf_update_batch(means[i:i + 1], covs[i:i + 1], obs[i:i + 1], obs_var[i:i + 1]))
                  for i in range(self.MAX_T)]
@@ -257,17 +257,16 @@ class TestUkfUpdate:
 
     @staticmethod
     def _rejects_without_change(bad_x):
-        # a variance the config hands out, corrupted after validation: step()
-        # raises before it touches any state
-        cfg = TrackerConfig(use_detection_covariance=False,
-                            default_obs_noise=BoxVariance(1, 1, 1, 1, 1, 1, 1))
-        tracker = Tracker(cfg)
+        # a detection's variance, corrupted after validation: step() raises
+        # before it touches any state
+        tracker = Tracker(TrackerConfig())
         for _ in range(3):
             tracker.step([detection(5.0, 5.0), detection(20.0, 0.0, class_id="Pedestrian")], 0.1)
         table, before, next_id = tracker.table, tracker.table.copy(), tracker._next_id
-        object.__setattr__(cfg.default_obs_noise, "var_x", -1.0)
+        bad = BoxVariance(1, 1, 1, 1, 1, 1, 1)
+        object.__setattr__(bad, "var_x", -1.0)
         with pytest.raises(ValueError):
-            tracker.step([detection(bad_x, 5.0)], 0.1)
+            tracker.step([detection(bad_x, 5.0, variance=bad)], 0.1)
         assert tracker.table is table and tracker._next_id == next_id
         for name in before.dtype.names:
             assert np.array_equal(table[name], before[name]), name
@@ -291,10 +290,9 @@ class TestUkfUpdate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_process_noise_rejected(self, bad):
-        q = np.diag(DEFAULT_PROCESS_DIAG)
-        q[0, 0] = bad
+        q = (bad, *DEFAULT_PROCESS_DIAG[1:])
         with pytest.raises(ValueError, match="finite"):
-            TrackerConfig(process_noise=q)
+            TrackerConfig(process_noise_diag=q)
 
 
 class TestSizeUpdate:
@@ -494,7 +492,7 @@ class TestTrackerLifecycle:
     def test_constant_sigma_config(self):
         cfg = constant_sigma_config(TrackerConfig(), 0.5)
         assert not cfg.use_detection_covariance
-        assert cfg.default_obs_noise.var_x == pytest.approx(0.25)
+        assert cfg.default_obs_sigma == (0.5,) * 7
         with pytest.raises(ValueError):
             constant_sigma_config(TrackerConfig(), 0.0)
 
@@ -505,7 +503,7 @@ class TestCovarianceHealth:
         cfg = TrackerConfig()
         state = pose(cov=np.diag([0.5, 0.5, 0.1, 4.0, 1.0, 0.05]))
         for i in range(1000):
-            state = predict(state, 0.1, cfg.process_noise)
+            state = predict(state, 0.1, np.diag(cfg.process_noise_diag))
             if i % 2 == 0:
                 var = BoxVariance(*rng.uniform(0.005, 3.0, 7))
                 det = detection(
@@ -547,7 +545,9 @@ class _RefTrack:
 
 
 def _ref_noise(det, cfg):
-    return det.variance if cfg.use_detection_covariance and det.variance is not None else cfg.default_obs_noise
+    if cfg.use_detection_covariance and det.variance is not None:
+        return det.variance
+    return BoxVariance(*(s * s for s in cfg.default_obs_sigma))
 
 
 def _ref_size_update(track, det, cfg):
@@ -602,7 +602,8 @@ class ReferenceTracker:
         cfg = self.cfg
         if self.tracks:
             means, covs = ukf_predict_batch(np.stack([t.mean for t in self.tracks]),
-                                            np.stack([t.cov for t in self.tracks]), dt, cfg.process_noise)
+                                            np.stack([t.cov for t in self.tracks]), dt,
+                                            np.diag(cfg.process_noise_diag))
             for i, track in enumerate(self.tracks):
                 track.set_pose(means[i], covs[i])
         matches, unmatched_t, unmatched_d = _ref_associate(self.tracks, detections, cfg)
@@ -682,8 +683,6 @@ ORACLE_CFGS = {
     "sigma=0.5": constant_sigma_config(TrackerConfig(), 0.5),
     "t_init=1": TrackerConfig(t_init=1, t_drop=2),
     "sigma=0.3,t_init=1": constant_sigma_config(TrackerConfig(t_init=1, t_drop=3, gate_distance=4.0), 0.3),
-    # asymmetric within the config's 1e-9 tolerance
-    "asymmetric_q": TrackerConfig(process_noise=np.diag(DEFAULT_PROCESS_DIAG) + np.triu(np.full((6, 6), 3e-10), 1)),
 }
 
 
