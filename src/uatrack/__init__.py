@@ -4,7 +4,7 @@ from .boxes import (
     Anchor,
     Box3D,
     BoxVariance,
-    DetectionWithCovariance,
+    DetectionRecord,
     EncodedLogVar,
     EncodedTarget,
     FrameDetections,

@@ -139,15 +139,16 @@ class BoxVariance:
 
 
 @dataclass(frozen=True)
-class DetectionWithCovariance:
-    """A detected box, optionally with its decoded diagonal variance."""
+class DetectionRecord:
+    """One detection row: its frame index, the box and optionally its decoded diagonal variance."""
 
+    frame: int
     box: Box3D
     variance: BoxVariance | None = None
 
 
-# One frame's worth of detections.
-FrameDetections = list[DetectionWithCovariance]
+# One frame's worth of detections; the tracker ignores their frame index.
+FrameDetections = list[DetectionRecord]
 
 
 def encode_box(gt: Box3D, anchor: Anchor) -> EncodedTarget:

@@ -15,16 +15,15 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
-from operator import attrgetter
 
-from .boxes import Box3D, encode_variance, self_anchor
+from .boxes import Box3D, DetectionRecord, encode_variance, self_anchor
 from .checks import run_loss_checks
 from .io import (
-    DetectionRecord,
     FormatError,
     config_from_dict,
     detections_to_frames,
     format_float,
+    frames_of,
     read_config,
     read_detections,
     read_tracks,
@@ -88,31 +87,19 @@ def _report_cells(report: TrackingReport, columns: list[str]) -> list[str]:
     return [format_float(v) if isinstance(v, float) else str(v) for v in values]
 
 
-def _boxes_by_frame(pairs) -> dict[int, list[Box3D]]:
-    """(frame, box) pairs grouped by frame, each frame's boxes in input order."""
-    out: dict[int, list[Box3D]] = {}
-    for frame, box in pairs:
-        out.setdefault(frame, []).append(box)
-    return out
-
-
-def _detection_scores(
-    gt: dict[int, list[Box3D]], records: list[DetectionRecord], cfg: EvalConfig
-) -> tuple[float, float]:
-    """AP and max F1 (percent) of detection records against ground-truth boxes by frame.
+def _detection_scores(gt_rows: list[tuple[int, int, Box3D]], records: list[DetectionRecord],
+                      cfg: EvalConfig) -> tuple[float, float]:
+    """AP and max F1 (percent) of detection records against ground-truth track rows.
 
     Only the frames that hold a ground-truth box or a detection are
     scored: any other frame adds nothing to the sweep, so memory does
     not grow with the largest frame index.
     """
-    pred = _boxes_by_frame((r.frame, r.box) for r in records)
+    gt = frames_of((frame, box) for frame, _, box in gt_rows)
+    pred = frames_of((r.frame, r.box) for r in records)
     frames = sorted(gt.keys() | pred.keys())
     ap, max_f1, _ = detection_pr([gt.get(f, []) for f in frames], [pred.get(f, []) for f in frames], cfg)
     return ap, max_f1
-
-
-def _gt_boxes(path) -> dict[int, list[Box3D]]:
-    return _boxes_by_frame((frame, box) for frame, _, box in read_tracks(path))
 
 
 # --- simulate ------------------------------------------------------------
@@ -125,7 +112,7 @@ def _cmd_simulate(args) -> int:
         raise FormatError(f"config scenario: {exc}") from exc
     gt_rows = [(f, tid, box) for f, frame in enumerate(scenario.ground_truth) for tid, box in frame]
     write_tracks(args.out_gt, gt_rows)
-    records = [DetectionRecord(f, d.box, d.variance) for f, frame in enumerate(scenario.detections) for d in frame]
+    records = [d for frame in scenario.detections for d in frame]
     write_detections(args.out_dets, records)
     print(f"wrote {len(gt_rows)} ground-truth rows to {args.out_gt}")
     print(f"wrote {len(records)} detections to {args.out_dets}")
@@ -162,7 +149,7 @@ def _cmd_eval_track(args) -> int:
 
 def _cmd_eval_det(args) -> int:
     cfg = config_from_dict(_config_dict(args, DET_IOU_THRESHOLD)).eval
-    ap, max_f1 = _detection_scores(_gt_boxes(args.gt), read_detections(args.dets), cfg)
+    ap, max_f1 = _detection_scores(read_tracks(args.gt), read_detections(args.dets), cfg)
     print(f"AP:     {ap:.2f} %")
     print(f"Max F1: {max_f1:.2f} %")
     if args.out:
@@ -172,21 +159,24 @@ def _cmd_eval_det(args) -> int:
 
 # --- nms -----------------------------------------------------------------
 
-def _rescore_and_suppress(records, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig):
+def _rescored(r: DetectionRecord, cfg: ScoreMapConfig) -> DetectionRecord:
+    s = encode_variance(r.variance, self_anchor(r.box), r.box)
+    return replace(r, box=replace(r.box, score=score_detection(r.box.score, s, cfg)))
+
+
+def _rescore_and_suppress(records: list[DetectionRecord], score_cfg: ScoreMapConfig, nms_cfg: NmsConfig):
     """The records NMS keeps, frame by frame in ascending order, each frame in input order."""
+    rescore = score_cfg.strategy is not ScoreStrategy.NONE
+    # the rows of one file: either every row carries a variance or none does
+    if rescore and records and records[0].variance is None:
+        raise FormatError("variance columns are required for uncertainty scoring")
     out = []
-    frame_of = attrgetter("frame")
-    # only the frames present, so memory does not grow with the largest frame index
-    for _, group in itertools.groupby(sorted(records, key=frame_of), key=frame_of):
-        recs = list(group)
-        if score_cfg.strategy is not ScoreStrategy.NONE:
-            rescored = []
-            for r in recs:
-                if r.variance is None:
-                    raise FormatError("variance columns are required for uncertainty scoring")
-                s = encode_variance(r.variance, self_anchor(r.box), r.box)
-                rescored.append(replace(r, box=replace(r.box, score=score_detection(r.box.score, s, score_cfg))))
-            recs = rescored
+    for frame, recs in frames_of((r.frame, r) for r in records).items():
+        if rescore:
+            try:
+                recs = [_rescored(r, score_cfg) for r in recs]
+            except ValueError as exc:  # a score <= 0, or a rescored value beyond float range
+                raise FormatError(f"frame {frame}: cannot rescore: {exc}") from exc
         kept = nms([r.box for r in recs], nms_cfg)
         chosen = set(id(b) for b in kept)
         out.extend(r for r in recs if id(r.box) in chosen)
@@ -253,7 +243,7 @@ def _cmd_sweep(args) -> int:
             pred = track_frames(frames, cfg.tracker, cfg.scenario.dt)
             return _report_cells(clear_mot(gt, pred, cfg.eval), columns)
     else:
-        gt, records = _gt_boxes(args.gt), read_detections(args.dets)
+        gt, records = read_tracks(args.gt), read_detections(args.dets)
         columns = ["ap", "max_f1"]
 
         def score(cfg):

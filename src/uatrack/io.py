@@ -4,11 +4,12 @@ Detections and tracks travel as versioned CSV files with a fixed header;
 floats are printed with 9 significant digits.  That is exact for float32
 but not for float64: a value read back may differ from the one written
 by up to half a unit in its ninth significant digit.  A file written
-here reads back and writes again to the same bytes.  KITTI
-object/tracking label files can be imported as ground truth.  Run
-configuration is namespaced JSON with strict key checking; its keys and
-defaults are the fields of the config dataclasses, each stored under its
-own name and in its own form.
+here reads back and writes again to the same bytes.  Its detection rows
+are the DetectionRecord rows the simulator emits; `frames_of` is the one
+grouping of rows by frame.  KITTI object/tracking label files can be
+imported as ground truth.  Run configuration is namespaced JSON with
+strict key checking; its keys and defaults are the fields of the config
+dataclasses, each stored under its own name and in its own form.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
-from .boxes import BOX_FIELDS, Box3D, BoxVariance, DetectionWithCovariance, FrameDetections, box_values, wrap_angle
+from .boxes import BOX_FIELDS, Box3D, BoxVariance, DetectionRecord, FrameDetections, box_values, wrap_angle
 from .metrics import EvalConfig
 from .scoring import NmsConfig, ScoreMapConfig
 from .sim import ScenarioConfig
@@ -49,13 +50,6 @@ KITTI_SKIP_TYPES = {"DontCare"}
 
 class FormatError(ValueError):
     """Raised when a file does not match the expected layout."""
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    frame: int
-    box: Box3D
-    variance: BoxVariance | None = None
 
 
 def format_float(x: float) -> str:
@@ -133,23 +127,24 @@ def read_detections(path: str | Path) -> list[DetectionRecord]:
     return _read_table(path, [DET_COLUMNS, DET_COLUMNS_VAR], parse)
 
 
-def _by_frame(frame_of: list[int], items: list, n_frames: int | None) -> list[list]:
-    """Group items into consecutive per-frame lists starting at frame 0."""
-    if n_frames is None:
-        n_frames = max(frame_of, default=-1) + 1
-    if frame_of and (min(frame_of) < 0 or max(frame_of) >= n_frames):
-        bad = next(f for f in frame_of if not 0 <= f < n_frames)
-        raise FormatError(f"frame index {bad} out of range [0, {n_frames})")
-    frames: list[list] = [[] for _ in range(n_frames)]
-    for frame, item in zip(frame_of, items):
-        frames[frame].append(item)
-    return frames
+def frames_of(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
+    """(frame, item) pairs grouped by frame: only the frames present, ascending, each in input order."""
+    out: dict[int, list] = {}
+    for frame, item in pairs:
+        out.setdefault(frame, []).append(item)
+    return dict(sorted(out.items()))
 
 
-def detections_to_frames(records: list[DetectionRecord], n_frames: int | None = None) -> list[FrameDetections]:
-    """Group records into consecutive per-frame lists starting at frame 0."""
-    items = [DetectionWithCovariance(r.box, r.variance) for r in records]
-    return _by_frame([r.frame for r in records], items, n_frames)
+def _dense(frames: dict[int, list]) -> list[list]:
+    """Frames 0 up to the largest present, absent ones empty: for tracking, where empty frames count."""
+    if min(frames, default=0) < 0:
+        raise FormatError(f"frame index {min(frames)} out of range: frames start at 0")
+    return [frames.get(f, []) for f in range(max(frames, default=-1) + 1)]
+
+
+def detections_to_frames(records: list[DetectionRecord]) -> list[FrameDetections]:
+    """The records as consecutive per-frame lists starting at frame 0."""
+    return _dense(frames_of((r.frame, r) for r in records))
 
 
 def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
@@ -173,9 +168,9 @@ def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:
     return _read_table(path, [TRACK_COLUMNS], parse)
 
 
-def tracks_to_frames(rows: list[tuple[int, int, Box3D]], n_frames: int | None = None) -> list[list[tuple[int, Box3D]]]:
-    """Group (frame, id, box) rows into consecutive per-frame (id, box) lists starting at frame 0."""
-    return _by_frame([row[0] for row in rows], [(track_id, box) for _, track_id, box in rows], n_frames)
+def tracks_to_frames(rows: list[tuple[int, int, Box3D]]) -> list[list[tuple[int, Box3D]]]:
+    """(frame, id, box) rows as consecutive per-frame (id, box) lists starting at frame 0."""
+    return _dense(frames_of((frame, (track_id, box)) for frame, track_id, box in rows))
 
 
 def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
@@ -185,7 +180,7 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
     lines (17 or 18 fields, leading frame and id) use their own frame.
     DontCare entries are skipped.
     """
-    frames: dict[int, list[Box3D]] = {}
+    rows: list[tuple[int, Box3D]] = []
     text = Path(path).read_text().splitlines()
     for lineno, line in enumerate(text, start=1):
         if not line.strip():
@@ -223,8 +218,8 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
             )
         except (ValueError, IndexError) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        frames.setdefault(frame, []).append(box)
-    return frames
+        rows.append((frame, box))
+    return frames_of(rows)
 
 
 # --- run configuration -------------------------------------------------

@@ -61,6 +61,9 @@ class TrackingReport:
             f"FRAG:   {self.frag}",
             f"ML:     {self.ml:.2f} %",
             f"MOTA:   {self.mota:.2f} %",
+            f"FN:     {self.fn}",
+            f"FP:     {self.fp}",
+            f"GT:     {self.gt_total}",
         ]
 
 

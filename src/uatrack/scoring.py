@@ -9,6 +9,7 @@ All mappings operate in log space to avoid under/overflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -16,6 +17,8 @@ from typing import Sequence
 from .boxes import Box3D, EncodedLogVar
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
 from .geometry import _box_table, _pair_iou, _pairs_in_reach, iou_3d, iou_bev  # noqa: F401
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 class ScoreStrategy(str, Enum):
@@ -92,15 +95,19 @@ def map_uncertainty_to_logscore(g_s: float, cfg: ScoreMapConfig) -> float:
     if cfg.strategy is ScoreStrategy.LINEAR:
         return max(-cfg.k_s * g_s + cfg.b_s, 0.0)
     if cfg.strategy is ScoreStrategy.EXPONENTIAL:
-        return -math.exp(cfg.k_s * g_s + cfg.b_s)
+        x = cfg.k_s * g_s + cfg.b_s
+        return -math.exp(x) if x <= _LOG_FLOAT_MAX else -math.inf  # past exp's range, beta_s is 0 in the limit
     return _log_sigmoid(-cfg.k_s * g_s + cfg.b_s)
 
 
 def combined_score(detection_score: float, log_beta_s: float, alpha: float = 1.0) -> float:
-    """beta = (beta_d * beta_s)^alpha, evaluated through logs."""
+    """beta = (beta_d * beta_s)^alpha, evaluated through logs; ValueError where it is beyond float range."""
     if not detection_score > 0.0:
         raise ValueError("detection_score must be > 0")
-    return math.exp(alpha * (math.log(detection_score) + log_beta_s))
+    log_beta = alpha * (math.log(detection_score) + log_beta_s)
+    if log_beta > _LOG_FLOAT_MAX:
+        raise ValueError(f"rescored value exp({log_beta}) is beyond float range")
+    return math.exp(log_beta)
 
 
 def score_detection(detection_score: float, s: EncodedLogVar, cfg: ScoreMapConfig) -> float:

@@ -5,7 +5,8 @@ perturbations of acceleration and turn rate.  Detections are the true
 boxes plus independent zero-mean Gaussian noise whose per-parameter
 standard deviation grows linearly with range from the sensor at the
 origin, so a tracker consuming the per-detection covariance sees a
-genuinely heteroscedastic stream with known ground truth.
+genuinely heteroscedastic stream with known ground truth.  Each
+detection is a DetectionRecord, tagged with its frame index.
 
 All randomness comes from a single numpy Generator seeded from the
 config (PCG64, a named portable algorithm with documented state), with a
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3D, BoxVariance, DetectionWithCovariance, FrameDetections
+from .boxes import Box3D, BoxVariance, DetectionRecord, FrameDetections
 from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -94,7 +95,8 @@ class ScenarioConfig:
 class Scenario:
     """Generated ground truth and detections.
 
-    detections carry the *reported* variance; true_variances holds the
+    detections[f] holds frame f's records, with the *reported* variance;
+    true_variances holds the
     actual generating noise variance for each detection (identical when
     miscalibration_factor is 1).  gt_states keeps the full CTRA state per
     target per frame for motion-level checks.
@@ -134,7 +136,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     true_variances: list[list[BoxVariance]] = []
     gt_states: list[np.ndarray] = []
 
-    for _ in range(cfg.n_frames):
+    for f in range(cfg.n_frames):
         gt_states.append(states.copy())
         # box rows in BOX_FIELDS order; Box3D wraps theta
         truth = np.column_stack([states[:, 0], states[:, 1], z_centers, widths, lengths, heights, states[:, 2]])
@@ -169,7 +171,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         tp_scores = 0.9 - 0.5 * dist[:n_tp] / cfg.field_extent + score_jitter[kept]
         scores = np.concatenate([np.clip(tp_scores, 0.05, 0.99), fp_score])
 
-        detections.append([DetectionWithCovariance(Box3D(*row, score=score), BoxVariance(*v))
+        detections.append([DetectionRecord(f, Box3D(*row, score=score), BoxVariance(*v))
                            for row, score, v in zip(rows.tolist(), scores.tolist(), reported.tolist())])
         true_variances.append([BoxVariance(*v) for v in var.tolist()])
 

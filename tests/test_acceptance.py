@@ -16,7 +16,7 @@ from uatrack.boxes import (
     Anchor,
     Box3D,
     BoxVariance,
-    DetectionWithCovariance,
+    DetectionRecord,
     EncodedLogVar,
     EncodedTarget,
     decode_box,
@@ -205,8 +205,8 @@ def test_criterion_6_filter_consistency():
         x = f_lin @ x
         p = f_lin @ p @ f_lin.T + q[np.ix_([0, 1, 3], [0, 1, 3])] * dt
         z = np.array([x[0] + rng.normal(0, 0.3), x[1] + rng.normal(0, 0.5)])
-        det = DetectionWithCovariance(
-            Box3D(z[0], z[1], 0.75, 1.8, 4.2, 1.5, theta0),
+        det = DetectionRecord(
+            0, Box3D(z[0], z[1], 0.75, 1.8, 4.2, 1.5, theta0),
             BoxVariance(0.3, 0.5, 1.0, 1.0, 1.0, 1.0, 1e12),
         )
         state = _update(state, det)
@@ -229,8 +229,8 @@ def test_criterion_6_filter_consistency():
     for i in range(10_000):
         state = _predict(state, 0.1, np.diag(cfg.process_noise_diag))
         if i % 2 == 0:
-            det = DetectionWithCovariance(
-                Box3D(state[0][0] + rng.normal(0, 0.6), state[0][1] + rng.normal(0, 0.6), 0.75,
+            det = DetectionRecord(
+                0, Box3D(state[0][0] + rng.normal(0, 0.6), state[0][1] + rng.normal(0, 0.6), 0.75,
                       1.8, 4.2, 1.5, state[0][2] + rng.normal(0, 0.3)),
                 BoxVariance(*rng.uniform(0.004, 3.0, 7)),
             )

@@ -29,6 +29,23 @@ class TestSimulateTrackEval:
             files[tag] = (gt.read_bytes(), dets.read_bytes(), trk.read_bytes(), rep.read_bytes())
         assert files["a"] == files["b"]
 
+    def test_simulated_file_groups_into_the_scenario_frames(self, tmp_path):
+        from uatrack.io import detections_to_frames
+        from uatrack.sim import ScenarioConfig, generate_scenario
+
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        # two targets missed half the time: some frames, the last ones too, may hold no detection
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "2",
+                    "--n-frames", "40", "--fn-rate", "0.5", "--fp-rate", "0.2", "--seed", "4"]) == 0
+        scenario = generate_scenario(ScenarioConfig(n_targets=2, n_frames=40, fn_rate=0.5, fp_rate=0.2, seed=4))
+        counts = [len(frame) for frame in scenario.detections]
+        while counts and counts[-1] == 0:
+            counts.pop()
+        assert 0 in counts
+        frames = detections_to_frames(read_detections(dets))
+        assert [len(frame) for frame in frames] == counts
+        assert all(d.frame == f for f, frame in enumerate(frames) for d in frame)
+
     def test_track_constant_sigma_flag(self, tmp_path):
         gt = tmp_path / "gt.csv"
         dets = tmp_path / "dets.csv"
@@ -57,7 +74,7 @@ class TestSimulateTrackEval:
             out = tmp_path / f"{tag}.csv"
             assert run(["track", "--dets", str(dets), "--out", str(out), "--dt", "0.1"] + flags) == 0
             gt_frames = tracks_to_frames(read_tracks(gt))
-            pred = tracks_to_frames(read_tracks(out), len(gt_frames))
+            pred = tracks_to_frames(read_tracks(out))
             motas[tag] = clear_mot(gt_frames, pred, cfg).mota
         assert motas["adaptive"] > motas["constant"]
 
@@ -69,6 +86,20 @@ class TestSimulateTrackEval:
         rc = run(["track", "--dets", str(dets), "--out", str(tmp_path / "t.csv"),
                   "--constant-sigma", "1.0", "--use-variance"])
         assert rc == 2
+
+    def test_eval_track_prints_the_out_row(self, tmp_path, capsys):
+        gt, dets, trk, rep = (tmp_path / f"{name}.csv" for name in ("gt", "dets", "trk", "rep"))
+        run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets),
+             "--n-targets", "3", "--n-frames", "20", "--fp-rate", "0.5", "--fn-rate", "0.2", "--seed", "6"])
+        run(["track", "--dets", str(dets), "--out", str(trk)])
+        capsys.readouterr()
+        assert run(["eval-track", "--gt", str(gt), "--tracks", str(trk), "--out", str(rep)]) == 0
+        printed = [line.split(":")[1].split()[0] for line in capsys.readouterr().out.splitlines()]
+        header, row = (line.split(",") for line in rep.read_text().splitlines()[1:])
+        assert header == ["ap", "max_f1", "idsw", "frag", "ml", "mota", "fn", "fp", "gt_total"]
+        percent = {"ap", "max_f1", "ml", "mota"}  # printed to 2 decimals, written to 9 digits
+        assert printed == [f"{float(v):.2f}" if c in percent else v for c, v in zip(header, row)]
+        assert int(row[header.index("gt_total")]) > 0
 
     def test_eval_det(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -115,6 +146,34 @@ class TestNmsCommand:
         rc = run(["nms", "--dets", str(path), "--out", str(tmp_path / "o.csv"),
                   "--strategy", "sigmoid"])
         assert rc == 2
+
+
+    @staticmethod
+    def _nms(tmp_path, scores, *flags):
+        """Run nms over one car per frame, scored as given, each with a variance."""
+        from uatrack.boxes import Box3D, BoxVariance
+        from uatrack.io import DetectionRecord, write_detections
+
+        path, out = tmp_path / "dets.csv", tmp_path / "kept.csv"
+        write_detections(path, [DetectionRecord(f, Box3D(0, 0, 0, 1.6, 3.9, 1.5, 0, score=s), BoxVariance(*[0.1] * 7))
+                                for f, s in enumerate(scores)])
+        return run(["nms", "--dets", str(path), "--out", str(out), *flags]), out
+
+    def test_nonpositive_score_exits_2_naming_the_frame(self, tmp_path, capsys):
+        # readers accept any finite score; rescoring needs its log
+        rc, _ = self._nms(tmp_path, [0.5, 0.6, 0.0], "--strategy", "linear")
+        assert rc == 2
+        assert "error: frame 2: cannot rescore: detection_score must be > 0" in capsys.readouterr().err
+
+    def test_rescored_value_beyond_float_range_exits_2_naming_the_frame(self, tmp_path, capsys):
+        rc, _ = self._nms(tmp_path, [0.5], "--strategy", "linear", "--bs", "1000")
+        assert rc == 2
+        assert "error: frame 0: cannot rescore: rescored value" in capsys.readouterr().err
+
+    def test_exponential_overflow_rescores_to_zero(self, tmp_path):
+        rc, out = self._nms(tmp_path, [0.5, 0.9], "--strategy", "exponential", "--bs", "1000")
+        assert rc == 0
+        assert [(r.frame, r.box.score) for r in read_detections(out)] == [(0, 0.0), (1, 0.0)]
 
 
 class TestSweep:

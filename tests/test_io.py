@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance
+from uatrack.boxes import Box3D, BoxVariance
 from uatrack.io import (
     DetectionRecord,
     FormatError,
@@ -209,7 +209,7 @@ class TestRunConfig:
         assert cfg.tracker.default_obs_sigma == (0.5,) * 7
         # a variance-free detection spawns a track with variance sigma**2
         tracker = Tracker(cfg.tracker)
-        tracker.step([DetectionWithCovariance(Box3D(1.0, 2.0, 0.0, 1.8, 4.2, 1.5, 0.3))], 0.1)
+        tracker.step([DetectionRecord(0, Box3D(1.0, 2.0, 0.0, 1.8, 4.2, 1.5, 0.3))], 0.1)
         assert np.diag(tracker.table["cov"][0])[:3].tolist() == [0.25] * 3
         assert tracker.table["size_var"][0].tolist() == [0.25] * 2
 
@@ -275,8 +275,8 @@ class TestReaderChecks:
         with pytest.raises(FormatError, match=":4:"):
             read_tracks(path)
 
-    @pytest.mark.parametrize("frame", [-1, 2])
+    @pytest.mark.parametrize("frame", [-1])
     def test_tracks_to_frames_range_checked(self, frame):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(FormatError, match="out of range"):
-            tracks_to_frames([(frame, 1, box)], 2)
+            tracks_to_frames([(frame, 1, box)])

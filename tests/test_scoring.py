@@ -51,6 +51,12 @@ class TestMapping:
         cfg = ScoreMapConfig(strategy=ScoreStrategy.EXPONENTIAL, k_s=0.01, b_s=0.0)
         assert map_uncertainty_to_logscore(0.0, cfg) == pytest.approx(-1.0)
 
+    def test_exponential_overflow_is_minus_inf(self):
+        # exp(1000) overflows: beta_s is 0 in the limit, its log -inf
+        cfg = ScoreMapConfig(strategy=ScoreStrategy.EXPONENTIAL, k_s=0.001, b_s=1000.0)
+        assert map_uncertainty_to_logscore(0.0, cfg) == -math.inf
+        assert combined_score(0.5, map_uncertainty_to_logscore(0.0, cfg)) == 0.0
+
     def test_none_is_zero(self):
         cfg = ScoreMapConfig(strategy=ScoreStrategy.NONE)
         assert map_uncertainty_to_logscore(123.0, cfg) == 0.0
@@ -83,6 +89,12 @@ class TestCombinedScore:
     def test_rejects_nonpositive_score(self):
         with pytest.raises(ValueError):
             combined_score(0.0, 0.0, 1.0)
+
+    def test_rejects_a_value_beyond_float_range(self):
+        with pytest.raises(ValueError, match="beyond float range"):
+            combined_score(0.5, 1000.0, 1.0)
+        with pytest.raises(ValueError, match="beyond float range"):
+            combined_score(0.5, math.inf, 1.0)
 
     def test_none_strategy_reduces_to_classification(self):
         s = EncodedLogVar(*([-3.0] * 7))

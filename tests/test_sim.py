@@ -28,6 +28,10 @@ class TestDeterminism:
         for sa, sb in zip(a.gt_states, b.gt_states):
             assert np.array_equal(sa, sb)
 
+    def test_detections_carry_their_frame_index(self):
+        sc = generate_scenario(small_config(fp_rate=0.5, fn_rate=0.1))
+        assert all(d.frame == f for f, frame in enumerate(sc.detections) for d in frame)
+
     def test_different_seed_differs(self):
         a = generate_scenario(small_config(seed=1))
         b = generate_scenario(small_config(seed=2))

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from uatrack.assignment import hungarian_assign
-from uatrack.boxes import Box3D, BoxVariance, DetectionWithCovariance, wrap_angle
+from uatrack.boxes import Box3D, BoxVariance, DetectionRecord, wrap_angle
 from uatrack.motion import ctra_step, wrap_angles
 from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import (
@@ -62,7 +62,7 @@ def sizes(size, size_var, det):
 
 def detection(x, y, theta=0.0, variance=None, class_id="Car", score=0.9):
     box = Box3D(x, y, 0.75, 1.8, 4.2, 1.5, theta, class_id=class_id, score=score)
-    return DetectionWithCovariance(box, variance)
+    return DetectionRecord(0, box, variance)
 
 
 def centers(*xy):
@@ -297,27 +297,27 @@ class TestUkfUpdate:
 
 class TestSizeUpdate:
     def test_halving(self):
-        det = DetectionWithCovariance(
-            Box3D(0, 0, 0, 2.0, 2.0, 2.0, 0.0), BoxVariance(1, 1, 1, 1.0, 1.0, 1.0, 1)
+        det = DetectionRecord(
+            0, Box3D(0, 0, 0, 2.0, 2.0, 2.0, 0.0), BoxVariance(1, 1, 1, 1.0, 1.0, 1.0, 1)
         )
         mean, var = sizes((2.0, 2.0, 2.0), (1.0, 1.0, 1.0), det)
         assert mean[0] == pytest.approx(2.0)
         assert var[0] == pytest.approx(0.5)
 
     def test_uninformative(self):
-        det = DetectionWithCovariance(
-            Box3D(0, 0, 0, 3.0, 5.0, 2.0, 0.0), BoxVariance(1, 1, 1, 1e12, 1e12, 1e12, 1)
+        det = DetectionRecord(
+            0, Box3D(0, 0, 0, 3.0, 5.0, 2.0, 0.0), BoxVariance(1, 1, 1, 1e12, 1e12, 1e12, 1)
         )
         mean, _ = sizes((2.0, 4.0, 1.5), (0.1, 0.1, 0.1), det)
         assert mean[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_perfect_prior_ignores_measurement(self):
-        det = DetectionWithCovariance(Box3D(0, 0, 0, 3.0, 5.0, 2.0, 0.0), None)
+        det = DetectionRecord(0, Box3D(0, 0, 0, 3.0, 5.0, 2.0, 0.0), None)
         mean, _ = sizes((2.0, 4.0, 1.5), (0.0, 0.0, 0.0), det)
         assert tuple(mean) == (2.0, 4.0, 1.5)
 
     def test_posterior_variance_shrinks(self):
-        det = DetectionWithCovariance(Box3D(0, 0, 0, 2.1, 4.1, 1.4, 0.0), BoxVariance(1, 1, 1, 0.5, 0.5, 0.5, 1))
+        det = DetectionRecord(0, Box3D(0, 0, 0, 2.1, 4.1, 1.4, 0.0), BoxVariance(1, 1, 1, 0.5, 0.5, 0.5, 1))
         _, var = sizes((2.0, 4.0, 1.5), (0.3, 0.3, 0.3), det)
         assert var[0] < 0.3 and var[1] < 0.3 and var[2] < 0.3
 
@@ -658,16 +658,16 @@ def oracle_frames(seed, n_frames=80):
                 box = Box3D(state[0] + noise[0], state[1] + noise[1], 0.8 + noise[2], w, l, h,
                             state[2] + noise[6], class_id=cls,
                             score=float(rng.uniform(0.3, 1.0)))
-                dets.append(DetectionWithCovariance(box, var if rng.uniform() < 0.9 else None))
+                dets.append(DetectionRecord(0, box, var if rng.uniform() < 0.9 else None))
             targets[i] = (cls, ctra_step(state, 0.1), born, dies)
         for _ in range(rng.poisson(0.6) if f % 23 != 5 else 0):
             box = Box3D(*rng.uniform(-40, 40, 2), 0.8, 1.8, 4.2, 1.5, rng.uniform(-math.pi, math.pi),
                         class_id=str(rng.choice(["Car", "Pedestrian"])), score=float(rng.uniform(0.1, 0.6)))
-            dets.append(DetectionWithCovariance(box, BoxVariance(*rng.uniform(0.01, 1.0, 7))))
+            dets.append(DetectionRecord(0, box, BoxVariance(*rng.uniform(0.01, 1.0, 7))))
         if f % 23 != 5:
             # driving along -x, heading one ulp past pi: Box3D wraps that to -pi
-            dets.append(DetectionWithCovariance(Box3D(12.0 - 0.3 * f + rng.normal(0, 0.1), -30.0, 0.8, 1.8, 4.2,
-                                                      1.5, 3.1415926535897936), BoxVariance(*[0.01] * 7)))
+            dets.append(DetectionRecord(0, Box3D(12.0 - 0.3 * f + rng.normal(0, 0.1), -30.0, 0.8, 1.8, 4.2,
+                                                 1.5, 3.1415926535897936), BoxVariance(*[0.01] * 7)))
         frames.append([dets[i] for i in rng.permutation(len(dets))])
     return frames
 
