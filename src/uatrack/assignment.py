@@ -19,6 +19,11 @@ def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
     FORBIDDEN_COST in magnitude.  allowed is a boolean mask of the
     cost's shape; forbidden cells may hold anything.  Returns (row, col)
     pairs, rows ascending, all of them allowed.
+
+    Where several matchings tie on count and total cost, which one is
+    returned depends on the whole matrix: a call on a submatrix that
+    holds every allowed cell of some rows and columns may pick a
+    different one of equal count and cost.
     """
     cost = np.asarray(cost, dtype=float)
     allowed = np.asarray(allowed, dtype=bool)
@@ -28,7 +33,8 @@ def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
         raise ValueError("allowed must have the shape of cost")
     if not allowed.any():
         return []
-    if not np.all(np.isfinite(cost[allowed])):
+    if not np.isfinite(cost[allowed]).all():
         raise ValueError("allowed costs must be finite")
     rows, cols = linear_sum_assignment(np.where(allowed, cost, FORBIDDEN_COST))
-    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if allowed[r, c]]
+    keep = allowed[rows, cols]
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))

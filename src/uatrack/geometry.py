@@ -3,12 +3,15 @@
 One numpy kernel scores a batch of (a, b) box pairs.  Each box's corner
 loop, circumradius and edge tolerances are computed once per box
 (``_box_table``).  A pair is scored only if the circumcircles of its two
-boxes meet (``_pairs_in_reach``, the one cheap reject); every other
-pair has IoU 0.  The kernel clips box a against the four half-planes of
-box b, Sutherland-Hodgman style restricted to a convex clipper
-(Sutherland & Hodgman, "Reentrant polygon clipping", CACM 1974), on
-padded vertex buffers of all pairs at once, and sums the shoelace
-formula vertex by vertex.  Points within EDGE_EPS x edge length of an
+boxes meet (``_reach``, the one cheap reject); every other pair has IoU
+0.  The pairs put to that test are all of a block (``_pairs_in_reach``)
+or, for many groups at once, those of one sort-and-sweep along x
+(``_grouped_pairs_in_reach`` over ``sweep_pairs``, the broad phase that
+the tracker's association shares).  The kernel clips box a against the
+four half-planes of box b, Sutherland-Hodgman style restricted to a
+convex clipper (Sutherland & Hodgman, "Reentrant polygon clipping",
+CACM 1974), on padded vertex buffers of all pairs at once, and sums the
+shoelace formula vertex by vertex.  Points within EDGE_EPS x edge length of an
 edge count as inside, so touching configurations do not flicker between
 0 and a sliver.
 
@@ -33,8 +36,12 @@ EDGE_EPS = 1e-9
 
 # Pairs per kernel pass: bounds the kernel's temporaries to a few MB.
 _CHUNK = 1024
-# Cells per block of the reach test: bounds its temporaries likewise.
+# Cells (or sweep candidates) per block of the reach test: bounds its
+# temporaries likewise.
 _GATE_CELLS = 1 << 15
+# Relative widening of a sweep window: far above the few ulps by which
+# the window's ends and an exact test can round, far below any gate.
+SWEEP_SLACK = 1e-9
 # corner k - 1 of a corner loop, for k = 0..3
 _PREV_CORNER = [3, 0, 1, 2]
 
@@ -110,13 +117,27 @@ def _rect_table(rects: Sequence[RotatedRect]) -> _Boxes:
     return _table(np.array([(r.cx, r.cy, 0.0, r.w, r.l, 1.0, r.theta) for r in rects], dtype=float).reshape(-1, 7))
 
 
-def _pairs_in_reach(a: _Boxes, a_lo: int, a_hi: int, b: _Boxes, b_lo: int, b_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (ia, ib) of a[a_lo:a_hi] x b[b_lo:b_hi] that may overlap, row-major.
+def _reach(ax, ay, ar, bx, by, br) -> np.ndarray:
+    """Whether boxes a and b (centers, circumradii; broadcast) may overlap.
 
     Two boxes whose centers are farther apart than the sum of their
     circumradii cannot overlap; this is the one reject, and the kernel
-    scores only the pairs it lets through.  Rows are taken in blocks so
-    no temporary exceeds _GATE_CELLS cells.
+    scores only the pairs it lets through.
+    """
+    d2 = ax - bx
+    d2 *= d2
+    dy = ay - by
+    dy *= dy
+    d2 += dy
+    rr = ar + br
+    rr *= rr
+    return d2 <= rr
+
+
+def _pairs_in_reach(a: _Boxes, a_lo: int, a_hi: int, b: _Boxes, b_lo: int, b_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (ia, ib) of a[a_lo:a_hi] x b[b_lo:b_hi] that pass _reach, row-major.
+
+    Rows are taken in blocks so no temporary exceeds _GATE_CELLS cells.
     """
     bx = b.x[b_lo:b_hi]
     by = b.y[b_lo:b_hi]
@@ -125,20 +146,80 @@ def _pairs_in_reach(a: _Boxes, a_lo: int, a_hi: int, b: _Boxes, b_lo: int, b_hi:
     found_a, found_b = [], []
     for r0 in range(a_lo, a_hi, step):
         r1 = min(r0 + step, a_hi)
-        d2 = a.x[r0:r1, None] - bx
-        d2 *= d2
-        dy = a.y[r0:r1, None] - by
-        dy *= dy
-        d2 += dy
-        rr = a.radius[r0:r1, None] + br
-        rr *= rr
-        ia, ib = np.nonzero(d2 <= rr)
+        ia, ib = np.nonzero(_reach(a.x[r0:r1, None], a.y[r0:r1, None], a.radius[r0:r1, None], bx, by, br))
         found_a.append(ia + r0)
         found_b.append(ib + b_lo)
     if not found_a:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     if len(found_a) == 1:
         return found_a[0], found_b[0]
+    return np.concatenate(found_a), np.concatenate(found_b)
+
+
+def sweep_window(center: np.ndarray, reach, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Window ends (lo, hi) around each center, for sweep_pairs over the ascending keys.
+
+    A window holds every key within reach of its center, and the exact
+    test after the sweep needs no more.  The window is widened by
+    SWEEP_SLACK relative to the reach and to the largest key magnitude:
+    a center with a key in reach is at most that far out, so the
+    widening covers the rounding of center +- reach and of the exact
+    test.
+    """
+    pad = reach * (1.0 + SWEEP_SLACK)
+    if len(keys):
+        pad = pad + SWEEP_SLACK * max(-float(keys[0]), float(keys[-1]))
+    return center - pad, center + pad
+
+
+def sweep_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, k) with lo[i] <= keys[k] < hi[i], for ascending keys; lo <= hi.
+
+    The broad phase of sort and sweep (Baraff 1992, "Dynamic simulation
+    of non-penetrating rigid bodies"): two binary searches per window,
+    then work in proportion to the pairs found, not to windows x keys.
+    Pairs come i ascending, then k ascending.  Array methods stand in
+    for numpy's module functions, whose dispatch costs more than the
+    work at a few dozen rows.
+    """
+    start = keys.searchsorted(lo)
+    stop = keys.searchsorted(hi)
+    end = (stop - start).cumsum()
+    pos = np.arange(end[-1] if len(end) else 0)
+    rows = end.searchsorted(pos, "right")
+    return rows, pos + (stop - end)[rows]
+
+
+def _grouped_pairs_in_reach(a: _Boxes, a_group: np.ndarray, b: _Boxes, b_group: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (ia, ib) of one group that pass _reach, from one sweep over every group; ia ascending.
+
+    The pair set is that of _pairs_in_reach group by group.  Each b row
+    is keyed by its group, then by the rank of its x among all b rows:
+    exact integers, so no window reaches into another group.  a's rows
+    are swept in blocks of about _GATE_CELLS candidates, so temporaries
+    do not grow with the sequence.
+    """
+    if not len(a.x) or not len(b.x):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    xs = np.sort(b.x)
+    width = len(xs) + 1  # ranks run 0 .. len(xs)
+    order = np.lexsort((b.x, b_group))
+    keys = b_group[order] * width + xs.searchsorted(b.x[order])
+    lo, hi = sweep_window(a.x, a.radius + b.radius.max(), xs)
+    base = a_group * width
+    lo, hi = base + xs.searchsorted(lo), base + xs.searchsorted(hi)
+    filled = (keys.searchsorted(hi) - keys.searchsorted(lo)).cumsum()
+    cuts = [0, *filled.searchsorted(np.arange(_GATE_CELLS, filled[-1], _GATE_CELLS)).tolist(), len(lo)]
+    # b's columns in key order, so that each window's candidates are read in sequence
+    bx, by, br = b.x[order], b.y[order], b.radius[order]
+    found_a, found_b = [], []
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        ia, k = sweep_pairs(keys, lo[r0:r1], hi[r0:r1])
+        ia += r0
+        keep = _reach(a.x[ia], a.y[ia], a.radius[ia], bx[k], by[k], br[k])
+        found_a.append(ia[keep])
+        found_b.append(order[k[keep]])
     return np.concatenate(found_a), np.concatenate(found_b)
 
 
@@ -211,7 +292,7 @@ def _overlap(a: _Boxes, ia: np.ndarray, b: _Boxes, ib: np.ndarray) -> np.ndarray
 def _pair_iou(a: _Boxes, ia: np.ndarray, b: _Boxes, ib: np.ndarray, three_d: bool) -> np.ndarray:
     """BEV (or, if three_d, volumetric) IoU of each pair a[ia], b[ib].
 
-    Every pair must have passed _pairs_in_reach.  Pairs are scored
+    Every pair must have passed _reach.  Pairs are scored
     _CHUNK at a time.
     """
     out = np.zeros(len(ia))

@@ -47,6 +47,11 @@ TRACK_COLUMNS = ["frame", "id", *_BOX_COLS]
 
 KITTI_SKIP_TYPES = {"DontCare"}
 
+# Largest frame index a file may hold (a day at 10 Hz is 864,000 frames).
+# track and eval-track step through every frame up to the largest index,
+# empty ones included, so this bounds their time and memory for any file.
+MAX_FRAME_INDEX = 1_000_000
+
 
 class FormatError(ValueError):
     """Raised when a file does not match the expected layout."""
@@ -111,10 +116,12 @@ def _read_table(path: str | Path, headers: list[list[str]], parse_row: Callable[
 
 
 def _frame_index(text: str) -> int:
-    """A row's frame index; raises ValueError unless it is a nonnegative integer."""
+    """A row's frame index; raises ValueError unless it is an integer in [0, MAX_FRAME_INDEX]."""
     frame = int(text)
     if frame < 0:
         raise ValueError(f"negative frame index {frame}")
+    if frame > MAX_FRAME_INDEX:
+        raise ValueError(f"frame index {frame} above the maximum {MAX_FRAME_INDEX}")
     return frame
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .assignment import hungarian_assign
 from .boxes import Box3D
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
-from .geometry import _box_table, _pair_iou, _pairs_in_reach, iou_3d, iou_bev  # noqa: F401
+from .geometry import _box_table, _grouped_pairs_in_reach, _pair_iou, iou_3d, iou_bev  # noqa: F401
 from .scoring import IouKind
 
 # A ground-truth track matched in less than this fraction of its frames
@@ -70,24 +70,26 @@ class TrackingReport:
 def _frame_ious(gt_frames: list[list[Box3D]], pred_frames: list[list[Box3D]], kind: IouKind):
     """Each frame's dense gt x pred IoU matrix, in frame order.
 
-    Every frame's pairs in reach are found first and the kernel scores
-    them all in one call; a frame's matrix is filled only when the
-    caller asks for it, so no more than one is alive at a time.
+    Every frame's pairs in reach come from one sort-and-sweep with the
+    frames as groups, and the kernel scores them all in one call; a
+    frame's matrix is filled only when the caller asks for it, so no
+    more than one is alive at a time.
     """
     gt = _box_table([b for frame in gt_frames for b in frame])
     pred = _box_table([b for frame in pred_frames for b in frame])
-    g_lo = np.cumsum([0] + [len(frame) for frame in gt_frames]).tolist()
-    p_lo = np.cumsum([0] + [len(frame) for frame in pred_frames]).tolist()
-    pairs = [_pairs_in_reach(gt, g_lo[f], g_lo[f + 1], pred, p_lo[f], p_lo[f + 1]) for f in range(len(gt_frames))]
-    if not pairs:
-        return
-    ends = np.cumsum([0] + [len(ig) for ig, _ in pairs]).tolist()
-    values = _pair_iou(gt, np.concatenate([ig for ig, _ in pairs]), pred, np.concatenate([ip for _, ip in pairs]),
-                       kind is IouKind.THREE_D)
+    g_size = [len(frame) for frame in gt_frames]
+    p_size = [len(frame) for frame in pred_frames]
+    ig, ip = _grouped_pairs_in_reach(gt, np.repeat(np.arange(len(g_size)), g_size),
+                                     pred, np.repeat(np.arange(len(p_size)), p_size))
+    values = _pair_iou(gt, ig, pred, ip, kind is IouKind.THREE_D)
     del gt, pred  # the frame loop below needs only the values
-    for f, (ig, ip) in enumerate(pairs):
-        iou = np.zeros((g_lo[f + 1] - g_lo[f], p_lo[f + 1] - p_lo[f]))
-        iou[ig - g_lo[f], ip - p_lo[f]] = values[ends[f]:ends[f + 1]]
+    g_lo = np.cumsum([0] + g_size).tolist()
+    p_lo = np.cumsum([0] + p_size).tolist()
+    ends = np.searchsorted(ig, g_lo).tolist()  # ig ascends, so each frame's pairs are one run
+    for f in range(len(gt_frames)):
+        run = slice(ends[f], ends[f + 1])
+        iou = np.zeros((g_size[f], p_size[f]))
+        iou[ig[run] - g_lo[f], ip[run] - p_lo[f]] = values[run]
         yield iou
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .assignment import hungarian_assign
 from .boxes import Box3D, FrameDetections, box_values
+from .geometry import sweep_pairs, sweep_window
 from .motion import ctra_step, wrap_angles
 
 # Unscented-transform scaling.  alpha=1 with kappa=0 gives lambda=0: every
@@ -68,11 +69,12 @@ DEFAULT_OBS_SIGMA = (0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.1)
 
 # One row per track: pose mean (x, y, theta, v, a, omega) and covariance,
 # filtered (w, l) and their variances, z and h of the latest matched
-# detection, smoothed score, consecutive hits and misses.
+# detection, smoothed score, consecutive hits and misses.  class_id is a
+# code into Tracker.class_names.
 TRACK_DTYPE = np.dtype(
     [
         ("id", np.int64),
-        ("class_id", object),
+        ("class_id", np.int64),
         ("mean", float, (_N,)),
         ("cov", float, (_N, _N)),
         ("size", float, (2,)),
@@ -88,10 +90,10 @@ TRACK_DTYPE = np.dtype(
 )
 
 # One row per detection: the box and its observation variances, both in
-# BOX_FIELDS order, then score and class.  The pose filter observes
+# BOX_FIELDS order, then score and class code.  The pose filter observes
 # columns _OBS (x, y, theta), the size filter 3:5 (w, l); z (2) and h (5)
 # pass through.
-_DETECTION_DTYPE = np.dtype([("box", float, (7,)), ("var", float, (7,)), ("score", float), ("class_id", object)])
+_DETECTION_DTYPE = np.dtype([("box", float, (7,)), ("var", float, (7,)), ("score", float), ("class_id", np.int64)])
 _OBS = [0, 1, 6]
 
 _POSE = np.arange(3)  # observed state components (x, y, theta)
@@ -260,16 +262,49 @@ def associate(
 
     Takes (T, 2) track and (D, 2) detection centers with their classes.
     Pairs with distance above the gate or with differing classes are
-    forbidden.  Returns the (track, detection) matches and the unmatched
-    track and detection rows.
+    forbidden.  Returns the (track, detection) matches, tracks
+    ascending, and the unmatched track and detection rows.
+
+    Only the detections in each track's x-window of the gate are tested
+    (sweep_pairs over the detections sorted by x).  An allowed pair
+    whose track and detection have no other allowed pair is matched
+    directly: every matching with the most pairs contains it.  The
+    other allowed pairs go to one hungarian_assign call, their rows and
+    columns in ascending order.  So the matches are those of
+    hungarian_assign on the full matrix, except on exact ties: where
+    several matchings have the most pairs and the least total
+    distance, the two may pick different ones (see hungarian_assign).
     """
-    dist = np.hypot(track_xy[:, 0:1] - det_xy[None, :, 0], track_xy[:, 1:2] - det_xy[None, :, 1])
-    same_class = np.asarray(track_class, dtype=object)[:, None] == np.asarray(det_class, dtype=object)[None, :]
-    matches = hungarian_assign(dist, (dist <= gate_distance) & same_class)
-    matched_t = {ti for ti, _ in matches}
-    matched_d = {di for _, di in matches}
-    return (matches, [i for i in range(len(track_xy)) if i not in matched_t],
-            [i for i in range(len(det_xy)) if i not in matched_d])
+    n_t, n_d = len(track_xy), len(det_xy)
+    if not n_t or not n_d:
+        return [], list(range(n_t)), list(range(n_d))
+    # array methods, not module functions: see sweep_pairs
+    det_x = det_xy[:, 0]
+    order = det_x.argsort(kind="stable")
+    keys = det_x[order]
+    ti, k = sweep_pairs(keys, *sweep_window(track_xy[:, 0], gate_distance, keys))
+    di = order[k]
+    gap = track_xy.take(ti, 0) - det_xy.take(di, 0)
+    dist = np.hypot(gap[:, 0], gap[:, 1])
+    edge = ((dist <= gate_distance) & (np.asarray(track_class)[ti] == np.asarray(det_class)[di])).nonzero()[0]
+    ti, di, dist = ti[edge], di[edge], dist[edge]
+    direct = (np.bincount(ti, minlength=n_t)[ti] == 1) & (np.bincount(di, minlength=n_d)[di] == 1)
+    mt, md = ti[direct], di[direct]
+    if len(mt) < len(ti):
+        ti, di, dist = ti[~direct], di[~direct], dist[~direct]
+        rows = np.bincount(ti, minlength=n_t).nonzero()[0]
+        cols = np.bincount(di, minlength=n_d).nonzero()[0]
+        cost = np.zeros((len(rows), len(cols)))
+        allowed = np.zeros(cost.shape, dtype=bool)
+        cell = rows.searchsorted(ti), cols.searchsorted(di)
+        cost[cell], allowed[cell] = dist, True
+        pr, pc = np.array(hungarian_assign(cost, allowed), dtype=np.intp).reshape(-1, 2).T
+        mt, md = np.concatenate((mt, rows[pr])), np.concatenate((md, cols[pc]))
+        by_track = mt.argsort()
+        mt, md = mt[by_track], md[by_track]
+    free_t = (np.bincount(mt, minlength=n_t) == 0).nonzero()[0]
+    free_d = (np.bincount(md, minlength=n_d) == 0).nonzero()[0]
+    return list(zip(mt.tolist(), md.tolist())), free_t.tolist(), free_d.tolist()
 
 
 class Tracker:
@@ -277,33 +312,39 @@ class Tracker:
 
     step() replaces the track table and must not be called concurrently
     on the same instance.  Track ids are assigned from a strictly
-    increasing counter and never reused.
+    increasing counter and never reused.  The table's class_id column
+    holds codes into class_names, which grows by each new class name a
+    completed step brings.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
         self.table = np.zeros(0, dtype=TRACK_DTYPE)
+        self.class_names: tuple[str, ...] = ()
         self._next_id = 1
         self._process_noise = np.diag(self.config.process_noise_diag)
         self._default_var = tuple(s * s for s in self.config.default_obs_sigma)
 
-    def _read_frame(self, detections: FrameDetections) -> np.ndarray:
-        """The frame as detection rows, checked before any state changes.
+    def _read_frame(self, detections: FrameDetections) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The frame as detection rows, checked before any state changes, and its class names.
 
         The one place that chooses each detection's observation variance:
         its own when the config feeds detection covariance and it has one,
-        else the configured default.
+        else the configured default.  The names are class_names with the
+        frame's new ones appended, in the order they first appear; step()
+        keeps them only when it completes.
         """
         own, default = self.config.use_detection_covariance, self._default_var
+        codes = {name: code for code, name in enumerate(self.class_names)}
         frame = np.array(
             [(box_values(d.box), d.variance.as_tuple() if own and d.variance is not None else default,
-              d.box.score, d.box.class_id) for d in detections],
+              d.box.score, codes.setdefault(d.box.class_id, len(codes))) for d in detections],
             dtype=_DETECTION_DTYPE,
         )
         var = frame["var"]
         if not np.all((var > 0.0) & (var < np.inf)):
             raise ValueError("observation noise must be positive definite")
-        return frame
+        return frame, tuple(codes)
 
     def _spawn(self, dets: np.ndarray) -> np.ndarray:
         """New tentative rows, one per detection, ids in detection order."""
@@ -331,7 +372,7 @@ class Tracker:
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be finite and > 0")
         cfg = self.config
-        dets = self._read_frame(detections)
+        dets, class_names = self._read_frame(detections)
         table = self.table.copy()
 
         if len(table):
@@ -360,11 +401,12 @@ class Tracker:
             table = np.concatenate([table, self._spawn(dets[unmatched_d])], dtype=TRACK_DTYPE)
         table["confirmed"] |= table["hits"] >= cfg.t_init
 
-        self.table = table
+        self.table, self.class_names = table, class_names
         self._next_id += len(unmatched_d)
         out = table[table["confirmed"]]
         mean, size = out["mean"], out["size"]
-        columns = (out["id"], out["class_id"], mean[:, 0], mean[:, 1], out["z"], size[:, 0], size[:, 1], out["h"],
+        names = np.array(class_names, dtype=object)[out["class_id"]]
+        columns = (out["id"], names, mean[:, 0], mean[:, 1], out["z"], size[:, 0], size[:, 1], out["h"],
                    mean[:, 2], out["score"])
         return [Track(*row) for row in zip(*(c.tolist() for c in columns))]
 

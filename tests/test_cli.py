@@ -502,6 +502,22 @@ def test_nms_memory_does_not_grow_with_the_largest_frame_index(tmp_path):
     assert [r.frame for r in read_detections(tmp_path / "kept.csv")] == [1_000_000]
 
 
+def test_frame_index_above_the_maximum_exits_2_naming_the_line(tmp_path, capsys):
+    from uatrack.boxes import Box3D
+    from uatrack.io import MAX_FRAME_INDEX, DetectionRecord, write_detections
+
+    car = Box3D(0.0, 0.0, 0.0, 1.6, 3.9, 1.5, 0.0, score=0.5)
+    dets, last = tmp_path / "dets.csv", tmp_path / "last.csv"
+    write_detections(dets, [DetectionRecord(0, car), DetectionRecord(MAX_FRAME_INDEX + 1, car)])
+    write_detections(last, [DetectionRecord(MAX_FRAME_INDEX, car)])
+    for argv in (["track", "--dets", str(dets), "--out", str(tmp_path / "tracks.csv")],
+                 ["nms", "--dets", str(dets), "--out", str(tmp_path / "kept.csv")]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert f"{dets}:4: frame index {MAX_FRAME_INDEX + 1} above the maximum" in capsys.readouterr().err
+    assert [r.frame for r in read_detections(last)] == [MAX_FRAME_INDEX]
+
+
 def test_eval_det_memory_does_not_grow_with_the_largest_frame_index(tmp_path):
     import tracemalloc
 

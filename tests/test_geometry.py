@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 import frozen_geometry as frozen
 from uatrack.boxes import Box3D
 from uatrack.geometry import (
+    _GATE_CELLS,
     RotatedRect,
     _box_table,
     _clip,
+    _grouped_pairs_in_reach,
     _pair_iou,
     _pairs_in_reach,
     _rect_table,
@@ -319,3 +321,56 @@ class TestKernelOracle:
         qx, _, count = _clip(table, ia, table, ib)
         assert count.tolist() == [0, 0, 0] and qx.shape[1] == 0
         assert _pair_iou(table, ia, table, ib, False).tolist() == [0.0, 0.0, 0.0]
+
+
+class TestGroupedPairsInReach:
+    """One sweep over every group finds the pairs of the per-group block test."""
+
+    @staticmethod
+    def per_group(a, a_sizes, b, b_sizes):
+        a_lo, b_lo = np.cumsum([0, *a_sizes]), np.cumsum([0, *b_sizes])
+        found = [_pairs_in_reach(a, a_lo[g], a_lo[g + 1], b, b_lo[g], b_lo[g + 1]) for g in range(len(a_sizes))]
+        return {(i, j) for ia, ib in found for i, j in zip(ia.tolist(), ib.tolist())}
+
+    @staticmethod
+    def grouped(a, a_sizes, b, b_sizes):
+        ia, ib = _grouped_pairs_in_reach(a, np.repeat(np.arange(len(a_sizes)), a_sizes),
+                                         b, np.repeat(np.arange(len(b_sizes)), b_sizes))
+        assert np.all(np.diff(ia) >= 0)
+        pairs = list(zip(ia.tolist(), ib.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        return set(pairs)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_pair_set_as_per_group_blocks(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        a_sizes = rng.integers(0, 30, 12).tolist()
+        b_sizes = rng.integers(0, 30, 12).tolist()
+        a_sizes[3] = b_sizes[5] = 0
+        boxes = [random_boxes(rng, n, 10.0) for n in (sum(a_sizes), sum(b_sizes))]
+        a, b = (_box_table([Box3D(p.x + offset, p.y, p.z, p.w, p.l, p.h, p.theta) for p in bs]) for bs in boxes)
+        want = self.per_group(a, a_sizes, b, b_sizes)
+        assert len(want) > 50
+        assert self.grouped(a, a_sizes, b, b_sizes) == want
+
+    def test_many_blocks_of_candidates(self):
+        # dense groups: far more than _GATE_CELLS candidates, swept block by block
+        rng = np.random.default_rng(9)
+        a_sizes, b_sizes = [400, 0, 350], [300, 200, 380]
+        a, b = (_box_table(random_boxes(rng, sum(sizes), 6.0)) for sizes in (a_sizes, b_sizes))
+        want = self.per_group(a, a_sizes, b, b_sizes)
+        assert len(want) > _GATE_CELLS  # so more than one block
+        assert self.grouped(a, a_sizes, b, b_sizes) == want
+
+    def test_exact_reach_shared_x_and_empty_sides(self):
+        # boxes at exactly the reach distance, one ulp beyond, and many equal x
+        fa, fb = SPECIAL_RECTS["at reach, corners meet"]
+        rects = [RotatedRect(*fa), RotatedRect(*fb), RotatedRect(*SPECIAL_RECTS["just outside reach"][1]),
+                 RotatedRect(0.0, 5.0, 3, 4, 0.0), RotatedRect(0.0, -3.0, 1, 1, 0.0)]
+        a, b = _rect_table(rects[:1] * 3), _rect_table(rects[1:] * 2)
+        for a_sizes, b_sizes in (([1, 1, 1], [4, 2, 2]), ([3], [8]), ([0, 3], [8, 0])):
+            assert self.grouped(a, a_sizes, b, b_sizes) == self.per_group(a, a_sizes, b, b_sizes)
+        assert self.grouped(a, [3], b, [8]) == {(i, j) for i in range(3) for j in (0, 2, 3, 4, 6, 7)}
+        empty = _box_table([])
+        assert self.grouped(empty, [0], b, [8]) == self.grouped(a, [3], empty, [0]) == set()

@@ -10,6 +10,7 @@ import pytest
 
 from uatrack.boxes import Box3D, BoxVariance
 from uatrack.io import (
+    MAX_FRAME_INDEX,
     DetectionRecord,
     FormatError,
     RunConfig,
@@ -157,7 +158,7 @@ class TestKittiLabels:
         with pytest.raises(FormatError, match=":2:"):
             parse_kitti_labels(path)
 
-    @pytest.mark.parametrize("frame", ["inf", "-3", "1.7"])
+    @pytest.mark.parametrize("frame", ["inf", "-3", "1.7", str(MAX_FRAME_INDEX + 1)])
     def test_bad_tracking_frame_names_line(self, tmp_path, frame):
         path = tmp_path / "seq.txt"
         path.write_text("0 2 " + self.CAR_LINE + "\n" + f"{frame} 2 " + self.CAR_LINE + "\n")
@@ -255,6 +256,7 @@ class TestReaderChecks:
         VAR_ROW.replace(",1.8,", ",-1,"),
         VAR_ROW[: -len("0.1")] + "0",
         "-1" + VAR_ROW[1:],
+        str(MAX_FRAME_INDEX + 1) + VAR_ROW[1:],
     ])
     def test_bad_detection_row_names_line(self, tmp_path, bad):
         path = tmp_path / "dets.csv"
@@ -267,6 +269,7 @@ class TestReaderChecks:
     @pytest.mark.parametrize("bad", [
         TRACK_ROW.replace(",Car,1,", ",Car,nan,"),
         "-1" + TRACK_ROW[1:],
+        str(MAX_FRAME_INDEX + 1) + TRACK_ROW[1:],
         TRACK_ROW,  # the same id twice in one frame
     ])
     def test_bad_track_row_names_line(self, tmp_path, bad):

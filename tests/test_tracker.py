@@ -258,16 +258,18 @@ class TestUkfUpdate:
     @staticmethod
     def _rejects_without_change(bad_x):
         # a detection's variance, corrupted after validation: step() raises
-        # before it touches any state
+        # before it touches any state, class codes included
         tracker = Tracker(TrackerConfig())
         for _ in range(3):
             tracker.step([detection(5.0, 5.0), detection(20.0, 0.0, class_id="Pedestrian")], 0.1)
         table, before, next_id = tracker.table, tracker.table.copy(), tracker._next_id
+        assert tracker.class_names == ("Car", "Pedestrian")
         bad = BoxVariance(1, 1, 1, 1, 1, 1, 1)
         object.__setattr__(bad, "var_x", -1.0)
         with pytest.raises(ValueError):
-            tracker.step([detection(bad_x, 5.0, variance=bad)], 0.1)
+            tracker.step([detection(-30.0, 0.0, class_id="Cyclist"), detection(bad_x, 5.0, variance=bad)], 0.1)
         assert tracker.table is table and tracker._next_id == next_id
+        assert tracker.class_names == ("Car", "Pedestrian")
         for name in before.dtype.names:
             assert np.array_equal(table[name], before[name]), name
 
@@ -444,6 +446,98 @@ class TestAssociate:
             assert got == pytest.approx(best, abs=1e-12)
 
 
+def dense_associate(t_xy, d_xy, t_cls, d_cls, gate):
+    """Reference matches: one LSAP on the full matrix, as _ref_associate solves it."""
+    if not len(t_xy) or not len(d_xy):
+        return []
+    dist = np.hypot(t_xy[:, 0:1] - d_xy[None, :, 0], t_xy[:, 1:2] - d_xy[None, :, 1])
+    allowed = (dist <= gate) & (np.asarray(t_cls)[:, None] == np.asarray(d_cls)[None, :])
+    rows, cols = linear_sum_assignment(np.where(allowed, dist, 1e9))
+    return [(ti, di) for ti, di in zip(rows.tolist(), cols.tolist()) if allowed[ti, di]]
+
+
+def sparse_frame(rng, n_tracks, gate, offset=0.0, ties=False):
+    """Tracks and detections at crowded density: two classes, clutter, and pairs exactly at the gate.
+
+    With ties, centers lie on a 0.5 m grid and some detections are
+    duplicated, so several matchings can share the best count and cost.
+    """
+    side = 10.0 * math.sqrt(n_tracks)
+    t_xy = rng.uniform(0.0, side, (n_tracks, 2))
+    seen = rng.permutation(n_tracks)[: int(0.9 * n_tracks)]
+    d_xy = np.concatenate([t_xy[seen] + rng.normal(0.0, 0.8 * gate, (len(seen), 2)),
+                           rng.uniform(0.0, side, (n_tracks // 4, 2))])
+    t_cls = rng.integers(0, 2, n_tracks)
+    d_cls = np.concatenate([t_cls[seen], rng.integers(0, 2, n_tracks // 4)])
+    if ties:
+        t_xy, d_xy = np.round(2.0 * t_xy) / 2.0, np.round(2.0 * d_xy) / 2.0
+        dup = rng.integers(0, len(d_xy), n_tracks // 5)
+        d_xy, d_cls = np.concatenate([d_xy, d_xy[dup]]), np.concatenate([d_cls, d_cls[dup]])
+    # exactly at the gate along each axis, and one ulp beyond: the tracks sit
+    # on a 1/64 m grid, so every sum here and with the offset is exact
+    at = rng.choice(n_tracks, 4, replace=False)
+    t_xy[at] = np.round(64.0 * t_xy[at]) / 64.0
+    edge = t_xy[at] + [[gate, 0.0], [0.0, -gate], [-gate, 0.0], [0.0, gate]]
+    edge[3, 1] = np.nextafter(edge[3, 1], np.inf)
+    d_xy, d_cls = np.concatenate([d_xy, edge]), np.concatenate([d_cls, t_cls[at]])
+    order = rng.permutation(len(d_xy))
+    return t_xy + offset, d_xy[order] + offset, t_cls, d_cls[order]
+
+
+class TestSparseAssociate:
+    """The sparse gate against one LSAP on the full matrix."""
+
+    GATE = 2.5
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("n_tracks", [15, 60, 240])
+    def test_matches_equal_dense(self, n_tracks, offset):
+        rng = np.random.default_rng(n_tracks)
+        contested = 0
+        for _ in range(10):
+            t_xy, d_xy, t_cls, d_cls = sparse_frame(rng, n_tracks, self.GATE, offset)
+            want = dense_associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
+            matches, free_t, free_d = associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
+            assert matches == want
+            assert free_t == sorted(set(range(len(t_xy))) - {t for t, _ in want})
+            assert free_d == sorted(set(range(len(d_xy))) - {d for _, d in want})
+            dist = np.hypot(*(t_xy[:, None, :] - d_xy[None, :, :]).transpose(2, 0, 1))
+            contested += int(((dist <= self.GATE).sum(axis=1) > 1).sum())
+        assert contested > 0  # the frames reach the assignment step, not only direct matches
+
+    def test_pairs_exactly_at_the_gate(self):
+        for offset in (0.0, 1e6):
+            t_xy = centers(offset + 1.0, offset + 2.0)
+            d_xy = centers(offset + 3.5, offset + 2.0, offset + 1.0, np.nextafter(offset + 4.5, np.inf))
+            matches, _, free_d = associate(t_xy, d_xy, [0], [0, 0], self.GATE)
+            assert matches == [(0, 0)] and free_d == [1]
+            matches, _, _ = associate(t_xy, d_xy[1:], [0], [0], self.GATE)
+            assert matches == []
+
+    @pytest.mark.parametrize("n_tracks", [15, 60, 240])
+    def test_exact_ties_keep_count_and_cost(self, n_tracks):
+        # where several matchings are optimal, the sparse gate may pick another one
+        rng = np.random.default_rng(100 + n_tracks)
+        for _ in range(10):
+            t_xy, d_xy, t_cls, d_cls = sparse_frame(rng, n_tracks, self.GATE, ties=True)
+            want = dense_associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
+            matches, _, _ = associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
+
+            def total(pairs):
+                return math.fsum(math.hypot(*(t_xy[t] - d_xy[d])) for t, d in pairs)
+
+            assert len(matches) == len(want)
+            assert total(matches) == pytest.approx(total(want), rel=1e-12)
+            assert all(t_cls[t] == d_cls[d] and math.hypot(*(t_xy[t] - d_xy[d])) <= self.GATE for t, d in matches)
+            assert len({t for t, _ in matches}) == len({d for _, d in matches}) == len(matches)
+
+    @pytest.mark.parametrize("n_tracks, n_dets", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side(self, n_tracks, n_dets):
+        t_xy, d_xy = np.zeros((n_tracks, 2)), np.zeros((n_dets, 2))
+        assert associate(t_xy, d_xy, [0] * n_tracks, [0] * n_dets, self.GATE) == (
+            [], list(range(n_tracks)), list(range(n_dets)))
+
+
 class TestTrackerLifecycle:
     def _stationary_det(self, score=0.9):
         return detection(10.0, 5.0, 0.2, BoxVariance(0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.001), score=score)
@@ -451,6 +545,17 @@ class TestTrackerLifecycle:
     def test_empty_in_empty_out(self):
         tracker = Tracker(TrackerConfig())
         assert tracker.step([], 0.1) == []
+
+    def test_class_codes_index_class_names(self):
+        tracker = Tracker(TrackerConfig(t_init=1))
+        out = tracker.step([detection(0.0, 0.0, class_id="Pedestrian"), detection(10.0, 0.0),
+                            detection(20.0, 0.0, class_id="Pedestrian")], 0.1)
+        assert tracker.class_names == ("Pedestrian", "Car")
+        assert tracker.table["class_id"].tolist() == [0, 1, 0]
+        assert [t.class_id for t in out] == ["Pedestrian", "Car", "Pedestrian"]
+        out = tracker.step([detection(10.0, 0.0), detection(40.0, 0.0, class_id="Cyclist")], 0.1)
+        assert tracker.class_names == ("Pedestrian", "Car", "Cyclist")
+        assert [t.class_id for t in out] == ["Pedestrian", "Car", "Pedestrian", "Cyclist"]
 
     def test_confirmation_at_t_init(self):
         cfg = TrackerConfig(t_init=3, t_drop=5)
