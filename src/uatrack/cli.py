@@ -16,15 +16,19 @@ import math
 import sys
 from dataclasses import fields, replace
 
-from .boxes import Box3D, DetectionRecord, encode_variance, self_anchor
+import numpy as np
+
+from .boxes import Box3D, DetectionRecord
 from .checks import run_loss_checks
 from .io import (
+    DetectionColumns,
     FormatError,
     config_from_dict,
     detections_to_frames,
     format_float,
     frames_of,
     read_config,
+    read_detection_columns,
     read_detections,
     read_tracks,
     tracks_to_frames,
@@ -34,9 +38,13 @@ from .io import (
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
 from .metrics import EvalConfig, TrackingReport, clear_mot, detection_pr
-from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, score_detection
+from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore
 from .sim import generate_scenario
 from .tracker import track_frames
+
+# encode_variance and score_detection stay bound here: the benchmark's tracer wraps them by name.
+from .boxes import encode_variance  # noqa: F401
+from .scoring import score_detection  # noqa: F401
 
 # Detection AP defaults to IoU 0.7, the KITTI car threshold; tracking
 # evaluation uses EvalConfig's default.
@@ -159,36 +167,29 @@ def _cmd_eval_det(args) -> int:
 
 # --- nms -----------------------------------------------------------------
 
-def _rescored(r: DetectionRecord, cfg: ScoreMapConfig) -> DetectionRecord:
-    s = encode_variance(r.variance, self_anchor(r.box), r.box)
-    return replace(r, box=replace(r.box, score=score_detection(r.box.score, s, cfg)))
-
-
-def _rescore_and_suppress(records: list[DetectionRecord], score_cfg: ScoreMapConfig, nms_cfg: NmsConfig):
-    """The records NMS keeps, frame by frame in ascending order, each frame in input order."""
-    rescore = score_cfg.strategy is not ScoreStrategy.NONE
-    # the rows of one file: either every row carries a variance or none does
-    if rescore and records and records[0].variance is None:
+def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig) -> DetectionColumns:
+    """The rows NMS keeps, rescored, frame by frame in ascending order, each frame in input order."""
+    rescoring = score_cfg.strategy is not ScoreStrategy.NONE
+    if rescoring and len(dets) and dets.var is None:
         raise FormatError("variance columns are required for uncertainty scoring")
-    out = []
-    for frame, recs in frames_of((r.frame, r) for r in records).items():
-        if rescore:
+    rows = dets.rows.copy()
+    kept = [np.zeros(0, dtype=np.intp)]
+    for frame, index in dets.by_frame():
+        if rescoring:
             try:
-                recs = [_rescored(r, score_cfg) for r in recs]
-            except ValueError as exc:  # a score <= 0, or a rescored value beyond float range
+                rows[index, 7] = rescore(rows[index], dets.var[index], score_cfg)
+            except (ArithmeticError, ValueError) as exc:  # a score <= 0, or an over- or underflow
                 raise FormatError(f"frame {frame}: cannot rescore: {exc}") from exc
-        kept = nms([r.box for r in recs], nms_cfg)
-        chosen = set(id(b) for b in kept)
-        out.extend(r for r in recs if id(r.box) in chosen)
-    return out
+        kept.append(index[np.sort(nms(rows[index], nms_cfg))])
+    return replace(dets, rows=rows).take(np.concatenate(kept))
 
 
 def _cmd_nms(args) -> int:
     cfg = config_from_dict(_config_dict(args))
-    records = read_detections(args.dets)
-    kept = _rescore_and_suppress(records, cfg.scoring, cfg.nms)
+    dets = read_detection_columns(args.dets)
+    kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms)
     write_detections(args.out, kept)
-    print(f"kept {len(kept)} of {len(records)} detections -> {args.out}")
+    print(f"kept {len(kept)} of {len(dets)} detections -> {args.out}")
     return 0
 
 
@@ -243,11 +244,11 @@ def _cmd_sweep(args) -> int:
             pred = track_frames(frames, cfg.tracker, cfg.scenario.dt)
             return _report_cells(clear_mot(gt, pred, cfg.eval), columns)
     else:
-        gt, records = read_tracks(args.gt), read_detections(args.dets)
+        gt, dets = read_tracks(args.gt), read_detection_columns(args.dets)
         columns = ["ap", "max_f1"]
 
         def score(cfg):
-            kept = _rescore_and_suppress(records, cfg.scoring, cfg.nms)
+            kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms).records()
             return [format_float(v) for v in _detection_scores(gt, kept, cfg.eval)]
 
     write_table(args.out, [key for key, _ in axes] + columns, (cells + score(cfg) for cells, cfg in grid))

@@ -4,10 +4,17 @@ Detections and tracks travel as versioned CSV files with a fixed header;
 floats are printed with 9 significant digits.  That is exact for float32
 but not for float64: a value read back may differ from the one written
 by up to half a unit in its ninth significant digit.  A file written
-here reads back and writes again to the same bytes.  Its detection rows
-are the DetectionRecord rows the simulator emits; `frames_of` is the one
-grouping of rows by frame.  KITTI object/tracking label files can be
-imported as ground truth.  Run configuration is namespaced JSON with
+here reads back and writes again to the same bytes.
+
+One table reader serves detection and track files: it splits a file
+into columns, parses each field with int or float, and checks whole
+columns at once; the first bad row, by the order a row-by-row reader
+would check, raises FormatError naming its path:line.  A detection file
+reads as DetectionColumns, arrays with one entry per row (the form
+`uatrack nms` carries from reader to writer), or as the DetectionRecord
+rows the simulator emits; `frames_of` groups (frame, item) pairs by
+frame.  KITTI object/tracking label files can be imported as ground
+truth.  Run configuration is namespaced JSON with
 strict key checking; its keys and defaults are the fields of the config
 dataclasses, each stored under its own name and in its own form.
 
@@ -29,10 +36,14 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import islice, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .boxes import BOX_FIELDS, Box3D, BoxVariance, DetectionRecord, FrameDetections, box_values, wrap_angle
 from .metrics import EvalConfig
+from .motion import wrap_angles
 from .scoring import NmsConfig, ScoreMapConfig
 from .sim import ScenarioConfig
 from .tracker import TrackerConfig
@@ -57,16 +68,64 @@ class FormatError(ValueError):
     """Raised when a file does not match the expected layout."""
 
 
+_FLOAT_FORMAT = ".9g"
+
+
 def format_float(x: float) -> str:
     """A float printed with 9 significant digits, the precision of every emitted file."""
-    return format(float(x), ".9g")
+    return format(float(x), _FLOAT_FORMAT)
 
 
-def _box_fields(box: Box3D) -> list[str]:
-    return [box.class_id] + [format_float(v) for v in (*box_values(box), box.score)]
+@dataclass(frozen=True)
+class DetectionColumns:
+    """Detection rows as columns, one entry per row, in file order.
+
+    `rows` holds each box's BOX_FIELDS values, theta wrapped to
+    (-pi, pi], then its score; `var` holds its variances in BOX_FIELDS
+    order, or is None where the rows carry none.
+    """
+
+    frame: np.ndarray  # (n,) int64 frame indices
+    class_id: np.ndarray  # (n,) class names, dtype object
+    rows: np.ndarray  # (n, 8)
+    var: np.ndarray | None = None  # (n, 7)
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def of(cls, records: list[DetectionRecord]) -> DetectionColumns:
+        """The records as columns; variances are all-or-none."""
+        with_var = [r.variance is not None for r in records]
+        if any(with_var) and not all(with_var):
+            raise FormatError("either every record carries a variance or none does")
+        n = len(records)
+        return cls(
+            np.fromiter((r.frame for r in records), np.int64, n),
+            np.array([r.box.class_id for r in records], dtype=object),
+            np.array([(*box_values(r.box), r.box.score) for r in records], dtype=float).reshape(n, 8),
+            np.array([r.variance.as_tuple() for r in records], dtype=float) if n and with_var[0] else None,
+        )
+
+    def records(self) -> list[DetectionRecord]:
+        """The rows as DetectionRecords."""
+        variances = self.var.tolist() if self.var is not None else [None] * len(self)
+        return [DetectionRecord(f, Box3D(*r[:7], class_id=c, score=r[7]), None if v is None else BoxVariance(*v))
+                for f, c, r, v in zip(self.frame.tolist(), self.class_id.tolist(), self.rows.tolist(), variances)]
+
+    def take(self, index: np.ndarray) -> DetectionColumns:
+        """The rows at the given indices, in that order."""
+        return DetectionColumns(self.frame[index], self.class_id[index], self.rows[index],
+                                None if self.var is None else self.var[index])
+
+    def by_frame(self) -> list[tuple[int, np.ndarray]]:
+        """(frame, row indices) for each frame present: frames ascending, each frame's rows in input order."""
+        order = self.frame.argsort(kind="stable")
+        frames, starts = np.unique(self.frame[order], return_index=True)
+        return list(zip(frames.tolist(), np.split(order, starts[1:])))
 
 
-def write_table(path: str | Path | None, header: list[str], rows: Iterable[list[str]]) -> None:
+def write_table(path: str | Path | None, header: list[str], rows: Iterable[Iterable[str]]) -> None:
     """Write the version line, the header and one comma-joined line per row.
 
     The table goes to stdout when there is no path.
@@ -78,21 +137,54 @@ def write_table(path: str | Path | None, header: list[str], rows: Iterable[list[
         sys.stdout.write(text)
 
 
-def write_detections(path: str | Path, records: list[DetectionRecord]) -> None:
-    """Write detection records; variance columns are all-or-none."""
-    with_var = [r.variance is not None for r in records]
-    if any(with_var) and not all(with_var):
-        raise FormatError("either every record carries a variance or none does")
-    has_var = bool(records) and with_var[0]
-    rows = ([str(r.frame), *_box_fields(r.box), *(map(format_float, r.variance.as_tuple()) if has_var else ())]
-            for r in records)
+def write_detections(path: str | Path, records: list[DetectionRecord] | DetectionColumns) -> None:
+    """Write detection rows, given as records or as columns; variance columns are all-or-none."""
+    dets = records if isinstance(records, DetectionColumns) else DetectionColumns.of(records)
+    has_var = dets.var is not None and len(dets) > 0  # no rows: no variance columns either
+    values = np.hstack([dets.rows, dets.var]) if has_var else dets.rows
+    floats = ",".join(["%" + _FLOAT_FORMAT] * values.shape[1])  # %-formatting prints what format_float prints
+    rows = ((str(f), c, floats % tuple(v))
+            for f, c, v in zip(dets.frame.tolist(), dets.class_id.tolist(), values.tolist()))
     write_table(path, DET_COLUMNS_VAR if has_var else DET_COLUMNS, rows)
 
 
-def _read_table(path: str | Path, headers: list[list[str]], parse_row: Callable[[list[str]], object]) -> list:
-    """Each non-blank row of a versioned table with one of the given headers, parsed.
+class _Faults:
+    """The first bad row of a table whose checks run column by column.
 
-    A ValueError from `parse_row` becomes a FormatError naming the row's path:line.
+    Checks are made in the order a row-by-row reader makes them: the
+    earliest bad row wins, and within a row the check made first, so the
+    error is the one a row-by-row reader would raise.
+    """
+
+    def __init__(self, path: str | Path, lines: list[str], n_rows: int):
+        self.path, self.lines, self.n_rows = path, lines, n_rows  # the data lines, blank ones too
+        self.row, self.message = n_rows, ""
+
+    def note(self, row: int, message: str) -> None:
+        if row < self.row:
+            self.row, self.message = row, message
+
+    def check(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Note the first row where `bad` holds; message(row) says what is wrong with it."""
+        hits = np.flatnonzero(bad[: self.row])
+        if len(hits):
+            self.note(int(hits[0]), message(int(hits[0])))
+
+    def lineno(self, row: int) -> int:
+        """The line number of the row-th non-blank data line."""
+        return next(islice((n for n, line in enumerate(self.lines, start=3) if line.strip()), row, None))
+
+    def raise_first(self) -> None:
+        """Raise FormatError naming the first bad row's path:line, if there is one."""
+        if self.row < self.n_rows:
+            raise FormatError(f"{self.path}:{self.lineno(self.row)}: {self.message}")
+
+
+def _read_table(path: str | Path, headers: list[list[str]]) -> tuple[list[list[str]], _Faults]:
+    """The columns of a versioned table with one of the given headers, and the faults of its rows.
+
+    Blank lines are skipped.  A row without the header's field count
+    raises FormatError naming its path:line.
     """
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != FORMAT_VERSION_LINE:
@@ -101,37 +193,93 @@ def _read_table(path: str | Path, headers: list[list[str]], parse_row: Callable[
     if header not in [",".join(columns) for columns in headers]:
         raise FormatError(f"{path}: unrecognized header {header!r}")
     want = header.count(",") + 1
-    rows = [(lineno, line.split(",")) for lineno, line in enumerate(text[2:], start=3) if line.strip()]
-    del text  # the rows hold every field; free the lines before parsing
-    for lineno, parts in rows:
-        if len(parts) != want:
-            raise FormatError(f"{path}:{lineno}: expected {want} fields, got {len(parts)}")
-    out = []
-    for lineno, parts in rows:
+    lines = text[2:]
+    rows = [line for line in lines if line.strip()]
+    faults = _Faults(path, lines, len(rows))
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+    bad = np.flatnonzero(commas != want - 1)
+    if len(bad):
+        row = int(bad[0])
+        raise FormatError(f"{path}:{faults.lineno(row)}: expected {want} fields, got {commas[row] + 1}")
+    fields = ",".join(rows).split(",") if rows else []
+    return [fields[k::want] for k in range(want)], faults
+
+
+def _parsed(column: list[str], parse: Callable[[str], object], faults: _Faults, dtype=float) -> np.ndarray:
+    """Each text of the column parsed by `parse`; the first it rejects is a fault, and holds 0 as every later row does."""
+    try:
+        return np.fromiter(map(parse, column), dtype, len(column))
+    except (ValueError, OverflowError):
+        pass
+    out = np.zeros(len(column), dtype)
+    for row, text in enumerate(column):
         try:
-            out.append(parse_row(parts))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            out[row] = parse(text)
+        except (ValueError, OverflowError) as exc:
+            faults.note(row, str(exc))
+            break
     return out
 
 
+def _frame_fault(frame: int) -> str:
+    return f"negative frame index {frame}" if frame < 0 else f"frame index {frame} above the maximum {MAX_FRAME_INDEX}"
+
+
 def _frame_index(text: str) -> int:
-    """A row's frame index; raises ValueError unless it is an integer in [0, MAX_FRAME_INDEX]."""
+    """A frame index; raises ValueError unless it is an integer in [0, MAX_FRAME_INDEX]."""
     frame = int(text)
-    if frame < 0:
-        raise ValueError(f"negative frame index {frame}")
-    if frame > MAX_FRAME_INDEX:
-        raise ValueError(f"frame index {frame} above the maximum {MAX_FRAME_INDEX}")
+    if not 0 <= frame <= MAX_FRAME_INDEX:
+        raise ValueError(_frame_fault(frame))
     return frame
 
 
-def read_detections(path: str | Path) -> list[DetectionRecord]:
-    def parse(parts: list[str]) -> DetectionRecord:
-        frame, vals = _frame_index(parts[0]), [float(v) for v in parts[2:]]
-        box = Box3D(*vals[:7], class_id=parts[1], score=vals[7])
-        return DetectionRecord(frame, box, BoxVariance(*vals[8:]) if len(vals) > 8 else None)
+def _frames(column: list[str], faults: _Faults) -> np.ndarray:
+    """The frame column as int64, each text parsed by int; an index outside [0, MAX_FRAME_INDEX] is a fault."""
+    frame = _parsed(column, int, faults)  # as float64, exact for every index in range
+    faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(column[row])))
+    return frame.clip(-1, MAX_FRAME_INDEX + 1).astype(np.int64)
 
-    return _read_table(path, [DET_COLUMNS, DET_COLUMNS_VAR], parse)
+
+def _floats(columns: list[list[str]], faults: _Faults) -> np.ndarray:
+    """The columns, each text parsed by float, as an (n, k) block."""
+    return np.column_stack([_parsed(column, float, faults) for column in columns])
+
+
+def _check_boxes(values: np.ndarray, faults: _Faults) -> None:
+    """Note the first row whose box has a value that is not finite or a non-positive w, l or h.
+
+    A row's box is its first 8 values: BOX_FIELDS, then score.
+    """
+    box = values[:, :8]
+    faults.check(~np.isfinite(box).all(axis=1), lambda row: f"box values must be finite, got {tuple(box[row].tolist())}")
+    w, l, h = box[:, 3], box[:, 4], box[:, 5]
+    faults.check(~((w > 0.0) & (l > 0.0) & (h > 0.0)),
+                 lambda row: "box dimensions must be positive, got w={} l={} h={}".format(*box[row, 3:6].tolist()))
+
+
+def read_detection_columns(path: str | Path) -> DetectionColumns:
+    """A detection file as columns, every row checked.
+
+    Each field is parsed by int or float; frame indices must lie in
+    [0, MAX_FRAME_INDEX], box values and scores be finite, extents and
+    variances positive.  The first bad row raises FormatError naming
+    its path:line.
+    """
+    columns, faults = _read_table(path, [DET_COLUMNS, DET_COLUMNS_VAR])
+    frame = _frames(columns[0], faults)
+    values = _floats(columns[2:], faults)
+    _check_boxes(values, faults)
+    var = values[:, 8:] if len(columns) == len(DET_COLUMNS_VAR) else None
+    if var is not None:
+        faults.check(~((var > 0.0) & (var < math.inf)).all(axis=1), lambda row: "variances must be finite and positive")
+    faults.raise_first()
+    values[:, 6] = wrap_angles(values[:, 6])
+    return DetectionColumns(frame, np.array(columns[1], dtype=object), values[:, :8], var)
+
+
+def read_detections(path: str | Path) -> list[DetectionRecord]:
+    """A detection file's rows as DetectionRecords (see read_detection_columns)."""
+    return read_detection_columns(path).records()
 
 
 def frames_of(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
@@ -156,23 +304,27 @@ def detections_to_frames(records: list[DetectionRecord]) -> list[FrameDetections
 
 def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
     """Write (frame, track id, box) rows."""
-    write_table(path, TRACK_COLUMNS, ([str(frame), str(track_id), *_box_fields(box)] for frame, track_id, box in rows))
+    write_table(path, TRACK_COLUMNS, ([str(frame), str(track_id), box.class_id,
+                                       *map(format_float, (*box_values(box), box.score))]
+                                      for frame, track_id, box in rows))
 
 
 def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:
-    """Read (frame, track id, box) rows; an id appears at most once per frame."""
+    """Read (frame, track id, box) rows, checked as read_detection_columns checks them; an id appears at most once per frame."""
+    columns, faults = _read_table(path, [TRACK_COLUMNS])
+    frame = _frames(columns[0], faults).tolist()
+    values = _floats(columns[3:], faults)
+    ids = _parsed(columns[1], int, faults, dtype=object).tolist()
+    _check_boxes(values, faults)
     seen: set[tuple[int, int]] = set()
-
-    def parse(parts: list[str]) -> tuple[int, int, Box3D]:
-        frame, vals = _frame_index(parts[0]), [float(v) for v in parts[3:]]
-        track_id = int(parts[1])
-        box = Box3D(*vals[:7], class_id=parts[2], score=vals[7])
-        if (frame, track_id) in seen:
-            raise ValueError(f"id {track_id} repeated in frame {frame}")
-        seen.add((frame, track_id))
-        return frame, track_id, box
-
-    return _read_table(path, [TRACK_COLUMNS], parse)
+    for row, key in enumerate(zip(frame, ids)):
+        if key in seen:
+            faults.note(row, f"id {key[1]} repeated in frame {key[0]}")
+            break
+        seen.add(key)
+    faults.raise_first()
+    values[:, 6] = wrap_angles(values[:, 6])
+    return [(f, i, Box3D(*v[:7], class_id=c, score=v[7])) for f, i, c, v in zip(frame, ids, columns[2], values.tolist())]
 
 
 def tracks_to_frames(rows: list[tuple[int, int, Box3D]]) -> list[list[tuple[int, Box3D]]]:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .boxes import Box3D, EncodedLogVar
+import numpy as np
+
+from .boxes import EncodedLogVar
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
-from .geometry import _box_table, _pair_iou, _pairs_in_reach, iou_3d, iou_bev  # noqa: F401
+from .geometry import _pair_iou, _pairs_in_reach, _table, iou_3d, iou_bev  # noqa: F401
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
@@ -70,12 +72,13 @@ class NmsConfig:
             raise ValueError("pre_top_k must be >= 1")
 
 
+def _aggregate(logvars: Sequence[float], mode: AggregateMode) -> float:
+    return max(logvars) if mode is AggregateMode.MAX else sum(logvars)
+
+
 def aggregate_logvar(s: EncodedLogVar, mode: AggregateMode) -> float:
     """Collapse the seven per-parameter log-variances to one scalar."""
-    values = s.as_tuple()
-    if mode is AggregateMode.MAX:
-        return max(values)
-    return sum(values)
+    return _aggregate(s.as_tuple(), mode)
 
 
 def _log_sigmoid(x: float) -> float:
@@ -110,33 +113,58 @@ def combined_score(detection_score: float, log_beta_s: float, alpha: float = 1.0
     return math.exp(log_beta)
 
 
-def score_detection(detection_score: float, s: EncodedLogVar, cfg: ScoreMapConfig) -> float:
-    """Full pipeline: aggregate, map and combine into the rescored value."""
-    g = aggregate_logvar(s, cfg.aggregate)
+def _score(detection_score: float, logvars: Sequence[float], cfg: ScoreMapConfig) -> float:
+    g = _aggregate(logvars, cfg.aggregate)
     return combined_score(detection_score, map_uncertainty_to_logscore(g, cfg), cfg.alpha)
 
 
-def nms(boxes: Sequence[Box3D], cfg: NmsConfig) -> list[Box3D]:
-    """Greedy suppression by descending score.
+def score_detection(detection_score: float, s: EncodedLogVar, cfg: ScoreMapConfig) -> float:
+    """Full pipeline: aggregate, map and combine into the rescored value."""
+    return _score(detection_score, s.as_tuple(), cfg)
 
-    At most pre_top_k highest-scoring boxes are considered; a box is
-    dropped when its IoU with any already-kept box exceeds the
-    threshold.  Score ties break toward the lower input index.  The IoU
-    of each candidate with every box ranked before it and in reach is
-    scored in one kernel call, with the candidate as the first box;
-    the input objects are returned.
+
+def rescore(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
+    """Each row's rescored value, without building a box: score_detection(score,
+    encode_variance(var, self_anchor(box), box), cfg).
+
+    rows is an (n, 8) block (BOX_FIELDS values, then score) and var the
+    rows' (n, 7) variances.  The self-anchored encoding is the one step
+    stated here again: with the anchor at the box, x and y scale by the
+    squared BEV diagonal and each extent by its own square.  Its
+    operations are Python's, value by value in encode_variance's order,
+    so every value, and the first row's error where one fails, is that
+    of the object path bit for bit.
     """
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))[: cfg.pre_top_k]
-    ranked = [boxes[i] for i in order]
-    table = _box_table(ranked)
-    later, earlier = _pairs_in_reach(table, 0, len(ranked), table, 0, len(ranked))
+    def one(row, v):
+        _, _, _, w, l, h, _, score = row
+        d2 = math.hypot(l, w) ** 2
+        return _score(score, (math.log(v[0] / d2), math.log(v[1] / d2), math.log(v[2] / h**2),
+                              math.log(v[3] / w**2), math.log(v[4] / l**2), math.log(v[5] / h**2),
+                              math.log(v[6])), cfg)
+
+    return np.fromiter(map(one, rows.tolist(), var.tolist()), float, len(rows))
+
+
+def nms(rows: np.ndarray, cfg: NmsConfig) -> np.ndarray:
+    """Greedy suppression by descending score over one frame's rows; the kept row indices, in rank order.
+
+    rows is an (n, 8) block: BOX_FIELDS values, then score.  At most
+    pre_top_k highest-scoring rows are considered; a row is dropped when
+    its IoU with any already-kept row exceeds the threshold.  Score ties
+    break toward the lower row index.  The IoU of each candidate with
+    every row ranked before it and in reach is scored in one kernel
+    call, with the candidate as the first box.
+    """
+    order = (-rows[:, 7]).argsort(kind="stable")[: cfg.pre_top_k]
+    table = _table(rows[order, :7])
+    later, earlier = _pairs_in_reach(table, 0, len(order), table, 0, len(order))
     once = later > earlier
     later, earlier = later[once], earlier[once]
     over = _pair_iou(table, later, table, earlier, cfg.iou_kind is IouKind.THREE_D) > cfg.iou_threshold
-    rivals: list[list[int]] = [[] for _ in ranked]
+    rivals: list[list[int]] = [[] for _ in order]
     for r, c in zip(later[over].tolist(), earlier[over].tolist()):
         rivals[r].append(c)
-    kept = [False] * len(ranked)
+    kept = [False] * len(order)
     for r, cols in enumerate(rivals):
         kept[r] = not any(kept[c] for c in cols)
-    return [box for box, k in zip(ranked, kept) if k]
+    return order[kept]

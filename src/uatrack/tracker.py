@@ -371,6 +371,8 @@ class Tracker:
         """
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be finite and > 0")
+        if not len(self.table) and not detections:
+            return []  # nothing to predict, match or spawn: the step changes nothing
         cfg = self.config
         dets, class_names = self._read_frame(detections)
         table = self.table.copy()

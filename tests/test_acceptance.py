@@ -19,6 +19,7 @@ from uatrack.boxes import (
     DetectionRecord,
     EncodedLogVar,
     EncodedTarget,
+    box_values,
     decode_box,
     decode_variance,
 )
@@ -375,7 +376,8 @@ def _nms_ap(gt, proposals, strategy):
     for box, s in proposals:
         rescored = score_detection(box.score, s, cfg) if strategy is not ScoreStrategy.NONE else box.score
         boxes.append(Box3D(box.x, box.y, box.z, box.w, box.l, box.h, box.theta, box.class_id, rescored))
-    kept = nms(boxes, NmsConfig(iou_threshold=0.5))
+    rows = np.array([(*box_values(b), b.score) for b in boxes])
+    kept = [boxes[i] for i in nms(rows, NmsConfig(iou_threshold=0.5))]
     ap, _, _ = detection_pr([gt], [kept], EvalConfig(iou_threshold=0.7))
     return ap
 

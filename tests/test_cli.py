@@ -170,6 +170,35 @@ class TestNmsCommand:
         assert rc == 2
         assert "error: frame 0: cannot rescore: rescored value" in capsys.readouterr().err
 
+    def test_unsorted_file_names_the_lowest_bad_frame(self, tmp_path, capsys):
+        # frames are rescored in ascending order, whatever the file's order
+        from uatrack.boxes import Box3D, BoxVariance
+        from uatrack.io import DetectionRecord, write_detections
+
+        path = tmp_path / "dets.csv"
+        write_detections(path, [DetectionRecord(f, Box3D(0, 0, 0, 1.6, 3.9, 1.5, 0, score=s), BoxVariance(*[0.1] * 7))
+                                for f, s in [(5, 0.0), (0, 0.5), (2, 0.7), (2, -0.5)]])
+        assert run(["nms", "--dets", str(path), "--out", str(tmp_path / "kept.csv"), "--strategy", "linear"]) == 2
+        assert "error: frame 2: cannot rescore: detection_score must be > 0" in capsys.readouterr().err
+
+    def test_rescoring_arithmetic_error_exits_2_naming_the_frame(self, tmp_path, capsys):
+        # h squared underflows to 0 in the self-anchored encoding
+        from uatrack.boxes import Box3D, BoxVariance
+        from uatrack.io import DetectionRecord, write_detections
+
+        path = tmp_path / "dets.csv"
+        write_detections(path, [DetectionRecord(3, Box3D(0, 0, 0, 1.6, 3.9, 1e-200, 0, score=0.5), BoxVariance(*[0.1] * 7))])
+        assert run(["nms", "--dets", str(path), "--out", str(tmp_path / "kept.csv"), "--strategy", "linear"]) == 2
+        assert "error: frame 3: cannot rescore: float division by zero" in capsys.readouterr().err
+
+    def test_empty_file_keeps_nothing_and_writes_no_variance_columns(self, tmp_path):
+        from uatrack.io import DET_COLUMNS, DET_COLUMNS_VAR
+
+        path, out = tmp_path / "dets.csv", tmp_path / "kept.csv"
+        path.write_text("# uatrack-v1\n" + ",".join(DET_COLUMNS_VAR) + "\n")
+        assert run(["nms", "--dets", str(path), "--out", str(out), "--strategy", "exponential"]) == 0
+        assert out.read_text() == "# uatrack-v1\n" + ",".join(DET_COLUMNS) + "\n"
+
     def test_exponential_overflow_rescores_to_zero(self, tmp_path):
         rc, out = self._nms(tmp_path, [0.5, 0.9], "--strategy", "exponential", "--bs", "1000")
         assert rc == 0
@@ -221,6 +250,33 @@ class TestSweep:
                     "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 6
+
+    def test_nms_sweep_equals_nms_then_eval_det(self, tmp_path):
+        """A sweep cell scores what `nms` then `eval-det` score, for every strategy."""
+        from dataclasses import replace
+
+        from uatrack.io import write_detections
+
+        gt = tmp_path / "gt.csv"
+        dets = tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "6", "--n-frames", "30",
+                    "--fp-rate", "0.5", "--seed", "9"]) == 0
+        # shifted near-duplicates of every detection, so that NMS and the rescoring both decide
+        records = read_detections(dets)
+        dup = tmp_path / "dup.csv"
+        write_detections(dup, records + [replace(r, box=replace(r.box, x=r.box.x + 0.3)) for r in records])
+        strategies = ["none", "linear", "exponential", "sigmoid"]
+        rows = tmp_path / "rows.csv"
+        assert run(["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dup), "--param",
+                    "scoring.strategy=" + ",".join(strategies), "--param", "scoring.k_s=0.05", "--out", str(rows)]) == 0
+        cells = rows.read_text().splitlines()[2:]
+        assert len(cells) == len(strategies)
+        for strategy, cell in zip(strategies, cells):
+            kept, rep = tmp_path / f"kept_{strategy}.csv", tmp_path / f"rep_{strategy}.csv"
+            assert run(["nms", "--dets", str(dup), "--out", str(kept), "--strategy", strategy, "--ks", "0.05"]) == 0
+            assert len(read_detections(kept)) < len(records) * 2
+            assert run(["eval-det", "--gt", str(gt), "--dets", str(kept), "--out", str(rep)]) == 0
+            assert cell == ",".join([strategy, "0.05", rep.read_text().splitlines()[2]])
 
     def test_unknown_param_rejected(self, tmp_path):
         gt = tmp_path / "gt.csv"

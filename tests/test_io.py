@@ -1,5 +1,6 @@
 """File formats, KITTI import, and config round trips."""
 
+import itertools
 import json
 import math
 import re
@@ -10,7 +11,9 @@ import pytest
 
 from uatrack.boxes import Box3D, BoxVariance
 from uatrack.io import (
+    DET_COLUMNS_VAR,
     MAX_FRAME_INDEX,
+    TRACK_COLUMNS,
     DetectionRecord,
     FormatError,
     RunConfig,
@@ -277,6 +280,68 @@ class TestReaderChecks:
         _write_rows(path, "frame,id,class,x,y,z,w,l,h,theta,score", [TRACK_ROW, bad])
         with pytest.raises(FormatError, match=":4:"):
             read_tracks(path)
+
+    # (column, bad value, error) of one fault each, in the order a row's checks run
+    DET_FAULTS = [
+        ("frame", "-1", "negative frame index -1"),
+        ("y", "abc", "could not convert"),
+        ("x", "nan", "box values must be finite"),
+        ("w", "-1", "box dimensions must be positive"),
+        ("var_h", "0", "variances must be finite and positive"),
+    ]
+    TRACK_FAULTS = [
+        ("frame", "1.5", "invalid literal"),
+        ("x", "abc", "could not convert"),
+        ("id", "x", "invalid literal"),
+        ("h", "0", "box dimensions must be positive"),
+        ("score", "inf", "box values must be finite"),
+        ("id", "1", "id 1 repeated in frame 0"),  # line 3 holds id 1 in frame 0
+    ]
+
+    @staticmethod
+    def _with(row, columns, name, value):
+        parts = row.split(",")
+        parts[columns.index(name)] = value
+        return ",".join(parts)
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(range(len(DET_FAULTS)), 2))
+    def test_detection_file_names_the_earlier_of_two_faults(self, tmp_path, first, second):
+        (name, value, error), fault = self.DET_FAULTS[first], self.DET_FAULTS[second]
+        path = tmp_path / "dets.csv"
+        # the blank line 4 counts: the first fault is on line 5
+        _write_rows(path, ",".join(DET_COLUMNS_VAR), [
+            VAR_ROW, "", self._with(VAR_ROW, DET_COLUMNS_VAR, name, value),
+            VAR_ROW, self._with(VAR_ROW, DET_COLUMNS_VAR, *fault[:2]),
+        ])
+        with pytest.raises(FormatError, match=f"dets.csv:5: {error}"):
+            read_detections(path)
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(range(len(TRACK_FAULTS)), 2))
+    def test_track_file_names_the_earlier_of_two_faults(self, tmp_path, first, second):
+        (name, value, error), fault = self.TRACK_FAULTS[first], self.TRACK_FAULTS[second]
+        row = self._with(TRACK_ROW, TRACK_COLUMNS, "id", "2")
+        path = tmp_path / "tracks.csv"
+        _write_rows(path, ",".join(TRACK_COLUMNS), [
+            TRACK_ROW, "", self._with(self._with(row, TRACK_COLUMNS, "id", "3"), TRACK_COLUMNS, name, value),
+            row, self._with(self._with(row, TRACK_COLUMNS, "id", "4"), TRACK_COLUMNS, *fault[:2]),
+        ])
+        with pytest.raises(FormatError, match=f"tracks.csv:5: {error}"):
+            read_tracks(path)
+
+    @pytest.mark.parametrize("columns, row, faults, error", [
+        (DET_COLUMNS_VAR, VAR_ROW, [("w", "-1"), ("frame", "-1")], "negative frame index"),
+        (DET_COLUMNS_VAR, VAR_ROW, [("x", "nan"), ("y", "abc")], "could not convert"),
+        (DET_COLUMNS_VAR, VAR_ROW, [("var_x", "0"), ("h", "0")], "box dimensions must be positive"),
+        (TRACK_COLUMNS, TRACK_ROW, [("x", "nan"), ("id", "x")], "invalid literal"),
+    ])
+    def test_one_row_with_two_faults_names_the_check_a_row_reader_makes_first(self, tmp_path, columns, row, faults,
+                                                                             error):
+        for name, value in faults:
+            row = self._with(row, columns, name, value)
+        path = tmp_path / "table.csv"
+        _write_rows(path, ",".join(columns), [row])
+        with pytest.raises(FormatError, match=f"table.csv:3: {error}"):
+            (read_tracks if columns == TRACK_COLUMNS else read_detections)(path)
 
     @pytest.mark.parametrize("frame", [-1])
     def test_tracks_to_frames_range_checked(self, frame):

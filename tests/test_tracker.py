@@ -546,6 +546,27 @@ class TestTrackerLifecycle:
         tracker = Tracker(TrackerConfig())
         assert tracker.step([], 0.1) == []
 
+    def test_empty_step_on_an_empty_table_returns_at_once(self, monkeypatch):
+        import uatrack.tracker as tracker_module
+
+        tracker = Tracker(TrackerConfig(t_drop=2))
+        tracker.step([detection(10.0, 5.0)], 0.1)
+        while len(tracker.table):
+            tracker.step([], 0.1)
+        table, class_names, next_id = tracker.table, tracker.class_names, tracker._next_id
+        assert class_names == ("Car",) and next_id == 2
+
+        def called(*args, **kwargs):
+            raise AssertionError("an empty step reached the filter or the association")
+
+        monkeypatch.setattr(tracker_module, "ukf_predict_batch", called)
+        monkeypatch.setattr(tracker_module, "associate", called)
+        for _ in range(3):
+            assert tracker.step([], 0.1) == []
+        assert tracker.table is table and tracker.class_names == class_names and tracker._next_id == next_id
+        with pytest.raises(ValueError, match="dt"):
+            tracker.step([], 0.0)
+
     def test_class_codes_index_class_names(self):
         tracker = Tracker(TrackerConfig(t_init=1))
         out = tracker.step([detection(0.0, 0.0, class_id="Pedestrian"), detection(10.0, 0.0),
