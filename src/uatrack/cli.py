@@ -18,7 +18,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .boxes import Box3D, DetectionRecord
 from .checks import run_loss_checks
 from .io import (
     DetectionColumns,
@@ -26,10 +25,10 @@ from .io import (
     config_from_dict,
     detections_to_frames,
     format_float,
-    frames_of,
     read_config,
     read_detection_columns,
     read_detections,
+    read_track_columns,
     read_tracks,
     tracks_to_frames,
     write_detections,
@@ -37,13 +36,14 @@ from .io import (
     write_tracks,
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
-from .metrics import EvalConfig, TrackingReport, clear_mot, detection_pr
+from .metrics import TrackingReport, clear_mot, detection_pr_rows
 from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore
 from .sim import generate_scenario
 from .tracker import track_frames
 
-# encode_variance and score_detection stay bound here: the benchmark's tracer wraps them by name.
+# encode_variance, score_detection and detection_pr stay bound here: the benchmark's tracer wraps them by name.
 from .boxes import encode_variance  # noqa: F401
+from .metrics import detection_pr  # noqa: F401
 from .scoring import score_detection  # noqa: F401
 
 # Detection AP defaults to IoU 0.7, the KITTI car threshold; tracking
@@ -95,21 +95,6 @@ def _report_cells(report: TrackingReport, columns: list[str]) -> list[str]:
     return [format_float(v) if isinstance(v, float) else str(v) for v in values]
 
 
-def _detection_scores(gt_rows: list[tuple[int, int, Box3D]], records: list[DetectionRecord],
-                      cfg: EvalConfig) -> tuple[float, float]:
-    """AP and max F1 (percent) of detection records against ground-truth track rows.
-
-    Only the frames that hold a ground-truth box or a detection are
-    scored: any other frame adds nothing to the sweep, so memory does
-    not grow with the largest frame index.
-    """
-    gt = frames_of((frame, box) for frame, _, box in gt_rows)
-    pred = frames_of((r.frame, r.box) for r in records)
-    frames = sorted(gt.keys() | pred.keys())
-    ap, max_f1, _ = detection_pr([gt.get(f, []) for f in frames], [pred.get(f, []) for f in frames], cfg)
-    return ap, max_f1
-
-
 # --- simulate ------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
@@ -157,7 +142,9 @@ def _cmd_eval_track(args) -> int:
 
 def _cmd_eval_det(args) -> int:
     cfg = config_from_dict(_config_dict(args, DET_IOU_THRESHOLD)).eval
-    ap, max_f1 = _detection_scores(read_tracks(args.gt), read_detections(args.dets), cfg)
+    gt = read_track_columns(args.gt)
+    dets = read_detection_columns(args.dets)
+    ap, max_f1, _ = detection_pr_rows((gt.frame, gt.rows), (dets.frame, dets.rows), cfg)
     print(f"AP:     {ap:.2f} %")
     print(f"Max F1: {max_f1:.2f} %")
     if args.out:
@@ -244,12 +231,13 @@ def _cmd_sweep(args) -> int:
             pred = track_frames(frames, cfg.tracker, cfg.scenario.dt)
             return _report_cells(clear_mot(gt, pred, cfg.eval), columns)
     else:
-        gt, dets = read_tracks(args.gt), read_detection_columns(args.dets)
+        gt, dets = read_track_columns(args.gt), read_detection_columns(args.dets)
         columns = ["ap", "max_f1"]
 
         def score(cfg):
-            kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms).records()
-            return [format_float(v) for v in _detection_scores(gt, kept, cfg.eval)]
+            kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms)
+            ap, max_f1, _ = detection_pr_rows((gt.frame, gt.rows), (kept.frame, kept.rows), cfg.eval)
+            return [format_float(ap), format_float(max_f1)]
 
     write_table(args.out, [key for key, _ in axes] + columns, (cells + score(cfg) for cells, cfg in grid))
     return 0

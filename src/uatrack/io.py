@@ -10,13 +10,15 @@ One table reader serves detection and track files: it splits a file
 into columns, parses each field with int or float, and checks whole
 columns at once; the first bad row, by the order a row-by-row reader
 would check, raises FormatError naming its path:line.  A detection file
-reads as DetectionColumns, arrays with one entry per row (the form
-`uatrack nms` carries from reader to writer), or as the DetectionRecord
-rows the simulator emits; `frames_of` groups (frame, item) pairs by
-frame.  KITTI object/tracking label files can be imported as ground
-truth.  Run configuration is namespaced JSON with
-strict key checking; its keys and defaults are the fields of the config
-dataclasses, each stored under its own name and in its own form.
+reads as DetectionColumns and a track file as TrackColumns, arrays with
+one entry per row (the form `uatrack nms` carries from reader to writer
+and `uatrack eval-det` scores), or as the DetectionRecord rows the
+simulator emits and the (frame, id, box) rows the tracker emits;
+`frames_of` groups (frame, item) pairs by frame.  KITTI object/tracking
+label files can be imported as ground truth.  Run configuration is
+namespaced JSON with strict key checking; its keys and defaults are the
+fields of the config dataclasses, each stored under its own name and in
+its own form.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -123,6 +125,16 @@ class DetectionColumns:
         order = self.frame.argsort(kind="stable")
         frames, starts = np.unique(self.frame[order], return_index=True)
         return list(zip(frames.tolist(), np.split(order, starts[1:])))
+
+
+@dataclass(frozen=True)
+class TrackColumns:
+    """Track rows as columns, one entry per row, in file order; `rows` as in DetectionColumns."""
+
+    frame: np.ndarray  # (n,) int64 frame indices
+    track_id: np.ndarray  # (n,) ids as Python ints, dtype object
+    class_id: np.ndarray  # (n,) class names, dtype object
+    rows: np.ndarray  # (n, 8)
 
 
 def write_table(path: str | Path | None, header: list[str], rows: Iterable[Iterable[str]]) -> None:
@@ -309,22 +321,29 @@ def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
                                       for frame, track_id, box in rows))
 
 
-def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:
-    """Read (frame, track id, box) rows, checked as read_detection_columns checks them; an id appears at most once per frame."""
+def read_track_columns(path: str | Path) -> TrackColumns:
+    """A track file as columns, checked as read_detection_columns checks a detection file; an id appears at most once per frame."""
     columns, faults = _read_table(path, [TRACK_COLUMNS])
-    frame = _frames(columns[0], faults).tolist()
+    frame = _frames(columns[0], faults)
     values = _floats(columns[3:], faults)
-    ids = _parsed(columns[1], int, faults, dtype=object).tolist()
+    ids = _parsed(columns[1], int, faults, dtype=object)
     _check_boxes(values, faults)
     seen: set[tuple[int, int]] = set()
-    for row, key in enumerate(zip(frame, ids)):
+    for row, key in enumerate(zip(frame.tolist(), ids.tolist())):
         if key in seen:
             faults.note(row, f"id {key[1]} repeated in frame {key[0]}")
             break
         seen.add(key)
     faults.raise_first()
     values[:, 6] = wrap_angles(values[:, 6])
-    return [(f, i, Box3D(*v[:7], class_id=c, score=v[7])) for f, i, c, v in zip(frame, ids, columns[2], values.tolist())]
+    return TrackColumns(frame, ids, np.array(columns[2], dtype=object), values)
+
+
+def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:
+    """A track file's (frame, track id, box) rows (see read_track_columns)."""
+    t = read_track_columns(path)
+    return [(f, i, Box3D(*v[:7], class_id=c, score=v[7]))
+            for f, i, c, v in zip(t.frame.tolist(), t.track_id.tolist(), t.class_id.tolist(), t.rows.tolist())]
 
 
 def tracks_to_frames(rows: list[tuple[int, int, Box3D]]) -> list[list[tuple[int, Box3D]]]:

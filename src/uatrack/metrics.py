@@ -6,8 +6,12 @@ paths as predictions become active (AP over interpolated precision at
 fixed recall levels, plus the best F1 along the sweep).
 Tracking quality follows the CLEAR protocol: sticky correspondences,
 identity switches, fragmentations, mostly-lost ratio and MOTA.
-Both score a whole sequence's IoUs with one call of the geometry kernel
-and read them frame by frame as dense gt x prediction matrices.
+Both score a whole sequence's IoUs with one call of the geometry kernel.
+Detection AP computes on row blocks, frame indices and (n, 8) rows as
+the io readers return them (`uatrack eval-det` scores its files so,
+with no per-row box object); its list-of-boxes form converts to them.
+CLEAR-MOT reads the IoUs frame by frame as dense gt x prediction
+matrices.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import hungarian_assign
-from .boxes import Box3D
+from .boxes import Box3D, box_values
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
-from .geometry import _box_table, _grouped_pairs_in_reach, _pair_iou, iou_3d, iou_bev  # noqa: F401
+from .geometry import _box_table, _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
 from .scoring import IouKind
 
 # A ground-truth track matched in less than this fraction of its frames
@@ -222,6 +226,47 @@ def _pr_sweep(
     return 100.0 * ap, 100.0 * max_f1, curve
 
 
+def detection_pr_rows(
+    gt: tuple[np.ndarray, np.ndarray],
+    pred: tuple[np.ndarray, np.ndarray],
+    cfg: EvalConfig,
+) -> tuple[float, float, list[tuple[float, float, float]]]:
+    """detection_pr of row blocks: (frame indices, rows) for the ground truth and for the predictions.
+
+    A block's rows hold BOX_FIELDS values, then the score (read for
+    predictions only); rows pair up by frame index.  Only the frames
+    present are scored, each frame's rows in input order, so memory
+    does not grow with the largest frame index.
+    """
+    (g_frame, g_rows), (p_frame, p_rows) = gt, pred
+    present, group = np.unique(np.concatenate([g_frame, p_frame]), return_inverse=True)
+    g_group, p_group = group[: len(g_frame)], group[len(g_frame):]
+    g_order = g_group.argsort(kind="stable")
+    scores = p_rows[:, 7]
+    p_order = np.lexsort((-scores, p_group))  # stable: tied scores keep their input order
+    g_group, p_group = g_group[g_order], p_group[p_order]
+    g_table, p_table = _table(g_rows[g_order, :7]), _table(p_rows[p_order, :7])
+    ig, ip = _grouped_pairs_in_reach(g_table, g_group, p_table, p_group)
+    hit = _pair_iou(g_table, ig, p_table, ip, cfg.iou_kind is IouKind.THREE_D) >= cfg.iou_threshold
+    ig, ip = ig[hit], ip[hit]
+    edge = np.lexsort((ig, ip))  # each prediction's gt rows, ascending
+    rows_of = (ig - g_group.searchsorted(g_group[ig]))[edge].tolist()  # numbered within the frame
+    ends = np.bincount(ip, minlength=len(p_group)).cumsum().tolist()
+    adj = [rows_of[a:b] for a, b in zip([0, *ends], ends)]
+    ranked = scores[p_order].tolist()
+    g_ends, p_ends = (np.bincount(g, minlength=len(present)).cumsum().tolist() for g in (g_group, p_group))
+    sweep_frames = [(ranked[p0:p1], adj[p0:p1], g1 - g0)
+                    for g0, g1, p0, p1 in zip([0, *g_ends], g_ends, [0, *p_ends], p_ends)]
+    return _pr_sweep(sweep_frames, cfg.recall_points)
+
+
+def _row_block(frames: list[list[Box3D]]) -> tuple[np.ndarray, np.ndarray]:
+    """Frame lists as (frame indices, rows): list position f is frame f."""
+    boxes = [b for frame in frames for b in frame]
+    rows = np.array([(*box_values(b), b.score) for b in boxes], dtype=float).reshape(len(boxes), 8)
+    return np.repeat(np.arange(len(frames)), [len(frame) for frame in frames]), rows
+
+
 def detection_pr(
     gt_frames: list[list[Box3D]],
     pred_frames: list[list[Box3D]],
@@ -235,13 +280,9 @@ def detection_pr(
     with IoU >= cfg.iou_threshold, kept current by one augmenting-path
     search per newly active prediction.  AP is the mean interpolated
     precision at recall levels i/recall_points, i = 1..recall_points.
+    The boxes are scored as row blocks (see detection_pr_rows).
     """
-    gt_frames, pred_frames = _padded(gt_frames, pred_frames)
-    frames = [
-        _sweep_frame(iou, pred, cfg.iou_threshold)
-        for iou, pred in zip(_frame_ious(gt_frames, pred_frames, cfg.iou_kind), pred_frames)
-    ]
-    return _pr_sweep(frames, cfg.recall_points)
+    return detection_pr_rows(_row_block(gt_frames), _row_block(pred_frames), cfg)
 
 
 def clear_mot(

@@ -245,3 +245,30 @@ class TestWrapAngleEdges:
         x = np.concatenate([np.random.default_rng(8).uniform(-30.0, 30.0, 5_000), edges])
         got = np.array([wrap_angle(v) for v in x.tolist()])
         assert np.array_equal(got.view(np.uint64), wrap_angles(x).view(np.uint64))
+
+    def test_wrapping_a_wrapped_angle_again_changes_no_bit(self):
+        # the column readers wrap theta with wrap_angles, and a Box3D built
+        # from their rows wraps it again with wrap_angle: boxes and row
+        # blocks must hold the same theta
+        from uatrack.motion import wrap_angles
+
+        rng = np.random.default_rng(14)
+        ulp = np.spacing(math.pi)
+        x = np.concatenate([
+            rng.uniform(-1e3, 1e3, 100_000),
+            rng.normal(0.0, 4.0, 50_000),
+            rng.normal(0.0, 1e-12, 10_000),
+            np.ldexp(rng.uniform(-1.0, 1.0, 10_000), rng.integers(-1074, 1000, 10_000)),
+            np.outer(np.arange(-7, 8) * math.pi, np.ones(201)).ravel() + ulp * np.tile(np.arange(-100, 101), 15),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi, -math.pi, 2 * math.pi, 1e300, -1e300],
+        ])
+        once = wrap_angles(x)
+        twice = np.array([wrap_angle(v) for v in once.tolist()])
+        assert np.array_equal(twice.view(np.uint64), once.view(np.uint64))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_wrapping_any_finite_angle_twice_changes_no_bit(self, theta):
+        from uatrack.motion import wrap_angles
+
+        once = wrap_angles(np.array([theta]))
+        assert np.array_equal(np.array([wrap_angle(float(once[0]))]).view(np.uint64), once.view(np.uint64))

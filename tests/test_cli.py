@@ -467,6 +467,68 @@ GOLDEN_SHA256 = {
     "von_mises.stdout": "2f29ce8100bb32593cef8fa073c408d0b135ad614f0aecf4163ef5879a96747a",
 }
 
+GT_HEADER = "frame,id,class,x,y,z,w,l,h,theta,score"
+DET_HEADER = "frame,class,x,y,z,w,l,h,theta,score"
+GT_ROW = "0,1,Car,1,2,0,1.8,4.2,1.5,0.3,1"
+DET_ROW = "0,Car,1.1,2,0,1.8,4.2,1.5,0.3,0.9"
+
+
+def _table_file(path, header, rows):
+    path.write_text("\n".join(["# uatrack-v1", header, *rows]) + "\n")
+    return path
+
+
+class TestEvalDetOnColumns:
+    def test_eval_det_and_nms_sweep_build_no_box_per_row(self, tmp_path, monkeypatch):
+        from uatrack.boxes import Box3D
+
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "5", "--n-frames", "20",
+                    "--fp-rate", "0.5", "--seed", "4"]) == 0
+
+        def commands(tag):
+            return [["eval-det", "--gt", str(gt), "--dets", str(dets), "--out", str(tmp_path / f"ap_{tag}.csv")],
+                    ["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
+                     "--param", "scoring.strategy=none,exponential", "--out", str(tmp_path / f"sweep_{tag}.csv")]]
+
+        for argv in commands("objects"):
+            assert run(argv) == 0
+
+        def refuse(self):
+            raise AssertionError("a Box3D was built")
+
+        monkeypatch.setattr(Box3D, "__post_init__", refuse)
+        for argv in commands("columns"):
+            assert run(argv) == 0
+        for name in ("ap", "sweep"):
+            assert (tmp_path / f"{name}_columns.csv").read_bytes() == (tmp_path / f"{name}_objects.csv").read_bytes()
+
+    @pytest.mark.parametrize("gt_rows, det_rows, where, error", [
+        ([GT_ROW, "", GT_ROW], [DET_ROW], "gt.csv:5", "id 1 repeated in frame 0"),
+        ([GT_ROW, "1000001" + GT_ROW[1:]], [DET_ROW], "gt.csv:4", "frame index 1000001 above the maximum 1000000"),
+        ([GT_ROW], [DET_ROW, DET_ROW.replace(",1.8,", ",-1.8,")], "dets.csv:4", "box dimensions must be positive"),
+        ([GT_ROW], [DET_ROW, "0,Car,1"], "dets.csv:4", "expected 10 fields, got 3"),
+    ])
+    def test_bad_row_exits_2_naming_the_line(self, tmp_path, capsys, gt_rows, det_rows, where, error):
+        gt = _table_file(tmp_path / "gt.csv", GT_HEADER, gt_rows)
+        dets = _table_file(tmp_path / "dets.csv", DET_HEADER, det_rows)
+        for argv in (["eval-det", "--gt", str(gt), "--dets", str(dets)],
+                     ["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets), "--param", "nms.iou_threshold=0.5"]):
+            capsys.readouterr()
+            assert run(argv) == 2
+            assert f"error: {tmp_path / where}: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gt_rows, det_rows", [([], []), ([GT_ROW], []), ([], [DET_ROW])])
+    def test_empty_files_score_zero(self, tmp_path, capsys, gt_rows, det_rows):
+        gt = _table_file(tmp_path / "gt.csv", GT_HEADER, gt_rows)
+        dets = _table_file(tmp_path / "dets.csv", DET_HEADER, det_rows)
+        out = tmp_path / "ap.csv"
+        capsys.readouterr()
+        assert run(["eval-det", "--gt", str(gt), "--dets", str(dets), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "AP:     0.00 %\nMax F1: 0.00 %\n"
+        assert out.read_text() == "# uatrack-v1\nap,max_f1\n0,0\n"
+
+
 # Runs each (argv, stdout file) of a JSON list through the CLI in one process.
 _RUN_COMMANDS = """
 import json, sys

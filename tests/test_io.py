@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from uatrack.boxes import Box3D, BoxVariance
+from uatrack.cli import main
+from uatrack.geometry import _box_table, _table
 from uatrack.io import (
     DET_COLUMNS_VAR,
     MAX_FRAME_INDEX,
@@ -22,13 +24,16 @@ from uatrack.io import (
     detections_to_frames,
     load_config,
     parse_kitti_labels,
+    read_detection_columns,
     read_detections,
+    read_track_columns,
     read_tracks,
     save_config,
     tracks_to_frames,
     write_detections,
     write_tracks,
 )
+from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import Tracker
 
 
@@ -348,3 +353,66 @@ class TestReaderChecks:
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(FormatError, match="out of range"):
             tracks_to_frames([(frame, 1, box)])
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """Detection and track files of two pipelines: (detection paths, track paths).
+
+    postproc-shaped: every simulated detection with two jittered
+    near-duplicates and inflated variances, before and after `uatrack
+    nms --strategy exponential`.  Criterion 11: `simulate` and `track`
+    with that criterion's flags.
+    """
+    d = tmp_path_factory.mktemp("pipelines")
+    scenario = generate_scenario(ScenarioConfig(n_targets=12, n_frames=40, fp_rate=1.0, fn_rate=0.1,
+                                                field_extent=60.0, seed=14))
+    rng = np.random.default_rng(14)
+    records = []
+    for f, frame in enumerate(scenario.detections):
+        for det in frame:
+            records.append(DetectionRecord(f, det.box, det.variance))
+            for dx, dy, dth, dsc in rng.standard_normal((2, 4)):
+                box = Box3D(det.box.x + 0.4 * dx, det.box.y + 0.4 * dy, det.box.z, det.box.w, det.box.l, det.box.h,
+                            det.box.theta + 0.05 * dth, score=min(max(det.box.score + 0.03 * dsc, 0.02), 0.99))
+                records.append(DetectionRecord(f, box, BoxVariance(*(2.5 * v for v in det.variance.as_tuple()))))
+    write_detections(d / "pp_dets.csv", records)
+    write_tracks(d / "pp_gt.csv", [(f, i, b) for f, frame in enumerate(scenario.ground_truth) for i, b in frame])
+    assert main(["nms", "--dets", str(d / "pp_dets.csv"), "--out", str(d / "pp_kept.csv"),
+                 "--strategy", "exponential"]) == 0
+    assert main(["simulate", "--out-gt", str(d / "c11_gt.csv"), "--out-dets", str(d / "c11_dets.csv"),
+                 "--n-targets", "8", "--n-frames", "60", "--fp-rate", "0.5", "--fn-rate", "0.1",
+                 "--noise-range-coeff", "0.012,0.002,0.002,0.001,0.001,0.001,0.001", "--seed", "11"]) == 0
+    assert main(["track", "--dets", str(d / "c11_dets.csv"), "--out", str(d / "c11_tracks.csv"), "--dt", "0.1"]) == 0
+    return ([d / name for name in ("pp_dets.csv", "pp_kept.csv", "c11_dets.csv")],
+            [d / name for name in ("pp_gt.csv", "c11_gt.csv", "c11_tracks.csv")])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestColumnReadersFeedTheKernel:
+    """The column readers' rows are the kernel rows of the boxes read_detections and read_tracks build, bit for bit."""
+
+    def test_detection_files(self, pipeline_files):
+        for path in pipeline_files[0]:
+            columns = read_detection_columns(path)
+            boxes = [r.box for r in read_detections(path)]
+            assert len(boxes) > 100
+            assert [_bits(a) for a in _table(columns.rows[:, :7])] == [_bits(a) for a in _box_table(boxes)]
+            assert _bits(columns.rows[:, 7]) == _bits([b.score for b in boxes])
+
+    def test_track_files(self, pipeline_files):
+        for path in pipeline_files[1]:
+            columns = read_track_columns(path)
+            rows = read_tracks(path)
+            boxes = [b for _, _, b in rows]
+            assert len(boxes) > 100
+            assert [_bits(a) for a in _table(columns.rows[:, :7])] == [_bits(a) for a in _box_table(boxes)]
+            assert _bits(columns.rows[:, 7]) == _bits([b.score for b in boxes])
+            assert columns.frame.dtype == np.int64
+            assert columns.frame.tolist() == [f for f, _, _ in rows]
+            assert all(type(i) is int for i in columns.track_id.tolist())
+            assert columns.track_id.tolist() == [i for _, i, _ in rows]
+            assert columns.class_id.tolist() == [b.class_id for b in boxes]

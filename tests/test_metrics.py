@@ -10,9 +10,22 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import frozen_geometry as frozen
-from uatrack.boxes import Box3D
+from uatrack.boxes import Box3D, box_values
 from uatrack.geometry import iou_bev
-from uatrack.metrics import MOSTLY_LOST_FRACTION, EvalConfig, TrackingReport, clear_mot, detection_pr, match_frame
+from uatrack.io import MAX_FRAME_INDEX
+from uatrack.metrics import (
+    MOSTLY_LOST_FRACTION,
+    EvalConfig,
+    TrackingReport,
+    _frame_ious,
+    _padded,
+    _pr_sweep,
+    _sweep_frame,
+    clear_mot,
+    detection_pr,
+    detection_pr_rows,
+    match_frame,
+)
 from uatrack.scoring import IouKind
 
 
@@ -466,3 +479,74 @@ def test_deep_augmenting_path_needs_no_recursion():
     assert want == n + 1
     assert round(curve[-1][2] * len(gt)) == want
     assert curve[-1][0] == 0.1
+
+
+# --- the row-block core against the list form and the per-box object path ---
+
+
+def object_path_detection_pr(gt_frames, pred_frames, cfg):
+    """detection_pr as Box3D lists were scored before the row-block core: per-frame IoU matrices, sorted boxes."""
+    gt_frames, pred_frames = _padded(gt_frames, pred_frames)
+    frames = [_sweep_frame(iou, pred, cfg.iou_threshold)
+              for iou, pred in zip(_frame_ious(gt_frames, pred_frames, cfg.iou_kind), pred_frames)]
+    return _pr_sweep(frames, cfg.recall_points)
+
+
+def row_block(frames, index, rng):
+    """Frame lists as (frame indices, rows), list position f at frame index[f].
+
+    Rows of different frames are interleaved at random; each frame's
+    rows keep their list order.
+    """
+    pending = [list(frame) for frame in frames]
+    labels = [f for f, frame in enumerate(frames) for _ in frame]
+    rng.shuffle(labels)
+    boxes = [(f, pending[f].pop(0)) for f in labels]
+    rows = np.array([(*box_values(b), b.score) for _, b in boxes], dtype=float).reshape(len(boxes), 8)
+    return np.array([index[f] for f, _ in boxes], dtype=np.int64), rows
+
+
+def sparse_case(seed):
+    """random_tracks' boxes, an empty frame on both sides inserted, at increasing frame indices up to MAX_FRAME_INDEX."""
+    gt_tracks, pred_tracks = random_tracks(seed)
+    gt = [[b for _, b in frame] for frame in gt_tracks]
+    pred = [[b for _, b in frame] for frame in pred_tracks]
+    gt.insert(2, [])
+    pred.insert(2, [])
+    rng = np.random.default_rng([seed, 14])
+    index = sorted(rng.choice(MAX_FRAME_INDEX, len(pred) - 1, replace=False).tolist()) + [MAX_FRAME_INDEX]
+    return gt, pred, index, rng
+
+
+class TestRowBlockOracle:
+    """detection_pr_rows returns what the list form and the object path return, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS, ids=_cfg_id)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_list_form_and_the_object_path(self, cfg, seed):
+        gt, pred, index, rng = sparse_case(seed)
+        want = object_path_detection_pr(gt, pred, cfg)
+        assert 0 < len(want[2])
+        assert repr(detection_pr(gt, pred, cfg)) == repr(want)
+        # frames absent from both blocks score nothing, so sparse indices score as the dense list
+        assert repr(detection_pr_rows(row_block(gt, index, rng), row_block(pred, index, rng), cfg)) == repr(want)
+
+    def test_inputs_exercise_the_edge_frames(self):
+        for seed in range(4):
+            gt, pred, index, _ = sparse_case(seed)
+            gt = gt + [[] for _ in range(len(pred) - len(gt))]
+            assert any(g and not p for g, p in zip(gt, pred))  # gt-only frames
+            assert any(p and not g for g, p in zip(gt, pred))  # prediction-only frames
+            assert any(not g and not p for g, p in zip(gt, pred))  # empty on both sides
+            scores = [[b.score for b in frame] for frame in pred]
+            assert any(len(s) > len(set(s)) for s in scores)  # ties within a frame
+            assert any(set(a) & set(b) for a, b in zip(scores, scores[1:]))  # ties across frames
+            assert index[-1] == MAX_FRAME_INDEX
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS[:1] + ORACLE_CFGS[3:4], ids=_cfg_id)
+    def test_one_side_empty(self, cfg):
+        gt, pred, index, rng = sparse_case(1)
+        empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 8)))
+        for g, p in ((empty, row_block(pred, index, rng)), (row_block(gt, index, rng), empty), (empty, empty)):
+            assert detection_pr_rows(g, p, cfg) == (0.0, 0.0, [])
+        assert detection_pr([], [], cfg) == detection_pr(gt, [], cfg) == (0.0, 0.0, [])
