@@ -4,6 +4,7 @@ from .boxes import (
     Anchor,
     Box3D,
     BoxVariance,
+    DetectionColumns,
     DetectionRecord,
     EncodedLogVar,
     EncodedTarget,

@@ -4,13 +4,23 @@ A box regression head predicts anchor-relative targets; the matching
 uncertainty head predicts one log-variance per target component.  This
 module holds the value types and the exact encode/decode transforms plus
 the first-order variance transport back to world units.
+
+Detections travel as DetectionColumns, one block of arrays per frame or
+file, from the simulator and the readers into the tracker, NMS and the
+writer; the block is also a read-only sequence of DetectionRecord rows,
+each built through the checked Box3D and BoxVariance constructors.
+check_rows makes those constructors' checks on a whole block at once,
+and trusted_box builds a Box3D from values that have passed them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, index as as_index
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,6 +148,53 @@ class BoxVariance:
         return (self.var_x, self.var_y, self.var_z, self.var_w, self.var_l, self.var_h, self.var_theta)
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def trusted_box(x: float, y: float, z: float, w: float, l: float, h: float, theta: float,
+                class_id: str, score: float) -> Box3D:
+    """A Box3D of values that already pass its checks, theta already wrapped; skips __init__ and __post_init__.
+
+    The fields are set in __init__'s order, so the box keeps the compact
+    attribute layout of one built by its constructor.
+    """
+    box = _new(Box3D)
+    put = _set.__get__(box)  # object's __setattr__, bound once: the frozen box's own refuses
+    put("x", x)
+    put("y", y)
+    put("z", z)
+    put("w", w)
+    put("l", l)
+    put("h", h)
+    put("theta", theta)
+    put("class_id", class_id)
+    put("score", score)
+    return box
+
+
+def check_rows(rows: np.ndarray, var: np.ndarray | None = None) -> None:
+    """Raise ValueError, as Box3D and BoxVariance would for the first bad row, unless every row passes their checks.
+
+    rows is (n, 8): BOX_FIELDS values, then score; var (n, 7) or None.
+    Box values and scores must be finite, w, l and h positive, variances
+    finite and positive.  Within a row the box is checked first.
+    """
+    if (np.isfinite(rows).all() and (rows[:, 3:6] > 0.0).all()
+            and (var is None or ((var > 0.0) & (var < math.inf)).all())):
+        return
+    bad_box = ~np.isfinite(rows).all(axis=1)
+    bad_size = ~(rows[:, 3:6] > 0.0).all(axis=1)
+    bad = bad_box | bad_size
+    if var is not None:
+        bad |= ~((var > 0.0) & (var < math.inf)).all(axis=1)
+    i = int(bad.argmax())
+    if bad_box[i]:
+        raise ValueError(f"box values must be finite, got {tuple(rows[i].tolist())}")
+    if bad_size[i]:
+        raise ValueError("box dimensions must be positive, got w={} l={} h={}".format(*rows[i, 3:6].tolist()))
+    raise ValueError("variances must be finite and positive")
+
+
 @dataclass(frozen=True)
 class DetectionRecord:
     """One detection row: its frame index, the box and optionally its decoded diagonal variance."""
@@ -147,8 +204,80 @@ class DetectionRecord:
     variance: BoxVariance | None = None
 
 
-# One frame's worth of detections; the tracker ignores their frame index.
-FrameDetections = list[DetectionRecord]
+@dataclass(frozen=True, eq=False)
+class DetectionColumns(Sequence):
+    """Detection rows as columns, one entry per row, in input order.
+
+    `rows` holds each box's BOX_FIELDS values, theta wrapped to
+    (-pi, pi] by motion.wrap_angles, then its score; `var` holds its
+    variances in BOX_FIELDS order, or is None where the rows carry none.
+    The simulator and the readers check every row as Box3D and
+    BoxVariance would (see check_rows).
+
+    As a read-only Sequence[DetectionRecord], len, iteration and integer
+    indexing (negative too) build each record through the checked Box3D
+    and BoxVariance constructors.
+    """
+
+    frame: np.ndarray  # (n,) int64 frame indices
+    class_id: np.ndarray  # (n,) class names, dtype object
+    rows: np.ndarray  # (n, 8)
+    var: np.ndarray | None = None  # (n, 7)
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, i: int) -> DetectionRecord:
+        i = range(len(self))[as_index(i)]  # IndexError out of range; a negative index counts from the end
+        v = self.var
+        return DetectionRecord(int(self.frame[i]), Box3D(*self.rows[i, :7].tolist(), class_id=self.class_id[i],
+                                                         score=float(self.rows[i, 7])),
+                               None if v is None else BoxVariance(*v[i].tolist()))
+
+    def __iter__(self) -> Iterator[DetectionRecord]:
+        variances = self.var.tolist() if self.var is not None else [None] * len(self)
+        for f, c, r, v in zip(self.frame.tolist(), self.class_id.tolist(), self.rows.tolist(), variances):
+            yield DetectionRecord(f, Box3D(*r[:7], class_id=c, score=r[7]), None if v is None else BoxVariance(*v))
+
+    @classmethod
+    def of(cls, records: Sequence[DetectionRecord]) -> DetectionColumns:
+        """The records as columns; raises ValueError unless variances are all-or-none."""
+        with_var = [r.variance is not None for r in records]
+        if any(with_var) and not all(with_var):
+            raise ValueError("either every record carries a variance or none does")
+        n = len(records)
+        return cls(
+            np.fromiter((r.frame for r in records), np.int64, n),
+            np.array([r.box.class_id for r in records], dtype=object),
+            np.array([(*box_values(r.box), r.box.score) for r in records], dtype=float).reshape(n, 8),
+            np.array([r.variance.as_tuple() for r in records], dtype=float) if n and with_var[0] else None,
+        )
+
+    @classmethod
+    def concat(cls, blocks: Sequence[DetectionColumns]) -> DetectionColumns:
+        """The blocks' rows one after another; every block carries variances or none does."""
+        with_var = {b.var is not None for b in blocks}
+        if len(with_var) > 1:
+            raise ValueError("either every block carries variances or none does")
+        return cls(np.concatenate([b.frame for b in blocks]), np.concatenate([b.class_id for b in blocks]),
+                   np.concatenate([b.rows for b in blocks]),
+                   np.concatenate([b.var for b in blocks]) if with_var == {True} else None)
+
+    def take(self, index: np.ndarray) -> DetectionColumns:
+        """The rows at the given indices, in that order."""
+        return DetectionColumns(self.frame[index], self.class_id[index], self.rows[index],
+                                None if self.var is None else self.var[index])
+
+    def by_frame(self) -> list[tuple[int, np.ndarray]]:
+        """(frame, row indices) for each frame present: frames ascending, each frame's rows in input order."""
+        order = self.frame.argsort(kind="stable")
+        frames, starts = np.unique(self.frame[order], return_index=True)
+        return list(zip(frames.tolist(), np.split(order, starts[1:])))
+
+
+# One frame's worth of detections, a DetectionColumns block or a list of
+# records; the tracker ignores their frame index.
+FrameDetections = Sequence[DetectionRecord]
 
 
 def encode_box(gt: Box3D, anchor: Anchor) -> EncodedTarget:

@@ -27,7 +27,6 @@ from .io import (
     format_float,
     read_config,
     read_detection_columns,
-    read_detections,
     read_track_columns,
     read_tracks,
     tracks_to_frames,
@@ -41,8 +40,10 @@ from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStr
 from .sim import generate_scenario
 from .tracker import track_frames
 
-# encode_variance, score_detection and detection_pr stay bound here: the benchmark's tracer wraps them by name.
+# encode_variance, score_detection, detection_pr and read_detections stay bound here: the benchmark's tracer
+# wraps them by name.
 from .boxes import encode_variance  # noqa: F401
+from .io import read_detections  # noqa: F401
 from .metrics import detection_pr  # noqa: F401
 from .scoring import score_detection  # noqa: F401
 
@@ -105,10 +106,10 @@ def _cmd_simulate(args) -> int:
         raise FormatError(f"config scenario: {exc}") from exc
     gt_rows = [(f, tid, box) for f, frame in enumerate(scenario.ground_truth) for tid, box in frame]
     write_tracks(args.out_gt, gt_rows)
-    records = [d for frame in scenario.detections for d in frame]
-    write_detections(args.out_dets, records)
+    dets = DetectionColumns.concat(scenario.detections)
+    write_detections(args.out_dets, dets)
     print(f"wrote {len(gt_rows)} ground-truth rows to {args.out_gt}")
-    print(f"wrote {len(records)} detections to {args.out_dets}")
+    print(f"wrote {len(dets)} detections to {args.out_dets}")
     return 0
 
 
@@ -118,7 +119,7 @@ def _cmd_track(args) -> int:
     if getattr(args, "tracker.constant_sigma") is not None and getattr(args, "tracker.use_detection_covariance"):
         raise FormatError("--constant-sigma and --use-variance are mutually exclusive")
     cfg = config_from_dict(_config_dict(args))
-    frames = detections_to_frames(read_detections(args.dets))
+    frames = detections_to_frames(read_detection_columns(args.dets))
     tracked = track_frames(frames, cfg.tracker, cfg.scenario.dt)
     rows = [(f, track_id, box) for f, frame in enumerate(tracked) for track_id, box in frame]
     write_tracks(args.out, rows)
@@ -224,7 +225,7 @@ def _cmd_sweep(args) -> int:
 
     if args.mode == "track":
         gt = tracks_to_frames(read_tracks(args.gt))
-        frames = detections_to_frames(read_detections(args.dets))
+        frames = detections_to_frames(read_detection_columns(args.dets))
         columns = _REPORT_COLUMNS[:6]
 
         def score(cfg):

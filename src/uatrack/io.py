@@ -10,10 +10,11 @@ One table reader serves detection and track files: it splits a file
 into columns, parses each field with int or float, and checks whole
 columns at once; the first bad row, by the order a row-by-row reader
 would check, raises FormatError naming its path:line.  A detection file
-reads as DetectionColumns and a track file as TrackColumns, arrays with
-one entry per row (the form `uatrack nms` carries from reader to writer
-and `uatrack eval-det` scores), or as the DetectionRecord rows the
-simulator emits and the (frame, id, box) rows the tracker emits;
+reads as boxes.DetectionColumns (re-exported here) and a track file as
+TrackColumns, arrays with one entry per row (the form `uatrack nms`
+carries from reader to writer, `uatrack track` feeds the tracker one
+frame block at a time and `uatrack eval-det` scores), or as
+DetectionRecord rows and the (frame, id, box) rows the tracker emits;
 `frames_of` groups (frame, item) pairs by frame.  KITTI object/tracking
 label files can be imported as ground truth.  Run configuration is
 namespaced JSON with strict key checking; its keys and defaults are the
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import islice, repeat
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BOX_FIELDS, Box3D, BoxVariance, DetectionRecord, FrameDetections, box_values, wrap_angle
+from .boxes import BOX_FIELDS, Box3D, DetectionColumns, DetectionRecord, FrameDetections, box_values, wrap_angle
 from .metrics import EvalConfig
 from .motion import wrap_angles
 from .scoring import NmsConfig, ScoreMapConfig
@@ -79,57 +80,8 @@ def format_float(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class DetectionColumns:
-    """Detection rows as columns, one entry per row, in file order.
-
-    `rows` holds each box's BOX_FIELDS values, theta wrapped to
-    (-pi, pi], then its score; `var` holds its variances in BOX_FIELDS
-    order, or is None where the rows carry none.
-    """
-
-    frame: np.ndarray  # (n,) int64 frame indices
-    class_id: np.ndarray  # (n,) class names, dtype object
-    rows: np.ndarray  # (n, 8)
-    var: np.ndarray | None = None  # (n, 7)
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    @classmethod
-    def of(cls, records: list[DetectionRecord]) -> DetectionColumns:
-        """The records as columns; variances are all-or-none."""
-        with_var = [r.variance is not None for r in records]
-        if any(with_var) and not all(with_var):
-            raise FormatError("either every record carries a variance or none does")
-        n = len(records)
-        return cls(
-            np.fromiter((r.frame for r in records), np.int64, n),
-            np.array([r.box.class_id for r in records], dtype=object),
-            np.array([(*box_values(r.box), r.box.score) for r in records], dtype=float).reshape(n, 8),
-            np.array([r.variance.as_tuple() for r in records], dtype=float) if n and with_var[0] else None,
-        )
-
-    def records(self) -> list[DetectionRecord]:
-        """The rows as DetectionRecords."""
-        variances = self.var.tolist() if self.var is not None else [None] * len(self)
-        return [DetectionRecord(f, Box3D(*r[:7], class_id=c, score=r[7]), None if v is None else BoxVariance(*v))
-                for f, c, r, v in zip(self.frame.tolist(), self.class_id.tolist(), self.rows.tolist(), variances)]
-
-    def take(self, index: np.ndarray) -> DetectionColumns:
-        """The rows at the given indices, in that order."""
-        return DetectionColumns(self.frame[index], self.class_id[index], self.rows[index],
-                                None if self.var is None else self.var[index])
-
-    def by_frame(self) -> list[tuple[int, np.ndarray]]:
-        """(frame, row indices) for each frame present: frames ascending, each frame's rows in input order."""
-        order = self.frame.argsort(kind="stable")
-        frames, starts = np.unique(self.frame[order], return_index=True)
-        return list(zip(frames.tolist(), np.split(order, starts[1:])))
-
-
-@dataclass(frozen=True)
 class TrackColumns:
-    """Track rows as columns, one entry per row, in file order; `rows` as in DetectionColumns."""
+    """Track rows as columns, one entry per row, in file order; `rows` as in boxes.DetectionColumns."""
 
     frame: np.ndarray  # (n,) int64 frame indices
     track_id: np.ndarray  # (n,) ids as Python ints, dtype object
@@ -151,7 +103,10 @@ def write_table(path: str | Path | None, header: list[str], rows: Iterable[Itera
 
 def write_detections(path: str | Path, records: list[DetectionRecord] | DetectionColumns) -> None:
     """Write detection rows, given as records or as columns; variance columns are all-or-none."""
-    dets = records if isinstance(records, DetectionColumns) else DetectionColumns.of(records)
+    try:
+        dets = records if isinstance(records, DetectionColumns) else DetectionColumns.of(records)
+    except ValueError as exc:  # records with and without a variance
+        raise FormatError(str(exc)) from exc
     has_var = dets.var is not None and len(dets) > 0  # no rows: no variance columns either
     values = np.hstack([dets.rows, dets.var]) if has_var else dets.rows
     floats = ",".join(["%" + _FLOAT_FORMAT] * values.shape[1])  # %-formatting prints what format_float prints
@@ -291,7 +246,7 @@ def read_detection_columns(path: str | Path) -> DetectionColumns:
 
 def read_detections(path: str | Path) -> list[DetectionRecord]:
     """A detection file's rows as DetectionRecords (see read_detection_columns)."""
-    return read_detection_columns(path).records()
+    return list(read_detection_columns(path))
 
 
 def frames_of(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
@@ -302,15 +257,22 @@ def frames_of(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
     return dict(sorted(out.items()))
 
 
-def _dense(frames: dict[int, list]) -> list[list]:
-    """Frames 0 up to the largest present, absent ones empty: for tracking, where empty frames count."""
+def _dense(frames: dict[int, Sequence], empty: Callable[[], Sequence] = list) -> list[Sequence]:
+    """Frames 0 up to the largest present, absent ones empty(): for tracking, where empty frames count."""
     if min(frames, default=0) < 0:
         raise FormatError(f"frame index {min(frames)} out of range: frames start at 0")
-    return [frames.get(f, []) for f in range(max(frames, default=-1) + 1)]
+    return [frames[f] if f in frames else empty() for f in range(max(frames, default=-1) + 1)]
 
 
-def detections_to_frames(records: list[DetectionRecord]) -> list[FrameDetections]:
-    """The records as consecutive per-frame lists starting at frame 0."""
+def detections_to_frames(records: Sequence[DetectionRecord]) -> list[FrameDetections]:
+    """The rows as consecutive per-frame sequences starting at frame 0.
+
+    Columns give one block per frame, absent frames one shared empty
+    block, so no record is built; records give one list per frame.
+    """
+    if isinstance(records, DetectionColumns):
+        none = records.take(np.zeros(0, np.intp))
+        return _dense({frame: records.take(index) for frame, index in records.by_frame()}, lambda: none)
     return _dense(frames_of((r.frame, r) for r in records))
 
 

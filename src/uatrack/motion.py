@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .boxes import TWO_PI
+
 OMEGA_EPS = 1e-6
 
 # state vector layout
@@ -49,7 +51,15 @@ def ctra_step(state: np.ndarray, dt: float) -> np.ndarray:
 
 
 def wrap_angles(a: np.ndarray) -> np.ndarray:
-    """Wrap angles to (-pi, pi] elementwise, bitwise as boxes.wrap_angle does."""
-    out = np.pi - np.mod(np.pi - a, 2.0 * np.pi)
-    # just above pi the modulus rounds up to 2 pi, which would give -pi
-    return np.where(out == -np.pi, np.pi, out)
+    """Wrap angles to (-pi, pi] elementwise, bitwise as boxes.wrap_angle does.
+
+    Always returns an array, 0-d for a scalar, in the input's float type.
+    """
+    m = np.asarray(np.fmod(np.pi - a, TWO_PI))
+    # 2 pi where negative, as np.mod would add it, else 0: m + 0.0 is m,
+    # but for -0.0, which becomes +0.0 and gives pi all the same
+    m += (m < 0.0) * m.dtype.type(TWO_PI)
+    out = np.subtract(np.pi, m, out=m)
+    # just above pi the sum rounds up to 2 pi, which would give -pi
+    out[out == -np.pi] = np.pi
+    return out

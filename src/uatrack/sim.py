@@ -6,7 +6,8 @@ boxes plus independent zero-mean Gaussian noise whose per-parameter
 standard deviation grows linearly with range from the sensor at the
 origin, so a tracker consuming the per-detection covariance sees a
 genuinely heteroscedastic stream with known ground truth.  Each
-detection is a DetectionRecord, tagged with its frame index.
+frame's detections are one DetectionColumns block, tagged with its frame
+index and checked as a whole; no object is built per detection.
 
 All randomness comes from a single numpy Generator seeded from the
 config (PCG64, a named portable algorithm with documented state), with a
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3D, BoxVariance, DetectionRecord, FrameDetections
+from .boxes import Box3D, BoxVariance, DetectionColumns, check_rows
 from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -95,22 +96,28 @@ class ScenarioConfig:
 class Scenario:
     """Generated ground truth and detections.
 
-    detections[f] holds frame f's records, with the *reported* variance;
-    true_variances holds the
-    actual generating noise variance for each detection (identical when
-    miscalibration_factor is 1).  gt_states keeps the full CTRA state per
-    target per frame for motion-level checks.
+    detections[f] holds frame f's detections as one block: frame indices,
+    "Car" names, (n, 8) rows (BOX_FIELDS values with theta wrapped by
+    motion.wrap_angles, then score) and the (n, 7) *reported* variances.
+    true_variances holds the actual generating noise variance for each
+    detection (identical when miscalibration_factor is 1).  gt_states
+    keeps the full CTRA state per target per frame for motion-level
+    checks.
     """
 
     config: ScenarioConfig
     ground_truth: list[list[tuple[int, Box3D]]]
-    detections: list[FrameDetections]
+    detections: list[DetectionColumns]
     true_variances: list[list[BoxVariance]]
     gt_states: list[np.ndarray]
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Raises ValueError where the noise model's variance leaves float64's positive finite range."""
+    """The scenario the config describes.
+
+    Raises ValueError where the noise model's variance leaves float64's
+    positive finite range, or where a detection fails Box3D's checks.
+    """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_targets
     base, coeff = np.asarray(cfg.noise_base), np.asarray(cfg.noise_range_coeff)
@@ -132,7 +139,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     z_centers = heights / 2.0
 
     ground_truth: list[list[tuple[int, Box3D]]] = []
-    detections: list[FrameDetections] = []
+    detections: list[DetectionColumns] = []
     true_variances: list[list[BoxVariance]] = []
     gt_states: list[np.ndarray] = []
 
@@ -165,14 +172,18 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         if not np.all((reported > 0.0) & (reported < math.inf)):
             raise ValueError("noise_base, noise_range_coeff and miscalibration_factor give a reported "
                              "variance outside float64's positive finite range")
-        rows = true_rows.copy()
-        rows[:n_tp] += noise[kept] * sigma[:n_tp]
+        n_dets = len(true_rows)
+        rows = np.empty((n_dets, 8))  # the reported boxes, then scores
+        rows[:, :7] = true_rows
+        rows[:n_tp, :7] += noise[kept] * sigma[:n_tp]
         rows[:n_tp, 3:6] = np.maximum(rows[:n_tp, 3:6], MIN_DIMENSION)
+        rows[:, 6] = wrap_angles(rows[:, 6])
         tp_scores = 0.9 - 0.5 * dist[:n_tp] / cfg.field_extent + score_jitter[kept]
-        scores = np.concatenate([np.clip(tp_scores, 0.05, 0.99), fp_score])
-
-        detections.append([DetectionRecord(f, Box3D(*row, score=score), BoxVariance(*v))
-                           for row, score, v in zip(rows.tolist(), scores.tolist(), reported.tolist())])
+        rows[:n_tp, 7] = np.clip(tp_scores, 0.05, 0.99)
+        rows[n_tp:, 7] = fp_score
+        check_rows(rows)
+        detections.append(DetectionColumns(np.full(n_dets, f, np.int64), np.full(n_dets, "Car", object), rows,
+                                           reported))
         true_variances.append([BoxVariance(*v) for v in var.tolist()])
 
         # next frame: exact CTRA, then perturb the accel and turn rate

@@ -11,13 +11,16 @@ constant-covariance tracker.  TrackerConfig states both noises as a
 config file does: a process-noise diagonal and observation sigmas.
 
 A Tracker keeps every track in one table, a numpy structured array with
-one row per track (see TRACK_DTYPE).  step() reads the frame into
-detection rows and checks them, then predicts, associates, updates,
-drops and spawns with array operations on a copy of the table, which
-replaces the old one only when the step completes.  The filter math
-takes a batch of states (leading axis T); a single state is the T=1
-case.  Track records are built only for the confirmed tracks a step
-returns.
+one row per track (see TRACK_DTYPE).  step() takes a frame as a
+DetectionColumns block, whose arrays it slices, or as a list of
+records, which it first converts to the same arrays; it checks the rows
+and variances, then predicts, associates, updates, drops and spawns with
+array operations on a copy of the table.  The confirmed rows are checked
+as one block before that copy replaces the old table, so a step either
+completes or changes nothing.  The filter math takes a batch of states
+(leading axis T); a single state is the T=1 case.  Track records are
+built only for the confirmed tracks a step returns, and their boxes,
+whose values step() has checked, skip Box3D's checks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import hungarian_assign
-from .boxes import Box3D, FrameDetections, box_values
+from .boxes import Box3D, DetectionColumns, FrameDetections, box_values, check_rows, trusted_box
 from .geometry import sweep_pairs, sweep_window
 from .motion import ctra_step, wrap_angles
 
@@ -117,8 +120,14 @@ class Track:
     score: float
 
     def to_box(self) -> Box3D:
-        """Reported box: filtered pose and footprint, pass-through z and h."""
-        return Box3D(*box_values(self), class_id=self.class_id, score=self.score)
+        """Reported box: filtered pose and footprint, pass-through z and h.
+
+        step() has checked the values and theta comes out of wrap_angles,
+        so the box is built without Box3D's checks (see trusted_box).
+        The fields are passed one by one: packing and unpacking
+        box_values' tuple would cost a fifth of the call.
+        """
+        return trusted_box(self.x, self.y, self.z, self.w, self.l, self.h, self.theta, self.class_id, self.score)
 
 
 @dataclass(frozen=True)
@@ -323,27 +332,33 @@ class Tracker:
         self.class_names: tuple[str, ...] = ()
         self._next_id = 1
         self._process_noise = np.diag(self.config.process_noise_diag)
-        self._default_var = tuple(s * s for s in self.config.default_obs_sigma)
+        self._default_var = np.array([s * s for s in self.config.default_obs_sigma])
 
     def _read_frame(self, detections: FrameDetections) -> tuple[np.ndarray, tuple[str, ...]]:
         """The frame as detection rows, checked before any state changes, and its class names.
 
-        The one place that chooses each detection's observation variance:
-        its own when the config feeds detection covariance and it has one,
-        else the configured default.  The names are class_names with the
-        frame's new ones appended, in the order they first appear; step()
-        keeps them only when it completes.
+        A block's arrays are sliced as they are; records convert to the
+        same arrays first (see _record_arrays).  The rows are checked as
+        Box3D checks a box, then the observation variances.  Each
+        detection's variance is its own when the config feeds detection
+        covariance and it has one, else the configured default.  The
+        names are class_names with the frame's new ones appended, in the
+        order they first appear; step() keeps them only when it completes.
         """
-        own, default = self.config.use_detection_covariance, self._default_var
-        codes = {name: code for code, name in enumerate(self.class_names)}
-        frame = np.array(
-            [(box_values(d.box), d.variance.as_tuple() if own and d.variance is not None else default,
-              d.box.score, codes.setdefault(d.box.class_id, len(codes))) for d in detections],
-            dtype=_DETECTION_DTYPE,
-        )
-        var = frame["var"]
+        own = self.config.use_detection_covariance
+        if isinstance(detections, DetectionColumns):
+            rows, var, names = detections.rows, detections.var, detections.class_id.tolist()
+        else:
+            rows, var, names = _record_arrays(detections, own, self._default_var)
+        check_rows(rows)
+        if not own or var is None:
+            var = self._default_var
         if not np.all((var > 0.0) & (var < np.inf)):
             raise ValueError("observation noise must be positive definite")
+        codes = {name: code for code, name in enumerate(self.class_names)}
+        frame = np.empty(len(rows), dtype=_DETECTION_DTYPE)
+        frame["box"], frame["var"], frame["score"] = rows[:, :7], var, rows[:, 7]
+        frame["class_id"] = [codes.setdefault(name, len(codes)) for name in names]
         return frame, tuple(codes)
 
     def _spawn(self, dets: np.ndarray) -> np.ndarray:
@@ -366,8 +381,10 @@ class Tracker:
         """Advance one frame; returns the confirmed tracks.
 
         Raises ValueError, leaving the tracker unchanged, on a
-        non-positive or non-finite dt or a non-positive or non-finite
-        observation variance.
+        non-positive or non-finite dt, a detection box Box3D would
+        reject, a non-positive or non-finite observation variance, or a
+        confirmed track whose box would leave the finite range or lose a
+        positive extent.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be finite and > 0")
@@ -402,15 +419,27 @@ class Tracker:
         if unmatched_d:
             table = np.concatenate([table, self._spawn(dets[unmatched_d])], dtype=TRACK_DTYPE)
         table["confirmed"] |= table["hits"] >= cfg.t_init
+        out = table[table["confirmed"]]
+        mean, size = out["mean"], out["size"]
+        boxes = np.column_stack((mean[:, :2], out["z"], size, out["h"], mean[:, 2], out["score"]))
+        check_rows(boxes)
 
         self.table, self.class_names = table, class_names
         self._next_id += len(unmatched_d)
-        out = table[table["confirmed"]]
-        mean, size = out["mean"], out["size"]
-        names = np.array(class_names, dtype=object)[out["class_id"]]
-        columns = (out["id"], names, mean[:, 0], mean[:, 1], out["z"], size[:, 0], size[:, 1], out["h"],
-                   mean[:, 2], out["score"])
-        return [Track(*row) for row in zip(*(c.tolist() for c in columns))]
+        names = [class_names[code] for code in out["class_id"].tolist()]
+        return [Track(i, name, *box) for i, name, box in zip(out["id"].tolist(), names, boxes.tolist())]
+
+
+def _record_arrays(records: FrameDetections, own: bool,
+                   default: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Records as the (n, 8) rows, (n, 7) observation variances and class names of a block.
+
+    A record's variance is its own when `own` and it has one, else the default.
+    """
+    rows = np.array([(*box_values(d.box), d.box.score) for d in records], dtype=float).reshape(-1, 8)
+    var = np.array([d.variance.as_tuple() if own and d.variance is not None else default for d in records],
+                   dtype=float).reshape(-1, 7)
+    return rows, var, [d.box.class_id for d in records]
 
 
 def track_frames(frames: list[FrameDetections], cfg: TrackerConfig, dt: float) -> list[list[tuple[int, Box3D]]]:

@@ -10,6 +10,8 @@ from uatrack.boxes import (
     Anchor,
     Box3D,
     BoxVariance,
+    DetectionColumns,
+    DetectionRecord,
     EncodedLogVar,
     EncodedTarget,
     anchor_grid,
@@ -17,7 +19,10 @@ from uatrack.boxes import (
     decode_variance,
     encode_box,
     encode_variance,
+    box_values,
+    check_rows,
     self_anchor,
+    trusted_box,
     wrap_angle,
 )
 from uatrack.tracker import TrackerConfig, constant_sigma_config
@@ -272,3 +277,104 @@ class TestWrapAngleEdges:
 
         once = wrap_angles(np.array([theta]))
         assert np.array_equal(np.array([wrap_angle(float(once[0]))]).view(np.uint64), once.view(np.uint64))
+
+
+def _error(build):
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
+class TestCheckRows:
+    """check_rows raises what Box3D and BoxVariance raise for the first bad row."""
+
+    ROW = (1.0, 2.0, 0.5, 1.8, 4.2, 1.5, 0.3, 0.9)
+    VAR = (0.1,) * 7
+
+    @pytest.mark.parametrize("column, value", [
+        (0, math.nan), (2, math.inf), (6, -math.inf), (7, math.nan), (3, math.inf),
+        (3, 0.0), (4, -1.0), (5, -0.0),
+    ])
+    def test_same_error_as_the_constructor(self, column, value):
+        row = list(self.ROW)
+        row[column] = value
+        rows = np.array([self.ROW, row, row])
+        want = _error(lambda: Box3D(*row[:7], score=row[7]))
+        assert _error(lambda: check_rows(rows, np.full((3, 7), 0.1))) == want
+        assert _error(lambda: check_rows(rows)) == want
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_variances(self, value):
+        var = np.full((3, 7), 0.1)
+        var[2, 4] = value
+        rows = np.array([self.ROW] * 3)
+        assert _error(lambda: check_rows(rows, var)) == _error(lambda: BoxVariance(*var[2]))
+        check_rows(rows)  # no variances, nothing to check there
+
+    def test_first_row_wins_and_the_box_before_its_variance(self):
+        rows = np.array([self.ROW] * 4)
+        var = np.full((4, 7), 0.1)
+        var[1, 0] = -1.0
+        rows[2, 3] = -1.0
+        assert _error(lambda: check_rows(rows, var)) == "variances must be finite and positive"
+        var[1, 0] = 0.1
+        rows[2, 0] = math.nan
+        var[2, 0] = -1.0
+        assert _error(lambda: check_rows(rows, var)).startswith("box values must be finite")
+
+    def test_valid_and_empty_blocks_pass(self):
+        check_rows(np.array([self.ROW] * 3), np.full((3, 7), 0.1))
+        check_rows(np.zeros((0, 8)), np.zeros((0, 7)))
+
+
+class TestDetectionColumns:
+    def _records(self, with_var=True):
+        return [DetectionRecord(f, Box3D(0.5 * f, 1.0, 0.5, 1.8, 4.2, 1.5, 0.1 * f - 3.0, class_id=c, score=0.5),
+                                BoxVariance(*[0.1 + f] * 7) if with_var else None)
+                for f, c in [(0, "Car"), (0, "Pedestrian"), (2, "Car")]]
+
+    def test_records_round_trip(self):
+        for with_var in (True, False):
+            records = self._records(with_var)
+            block = DetectionColumns.of(records)
+            assert list(block) == records == [block[i] for i in range(3)]
+            assert block[-1] == records[-1] and block[np.int64(1)] == records[1] and len(block) == 3
+            assert records[1] in block and block.index(records[2]) == 2
+            with pytest.raises(IndexError):
+                block[3]
+            with pytest.raises(TypeError):
+                block[0:2]
+
+    def test_mixed_variances_rejected(self):
+        mixed = self._records() + self._records(with_var=False)
+        with pytest.raises(ValueError, match="every record"):
+            DetectionColumns.of(mixed)
+        with pytest.raises(ValueError, match="every block"):
+            DetectionColumns.concat([DetectionColumns.of(self._records()),
+                                     DetectionColumns.of(self._records(with_var=False))])
+
+    def test_concat(self):
+        a, b = self._records(), self._records()[1:]
+        assert list(DetectionColumns.concat([DetectionColumns.of(a), DetectionColumns.of(b)])) == a + b
+        no_var = DetectionColumns.concat([DetectionColumns.of(self._records(with_var=False))] * 2)
+        assert no_var.var is None and len(no_var) == 6
+
+
+class TestTrustedBox:
+    def test_keeps_the_constructor_attribute_layout(self):
+        # a box whose instance dict was materialized (say by __dict__.update) reads its fields slower
+        import gc
+
+        checked = Box3D(1.0, -2.0, 0.5, 1.8, 4.2, 1.5, 0.25, class_id="Van", score=0.5)
+        box = trusted_box(*box_values(checked), checked.class_id, checked.score)
+        assert [type(r) for r in gc.get_referents(box)] == [type(r) for r in gc.get_referents(checked)]
+
+    def test_equals_the_checked_box(self):
+        rng = np.random.default_rng(5)
+        for theta in np.concatenate([rng.uniform(-10.0, 10.0, 200), [math.pi, -math.pi, 0.0]]).tolist():
+            checked = Box3D(1.0, -2.0, 0.5, 1.8, 4.2, 1.5, theta, class_id="Van", score=0.25)
+            box = trusted_box(*box_values(checked), checked.class_id, checked.score)
+            assert box == checked and hash(box) == hash(checked) and repr(box) == repr(checked)
+            assert vars(box) == vars(checked)
+            with pytest.raises(AttributeError):
+                box.x = 0.0

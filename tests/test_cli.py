@@ -529,6 +529,91 @@ class TestEvalDetOnColumns:
         assert out.read_text() == "# uatrack-v1\nap,max_f1\n0,0\n"
 
 
+
+class TestTrackOnColumns:
+    """simulate writes the scenario's blocks, track and sweep --mode track feed the tracker blocks: no box per row."""
+
+    @staticmethod
+    def _count_boxes(monkeypatch):
+        from uatrack.boxes import Box3D
+
+        built = []
+        check = Box3D.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Box3D, "__post_init__", counted)
+        return built
+
+    def test_simulate_builds_ground_truth_boxes_only(self, tmp_path, monkeypatch):
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        argv = ["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "6", "--n-frames", "15",
+                "--fp-rate", "0.5", "--fn-rate", "0.1", "--seed", "3"]
+        assert run(argv) == 0
+        want, n_gt = (dets.read_bytes(), gt.read_bytes()), len(read_tracks(gt))
+        built = self._count_boxes(monkeypatch)
+        assert run(argv) == 0
+        assert (dets.read_bytes(), gt.read_bytes()) == want
+        assert len(built) == n_gt == 6 * 15
+
+    def test_track_and_sweep_build_no_box_per_detection(self, tmp_path, monkeypatch):
+        from uatrack.boxes import Box3D
+
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "5", "--n-frames", "30",
+                    "--fp-rate", "0.5", "--seed", "4"]) == 0
+
+        def commands(tag):
+            return [["track", "--dets", str(dets), "--out", str(tmp_path / f"tracks_{tag}.csv")],
+                    ["sweep", "--mode", "track", "--gt", str(gt), "--dets", str(dets),
+                     "--param", "tracker.constant_sigma=0.2,0.5", "--out", str(tmp_path / f"sweep_{tag}.csv")]]
+
+        for argv in commands("objects"):
+            assert run(argv) == 0
+        n_gt = len(read_tracks(gt))
+        built = self._count_boxes(monkeypatch)
+        assert run(commands("columns")[1]) == 0  # sweep reads the ground truth as boxes, the detections not
+        assert len(built) == n_gt
+
+        def refuse(self):
+            raise AssertionError("a Box3D was built")
+
+        monkeypatch.setattr(Box3D, "__post_init__", refuse)
+        assert run(commands("columns")[0]) == 0
+        for name in ("tracks", "sweep"):
+            assert (tmp_path / f"{name}_columns.csv").read_bytes() == (tmp_path / f"{name}_objects.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows, where, error", [
+        (["0,Car,1,2,0,1.8,4.2,1.5,0.3,0.9", "", "1,Car,1,2,0,1.8,0,1.5,0.3,0.9"], "dets.csv:5",
+         "box dimensions must be positive"),
+        (["3,Car,1,2,0,1.8,4.2,1.5,nan,0.9"], "dets.csv:3", "box values must be finite"),
+        (["1000001,Car,1,2,0,1.8,4.2,1.5,0.3,0.9"], "dets.csv:3", "frame index 1000001 above the maximum 1000000"),
+    ])
+    def test_bad_row_exits_2_naming_the_line(self, tmp_path, capsys, rows, where, error):
+        gt = _table_file(tmp_path / "gt.csv", GT_HEADER, [GT_ROW])
+        dets = _table_file(tmp_path / "dets.csv", DET_HEADER, rows)
+        for argv in (["track", "--dets", str(dets), "--out", str(tmp_path / "tracks.csv")],
+                     ["sweep", "--mode", "track", "--gt", str(gt), "--dets", str(dets),
+                      "--param", "tracker.t_init=1"]):
+            capsys.readouterr()
+            assert run(argv) == 2
+            assert f"error: {tmp_path / where}: {error}" in capsys.readouterr().err
+
+    def test_empty_frames_are_padded_from_frame_0(self, tmp_path):
+        dets = _table_file(tmp_path / "dets.csv", DET_HEADER,
+                           [f"{f},Car,{0.5 * f},2,0,1.8,4.2,1.5,0.3,0.9" for f in (2, 3, 7, 8)])
+        out = tmp_path / "tracks.csv"
+        assert run(["track", "--dets", str(dets), "--out", str(out), "--config", str(self._t_init_1(tmp_path))]) == 0
+        assert [(f, i) for f, i, _ in read_tracks(out)] == [(2, 1), (3, 1), (7, 2), (8, 2)]
+
+    @staticmethod
+    def _t_init_1(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"tracker": {"t_init": 1, "t_drop": 1}}')
+        return path
+
 # Runs each (argv, stdout file) of a JSON list through the CLI in one process.
 _RUN_COMMANDS = """
 import json, sys

@@ -212,3 +212,61 @@ class TestBits:
     ], ids=["fp_fn", "miscalibrated", "noiseless", "one_target_all_missed"])
     def test_scenario_digest(self, kwargs, expected):
         assert _scenario_digest(generate_scenario(small_config(**kwargs))) == expected
+
+
+class TestBlocks:
+    """Each frame's detections are one block; its records are the ones the simulator used to build."""
+
+    CONFIG = dict(n_targets=6, n_frames=40, seed=11, fp_rate=0.7, fn_rate=0.2, noise_range_coeff=(0.01,) * 7)
+
+    def test_indexed_records_keep_their_bits(self):
+        # digest of the records the simulator built one by one before it emitted blocks
+        sc = generate_scenario(small_config(**self.CONFIG))
+        h = hashlib.sha256()
+        for frame in sc.detections:
+            n = len(frame)
+            for i in range(n):
+                for d in (frame[i], frame[i - n]):
+                    b = d.box
+                    h.update(f"{d.frame},{b.class_id}".encode())
+                    h.update(",".join(float(v).hex() for v in (b.x, b.y, b.z, b.w, b.l, b.h, b.theta, b.score)
+                                      + d.variance.as_tuple()).encode() + b";")
+            h.update(b"|")
+        assert h.hexdigest() == "72c1765ba5a391cd74114a15b89f211bcc23ecba4f7cd3b1bdee8c4d4ed32b16"
+
+    def test_iteration_equals_indexing(self):
+        sc = generate_scenario(small_config(**self.CONFIG))
+        for f, frame in enumerate(sc.detections):
+            records = list(frame)
+            assert len(records) == len(frame) == frame.rows.shape[0]
+            assert records == [frame[i] for i in range(len(frame))] == [frame[np.int64(i)] for i in range(len(frame))]
+            assert all(type(d.frame) is int and d.frame == f and d.box.class_id == "Car" for d in records)
+            if records:
+                assert frame[-1] == records[-1] and frame[-len(frame)] == records[0]
+            for bad in (len(frame), -len(frame) - 1):
+                with pytest.raises(IndexError):
+                    frame[bad]
+
+    def test_builds_no_detection_box(self, monkeypatch):
+        from uatrack.boxes import Box3D
+
+        built = []
+        check = Box3D.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Box3D, "__post_init__", counted)
+        cfg = small_config(**self.CONFIG)
+        sc = generate_scenario(cfg)
+        assert len(built) == cfg.n_targets * cfg.n_frames  # the ground truth's boxes only
+        assert sum(map(len, sc.detections)) > 0 and len(built) == sum(map(len, sc.ground_truth))
+
+    def test_theta_is_wrapped_as_a_box_wraps_it(self):
+        from uatrack.boxes import wrap_angle
+
+        sc = generate_scenario(small_config(**self.CONFIG))
+        theta = np.concatenate([frame.rows[:, 6] for frame in sc.detections])
+        again = np.array([wrap_angle(t) for t in theta.tolist()])
+        assert np.array_equal(again.view(np.uint64), theta.view(np.uint64))

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from uatrack.assignment import hungarian_assign
-from uatrack.boxes import Box3D, BoxVariance, DetectionRecord, wrap_angle
+from uatrack.boxes import Box3D, BoxVariance, DetectionColumns, DetectionRecord, box_values, wrap_angle
 from uatrack.motion import ctra_step, wrap_angles
 from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import (
@@ -24,6 +24,7 @@ from uatrack.tracker import (
     associate,
     constant_sigma_config,
     size_update,
+    track_frames,
     ukf_predict_batch,
     ukf_update_batch,
 )
@@ -178,6 +179,52 @@ class TestAngleWrap:
         tracker = Tracker()
         tracker.step([detection(0.0, 0.0, 3.1415926535897936)], 0.1)
         assert tracker.table["mean"][0, 2] == math.pi
+
+
+class TestWrapAnglesFormula:
+    """wrap_angles computes fmod and fixes its sign in place; it must give what the np.mod formula gave."""
+
+    @staticmethod
+    def _by_modulus(a):
+        out = np.pi - np.mod(np.pi - a, 2.0 * np.pi)
+        return np.where(out == -np.pi, np.pi, out)
+
+    def test_bitwise_the_modulus_formula(self):
+        rng = np.random.default_rng(21)
+        ulp = np.spacing(math.pi)
+        x = np.concatenate([
+            rng.uniform(-1e8, 1e8, 100_000),
+            rng.normal(0.0, 4.0, 100_000),
+            rng.normal(0.0, 1e-12, 10_000),
+            np.ldexp(rng.uniform(-1.0, 1.0, 20_000), rng.integers(-1074, 1000, 20_000)),
+            np.outer(np.arange(-7, 8) * math.pi, np.ones(401)).ravel() + ulp * np.tile(np.arange(-200, 201), 15),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e300, -1e300],
+        ])
+        assert np.array_equal(wrap_angles(x).view(np.uint64), self._by_modulus(x).view(np.uint64))
+        strided = x[: 39 * 1000].reshape(1000, 13, 3)[..., 2]
+        assert np.array_equal(wrap_angles(strided), self._by_modulus(strided))
+        x32 = rng.uniform(-1e4, 1e4, 10_000).astype(np.float32)
+        assert wrap_angles(x32).dtype == np.float32
+        assert np.array_equal(wrap_angles(x32).view(np.uint32), self._by_modulus(x32).view(np.uint32))
+
+    @pytest.mark.parametrize("a", [4.0, -0.0, np.float64(-4.0), np.array(2.5), np.array([1, 2]), np.float32(7.0)],
+                             ids=["float", "negative zero", "float64", "0-d", "int array", "float32"])
+    def test_input_kinds(self, a):
+        got, want = wrap_angles(a), self._by_modulus(a)
+        assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+        assert np.array_equal(got, want)
+
+    def test_nan_passes_and_inf_warns(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isnan(wrap_angles(np.array([math.nan]))).all()
+            for bad in (math.inf, -math.inf):
+                with pytest.raises(RuntimeWarning):
+                    self._by_modulus(np.array([bad]))
+                with pytest.raises(RuntimeWarning):
+                    wrap_angles(np.array([bad]))
 
 
 class TestRowIndependence:
@@ -615,6 +662,54 @@ class TestTrackerLifecycle:
         out = tracker.step([self._stationary_det()], 0.1)
         assert out == []  # consecutive count restarted
 
+    @staticmethod
+    def _unchanged(tracker, state):
+        table, before, class_names, next_id = state
+        assert tracker.table is table and tracker.class_names == class_names and tracker._next_id == next_id
+        for name in before.dtype.names:
+            assert np.array_equal(table[name], before[name]), name
+
+    @staticmethod
+    def _state(tracker):
+        return tracker.table, tracker.table.copy(), tracker.class_names, tracker._next_id
+
+    def test_non_finite_update_rejected_without_change(self, monkeypatch):
+        import uatrack.tracker as tracker_module
+
+        tracker = Tracker(TrackerConfig(t_init=1))
+        tracker.step([detection(5.0, 5.0), detection(20.0, 0.0)], 0.1)
+        state = self._state(tracker)
+        update = tracker_module.ukf_update_batch
+
+        def nan_update(*args):
+            means, covs = update(*args)
+            means[0, 1] = math.nan
+            return means, covs
+
+        monkeypatch.setattr(tracker_module, "ukf_update_batch", nan_update)
+        with pytest.raises(ValueError, match="finite"):
+            tracker.step([detection(5.0, 5.0), detection(40.0, 0.0, class_id="Pedestrian")], 0.1)
+        self._unchanged(tracker, state)
+        monkeypatch.setattr(tracker_module, "ukf_update_batch", update)
+        assert len(tracker.step([detection(5.0, 5.0)], 0.1)) == 2
+
+    @pytest.mark.parametrize("column, value, error", [
+        (0, math.nan, "box values must be finite"), (7, math.inf, "box values must be finite"),
+        (4, 0.0, "box dimensions must be positive"), (5, -1.0, "box dimensions must be positive"),
+    ])
+    def test_bad_block_row_rejected_without_change(self, column, value, error):
+        from uatrack.boxes import DetectionColumns
+
+        tracker = Tracker(TrackerConfig(t_init=1))
+        tracker.step([detection(5.0, 5.0)], 0.1)
+        state = self._state(tracker)
+        block = DetectionColumns.of([detection(5.0, 5.0), detection(30.0, 0.0, class_id="Cyclist"),
+                                     detection(60.0, 0.0)])
+        block.rows[1, column] = value
+        with pytest.raises(ValueError, match=error):
+            tracker.step(block, 0.1)
+        self._unchanged(tracker, state)
+
     def test_constant_sigma_config(self):
         cfg = constant_sigma_config(TrackerConfig(), 0.5)
         assert not cfg.use_detection_covariance
@@ -839,6 +934,38 @@ class TestOracle:
     def test_simulated_scenario_equals_reference(self, cfg):
         for _ in _run_both(sim_frames(5), cfg):
             pass
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS.values(), ids=ORACLE_CFGS.keys())
+    def test_block_equals_its_records(self, cfg):
+        frames = sim_frames(5)
+        assert all(isinstance(frame, DetectionColumns) for frame in frames)
+        by_block, by_records = Tracker(cfg), Tracker(cfg)
+        for frame in frames:
+            got = [(t.id, t.to_box()) for t in by_block.step(frame, 0.1)]
+            want = [(t.id, t.to_box()) for t in by_records.step(list(frame), 0.1)]
+            assert _bits(got) == _bits(want)
+        for name in by_block.table.dtype.names:  # field by field: the aligned rows hold padding bytes
+            assert by_block.table[name].tobytes() == by_records.table[name].tobytes(), name
+        assert by_block.class_names == by_records.class_names and by_block._next_id == by_records._next_id
+
+    def test_boxes_pass_the_checks_they_skip(self):
+        # theta comes out of wrap_angles, so a checked Box3D of the same values holds the same bits
+        for frame in track_frames(sim_frames(5), ORACLE_CFGS["t_init=1"], 0.1):
+            for _, box in frame:
+                checked = Box3D(*box_values(box), class_id=box.class_id, score=box.score)
+                assert repr(checked) == repr(box) and checked == box and hash(checked) == hash(box)
+
+    def test_sim_blocks_track_without_building_a_detection_box(self, monkeypatch):
+        frames = sim_frames(5)
+        want = track_frames(frames, ORACLE_CFGS["adaptive"], 0.1)
+
+        def refuse(self):
+            raise AssertionError("a Box3D was built")
+
+        monkeypatch.setattr(Box3D, "__post_init__", refuse)
+        got = track_frames(frames, ORACLE_CFGS["adaptive"], 0.1)
+        assert [_bits(frame) for frame in got] == [_bits(frame) for frame in want]
+        assert sum(map(len, got)) > 0
 
     def test_inputs_exercise_the_hard_cases(self):
         for seed in range(3):
