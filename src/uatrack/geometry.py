@@ -4,16 +4,16 @@ One numpy kernel scores a batch of (a, b) box pairs.  Each box's corner
 loop, circumradius and edge tolerances are computed once per box
 (``_box_table``).  A pair is scored only if the circumcircles of its two
 boxes meet (``_reach``, the one cheap reject); every other pair has IoU
-0.  The pairs put to that test are all of a block (``_pairs_in_reach``)
-or, for many groups at once, those of one sort-and-sweep along x
-(``_grouped_pairs_in_reach`` over ``sweep_pairs``, the broad phase that
-the tracker's association shares).  The kernel clips box a against the
-four half-planes of box b, Sutherland-Hodgman style restricted to a
-convex clipper (Sutherland & Hodgman, "Reentrant polygon clipping",
-CACM 1974), on padded vertex buffers of all pairs at once, and sums the
-shoelace formula vertex by vertex.  Points within EDGE_EPS x edge length of an
-edge count as inside, so touching configurations do not flicker between
-0 and a sliver.
+0.  The pairs put to that test come from one sort-and-sweep along x over
+one group of boxes or many (``_grouped_pairs_in_reach`` over
+``sweep_pairs``, the broad phase that the tracker's association shares).
+The kernel clips box a against the four half-planes of box b,
+Sutherland-Hodgman style restricted to a convex clipper (Sutherland &
+Hodgman, "Reentrant polygon clipping", CACM 1974), on padded vertex
+buffers of all pairs at once, and sums the shoelace formula vertex by
+vertex.  Points within EDGE_EPS x edge length of an edge count as
+inside, so touching configurations do not flicker between 0 and a
+sliver.
 
 The kernel performs the float operations of a per-pair scalar clip in
 the same order, so its values do not depend on how the pairs are
@@ -36,8 +36,8 @@ EDGE_EPS = 1e-9
 
 # Pairs per kernel pass: bounds the kernel's temporaries to a few MB.
 _CHUNK = 1024
-# Cells (or sweep candidates) per block of the reach test: bounds its
-# temporaries likewise.
+# Sweep candidates per block of the reach test: bounds its temporaries
+# likewise.
 _GATE_CELLS = 1 << 15
 # Relative widening of a sweep window: far above the few ulps by which
 # the window's ends and an exact test can round, far below any gate.
@@ -134,28 +134,6 @@ def _reach(ax, ay, ar, bx, by, br) -> np.ndarray:
     return d2 <= rr
 
 
-def _pairs_in_reach(a: _Boxes, a_lo: int, a_hi: int, b: _Boxes, b_lo: int, b_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (ia, ib) of a[a_lo:a_hi] x b[b_lo:b_hi] that pass _reach, row-major.
-
-    Rows are taken in blocks so no temporary exceeds _GATE_CELLS cells.
-    """
-    bx = b.x[b_lo:b_hi]
-    by = b.y[b_lo:b_hi]
-    br = b.radius[b_lo:b_hi]
-    step = max(1, _GATE_CELLS // max(len(bx), 1))
-    found_a, found_b = [], []
-    for r0 in range(a_lo, a_hi, step):
-        r1 = min(r0 + step, a_hi)
-        ia, ib = np.nonzero(_reach(a.x[r0:r1, None], a.y[r0:r1, None], a.radius[r0:r1, None], bx, by, br))
-        found_a.append(ia + r0)
-        found_b.append(ib + b_lo)
-    if not found_a:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    if len(found_a) == 1:
-        return found_a[0], found_b[0]
-    return np.concatenate(found_a), np.concatenate(found_b)
-
-
 def sweep_window(center: np.ndarray, reach, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Window ends (lo, hi) around each center, for sweep_pairs over the ascending keys.
 
@@ -194,11 +172,11 @@ def _grouped_pairs_in_reach(a: _Boxes, a_group: np.ndarray, b: _Boxes, b_group: 
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (ia, ib) of one group that pass _reach, from one sweep over every group; ia ascending.
 
-    The pair set is that of _pairs_in_reach group by group.  Each b row
-    is keyed by its group, then by the rank of its x among all b rows:
-    exact integers, so no window reaches into another group.  a's rows
-    are swept in blocks of about _GATE_CELLS candidates, so temporaries
-    do not grow with the sequence.
+    The pair set is that of _reach over each group's full cross
+    product.  Each b row is keyed by its group, then by the rank of its
+    x among all b rows: exact integers, so no window reaches into
+    another group.  a's rows are swept in blocks of about _GATE_CELLS
+    candidates, so temporaries do not grow with the sequence.
     """
     if not len(a.x) or not len(b.x):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
@@ -321,8 +299,9 @@ def _pair_iou(a: _Boxes, ia: np.ndarray, b: _Boxes, ib: np.ndarray, three_d: boo
 
 def _one_pair(table: _Boxes, score) -> float:
     """score(table, ia, table, ib) of row 0 against row 1, or 0.0 when they are out of reach."""
-    ia, ib = _pairs_in_reach(table, 0, 1, table, 1, 2)
-    return float(score(table, ia, table, ib)[0]) if len(ia) else 0.0
+    if not _reach(table.x[0], table.y[0], table.radius[0], table.x[1], table.y[1], table.radius[1]):
+        return 0.0
+    return float(score(table, np.zeros(1, np.intp), table, np.ones(1, np.intp))[0])
 
 
 def rotated_intersection_area(a: RotatedRect, b: RotatedRect) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .boxes import EncodedLogVar
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
-from .geometry import _pair_iou, _pairs_in_reach, _table, iou_3d, iou_bev  # noqa: F401
+from .geometry import _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
@@ -157,7 +157,8 @@ def nms(rows: np.ndarray, cfg: NmsConfig) -> np.ndarray:
     """
     order = (-rows[:, 7]).argsort(kind="stable")[: cfg.pre_top_k]
     table = _table(rows[order, :7])
-    later, earlier = _pairs_in_reach(table, 0, len(order), table, 0, len(order))
+    group = np.zeros(len(order), dtype=np.intp)
+    later, earlier = _grouped_pairs_in_reach(table, group, table, group)
     once = later > earlier
     later, earlier = later[once], earlier[once]
     over = _pair_iou(table, later, table, earlier, cfg.iou_kind is IouKind.THREE_D) > cfg.iou_threshold

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3D, BoxVariance, DetectionColumns, check_rows
+from .boxes import Box3D, DetectionColumns, check_rows
 from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -99,16 +99,17 @@ class Scenario:
     detections[f] holds frame f's detections as one block: frame indices,
     "Car" names, (n, 8) rows (BOX_FIELDS values with theta wrapped by
     motion.wrap_angles, then score) and the (n, 7) *reported* variances.
-    true_variances holds the actual generating noise variance for each
-    detection (identical when miscalibration_factor is 1).  gt_states
-    keeps the full CTRA state per target per frame for motion-level
-    checks.
+    true_variances[f] holds the actual generating noise variances of
+    frame f's detections as one (n, 7) array, rows in the block's order
+    and columns in BOX_FIELDS order (equal to the reported ones when
+    miscalibration_factor is 1).  gt_states keeps the full CTRA state per
+    target per frame for motion-level checks.
     """
 
     config: ScenarioConfig
     ground_truth: list[list[tuple[int, Box3D]]]
     detections: list[DetectionColumns]
-    true_variances: list[list[BoxVariance]]
+    true_variances: list[np.ndarray]
     gt_states: list[np.ndarray]
 
 
@@ -140,7 +141,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
     ground_truth: list[list[tuple[int, Box3D]]] = []
     detections: list[DetectionColumns] = []
-    true_variances: list[list[BoxVariance]] = []
+    true_variances: list[np.ndarray] = []
     gt_states: list[np.ndarray] = []
 
     for f in range(cfg.n_frames):
@@ -184,7 +185,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         check_rows(rows)
         detections.append(DetectionColumns(np.full(n_dets, f, np.int64), np.full(n_dets, "Car", object), rows,
                                            reported))
-        true_variances.append([BoxVariance(*v) for v in var.tolist()])
+        true_variances.append(var)
 
         # next frame: exact CTRA, then perturb the accel and turn rate
         states = ctra_step(states, cfg.dt)

@@ -1,14 +1,17 @@
 """Covariance-aware multi-object tracking.
 
-Each track's state is split the way the detections are used: an
-unscented Kalman filter over the planar pose (x, y, theta) with CTRA
-dynamics on the hidden (v, a, omega), an independent scalar Kalman
-filter per footprint dimension (w, l), and pass-through of the latest z
-and h.  When detections carry their own variance it is used directly as
-the observation noise (and as the initial state noise of new tracks);
-otherwise a fixed default applies, which is the classic
-constant-covariance tracker.  TrackerConfig states both noises as a
-config file does: a process-noise diagonal and observation sigmas.
+Each track's state is split the way the detections are used: a Kalman
+filter over the planar pose (x, y, theta) and the hidden (v, a, omega),
+an independent scalar Kalman filter per footprint dimension (w, l), and
+pass-through of the latest z and h.  The pose filter predicts with the
+unscented transform, because the CTRA dynamics are nonlinear, and
+updates in closed form, because a detection observes (x, y, theta)
+directly: for a linear observation the unscented update would only
+recompute the same moments.  When detections carry their own variance
+it is used directly as the observation noise (and as the initial state
+noise of new tracks); otherwise a fixed default applies, which is the
+classic constant-covariance tracker.  TrackerConfig states both noises
+as a config file does: a process-noise diagonal and observation sigmas.
 
 A Tracker keeps every track in one table, a numpy structured array with
 one row per track (see TRACK_DTYPE).  step() takes a frame as a
@@ -73,7 +76,10 @@ DEFAULT_OBS_SIGMA = (0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.1)
 # One row per track: pose mean (x, y, theta, v, a, omega) and covariance,
 # filtered (w, l) and their variances, z and h of the latest matched
 # detection, smoothed score, consecutive hits and misses.  class_id is a
-# code into Tracker.class_names.
+# code into Tracker.class_names.  _pad fills the row out to its 8-byte
+# alignment: numpy leaves bytes outside any field unset when it copies,
+# filters or concatenates rows, so every byte is a field, and equal tables
+# have equal bytes.
 TRACK_DTYPE = np.dtype(
     [
         ("id", np.int64),
@@ -88,6 +94,7 @@ TRACK_DTYPE = np.dtype(
         ("hits", np.int64),
         ("misses", np.int64),
         ("confirmed", bool),
+        ("_pad", np.uint8, (7,)),
     ],
     align=True,
 )
@@ -202,11 +209,6 @@ def _moments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, dev
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Weighted cross-covariance sum_p Wc[p] a[p] b[p]^T of each row, one matrix product each."""
-    return (np.swapaxes(a, -1, -2) * _WC) @ b
-
-
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
@@ -219,29 +221,27 @@ def ukf_predict_batch(
     Means leave with theta in (-pi, pi], covariances exactly symmetric.
     """
     mean, dev = _moments(ctra_step(_sigma_points(means, covs), dt))
-    # the weighted product is symmetric only up to rounding
-    return mean, _sym(_cross(dev, dev) + process_noise * dt)
+    # sum_p Wc[p] dev[p] dev[p]^T, one matrix product per row, is symmetric only up to rounding
+    return mean, _sym((np.swapaxes(dev, -1, -2) * _WC) @ dev + process_noise * dt)
 
 
 def ukf_update_batch(
     means: np.ndarray, covs: np.ndarray, obs: np.ndarray, obs_var: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement update on (x, y, theta) with per-state noise variances.
+    """Kalman update on (x, y, theta) with per-state noise variances.
 
     obs is (T, 3) measurements, obs_var the matching (T, 3) diagonal
-    observation-noise variances.  Means leave with theta in (-pi, pi],
+    observation-noise variances.  The observation is a row selection of
+    the state, so the update is the exact linear-Gaussian posterior:
+    innovation covariance S = P[:3, :3] + R, gain K = P[:, :3] S^-1, with
+    the innovation's theta wrapped.  Means leave with theta in (-pi, pi],
     covariances exactly symmetric.
     """
-    pts = _sigma_points(means, covs)
-    z_mean, dz = _moments(pts[:, :, :3])
-    dx = pts - means[:, None, :]
-    dx[..., 2] = wrap_angles(dx[..., 2])
-
-    s_mat = _cross(dz, dz)
+    s_mat = covs[:, :3, :3].copy()
     s_mat[:, _POSE, _POSE] += obs_var
-    gain = np.swapaxes(np.linalg.solve(s_mat, np.swapaxes(_cross(dx, dz), -1, -2)), -1, -2)
-
-    innovation = obs - z_mean
+    # K^T = S^-1 P[:3, :], since P and S are symmetric
+    gain = np.swapaxes(np.linalg.solve(s_mat, covs[:, :3, :]), -1, -2)
+    innovation = obs - means[:, :3]
     innovation[:, 2] = wrap_angles(innovation[:, 2])
     new_means = means + np.einsum("tij,tj->ti", gain, innovation)
     new_means[:, 2] = wrap_angles(new_means[:, 2])

@@ -305,8 +305,8 @@ def tracking_experiment():
             fp_rate=0.5, fn_rate=0.1, seed=seed,
         )
         scenario = generate_scenario(cfg)
-        sigmas = [math.sqrt(v.var_x) for frame in scenario.true_variances for v in frame]
-        sigma_spread = max(sigmas) / min(sigmas)
+        sigmas = np.sqrt(np.concatenate(scenario.true_variances)[:, 0])
+        sigma_spread = float(sigmas.max() / sigmas.min())
         results = compare_adaptive_vs_constant(cfg, SIGMA_GRID, base)
         adaptive, consts = results[0], results[1:]
         rows.append(

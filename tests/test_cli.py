@@ -457,7 +457,7 @@ class TestConfigPath:
 GOLDEN_SHA256 = {
     "gt.csv": "0e05d0b7fa011fd9a79e5eafbd041695951cbe7a17ee10f4e0a511b7b2e66c85",
     "dets.csv": "d24d7b2a694898a4276a4cacca6100f5963644f87d745c35a574e7df7dbd5541",
-    "tracks.csv": "9ab53917b4bc0f39136bb509828ddecc2881c8b566fc38f899053a61322558fd",
+    "tracks.csv": "6a937ff1a617833c1d8ac93f8282a3a67bc2e851d3834625b101acab959af1f6",
     "eval_track.csv": "272d62e2e58195404726ca8bce188be7f3dc0f3726331261ef34e72c3277550e",
     "eval_det.csv": "a507800394638ec72088754caf9d6add907bddeddde76c322a699a6f9f89dbc3",
     "kept.csv": "aa4f658b12bbb84fb16d5477b9b4a0326103a029b720680955a84ceab31e3458",

@@ -15,7 +15,7 @@ from uatrack.geometry import (
     _clip,
     _grouped_pairs_in_reach,
     _pair_iou,
-    _pairs_in_reach,
+    _reach,
     _rect_table,
     iou_3d,
     iou_bev,
@@ -189,10 +189,20 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+def reach_pairs(a, a_lo, a_hi, b, b_lo, b_hi):
+    """Rows (ia, ib) of the full cross product a[a_lo:a_hi] x b[b_lo:b_hi] that pass _reach, row-major.
+
+    The reference for the package's broad phase: it shares no sweep code.
+    """
+    ia, ib = np.nonzero(_reach(a.x[a_lo:a_hi, None], a.y[a_lo:a_hi, None], a.radius[a_lo:a_hi, None],
+                               b.x[b_lo:b_hi], b.y[b_lo:b_hi], b.radius[b_lo:b_hi]))
+    return ia + a_lo, ib + b_lo
+
+
 def kernel_matrix(boxes_a, boxes_b, three_d):
     """Dense len(a) x len(b) IoU through the package's reach test and kernel."""
     ta, tb = _box_table(boxes_a), _box_table(boxes_b)
-    ia, ib = _pairs_in_reach(ta, 0, len(boxes_a), tb, 0, len(boxes_b))
+    ia, ib = reach_pairs(ta, 0, len(boxes_a), tb, 0, len(boxes_b))
     out = np.zeros((len(boxes_a), len(boxes_b)))
     out[ia, ib] = _pair_iou(ta, ia, tb, ib, three_d)
     return out
@@ -257,7 +267,7 @@ class TestKernelOracle:
         rng = np.random.default_rng(52)
         a = random_boxes(rng, 200, 1.0)
         ta = _box_table(a)
-        ia, ib = _pairs_in_reach(ta, 0, len(a), ta, 0, len(a))
+        ia, ib = reach_pairs(ta, 0, len(a), ta, 0, len(a))
         qx, _, count = _clip(ta, ia, ta, ib)
         assert count.max() == qx.shape[1] == 8
 
@@ -289,10 +299,10 @@ class TestKernelOracle:
         rb = 0.5 * math.hypot(fb[2], fb[3])
         assert fb[0] ** 2 == (ra + rb) ** 2
         table = _rect_table([RotatedRect(*fa), RotatedRect(*fb)])
-        assert len(_pairs_in_reach(table, 0, 1, table, 1, 2)[0]) == 1
+        assert len(reach_pairs(table, 0, 1, table, 1, 2)[0]) == 1
         fa, fb = SPECIAL_RECTS["just outside reach"]
         table = _rect_table([RotatedRect(*fa), RotatedRect(*fb)])
-        assert len(_pairs_in_reach(table, 0, 1, table, 1, 2)[0]) == 0
+        assert len(reach_pairs(table, 0, 1, table, 1, 2)[0]) == 0
 
     def test_empty_and_zero_pair_inputs(self):
         empty = _box_table([])
@@ -300,10 +310,8 @@ class TestKernelOracle:
         some = _box_table(random_boxes(np.random.default_rng(53), 5, 1.0))
         none = np.zeros(0, dtype=np.intp)
         for a, b in ((empty, some), (some, empty), (empty, empty)):
-            ia, ib = _pairs_in_reach(a, 0, len(a.x), b, 0, len(b.x))
+            ia, ib = _grouped_pairs_in_reach(a, np.zeros(len(a.x), np.intp), b, np.zeros(len(b.x), np.intp))
             assert len(ia) == len(ib) == 0
-        ia, ib = _pairs_in_reach(some, 2, 2, some, 0, 5)
-        assert len(ia) == 0
         for three_d in (False, True):
             assert _pair_iou(some, none, some, none, three_d).shape == (0,)
         assert _clip(some, none, some, none)[2].shape == (0,)
@@ -316,7 +324,7 @@ class TestKernelOracle:
         for b in bs:
             assert frozen.clip_rect_polygon(frozen.bev_rect(a), frozen.bev_rect(b)) == []
         table = _box_table([a] + bs)
-        ia, ib = _pairs_in_reach(table, 0, 1, table, 1, 4)
+        ia, ib = reach_pairs(table, 0, 1, table, 1, 4)
         assert len(ia) == 3
         qx, _, count = _clip(table, ia, table, ib)
         assert count.tolist() == [0, 0, 0] and qx.shape[1] == 0
@@ -324,12 +332,12 @@ class TestKernelOracle:
 
 
 class TestGroupedPairsInReach:
-    """One sweep over every group finds the pairs of the per-group block test."""
+    """One sweep over every group finds the pairs of the reach test over each group's cross product."""
 
     @staticmethod
     def per_group(a, a_sizes, b, b_sizes):
         a_lo, b_lo = np.cumsum([0, *a_sizes]), np.cumsum([0, *b_sizes])
-        found = [_pairs_in_reach(a, a_lo[g], a_lo[g + 1], b, b_lo[g], b_lo[g + 1]) for g in range(len(a_sizes))]
+        found = [reach_pairs(a, a_lo[g], a_lo[g + 1], b, b_lo[g], b_lo[g + 1]) for g in range(len(a_sizes))]
         return {(i, j) for ia, ib in found for i, j in zip(ia.tolist(), ib.tolist())}
 
     @staticmethod

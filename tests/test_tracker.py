@@ -21,6 +21,10 @@ from uatrack.tracker import (
     SCORE_SMOOTHING,
     Tracker,
     TrackerConfig,
+    _GAMMA,
+    _WC,
+    _moments,
+    _sigma_points,
     associate,
     constant_sigma_config,
     size_update,
@@ -292,6 +296,75 @@ class TestUkfUpdate:
         assert abs(math.remainder(out[0][2] - (-3.1), 2 * math.pi)) < 0.01
         innovation = math.remainder(-3.1 - 3.1, 2 * math.pi)
         assert abs(innovation) == pytest.approx(2 * math.pi - 6.2, abs=1e-9)
+
+    @staticmethod
+    def _random_states(rng, n, sigma_theta):
+        """n random states whose theta standard deviations are sigma_theta, with measurements."""
+        a = rng.normal(0.0, 0.3, (n, 6, 6))
+        covs = a @ np.swapaxes(a, 1, 2) + 1e-3 * np.eye(6)
+        scale = np.ones((n, 6))
+        scale[:, 2] = sigma_theta / np.sqrt(covs[:, 2, 2])
+        covs *= scale[:, :, None] * scale[:, None, :]
+        means = np.column_stack([rng.normal(0.0, 20.0, (n, 2)), rng.uniform(-math.pi, math.pi, n),
+                                 rng.normal(0.0, 1.0, (n, 3))])
+        obs = means[:, :3] + rng.normal(0.0, 0.5, (n, 3))
+        obs[:, 2] = wrap_angles(obs[:, 2])
+        return means, covs, obs, rng.uniform(0.01, 1.0, (n, 3))
+
+    @staticmethod
+    def _unscented_update(means, covs, obs, obs_var):
+        """The unscented update: the same moments, taken through sigma points."""
+        pts = _sigma_points(means, covs)
+        z_mean, dz = _moments(pts[:, :, :3])
+        dx = pts - means[:, None, :]
+        dx[..., 2] = wrap_angles(dx[..., 2])
+        s_mat = (np.swapaxes(dz, 1, 2) * _WC) @ dz + obs_var[:, :, None] * np.eye(3)
+        gain = (np.swapaxes(dx, 1, 2) * _WC) @ dz @ np.linalg.inv(s_mat)
+        innovation = obs - z_mean
+        innovation[:, 2] = wrap_angles(innovation[:, 2])
+        new_means = means + np.einsum("tij,tj->ti", gain, innovation)
+        new_means[:, 2] = wrap_angles(new_means[:, 2])
+        return new_means, covs - gain @ s_mat @ np.swapaxes(gain, 1, 2)
+
+    def test_matches_the_unscented_update_while_sigma_points_stay_within_pi(self):
+        # for a linear observation the unscented transform gives the same
+        # moments, as long as no sigma point's heading wraps around
+        rng = np.random.default_rng(31)
+        sigma_theta = rng.uniform(0.01, 0.999, 500) * math.pi / _GAMMA
+        means, covs, obs, obs_var = self._random_states(rng, 500, sigma_theta)
+        got_mean, got_cov = ukf_update_batch(means, covs, obs, obs_var)
+        want_mean, want_cov = self._unscented_update(means, covs, obs, obs_var)
+        gap = got_mean - want_mean
+        gap[:, 2] = wrap_angles(gap[:, 2])
+        assert np.abs(gap).max() <= 1e-12
+        assert np.abs(got_cov - want_cov).max() <= 1e-12
+
+    def test_is_the_joseph_form_posterior_past_pi(self):
+        # headings far too uncertain for sigma points to stay within pi:
+        # the update is still the exact linear-Gaussian posterior
+        n = 200
+        rng = np.random.default_rng(32)
+        sigma_theta = np.geomspace(0.01, 10.0, n)
+        means, covs, obs, obs_var = self._random_states(rng, n, sigma_theta)
+        got_mean, got_cov = ukf_update_batch(means, covs, obs, obs_var)
+        h = np.eye(6)[:3]
+        for i in range(n):
+            p, r = covs[i], np.diag(obs_var[i])
+            k = p @ h.T @ np.linalg.inv(h @ p @ h.T + r)
+            innovation = obs[i] - means[i, :3]
+            innovation[2] = wrap_angle(innovation[2])
+            want_mean = means[i] + k @ innovation
+            want_mean[2] = wrap_angle(want_mean[2])
+            i_kh = np.eye(6) - k @ h
+            want_cov = i_kh @ p @ i_kh.T + k @ r @ k.T
+            gap = got_mean[i] - want_mean
+            gap[2] = wrap_angle(gap[2])
+            assert np.abs(gap).max() <= 1e-9, i
+            assert np.abs(got_cov[i] - want_cov).max() <= 1e-9, i
+        # the sigma-point update would wrap its headings here, and give another posterior
+        past_pi = _GAMMA * sigma_theta > math.pi
+        want_mean, _ = self._unscented_update(means[past_pi], covs[past_pi], obs[past_pi], obs_var[past_pi])
+        assert np.abs(wrap_angles(got_mean[past_pi, 2] - want_mean[:, 2])).max() > 0.1
 
     def test_trace_never_grows(self):
         rng = np.random.default_rng(1)
@@ -944,8 +1017,7 @@ class TestOracle:
             got = [(t.id, t.to_box()) for t in by_block.step(frame, 0.1)]
             want = [(t.id, t.to_box()) for t in by_records.step(list(frame), 0.1)]
             assert _bits(got) == _bits(want)
-        for name in by_block.table.dtype.names:  # field by field: the aligned rows hold padding bytes
-            assert by_block.table[name].tobytes() == by_records.table[name].tobytes(), name
+        assert by_block.table.tobytes() == by_records.table.tobytes()
         assert by_block.class_names == by_records.class_names and by_block._next_id == by_records._next_id
 
     def test_boxes_pass_the_checks_they_skip(self):
