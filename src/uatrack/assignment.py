@@ -20,6 +20,10 @@ def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
     cost's shape; forbidden cells may hold anything.  Returns (row, col)
     pairs, rows ascending, all of them allowed.
 
+    When no row and no column holds two allowed cells, the unique
+    optimum is every allowed cell, and it is returned without calling
+    the solver.
+
     Where several matchings tie on count and total cost, which one is
     returned depends on the whole matrix: a call on a submatrix that
     holds every allowed cell of some rows and columns may pick a
@@ -35,6 +39,9 @@ def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
         return []
     if not np.isfinite(cost[allowed]).all():
         raise ValueError("allowed costs must be finite")
+    rows, cols = (a.tolist() for a in np.nonzero(allowed))
+    if len(set(rows)) == len(set(cols)) == len(rows):  # no row or column is contested
+        return list(zip(rows, cols))
     rows, cols = linear_sum_assignment(np.where(allowed, cost, FORBIDDEN_COST))
     keep = allowed[rows, cols]
     return list(zip(rows[keep].tolist(), cols[keep].tolist()))

@@ -1,22 +1,24 @@
 """Detection and tracking evaluation.
 
 Detection quality is scored by a threshold sweep over prediction scores
-with a maximum per-frame matching at every threshold, grown by augmenting
-paths as predictions become active (AP over interpolated precision at
-fixed recall levels, plus the best F1 along the sweep).
+(AP over interpolated precision at fixed recall levels, plus the best
+F1 along the sweep).  The sweep reads one array of match edges, the
+(gt, prediction) pairs with IoU at or above threshold: each
+prediction's gain in maximum matching comes from its edge counts, or
+from an augmenting-path search where a gt or prediction has two edges,
+and the curve is one cumulative sum over descending scores.
 Tracking quality follows the CLEAR protocol: sticky correspondences,
 identity switches, fragmentations, mostly-lost ratio and MOTA.
 Both score a whole sequence's IoUs with one call of the geometry kernel.
 Detection AP computes on row blocks, frame indices and (n, 8) rows as
 the io readers return them (`uatrack eval-det` scores its files so,
 with no per-row box object); its list-of-boxes form converts to them.
-CLEAR-MOT reads the IoUs frame by frame as dense gt x prediction
-matrices.
+CLEAR-MOT matches each frame on the frame's edges, and its AP sweep
+reads the same edges.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +73,32 @@ class TrackingReport:
         ]
 
 
-def _frame_ious(gt_frames: list[list[Box3D]], pred_frames: list[list[Box3D]], kind: IouKind):
-    """Each frame's dense gt x pred IoU matrix, in frame order.
+def _frame_labels(frames: list[list]) -> np.ndarray:
+    """Each box's frame: list position f is frame f."""
+    return np.repeat(np.arange(len(frames)), [len(frame) for frame in frames])
 
-    Every frame's pairs in reach come from one sort-and-sweep with the
-    frames as groups, and the kernel scores them all in one call; a
-    frame's matrix is filled only when the caller asks for it, so no
-    more than one is alive at a time.
+
+def _frame_pairs(gt_frames: list[list[Box3D]], pred_frames: list[list[Box3D]], kind: IouKind):
+    """Every frame's (gt, prediction) pairs in reach and their IoUs: (ig, ip, values).
+
+    Boxes are numbered through the frames in order, so no pair joins two
+    frames; ig ascends.  Every frame's pairs come from one sort-and-sweep
+    with the frames as groups, and the kernel scores them all in one call.
     """
     gt = _box_table([b for frame in gt_frames for b in frame])
     pred = _box_table([b for frame in pred_frames for b in frame])
+    ig, ip = _grouped_pairs_in_reach(gt, _frame_labels(gt_frames), pred, _frame_labels(pred_frames))
+    return ig, ip, _pair_iou(gt, ig, pred, ip, kind is IouKind.THREE_D)
+
+
+def _frame_ious(gt_frames: list[list], pred_frames: list[list], ig: np.ndarray, ip: np.ndarray, values: np.ndarray):
+    """Each frame's dense gt x pred matrix of the pairs' values, zero elsewhere, in frame order.
+
+    A frame's matrix is filled only when the caller asks for it, so no
+    more than one is alive at a time.
+    """
     g_size = [len(frame) for frame in gt_frames]
     p_size = [len(frame) for frame in pred_frames]
-    ig, ip = _grouped_pairs_in_reach(gt, np.repeat(np.arange(len(g_size)), g_size),
-                                     pred, np.repeat(np.arange(len(p_size)), p_size))
-    values = _pair_iou(gt, ig, pred, ip, kind is IouKind.THREE_D)
-    del gt, pred  # the frame loop below needs only the values
     g_lo = np.cumsum([0] + g_size).tolist()
     p_lo = np.cumsum([0] + p_size).tolist()
     ends = np.searchsorted(ig, g_lo).tolist()  # ig ascends, so each frame's pairs are one run
@@ -113,21 +125,8 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], cfg: EvalConfig) -> list[tup
     Pairs below the IoU threshold are forbidden.  Returns (gt index,
     pred index, iou) triples.
     """
-    return _match_from_matrix(next(_frame_ious([gt], [pred], cfg.iou_kind)), cfg.iou_threshold)
-
-
-def _sweep_frame(iou: np.ndarray, pred: list[Box3D], threshold: float) -> tuple[list[float], list[list[int]], int]:
-    """A frame as _pr_sweep takes it, from its gt x pred IoU matrix.
-
-    Returns the prediction scores in descending order (ties keep their
-    input order), each one's gt rows with IoU >= threshold, and the gt
-    count.
-    """
-    order = sorted(range(len(pred)), key=lambda k: -pred[k].score)
-    rows_of: list[list[int]] = [[] for _ in pred]
-    for gi, pi in zip(*(a.tolist() for a in np.nonzero(iou >= threshold))):
-        rows_of[pi].append(gi)
-    return [pred[k].score for k in order], [rows_of[k] for k in order], iou.shape[0]
+    pairs = _frame_pairs([gt], [pred], cfg.iou_kind)
+    return _match_from_matrix(next(_frame_ious([gt], [pred], *pairs)), cfg.iou_threshold)
 
 
 def _augment(adj: list[list[int]], owner: list[int], root: int) -> bool:
@@ -165,65 +164,69 @@ def _augment(adj: list[list[int]], owner: list[int], root: int) -> bool:
     return False
 
 
-def _pr_sweep(
-    frames: list[tuple[list[float], list[list[int]], int]],
-    recall_points: int,
-) -> tuple[float, float, list[tuple[float, float, float]]]:
-    """AP, max F1 and curve from each frame's (scores, adjacency, gt count).
+def _gains(scores: np.ndarray, ig: np.ndarray, ip: np.ndarray, n_gt: int) -> np.ndarray:
+    """How much activating each prediction grows a maximum matching, in descending-score order.
 
-    A frame's scores run in descending order and adjacency[k] lists the
-    gt rows its k-th prediction may match (see _sweep_frame).  The true
-    positives at a threshold are the frames' maximum-cardinality
-    matchings over the active predictions.  Activating one prediction
-    grows a maximum matching by at most one, exactly when an augmenting
-    path starts at it, so one search per prediction keeps every frame's
-    count current.
+    A prediction with no edge gains 0, and one whose only edge is also
+    its gt's only edge gains 1.  The rest lie in components where some
+    box has two edges: they are activated in descending score (ties in
+    input order) and each gains 1 exactly when an augmenting path starts
+    at it.  No component spans two frames, so this one pass runs every
+    frame's predictions in that frame's order.
     """
-    total_gt = sum(n for _, _, n in frames)
-    thresholds = sorted({s for scores, _, _ in frames for s in scores}, reverse=True)
-    if not thresholds or total_gt == 0:
+    gain = np.zeros(len(scores), dtype=np.intp)
+    lone = (np.bincount(ip, minlength=len(scores))[ip] == 1) & (np.bincount(ig, minlength=n_gt)[ig] == 1)
+    gain[ip[lone]] = 1
+    order = np.lexsort((ig[~lone], ip[~lone]))  # by prediction, then gt
+    cp, cg = ip[~lone][order], ig[~lone][order]
+    preds, start = np.unique(cp, return_index=True)
+    rows = np.unique(cg, return_inverse=True)[1].tolist()  # each gt numbered among the contested ones
+    bounds = [*start.tolist(), len(rows)]
+    adj = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+    owner = [-1] * len(rows)
+    for k in np.argsort(-scores[preds], kind="stable").tolist():
+        gain[preds[k]] = _augment(adj, owner, k)
+    return gain
+
+
+def _pr_sweep(
+    scores: np.ndarray, ig: np.ndarray, ip: np.ndarray, n_gt: int, recall_points: int,
+) -> tuple[float, float, list[tuple[float, float, float]]]:
+    """AP, max F1 and curve of scored predictions and their match edges.
+
+    scores run in frame order, input order within a frame.  Edge k lets
+    gt ig[k] match prediction ip[k]; an index names one box of the whole
+    sequence, and no edge joins two frames; n_gt counts every frame's gt.
+    The true positives at a threshold are the size of a maximum matching
+    of the predictions scored at or above it.  That size does not depend
+    on the order the predictions were activated in, so each one's gain
+    (see _gains) is found once and the curve is a cumulative sum.  A
+    run of tied scores is one threshold, the run's first score in frame
+    order: 0.0 and -0.0 tie.
+    """
+    if not len(scores) or n_gt == 0:
         return 0.0, 0.0, []
-
-    frames_at: dict[float, list[int]] = {}
-    for f, (scores, _, _) in enumerate(frames):
-        for s in scores:
-            frames_at.setdefault(s, []).append(f)
-
-    active = [0] * len(frames)  # how many of the frame's sorted preds are in play
-    owners = [[-1] * n for _, _, n in frames]
-    total_active = 0
-    total_tp = 0
-    curve = []
-    for t in thresholds:
-        for f in frames_at[t]:
-            scores, adj, _ = frames[f]
-            while active[f] < len(scores) and scores[active[f]] >= t:
-                if _augment(adj, owners[f], active[f]):
-                    total_tp += 1
-                active[f] += 1
-                total_active += 1
-        precision = total_tp / total_active if total_active else 0.0
-        recall = total_tp / total_gt
-        curve.append((t, precision, recall))
-
-    max_f1 = 0.0
-    for _, p, r in curve:
-        if p + r > 0.0:
-            max_f1 = max(max_f1, 2.0 * p * r / (p + r))
+    rank = np.argsort(-scores, kind="stable")
+    ranked = scores[rank]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))  # each tied run's last rank
+    thresholds = ranked[np.append(0, last[:-1] + 1)]
+    tp = _gains(scores, ig, ip, n_gt)[rank].cumsum()[last]
+    precision = tp / (last + 1)
+    recall = tp / n_gt
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(both), where=both > 0.0)
 
     # recall never falls along the sweep, so the points at or above a
     # recall level are a suffix of the curve: interpolated precision is
     # a suffix maximum
-    recalls = [r for _, _, r in curve]
-    best_from = [0.0] * (len(curve) + 1)
-    for k in range(len(curve) - 1, -1, -1):
-        best_from[k] = max(best_from[k + 1], curve[k][1])
+    best_from = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0).tolist()
+    levels = np.arange(1, recall_points + 1) / recall_points
     ap_acc = 0.0
-    for i in range(1, recall_points + 1):
-        level = i / recall_points
-        ap_acc += best_from[bisect_left(recalls, level - 1e-12)]
+    for k in recall.searchsorted(levels - 1e-12).tolist():
+        ap_acc += best_from[k]  # summed in order: numpy's pairwise sum rounds differently
     ap = ap_acc / recall_points
-    return 100.0 * ap, 100.0 * max_f1, curve
+    curve = list(zip(thresholds.tolist(), precision.tolist(), recall.tolist()))
+    return 100.0 * ap, 100.0 * float(f1.max()), curve
 
 
 def detection_pr_rows(
@@ -239,32 +242,20 @@ def detection_pr_rows(
     does not grow with the largest frame index.
     """
     (g_frame, g_rows), (p_frame, p_rows) = gt, pred
-    present, group = np.unique(np.concatenate([g_frame, p_frame]), return_inverse=True)
+    group = np.unique(np.concatenate([g_frame, p_frame]), return_inverse=True)[1]
     g_group, p_group = group[: len(g_frame)], group[len(g_frame):]
-    g_order = g_group.argsort(kind="stable")
-    scores = p_rows[:, 7]
-    p_order = np.lexsort((-scores, p_group))  # stable: tied scores keep their input order
-    g_group, p_group = g_group[g_order], p_group[p_order]
-    g_table, p_table = _table(g_rows[g_order, :7]), _table(p_rows[p_order, :7])
-    ig, ip = _grouped_pairs_in_reach(g_table, g_group, p_table, p_group)
+    p_order = p_group.argsort(kind="stable")  # frame order, input order within a frame
+    g_table, p_table = _table(g_rows[:, :7]), _table(p_rows[p_order, :7])
+    ig, ip = _grouped_pairs_in_reach(g_table, g_group, p_table, p_group[p_order])
     hit = _pair_iou(g_table, ig, p_table, ip, cfg.iou_kind is IouKind.THREE_D) >= cfg.iou_threshold
-    ig, ip = ig[hit], ip[hit]
-    edge = np.lexsort((ig, ip))  # each prediction's gt rows, ascending
-    rows_of = (ig - g_group.searchsorted(g_group[ig]))[edge].tolist()  # numbered within the frame
-    ends = np.bincount(ip, minlength=len(p_group)).cumsum().tolist()
-    adj = [rows_of[a:b] for a, b in zip([0, *ends], ends)]
-    ranked = scores[p_order].tolist()
-    g_ends, p_ends = (np.bincount(g, minlength=len(present)).cumsum().tolist() for g in (g_group, p_group))
-    sweep_frames = [(ranked[p0:p1], adj[p0:p1], g1 - g0)
-                    for g0, g1, p0, p1 in zip([0, *g_ends], g_ends, [0, *p_ends], p_ends)]
-    return _pr_sweep(sweep_frames, cfg.recall_points)
+    return _pr_sweep(p_rows[p_order, 7], ig[hit], ip[hit], len(g_frame), cfg.recall_points)
 
 
 def _row_block(frames: list[list[Box3D]]) -> tuple[np.ndarray, np.ndarray]:
     """Frame lists as (frame indices, rows): list position f is frame f."""
     boxes = [b for frame in frames for b in frame]
     rows = np.array([(*box_values(b), b.score) for b in boxes], dtype=float).reshape(len(boxes), 8)
-    return np.repeat(np.arange(len(frames)), [len(frame) for frame in frames]), rows
+    return _frame_labels(frames), rows
 
 
 def detection_pr(
@@ -277,8 +268,8 @@ def detection_pr(
     Thresholds run over every distinct prediction score, descending.  At
     each one the true positives are each frame's largest one-to-one
     matching of the predictions scored at or above it to ground truth
-    with IoU >= cfg.iou_threshold, kept current by one augmenting-path
-    search per newly active prediction.  AP is the mean interpolated
+    with IoU >= cfg.iou_threshold, from one cumulative sum of each
+    prediction's gain (see _pr_sweep).  AP is the mean interpolated
     precision at recall levels i/recall_points, i = 1..recall_points.
     The boxes are scored as row blocks (see detection_pr_rows).
     """
@@ -295,10 +286,10 @@ def clear_mot(
     Correspondences persist across frames while their IoU stays above
     threshold; the remainder is matched by Hungarian on IoU.  An identity
     switch is counted when a ground-truth track's matched prediction id
-    differs from the one at its previous matched frame.  Each frame's
-    IoU matrix is computed once; it serves both matchings and gives the
-    frame's match graph to the AP sweep, which scores the boxes as
-    detection_pr would.
+    differs from the one at its previous matched frame.  The edges, the
+    pairs with IoU >= threshold, are found once: each frame's matrix of
+    them serves both matchings, and the AP sweep reads them whole,
+    scoring the boxes as detection_pr would.
     """
     gt_tracks, pred_tracks = _padded(gt_tracks, pred_tracks)
     thr = cfg.iou_threshold
@@ -308,18 +299,17 @@ def clear_mot(
     last_pred_of: dict[int, int] = {}
     presence: dict[int, list[bool]] = {}  # gt id -> matched flag per present frame
     prev: dict[int, int] = {}
-    sweep_frames = []
-    ious = _frame_ious(
-        [[b for _, b in frame] for frame in gt_tracks],
-        [[b for _, b in frame] for frame in pred_tracks],
-        cfg.iou_kind,
-    )
+    gt_boxes = [[b for _, b in frame] for frame in gt_tracks]
+    pred_boxes = [[b for _, b in frame] for frame in pred_tracks]
+    ig, ip, values = _frame_pairs(gt_boxes, pred_boxes, cfg.iou_kind)
+    hit = values >= thr  # below threshold a pair takes part in no matching
+    ig, ip, values = ig[hit], ip[hit], values[hit]
+    ious = _frame_ious(gt_boxes, pred_boxes, ig, ip, values)
 
     for f, iou in enumerate(ious):
         gt = gt_tracks[f]
         pred = pred_tracks[f]
         gt_total += len(gt)
-        pred_boxes = [b for _, b in pred]
         # row/column of each id; a repeated id resolves to its last box
         gt_row = {i: k for k, (i, _) in enumerate(gt)}
         pred_col = {i: k for k, (i, _) in enumerate(pred)}
@@ -339,8 +329,6 @@ def clear_mot(
             p_id = pred[rem_p[pi]][0]
             matches[g_id] = p_id
             used_pred.add(p_id)
-
-        sweep_frames.append(_sweep_frame(iou, pred_boxes, thr))
 
         fn += len(gt) - len(matches)
         fp += len(pred) - len(matches)
@@ -375,7 +363,8 @@ def clear_mot(
     n_gt_tracks = len(presence)
     ml = 100.0 * mostly_lost / n_gt_tracks if n_gt_tracks else 0.0
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total) if gt_total else 0.0
-    ap, max_f1, _ = _pr_sweep(sweep_frames, cfg.recall_points)
+    scores = np.array([b.score for frame in pred_boxes for b in frame], dtype=float)
+    ap, max_f1, _ = _pr_sweep(scores, ig, ip, gt_total, cfg.recall_points)
     return TrackingReport(
         ap=ap,
         max_f1=max_f1,

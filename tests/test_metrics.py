@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import frozen_geometry as frozen
+import frozen_metrics
 from uatrack.boxes import Box3D, box_values
 from uatrack.geometry import iou_bev
 from uatrack.io import MAX_FRAME_INDEX
@@ -18,9 +19,8 @@ from uatrack.metrics import (
     EvalConfig,
     TrackingReport,
     _frame_ious,
+    _frame_pairs,
     _padded,
-    _pr_sweep,
-    _sweep_frame,
     clear_mot,
     detection_pr,
     detection_pr_rows,
@@ -485,11 +485,15 @@ def test_deep_augmenting_path_needs_no_recursion():
 
 
 def object_path_detection_pr(gt_frames, pred_frames, cfg):
-    """detection_pr as Box3D lists were scored before the row-block core: per-frame IoU matrices, sorted boxes."""
+    """detection_pr as Box3D lists were scored before the row-block core and the edge-array sweep.
+
+    Per-frame IoU matrices and sorted boxes, then the frozen incremental
+    sweep: one augmenting-path search per prediction.
+    """
     gt_frames, pred_frames = _padded(gt_frames, pred_frames)
-    frames = [_sweep_frame(iou, pred, cfg.iou_threshold)
-              for iou, pred in zip(_frame_ious(gt_frames, pred_frames, cfg.iou_kind), pred_frames)]
-    return _pr_sweep(frames, cfg.recall_points)
+    ious = _frame_ious(gt_frames, pred_frames, *_frame_pairs(gt_frames, pred_frames, cfg.iou_kind))
+    frames = [frozen_metrics._sweep_frame(iou, pred, cfg.iou_threshold) for iou, pred in zip(ious, pred_frames)]
+    return frozen_metrics._pr_sweep(frames, cfg.recall_points)
 
 
 def row_block(frames, index, rng):
@@ -550,3 +554,122 @@ class TestRowBlockOracle:
         for g, p in ((empty, row_block(pred, index, rng)), (row_block(gt, index, rng), empty), (empty, empty)):
             assert detection_pr_rows(g, p, cfg) == (0.0, 0.0, [])
         assert detection_pr([], [], cfg) == detection_pr(gt, [], cfg) == (0.0, 0.0, [])
+
+
+# --- the edge-array sweep against the frozen incremental one ---------------
+
+
+def contested_tracks(seed, n_frames=6):
+    """Frames where predictions contend: 2-3 near-duplicates per gt and crossing gt pairs.
+
+    Each frame holds two crossing pairs: gt A and gt B 1 m apart along
+    their heading, a high-scored prediction between them (it overlaps
+    both, and takes A first) and a lower one behind A (at IoU threshold
+    0.5 it overlaps A only), so the second one matches only by an
+    augmenting path of three edges that moves the first to B.  Around them: gts with 2-3
+    jittered near-duplicates, gts with one prediction of their own,
+    unmatched gts and far false positives.  Scores tie within and
+    across frames.
+    """
+    rng = np.random.default_rng([seed, 17])
+    gt_tracks, pred_tracks = [], []
+    next_id = 1000
+
+    def pred(x, y, score, spread=0.05):
+        nonlocal next_id
+        next_id += 1
+        dx, dy = rng.normal(0.0, spread, 2)
+        return next_id, box(x + dx, y + dy, score=score)
+
+    for f in range(n_frames):
+        gt_frame, pred_frame = [], []
+        for k, x in enumerate((0.0, 20.0)):  # crossing pairs
+            gt_frame += [(10 * k, box(x, 0.0)), (10 * k + 1, box(x + 1.0, 0.0))]
+            pred_frame += [pred(x + 0.5, 0.0, 0.9), pred(x - 0.5, 0.0, 0.8)]
+        for k in range(4):  # near-duplicates
+            x, y = 40.0 + 10.0 * k, 10.0 * rng.uniform()
+            gt_frame.append((20 + k, box(x, y)))
+            pred_frame += [pred(x, y, float(rng.choice([0.3, 0.6, 0.9])), 0.3) for _ in range(rng.integers(2, 4))]
+        for k in range(2):  # one prediction each, then an unmatched gt
+            gt_frame.append((30 + k, box(80.0 + 10.0 * k, 0.0)))
+            pred_frame.append(pred(80.0 + 10.0 * k, 0.0, 0.6))
+        gt_frame.append((40, box(100.0, 0.0)))
+        pred_frame += [pred(x, -30.0, float(rng.choice([0.3, 0.6]))) for x in rng.uniform(0.0, 100.0, 2)]
+        order = rng.permutation(len(pred_frame))
+        gt_tracks.append(gt_frame)
+        pred_tracks.append([pred_frame[k] for k in order])
+    return gt_tracks, pred_tracks
+
+
+def boxes_of(tracks):
+    return [[b for _, b in frame] for frame in tracks]
+
+
+SWEEP_CASES = [("random", seed) for seed in range(4)] + [("contested", seed) for seed in range(3)]
+
+
+def sweep_case(kind, seed):
+    return (random_tracks if kind == "random" else contested_tracks)(seed)
+
+
+class TestFrozenSweep:
+    """The edge-array sweep returns what the frozen per-prediction sweep returns, repr for repr."""
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS, ids=_cfg_id)
+    @pytest.mark.parametrize("kind, seed", SWEEP_CASES, ids=[f"{k}-{s}" for k, s in SWEEP_CASES])
+    def test_detection_pr_and_clear_mot(self, cfg, kind, seed):
+        gt_tracks, pred_tracks = sweep_case(kind, seed)
+        want = object_path_detection_pr(boxes_of(gt_tracks), boxes_of(pred_tracks), cfg)
+        assert repr(detection_pr(boxes_of(gt_tracks), boxes_of(pred_tracks), cfg)) == repr(want)
+        report = clear_mot(gt_tracks, pred_tracks, cfg)
+        assert repr((report.ap, report.max_f1)) == repr(want[:2])
+
+    def test_inputs_exercise_the_contested_branch(self):
+        # one sweep meets a prediction with no edge, one with an isolated
+        # edge, and one in a contested component; some activation there
+        # needs an augmenting path of three or more edges
+        gt, pred = (boxes_of(t) for t in contested_tracks(0))
+        ig, ip, values = _frame_pairs(gt, pred, CFG.iou_kind)
+        hit = values >= CFG.iou_threshold
+        ig, ip = ig[hit], ip[hit]
+        deg_p = np.bincount(ip, minlength=sum(map(len, pred)))
+        deg_g = np.bincount(ig, minlength=sum(map(len, gt)))
+        lone = np.zeros_like(deg_p, dtype=bool)
+        lone[ip[(deg_p[ip] == 1) & (deg_g[ig] == 1)]] = True
+        assert (deg_p == 0).any()
+        assert lone.any()
+        assert ((deg_p > 0) & ~lone).any()
+
+        long_paths = 0
+        for iou, frame in zip(_frame_ious(gt, pred, *_frame_pairs(gt, pred, CFG.iou_kind)), pred):
+            _, adj, n_gt = frozen_metrics._sweep_frame(iou, frame, CFG.iou_threshold)
+            owner = [-1] * n_gt
+            for root, rows in enumerate(adj):
+                all_taken = bool(rows) and all(owner[g] >= 0 for g in rows)
+                long_paths += frozen_metrics._augment(adj, owner, root) and all_taken
+        assert long_paths > 0
+
+    @pytest.mark.parametrize("first", [0.0, -0.0], ids=repr)
+    def test_signed_zero_threshold_is_the_first_seen(self, first):
+        # 0.0 and -0.0 tie: the run's threshold is the one first in
+        # (frame, rank) order, as the frozen sweep's set keeps it
+        second = -first
+        gt = [[box(0.0, 0.0)], [box(0.0, 0.0)]]
+        pred = [[box(0.0, 0.0, score=first), box(30.0, 0.0, score=0.5)], [box(0.0, 0.0, score=second)]]
+        want = object_path_detection_pr(gt, pred, CFG)
+        got = detection_pr(gt, pred, CFG)
+        assert repr(got) == repr(want)
+        assert repr(got[2][-1]) == repr((first, 2 / 3, 1.0))
+        # rows given in the other input order: the frame, not the input row, decides
+        rows = row_block(gt, [0, 1], np.random.default_rng(0))
+        p_frame, p_rows = row_block(pred, [0, 1], np.random.default_rng(0))
+        flip = np.argsort(-p_frame, kind="stable")
+        assert repr(detection_pr_rows(rows, (p_frame[flip], p_rows[flip]), CFG)) == repr(want)
+
+    def test_false_positives_only(self):
+        # precision and recall are 0 at every threshold: F1 is masked, not 0 / 0
+        gt = [[box(0.0, 0.0)]]
+        pred = [[box(30.0, 0.0, score=0.9), box(60.0, 0.0, score=0.4)]]
+        want = object_path_detection_pr(gt, pred, CFG)
+        assert repr(detection_pr(gt, pred, CFG)) == repr(want)
+        assert want == (0.0, 0.0, [(0.9, 0.0, 0.0), (0.4, 0.0, 0.0)])

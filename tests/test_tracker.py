@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from uatrack.assignment import hungarian_assign
+from uatrack.assignment import FORBIDDEN_COST, hungarian_assign
 from uatrack.boxes import Box3D, BoxVariance, DetectionColumns, DetectionRecord, box_values, wrap_angle
 from uatrack.motion import ctra_step, wrap_angles
 from uatrack.sim import ScenarioConfig, generate_scenario
@@ -533,6 +533,68 @@ class TestGatedAssignment:
     def test_mask_shape_must_match(self):
         with pytest.raises(ValueError, match="shape"):
             hungarian_assign(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
+
+
+def solver_path(cost, allowed):
+    """hungarian_assign as it was before its shortcut: every non-empty mask goes to the solver."""
+    if not allowed.any():
+        return []
+    rows, cols = linear_sum_assignment(np.where(allowed, cost, FORBIDDEN_COST))
+    keep = allowed[rows, cols]
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+def sparse_mask(rng, shape, contested):
+    """A random mask with no row or column holding two cells, plus one contested cell if asked.
+
+    Some rows and columns stay empty; the contested cell shares a row
+    or a column with a cell already set.
+    """
+    n_rows, n_cols = shape
+    k = rng.integers(1, min(shape) + 1)
+    allowed = np.zeros(shape, dtype=bool)
+    rows, cols = rng.choice(n_rows, k, replace=False), rng.choice(n_cols, k, replace=False)
+    allowed[rows, cols] = True
+    if contested:
+        r, c = rows[0], cols[0]
+        free = [(r, j) for j in range(n_cols) if not allowed[r, j]] + [(i, c) for i in range(n_rows) if not allowed[i, c]]
+        allowed[free[rng.integers(len(free))]] = True
+    return allowed
+
+
+class TestAssignmentShortcut:
+    """Masks with no contested row or column skip the solver, and the result is the solver's."""
+
+    CASES = [(s, c) for s in [(1, 1), (1, 6), (6, 1), (4, 4), (3, 9), (9, 3), (12, 12)] for c in (False, True)
+             if max(s) > 1 or not c]  # a 1 x 1 mask has no second cell
+
+    @pytest.mark.parametrize("shape, contested", CASES,
+                             ids=[f"{r}x{c}-{'contested' if k else 'uncontested'}" for (r, c), k in CASES])
+    def test_equals_the_solver_path(self, shape, contested, monkeypatch):
+        rng = np.random.default_rng([*shape, int(contested)])
+        calls = []
+        monkeypatch.setattr("uatrack.assignment.linear_sum_assignment",
+                            lambda m: calls.append(1) or linear_sum_assignment(m))
+        for _ in range(40):
+            cost = rng.uniform(-1.0, 3.0, shape)
+            allowed = sparse_mask(rng, shape, contested)
+            assert hungarian_assign(cost, allowed) == solver_path(cost, allowed)
+        assert len(calls) == (40 if contested else 0)
+
+    def test_empty_rows_and_columns(self):
+        cost = np.arange(20.0).reshape(4, 5)
+        allowed = np.zeros((4, 5), dtype=bool)
+        allowed[3, 0] = allowed[0, 4] = True  # rows 1-2 and columns 1-3 empty
+        assert hungarian_assign(cost, allowed) == solver_path(cost, allowed) == [(0, 4), (3, 0)]
+
+    def test_checks_run_before_the_shortcut(self):
+        allowed = np.eye(3, dtype=bool)
+        with pytest.raises(ValueError, match="finite"):
+            hungarian_assign(np.diag([1.0, np.inf, 2.0]), allowed)
+        with pytest.raises(ValueError, match="shape"):
+            hungarian_assign(np.zeros((3, 4)), allowed)
+        with pytest.raises(ValueError, match="2D"):
+            hungarian_assign(np.zeros(3), allowed[0])
 
 
 class TestAssociate:
