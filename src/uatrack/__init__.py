@@ -9,6 +9,7 @@ from .boxes import (
     EncodedLogVar,
     EncodedTarget,
     FrameDetections,
+    TrackColumns,
     anchor_grid,
     decode_box,
     decode_variance,
@@ -29,7 +30,7 @@ from .losses import (
     smooth_l1,
     von_mises_nll,
 )
-from .metrics import EvalConfig, TrackingReport, clear_mot, detection_pr, match_frame
+from .metrics import EvalConfig, TrackingReport, clear_mot, clear_mot_rows, detection_pr, match_frame
 from .scoring import (
     AggregateMode,
     IouKind,

@@ -11,6 +11,9 @@ writer; the block is also a read-only sequence of DetectionRecord rows,
 each built through the checked Box3D and BoxVariance constructors.
 check_rows makes those constructors' checks on a whole block at once,
 and trusted_box builds a Box3D from values that have passed them.
+Tracks travel the same way: TrackColumns holds track rows (ids too) as
+the track reader returns them and CLEAR-MOT scores them, and
+TrackColumns.of converts (id, box) frame lists to it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter, index as as_index
 
 import numpy as np
@@ -27,6 +31,7 @@ TWO_PI = 2.0 * math.pi
 # The order of a box's seven numbers in every array row and file: center, extents, yaw.
 BOX_FIELDS = ("x", "y", "z", "w", "l", "h", "theta")
 box_values = attrgetter(*BOX_FIELDS)  # a box's BOX_FIELDS values as a tuple
+_box_row = attrgetter(*BOX_FIELDS, "score")  # a box's row in a block: BOX_FIELDS values, then score
 
 
 def wrap_angle(theta: float) -> float:
@@ -172,8 +177,8 @@ def trusted_box(x: float, y: float, z: float, w: float, l: float, h: float, thet
     return box
 
 
-def check_rows(rows: np.ndarray, var: np.ndarray | None = None) -> None:
-    """Raise ValueError, as Box3D and BoxVariance would for the first bad row, unless every row passes their checks.
+def first_bad_row(rows: np.ndarray, var: np.ndarray | None = None) -> tuple[int, str] | None:
+    """The first row that fails Box3D's or BoxVariance's checks and the message they raise for it, or None.
 
     rows is (n, 8): BOX_FIELDS values, then score; var (n, 7) or None.
     Box values and scores must be finite, w, l and h positive, variances
@@ -181,7 +186,7 @@ def check_rows(rows: np.ndarray, var: np.ndarray | None = None) -> None:
     """
     if (np.isfinite(rows).all() and (rows[:, 3:6] > 0.0).all()
             and (var is None or ((var > 0.0) & (var < math.inf)).all())):
-        return
+        return None
     bad_box = ~np.isfinite(rows).all(axis=1)
     bad_size = ~(rows[:, 3:6] > 0.0).all(axis=1)
     bad = bad_box | bad_size
@@ -189,10 +194,17 @@ def check_rows(rows: np.ndarray, var: np.ndarray | None = None) -> None:
         bad |= ~((var > 0.0) & (var < math.inf)).all(axis=1)
     i = int(bad.argmax())
     if bad_box[i]:
-        raise ValueError(f"box values must be finite, got {tuple(rows[i].tolist())}")
+        return i, f"box values must be finite, got {tuple(rows[i].tolist())}"
     if bad_size[i]:
-        raise ValueError("box dimensions must be positive, got w={} l={} h={}".format(*rows[i, 3:6].tolist()))
-    raise ValueError("variances must be finite and positive")
+        return i, "box dimensions must be positive, got w={} l={} h={}".format(*rows[i, 3:6].tolist())
+    return i, "variances must be finite and positive"
+
+
+def check_rows(rows: np.ndarray, var: np.ndarray | None = None) -> None:
+    """Raise ValueError, as Box3D and BoxVariance would for the first bad row (see first_bad_row), if there is one."""
+    bad = first_bad_row(rows, var)
+    if bad:
+        raise ValueError(bad[1])
 
 
 @dataclass(frozen=True)
@@ -273,6 +285,26 @@ class DetectionColumns(Sequence):
         order = self.frame.argsort(kind="stable")
         frames, starts = np.unique(self.frame[order], return_index=True)
         return list(zip(frames.tolist(), np.split(order, starts[1:])))
+
+
+@dataclass(frozen=True)
+class TrackColumns:
+    """Track rows as columns, one entry per row, in input order; `rows` as in DetectionColumns."""
+
+    frame: np.ndarray  # (n,) int64 frame indices
+    track_id: np.ndarray  # (n,) ids as Python ints, dtype object
+    class_id: np.ndarray  # (n,) class names, dtype object
+    rows: np.ndarray  # (n, 8)
+
+    @classmethod
+    def of(cls, frames: Sequence[Sequence[tuple[int, Box3D]]]) -> TrackColumns:
+        """(id, box) frame lists as columns: list position f is frame f."""
+        ids = [i for frame in frames for i, _ in frame]
+        boxes = [b for frame in frames for _, b in frame]
+        n = len(boxes)
+        return cls(np.repeat(np.arange(len(frames), dtype=np.int64), [len(frame) for frame in frames]),
+                   np.fromiter(ids, object, n), np.fromiter(map(attrgetter("class_id"), boxes), object, n),
+                   np.fromiter(chain.from_iterable(map(_box_row, boxes)), float, 8 * n).reshape(n, 8))
 
 
 # One frame's worth of detections, a DetectionColumns block or a list of

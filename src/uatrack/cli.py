@@ -22,28 +22,27 @@ from .checks import run_loss_checks
 from .io import (
     DetectionColumns,
     FormatError,
+    TrackColumns,
     config_from_dict,
     detections_to_frames,
     format_float,
     read_config,
     read_detection_columns,
     read_track_columns,
-    read_tracks,
-    tracks_to_frames,
     write_detections,
     write_table,
     write_tracks,
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
-from .metrics import TrackingReport, clear_mot, detection_pr_rows
+from .metrics import TrackingReport, clear_mot_rows, detection_pr_rows
 from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore
 from .sim import generate_scenario
 from .tracker import track_frames
 
-# encode_variance, score_detection, detection_pr and read_detections stay bound here: the benchmark's tracer
-# wraps them by name.
+# encode_variance, score_detection, detection_pr, read_detections and read_tracks stay bound here: the
+# benchmark's tracer wraps them by name.
 from .boxes import encode_variance  # noqa: F401
-from .io import read_detections  # noqa: F401
+from .io import read_detections, read_tracks  # noqa: F401
 from .metrics import detection_pr  # noqa: F401
 from .scoring import score_detection  # noqa: F401
 
@@ -131,9 +130,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_eval_track(args) -> int:
     cfg = config_from_dict(_config_dict(args)).eval
-    gt = tracks_to_frames(read_tracks(args.gt))
-    pred = tracks_to_frames(read_tracks(args.tracks))
-    report = clear_mot(gt, pred, cfg)
+    report = clear_mot_rows(read_track_columns(args.gt), read_track_columns(args.tracks), cfg)
     for line in report.lines():
         print(line)
     if args.out:
@@ -224,13 +221,13 @@ def _cmd_sweep(args) -> int:
         grid.append(([str(v) for v in combo], config_from_dict(data)))
 
     if args.mode == "track":
-        gt = tracks_to_frames(read_tracks(args.gt))
+        gt = read_track_columns(args.gt)
         frames = detections_to_frames(read_detection_columns(args.dets))
         columns = _REPORT_COLUMNS[:6]
 
         def score(cfg):
-            pred = track_frames(frames, cfg.tracker, cfg.scenario.dt)
-            return _report_cells(clear_mot(gt, pred, cfg.eval), columns)
+            pred = TrackColumns.of(track_frames(frames, cfg.tracker, cfg.scenario.dt))
+            return _report_cells(clear_mot_rows(gt, pred, cfg.eval), columns)
     else:
         gt, dets = read_track_columns(args.gt), read_detection_columns(args.dets)
         columns = ["ap", "max_f1"]

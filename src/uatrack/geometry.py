@@ -2,7 +2,7 @@
 
 One numpy kernel scores a batch of (a, b) box pairs.  Each box's corner
 loop, circumradius and edge tolerances are computed once per box
-(``_box_table``).  A pair is scored only if the circumcircles of its two
+(``_table`` of box rows).  A pair is scored only if the circumcircles of its two
 boxes meet (``_reach``, the one cheap reject); every other pair has IoU
 0.  The pairs put to that test come from one sort-and-sweep along x over
 one group of boxes or many (``_grouped_pairs_in_reach`` over

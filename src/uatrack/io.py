@@ -10,16 +10,16 @@ One table reader serves detection and track files: it splits a file
 into columns, parses each field with int or float, and checks whole
 columns at once; the first bad row, by the order a row-by-row reader
 would check, raises FormatError naming its path:line.  A detection file
-reads as boxes.DetectionColumns (re-exported here) and a track file as
-TrackColumns, arrays with one entry per row (the form `uatrack nms`
-carries from reader to writer, `uatrack track` feeds the tracker one
-frame block at a time and `uatrack eval-det` scores), or as
-DetectionRecord rows and the (frame, id, box) rows the tracker emits;
-`frames_of` groups (frame, item) pairs by frame.  KITTI object/tracking
-label files can be imported as ground truth.  Run configuration is
-namespaced JSON with strict key checking; its keys and defaults are the
-fields of the config dataclasses, each stored under its own name and in
-its own form.
+reads as boxes.DetectionColumns and a track file as boxes.TrackColumns
+(both re-exported here), arrays with one entry per row (the form
+`uatrack nms` carries from reader to writer, `uatrack track` feeds the
+tracker one frame block at a time, and `uatrack eval-det` and
+`uatrack eval-track` score as row blocks), or as DetectionRecord rows
+and the (frame, id, box) rows the tracker emits; `frames_of` groups
+(frame, item) pairs by frame.  KITTI object/tracking label files can be
+imported as ground truth.  Run configuration is namespaced JSON with
+strict key checking; its keys and defaults are the fields of the config
+dataclasses, each stored under its own name and in its own form.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -44,7 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BOX_FIELDS, Box3D, DetectionColumns, DetectionRecord, FrameDetections, box_values, wrap_angle
+from .boxes import (BOX_FIELDS, Box3D, DetectionColumns, DetectionRecord, FrameDetections, TrackColumns, box_values,
+                    first_bad_row, wrap_angle)
 from .metrics import EvalConfig
 from .motion import wrap_angles
 from .scoring import NmsConfig, ScoreMapConfig
@@ -62,8 +63,8 @@ TRACK_COLUMNS = ["frame", "id", *_BOX_COLS]
 KITTI_SKIP_TYPES = {"DontCare"}
 
 # Largest frame index a file may hold (a day at 10 Hz is 864,000 frames).
-# track and eval-track step through every frame up to the largest index,
-# empty ones included, so this bounds their time and memory for any file.
+# track steps through every frame up to the largest index, empty ones
+# included, so this bounds its time and memory for any file.
 MAX_FRAME_INDEX = 1_000_000
 
 
@@ -77,16 +78,6 @@ _FLOAT_FORMAT = ".9g"
 def format_float(x: float) -> str:
     """A float printed with 9 significant digits, the precision of every emitted file."""
     return format(float(x), _FLOAT_FORMAT)
-
-
-@dataclass(frozen=True)
-class TrackColumns:
-    """Track rows as columns, one entry per row, in file order; `rows` as in boxes.DetectionColumns."""
-
-    frame: np.ndarray  # (n,) int64 frame indices
-    track_id: np.ndarray  # (n,) ids as Python ints, dtype object
-    class_id: np.ndarray  # (n,) class names, dtype object
-    rows: np.ndarray  # (n, 8)
 
 
 def write_table(path: str | Path | None, header: list[str], rows: Iterable[Iterable[str]]) -> None:
@@ -212,18 +203,6 @@ def _floats(columns: list[list[str]], faults: _Faults) -> np.ndarray:
     return np.column_stack([_parsed(column, float, faults) for column in columns])
 
 
-def _check_boxes(values: np.ndarray, faults: _Faults) -> None:
-    """Note the first row whose box has a value that is not finite or a non-positive w, l or h.
-
-    A row's box is its first 8 values: BOX_FIELDS, then score.
-    """
-    box = values[:, :8]
-    faults.check(~np.isfinite(box).all(axis=1), lambda row: f"box values must be finite, got {tuple(box[row].tolist())}")
-    w, l, h = box[:, 3], box[:, 4], box[:, 5]
-    faults.check(~((w > 0.0) & (l > 0.0) & (h > 0.0)),
-                 lambda row: "box dimensions must be positive, got w={} l={} h={}".format(*box[row, 3:6].tolist()))
-
-
 def read_detection_columns(path: str | Path) -> DetectionColumns:
     """A detection file as columns, every row checked.
 
@@ -235,10 +214,9 @@ def read_detection_columns(path: str | Path) -> DetectionColumns:
     columns, faults = _read_table(path, [DET_COLUMNS, DET_COLUMNS_VAR])
     frame = _frames(columns[0], faults)
     values = _floats(columns[2:], faults)
-    _check_boxes(values, faults)
     var = values[:, 8:] if len(columns) == len(DET_COLUMNS_VAR) else None
-    if var is not None:
-        faults.check(~((var > 0.0) & (var < math.inf)).all(axis=1), lambda row: "variances must be finite and positive")
+    if bad := first_bad_row(values[:, :8], var):
+        faults.note(*bad)
     faults.raise_first()
     values[:, 6] = wrap_angles(values[:, 6])
     return DetectionColumns(frame, np.array(columns[1], dtype=object), values[:, :8], var)
@@ -257,23 +235,21 @@ def frames_of(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
     return dict(sorted(out.items()))
 
 
-def _dense(frames: dict[int, Sequence], empty: Callable[[], Sequence] = list) -> list[Sequence]:
-    """Frames 0 up to the largest present, absent ones empty(): for tracking, where empty frames count."""
-    if min(frames, default=0) < 0:
-        raise FormatError(f"frame index {min(frames)} out of range: frames start at 0")
-    return [frames[f] if f in frames else empty() for f in range(max(frames, default=-1) + 1)]
-
-
 def detections_to_frames(records: Sequence[DetectionRecord]) -> list[FrameDetections]:
-    """The rows as consecutive per-frame sequences starting at frame 0.
+    """The rows as consecutive per-frame sequences from frame 0 up to the largest present, for tracking.
 
-    Columns give one block per frame, absent frames one shared empty
-    block, so no record is built; records give one list per frame.
+    Empty frames count there, so absent frames are empty: columns give
+    one block per frame, absent frames one shared empty block, so no
+    record is built; records give one list per frame.
     """
     if isinstance(records, DetectionColumns):
         none = records.take(np.zeros(0, np.intp))
-        return _dense({frame: records.take(index) for frame, index in records.by_frame()}, lambda: none)
-    return _dense(frames_of((r.frame, r) for r in records))
+        frames, empty = {frame: records.take(index) for frame, index in records.by_frame()}, lambda: none
+    else:
+        frames, empty = frames_of((r.frame, r) for r in records), list
+    if min(frames, default=0) < 0:
+        raise FormatError(f"frame index {min(frames)} out of range: frames start at 0")
+    return [frames[f] if f in frames else empty() for f in range(max(frames, default=-1) + 1)]
 
 
 def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
@@ -289,7 +265,8 @@ def read_track_columns(path: str | Path) -> TrackColumns:
     frame = _frames(columns[0], faults)
     values = _floats(columns[3:], faults)
     ids = _parsed(columns[1], int, faults, dtype=object)
-    _check_boxes(values, faults)
+    if bad := first_bad_row(values):
+        faults.note(*bad)
     seen: set[tuple[int, int]] = set()
     for row, key in enumerate(zip(frame.tolist(), ids.tolist())):
         if key in seen:
@@ -306,11 +283,6 @@ def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:
     t = read_track_columns(path)
     return [(f, i, Box3D(*v[:7], class_id=c, score=v[7]))
             for f, i, c, v in zip(t.frame.tolist(), t.track_id.tolist(), t.class_id.tolist(), t.rows.tolist())]
-
-
-def tracks_to_frames(rows: list[tuple[int, int, Box3D]]) -> list[list[tuple[int, Box3D]]]:
-    """(frame, id, box) rows as consecutive per-frame (id, box) lists starting at frame 0."""
-    return _dense(frames_of((frame, (track_id, box)) for frame, track_id, box in rows))
 
 
 def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:

@@ -9,24 +9,26 @@ from an augmenting-path search where a gt or prediction has two edges,
 and the curve is one cumulative sum over descending scores.
 Tracking quality follows the CLEAR protocol: sticky correspondences,
 identity switches, fragmentations, mostly-lost ratio and MOTA.
-Both score a whole sequence's IoUs with one call of the geometry kernel.
-Detection AP computes on row blocks, frame indices and (n, 8) rows as
-the io readers return them (`uatrack eval-det` scores its files so,
-with no per-row box object); its list-of-boxes form converts to them.
-CLEAR-MOT matches each frame on the frame's edges, and its AP sweep
-reads the same edges.
+Both compute on row blocks, frame indices and (n, 8) rows as the io
+readers return them (TrackColumns for tracks), with no per-row box
+object, and walk only the frames present.  One edge builder serves
+both: it scores a whole sequence's pairs with one call of the geometry
+kernel.  CLEAR-MOT matches each frame on the frame's edges, and its AP
+sweep reads the same edges.  The list forms (clear_mot, detection_pr,
+match_frame) convert to row blocks through TrackColumns.of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .assignment import hungarian_assign
-from .boxes import Box3D, box_values
+from .boxes import Box3D, TrackColumns
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
-from .geometry import _box_table, _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
+from .geometry import _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
 from .scoring import IouKind
 
 # A ground-truth track matched in less than this fraction of its frames
@@ -73,46 +75,43 @@ class TrackingReport:
         ]
 
 
-def _frame_labels(frames: list[list]) -> np.ndarray:
-    """Each box's frame: list position f is frame f."""
-    return np.repeat(np.arange(len(frames)), [len(frame) for frame in frames])
+class _Edges(NamedTuple):
+    """Two row blocks' frames and match edges, the pairs of one frame with IoU at or above threshold."""
+
+    frames: np.ndarray  # the frame indices present in either block, ascending
+    g_order: np.ndarray  # the gt rows in frame order, input order within a frame
+    g_group: np.ndarray  # each of them, its frame's position in frames
+    p_order: np.ndarray  # the same for the predictions
+    p_group: np.ndarray
+    ig: np.ndarray  # edge k joins gt g_order[ig[k]] and prediction p_order[ip[k]]; ig ascends
+    ip: np.ndarray
+    iou: np.ndarray  # each edge's IoU
 
 
-def _frame_pairs(gt_frames: list[list[Box3D]], pred_frames: list[list[Box3D]], kind: IouKind):
-    """Every frame's (gt, prediction) pairs in reach and their IoUs: (ig, ip, values).
+def _edges(gt: tuple[np.ndarray, np.ndarray], pred: tuple[np.ndarray, np.ndarray], cfg: EvalConfig) -> _Edges:
+    """The match edges of two row blocks, (frame indices, rows) each.
 
-    Boxes are numbered through the frames in order, so no pair joins two
-    frames; ig ascends.  Every frame's pairs come from one sort-and-sweep
-    with the frames as groups, and the kernel scores them all in one call.
+    Only the frames present are grouped, so memory does not grow with
+    the largest frame index.  Every frame's pairs come from one
+    sort-and-sweep with the frames as groups, and the kernel scores them
+    all in one call.
     """
-    gt = _box_table([b for frame in gt_frames for b in frame])
-    pred = _box_table([b for frame in pred_frames for b in frame])
-    ig, ip = _grouped_pairs_in_reach(gt, _frame_labels(gt_frames), pred, _frame_labels(pred_frames))
-    return ig, ip, _pair_iou(gt, ig, pred, ip, kind is IouKind.THREE_D)
+    (g_frame, g_rows), (p_frame, p_rows) = gt, pred
+    frames, group = np.unique(np.concatenate([g_frame, p_frame]), return_inverse=True)
+    g_group, p_group = group[: len(g_frame)], group[len(g_frame):]
+    g_order, p_order = g_group.argsort(kind="stable"), p_group.argsort(kind="stable")
+    g_group, p_group = g_group[g_order], p_group[p_order]
+    g_table, p_table = _table(g_rows[g_order, :7]), _table(p_rows[p_order, :7])
+    ig, ip = _grouped_pairs_in_reach(g_table, g_group, p_table, p_group)
+    iou = _pair_iou(g_table, ig, p_table, ip, cfg.iou_kind is IouKind.THREE_D)
+    hit = iou >= cfg.iou_threshold  # below threshold a pair takes part in no matching
+    return _Edges(frames, g_order, g_group, p_order, p_group, ig[hit], ip[hit], iou[hit])
 
 
-def _frame_ious(gt_frames: list[list], pred_frames: list[list], ig: np.ndarray, ip: np.ndarray, values: np.ndarray):
-    """Each frame's dense gt x pred matrix of the pairs' values, zero elsewhere, in frame order.
-
-    A frame's matrix is filled only when the caller asks for it, so no
-    more than one is alive at a time.
-    """
-    g_size = [len(frame) for frame in gt_frames]
-    p_size = [len(frame) for frame in pred_frames]
-    g_lo = np.cumsum([0] + g_size).tolist()
-    p_lo = np.cumsum([0] + p_size).tolist()
-    ends = np.searchsorted(ig, g_lo).tolist()  # ig ascends, so each frame's pairs are one run
-    for f in range(len(gt_frames)):
-        run = slice(ends[f], ends[f + 1])
-        iou = np.zeros((g_size[f], p_size[f]))
-        iou[ig[run] - g_lo[f], ip[run] - p_lo[f]] = values[run]
-        yield iou
-
-
-def _padded(*frame_lists: list[list]) -> list[list[list]]:
-    """The frame lists, each padded with empty frames to the longest one's length."""
-    n_frames = max(map(len, frame_lists))
-    return [list(frames) + [[] for _ in range(n_frames - len(frames))] for frames in frame_lists]
+def _boxes_block(frames: list[list[Box3D]]) -> tuple[np.ndarray, np.ndarray]:
+    """Box frame lists as (frame indices, rows): list position f is frame f."""
+    t = TrackColumns.of([list(enumerate(frame)) for frame in frames])
+    return t.frame, t.rows
 
 
 def _match_from_matrix(iou: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
@@ -125,8 +124,10 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], cfg: EvalConfig) -> list[tup
     Pairs below the IoU threshold are forbidden.  Returns (gt index,
     pred index, iou) triples.
     """
-    pairs = _frame_pairs([gt], [pred], cfg.iou_kind)
-    return _match_from_matrix(next(_frame_ious([gt], [pred], *pairs)), cfg.iou_threshold)
+    e = _edges(_boxes_block([gt]), _boxes_block([pred]), cfg)  # one frame: the orders are the input's
+    iou = np.zeros((len(gt), len(pred)))
+    iou[e.ig, e.ip] = e.iou
+    return _match_from_matrix(iou, cfg.iou_threshold)
 
 
 def _augment(adj: list[list[int]], owner: list[int], root: int) -> bool:
@@ -241,21 +242,8 @@ def detection_pr_rows(
     present are scored, each frame's rows in input order, so memory
     does not grow with the largest frame index.
     """
-    (g_frame, g_rows), (p_frame, p_rows) = gt, pred
-    group = np.unique(np.concatenate([g_frame, p_frame]), return_inverse=True)[1]
-    g_group, p_group = group[: len(g_frame)], group[len(g_frame):]
-    p_order = p_group.argsort(kind="stable")  # frame order, input order within a frame
-    g_table, p_table = _table(g_rows[:, :7]), _table(p_rows[p_order, :7])
-    ig, ip = _grouped_pairs_in_reach(g_table, g_group, p_table, p_group[p_order])
-    hit = _pair_iou(g_table, ig, p_table, ip, cfg.iou_kind is IouKind.THREE_D) >= cfg.iou_threshold
-    return _pr_sweep(p_rows[p_order, 7], ig[hit], ip[hit], len(g_frame), cfg.recall_points)
-
-
-def _row_block(frames: list[list[Box3D]]) -> tuple[np.ndarray, np.ndarray]:
-    """Frame lists as (frame indices, rows): list position f is frame f."""
-    boxes = [b for frame in frames for b in frame]
-    rows = np.array([(*box_values(b), b.score) for b in boxes], dtype=float).reshape(len(boxes), 8)
-    return _frame_labels(frames), rows
+    e = _edges(gt, pred, cfg)
+    return _pr_sweep(pred[1][e.p_order, 7], e.ig, e.ip, len(gt[0]), cfg.recall_points)
 
 
 def detection_pr(
@@ -273,7 +261,7 @@ def detection_pr(
     precision at recall levels i/recall_points, i = 1..recall_points.
     The boxes are scored as row blocks (see detection_pr_rows).
     """
-    return detection_pr_rows(_row_block(gt_frames), _row_block(pred_frames), cfg)
+    return detection_pr_rows(_boxes_block(gt_frames), _boxes_block(pred_frames), cfg)
 
 
 def clear_mot(
@@ -281,38 +269,47 @@ def clear_mot(
     pred_tracks: list[list[tuple[int, Box3D]]],
     cfg: EvalConfig,
 ) -> TrackingReport:
-    """CLEAR-style evaluation of identified tracks.
+    """clear_mot_rows of (id, box) frame lists: list position f is frame f."""
+    return clear_mot_rows(TrackColumns.of(gt_tracks), TrackColumns.of(pred_tracks), cfg)
+
+
+def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> TrackingReport:
+    """CLEAR-style evaluation of identified tracks, given as row blocks.
 
     Correspondences persist across frames while their IoU stays above
     threshold; the remainder is matched by Hungarian on IoU.  An identity
     switch is counted when a ground-truth track's matched prediction id
-    differs from the one at its previous matched frame.  The edges, the
-    pairs with IoU >= threshold, are found once: each frame's matrix of
-    them serves both matchings, and the AP sweep reads them whole,
-    scoring the boxes as detection_pr would.
+    differs from the one at its previous matched frame.  Only the frames
+    present are walked, ascending, each frame's rows in input order; a
+    frame index absent from both blocks is an empty frame, so no
+    correspondence persists across it.  The edges, the pairs with
+    IoU >= threshold, are found once: each frame's matrix of them serves
+    both matchings, and the AP sweep reads them whole, scoring the boxes
+    as detection_pr_rows would.
     """
-    gt_tracks, pred_tracks = _padded(gt_tracks, pred_tracks)
+    e = _edges((gt.frame, gt.rows), (pred.frame, pred.rows), cfg)
     thr = cfg.iou_threshold
+    bounds = np.arange(len(e.frames) + 1)
+    g_lo, p_lo = e.g_group.searchsorted(bounds).tolist(), e.p_group.searchsorted(bounds).tolist()
+    e_lo = e.ig.searchsorted(g_lo).tolist()  # ig ascends, so each frame's edges are one run
+    g_ids, p_ids = gt.track_id[e.g_order].tolist(), pred.track_id[e.p_order].tolist()
 
     fn = fp = idsw = 0
-    gt_total = 0
     last_pred_of: dict[int, int] = {}
     presence: dict[int, list[bool]] = {}  # gt id -> matched flag per present frame
     prev: dict[int, int] = {}
-    gt_boxes = [[b for _, b in frame] for frame in gt_tracks]
-    pred_boxes = [[b for _, b in frame] for frame in pred_tracks]
-    ig, ip, values = _frame_pairs(gt_boxes, pred_boxes, cfg.iou_kind)
-    hit = values >= thr  # below threshold a pair takes part in no matching
-    ig, ip, values = ig[hit], ip[hit], values[hit]
-    ious = _frame_ious(gt_boxes, pred_boxes, ig, ip, values)
-
-    for f, iou in enumerate(ious):
-        gt = gt_tracks[f]
-        pred = pred_tracks[f]
-        gt_total += len(gt)
+    last = -1
+    for k, f in enumerate(e.frames.tolist()):
+        if f != last + 1:  # the frames between are empty: they match nothing
+            prev = {}
+        last = f
+        gt_ids, pred_ids = g_ids[g_lo[k]:g_lo[k + 1]], p_ids[p_lo[k]:p_lo[k + 1]]
+        run = slice(e_lo[k], e_lo[k + 1])
+        iou = np.zeros((len(gt_ids), len(pred_ids)))
+        iou[e.ig[run] - g_lo[k], e.ip[run] - p_lo[k]] = e.iou[run]
         # row/column of each id; a repeated id resolves to its last box
-        gt_row = {i: k for k, (i, _) in enumerate(gt)}
-        pred_col = {i: k for k, (i, _) in enumerate(pred)}
+        gt_row = {i: r for r, i in enumerate(gt_ids)}
+        pred_col = {i: c for c, i in enumerate(pred_ids)}
 
         matches: dict[int, int] = {}
         used_pred: set[int] = set()
@@ -322,17 +319,17 @@ def clear_mot(
                     matches[g_id] = p_id
                     used_pred.add(p_id)
 
-        rem_g = [k for k, (i, _) in enumerate(gt) if i not in matches]
-        rem_p = [k for k, (i, _) in enumerate(pred) if i not in used_pred]
+        rem_g = [r for r, i in enumerate(gt_ids) if i not in matches]
+        rem_p = [c for c, i in enumerate(pred_ids) if i not in used_pred]
         for gi, pi, _ in _match_from_matrix(iou[np.ix_(rem_g, rem_p)], thr):
-            g_id = gt[rem_g[gi]][0]
-            p_id = pred[rem_p[pi]][0]
+            g_id = gt_ids[rem_g[gi]]
+            p_id = pred_ids[rem_p[pi]]
             matches[g_id] = p_id
             used_pred.add(p_id)
 
-        fn += len(gt) - len(matches)
-        fp += len(pred) - len(matches)
-        for g_id, _ in gt:
+        fn += len(gt_ids) - len(matches)
+        fp += len(pred_ids) - len(matches)
+        for g_id in gt_ids:
             matched = g_id in matches
             presence.setdefault(g_id, []).append(matched)
             if matched:
@@ -345,8 +342,7 @@ def clear_mot(
     frag = 0
     mostly_lost = 0
     for flags in presence.values():
-        matched_frames = sum(flags)
-        if matched_frames < MOSTLY_LOST_FRACTION * len(flags):
+        if sum(flags) < MOSTLY_LOST_FRACTION * len(flags):
             mostly_lost += 1
         # interruptions: matched -> unmatched transitions that resume later
         seen_match = False
@@ -360,19 +356,10 @@ def clear_mot(
             elif seen_match:
                 in_gap = True
 
+    gt_total = len(gt.frame)
     n_gt_tracks = len(presence)
     ml = 100.0 * mostly_lost / n_gt_tracks if n_gt_tracks else 0.0
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total) if gt_total else 0.0
-    scores = np.array([b.score for frame in pred_boxes for b in frame], dtype=float)
-    ap, max_f1, _ = _pr_sweep(scores, ig, ip, gt_total, cfg.recall_points)
-    return TrackingReport(
-        ap=ap,
-        max_f1=max_f1,
-        idsw=idsw,
-        frag=frag,
-        ml=ml,
-        mota=mota,
-        fn=fn,
-        fp=fp,
-        gt_total=gt_total,
-    )
+    ap, max_f1, _ = _pr_sweep(pred.rows[e.p_order, 7], e.ig, e.ip, gt_total, cfg.recall_points)
+    return TrackingReport(ap=ap, max_f1=max_f1, idsw=idsw, frag=frag, ml=ml, mota=mota, fn=fn, fp=fp,
+                          gt_total=gt_total)

@@ -58,8 +58,8 @@ class TestSimulateTrackEval:
         assert read_tracks(out_a) and read_tracks(out_c)
 
     def test_adaptive_beats_constant_sigma(self, tmp_path):
-        from uatrack.io import tracks_to_frames
-        from uatrack.metrics import EvalConfig, clear_mot
+        from uatrack.io import read_track_columns
+        from uatrack.metrics import EvalConfig, clear_mot_rows
 
         gt = tmp_path / "gt.csv"
         dets = tmp_path / "dets.csv"
@@ -73,9 +73,7 @@ class TestSimulateTrackEval:
         for tag, flags in (("adaptive", ["--use-variance"]), ("constant", ["--constant-sigma", "1.0"])):
             out = tmp_path / f"{tag}.csv"
             assert run(["track", "--dets", str(dets), "--out", str(out), "--dt", "0.1"] + flags) == 0
-            gt_frames = tracks_to_frames(read_tracks(gt))
-            pred = tracks_to_frames(read_tracks(out))
-            motas[tag] = clear_mot(gt_frames, pred, cfg).mota
+            motas[tag] = clear_mot_rows(read_track_columns(gt), read_track_columns(out), cfg).mota
         assert motas["adaptive"] > motas["constant"]
 
     def test_conflicting_flags_error(self, tmp_path, capsys):
@@ -572,16 +570,13 @@ class TestTrackOnColumns:
 
         for argv in commands("objects"):
             assert run(argv) == 0
-        n_gt = len(read_tracks(gt))
-        built = self._count_boxes(monkeypatch)
-        assert run(commands("columns")[1]) == 0  # sweep reads the ground truth as boxes, the detections not
-        assert len(built) == n_gt
 
         def refuse(self):
             raise AssertionError("a Box3D was built")
 
         monkeypatch.setattr(Box3D, "__post_init__", refuse)
-        assert run(commands("columns")[0]) == 0
+        for argv in commands("columns"):  # sweep reads the ground truth as columns too
+            assert run(argv) == 0
         for name in ("tracks", "sweep"):
             assert (tmp_path / f"{name}_columns.csv").read_bytes() == (tmp_path / f"{name}_objects.csv").read_bytes()
 
@@ -703,6 +698,32 @@ def test_nms_memory_does_not_grow_with_the_largest_frame_index(tmp_path):
     # a list per frame index up to 1,000,000 would peak near 64 MB
     assert peak < 1_000_000
     assert [r.frame for r in read_detections(tmp_path / "kept.csv")] == [1_000_000]
+
+
+def test_eval_track_at_the_frame_bound(tmp_path, capsys):
+    import tracemalloc
+
+    from uatrack.boxes import Box3D
+    from uatrack.io import MAX_FRAME_INDEX
+
+    car = Box3D(0.0, 0.0, 0.0, 1.6, 3.9, 1.5, 0.0, score=0.5)
+    gt = tmp_path / "gt.csv"
+    write_tracks(gt, [(0, 1, car)])
+    reports = {}
+    for last in (1, MAX_FRAME_INDEX):
+        tracks, out = tmp_path / f"tracks_{last}.csv", tmp_path / f"eval_{last}.csv"
+        write_tracks(tracks, [(last, 2, car)])
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run(["eval-track", "--gt", str(gt), "--tracks", str(tracks), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # frame lists padded up to the last frame index would peak near 300 MB
+        assert peak < 5_000_000
+        reports[last] = (capsys.readouterr().out, out.read_bytes())
+    assert reports[1] == reports[MAX_FRAME_INDEX]
 
 
 def test_frame_index_above_the_maximum_exits_2_naming_the_line(tmp_path, capsys):

@@ -29,7 +29,6 @@ from uatrack.io import (
     read_track_columns,
     read_tracks,
     save_config,
-    tracks_to_frames,
     write_detections,
     write_tracks,
 )
@@ -349,10 +348,10 @@ class TestReaderChecks:
             (read_tracks if columns == TRACK_COLUMNS else read_detections)(path)
 
     @pytest.mark.parametrize("frame", [-1])
-    def test_tracks_to_frames_range_checked(self, frame):
+    def test_detections_to_frames_range_checked(self, frame):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
         with pytest.raises(FormatError, match="out of range"):
-            tracks_to_frames([(frame, 1, box)])
+            detections_to_frames([DetectionRecord(frame, box)])
 
 
 @pytest.fixture(scope="module")

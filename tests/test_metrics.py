@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,17 +12,15 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import frozen_geometry as frozen
 import frozen_metrics
-from uatrack.boxes import Box3D, box_values
-from uatrack.geometry import iou_bev
+from uatrack.boxes import Box3D, TrackColumns, box_values
+from uatrack.geometry import _box_table, _pair_iou, _reach, iou_bev
 from uatrack.io import MAX_FRAME_INDEX
 from uatrack.metrics import (
     MOSTLY_LOST_FRACTION,
     EvalConfig,
     TrackingReport,
-    _frame_ious,
-    _frame_pairs,
-    _padded,
     clear_mot,
+    clear_mot_rows,
     detection_pr,
     detection_pr_rows,
     match_frame,
@@ -403,6 +402,45 @@ def _cfg_id(cfg):
     return f"{cfg.iou_kind.value}-{cfg.iou_threshold}"
 
 
+def gapped_tracks(seed):
+    """random_tracks and a frame index for each list position, with runs of absent frame indices between some."""
+    gt_tracks, pred_tracks = random_tracks(seed)
+    rng = np.random.default_rng([seed, 19])
+    steps = 1 + rng.integers(1, 3, len(pred_tracks)) * (rng.random(len(pred_tracks)) < 0.4)
+    return gt_tracks, pred_tracks, (np.cumsum(steps) - 1).tolist()
+
+
+def with_gaps(tracks, index):
+    """Frame lists with list position f moved to index[f], the frames between empty."""
+    out = [[] for _ in range(index[len(tracks) - 1] + 1 if tracks else 0)]
+    for f, frame in enumerate(tracks):
+        out[index[f]] = frame
+    return out
+
+
+def at_frames(cols, index):
+    """A block with frame f renumbered index[f]."""
+    return replace(cols, frame=np.asarray(index, dtype=np.int64)[cols.frame])
+
+
+def take(cols, order):
+    return TrackColumns(cols.frame[order], cols.track_id[order], cols.class_id[order], cols.rows[order])
+
+
+def frames_permuted(cols, rng):
+    """The block's frames in random order, each frame's rows together and in order."""
+    frames = rng.permutation(np.unique(cols.frame))
+    return take(cols, np.concatenate([np.flatnonzero(cols.frame == f) for f in frames] + [np.zeros(0, np.intp)]))
+
+
+def frames_interleaved(cols, rng):
+    """The block's rows of different frames interleaved at random, each frame's rows in order."""
+    slots = rng.permutation(cols.frame)  # the frame each position of the new block holds
+    order = np.empty(len(cols.frame), dtype=np.intp)
+    order[np.argsort(slots, kind="stable")] = np.argsort(cols.frame, kind="stable")
+    return take(cols, order)
+
+
 class TestOracle:
     """The sparse, incremental evaluation equals the dense per-threshold one."""
 
@@ -420,7 +458,22 @@ class TestOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_clear_mot_equals_reference(self, cfg, seed):
         gt_tracks, pred_tracks = random_tracks(seed)
-        assert clear_mot(gt_tracks, pred_tracks, cfg) == reference_clear_mot(gt_tracks, pred_tracks, cfg)
+        want = reference_clear_mot(gt_tracks, pred_tracks, cfg)
+        assert clear_mot(gt_tracks, pred_tracks, cfg) == want
+        assert clear_mot_rows(TrackColumns.of(gt_tracks), TrackColumns.of(pred_tracks), cfg) == want
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS, ids=_cfg_id)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_form_with_absent_frames_equals_reference(self, cfg, seed):
+        # frame indices absent from both blocks are empty frames, and the
+        # report does not depend on where each frame's rows sit in the block
+        gt_tracks, pred_tracks, index = gapped_tracks(seed)
+        want = reference_clear_mot(with_gaps(gt_tracks, index), with_gaps(pred_tracks, index), cfg)
+        gt, pred = (at_frames(TrackColumns.of(t), index) for t in (gt_tracks, pred_tracks))
+        assert clear_mot_rows(gt, pred, cfg) == want
+        rng = np.random.default_rng([seed, 18])
+        for permute in (frames_permuted, frames_interleaved):
+            assert clear_mot_rows(permute(gt, rng), permute(pred, rng), cfg) == want
 
     def test_inputs_exercise_the_hard_cases(self):
         # ties within a frame, gt with several candidate predictions,
@@ -445,6 +498,27 @@ class TestOracle:
                 for i, b in frame[:2]:
                     frame.append((i, Box3D(b.x + 2.5, b.y, b.z, b.w, b.l, b.h, b.theta, score=b.score)))
         assert clear_mot(gt_tracks, pred_tracks, cfg) == reference_clear_mot(gt_tracks, pred_tracks, cfg)
+
+    def test_inputs_exercise_the_absent_frames(self):
+        # some frame index is absent from both blocks, and keeping the
+        # sticky correspondences across it would change IDSW
+        cases = [gapped_tracks(seed) for seed in range(4)]
+        for gt_tracks, pred_tracks, index in cases:
+            gt, pred = (at_frames(TrackColumns.of(t), index) for t in (gt_tracks, pred_tracks))
+            assert set(range(index[-1])) - set(gt.frame.tolist()) - set(pred.frame.tolist())
+        assert any(reference_clear_mot(gt, pred, cfg).idsw
+                   != reference_clear_mot(with_gaps(gt, index), with_gaps(pred, index), cfg).idsw
+                   for gt, pred, index in cases for cfg in ORACLE_CFGS)
+
+    def test_absent_frame_ends_the_sticky_correspondence(self):
+        # prediction 1 holds gt 7 through consecutive frames; across an
+        # absent frame prediction 2, the closer one, takes it: an IDSW
+        gt = [[(7, box(0, 0))], [(7, box(0, 0))]]
+        pred = [[(1, box(0, 0))], [(1, box(0.2, 0)), (2, box(0.05, 0))]]
+        assert clear_mot(gt, pred, CFG).idsw == 0
+        got = clear_mot_rows(at_frames(TrackColumns.of(gt), [0, 2]), at_frames(TrackColumns.of(pred), [0, 2]), CFG)
+        assert got == reference_clear_mot(with_gaps(gt, [0, 2]), with_gaps(pred, [0, 2]), CFG)
+        assert got.idsw == 1
 
     def test_more_gt_frames_than_prediction_frames(self):
         gt_tracks, pred_tracks = random_tracks(5, extra_pred_frames=0)
@@ -484,14 +558,32 @@ def test_deep_augmenting_path_needs_no_recursion():
 # --- the row-block core against the list form and the per-box object path ---
 
 
+def frame_ious(gt_frames, pred_frames, kind):
+    """Each frame's dense gt x pred IoU matrix, the kernel run on every pair in reach of the frame's cross product.
+
+    The shorter frame list is padded with empty frames.
+    """
+    n_frames = max(len(gt_frames), len(pred_frames))
+    out = []
+    for f in range(n_frames):
+        gt, pred = (frames[f] if f < len(frames) else [] for frames in (gt_frames, pred_frames))
+        a, b = _box_table(gt), _box_table(pred)
+        ia, ib = (k.ravel() for k in np.indices((len(gt), len(pred))))
+        near = _reach(a.x[ia], a.y[ia], a.radius[ia], b.x[ib], b.y[ib], b.radius[ib])
+        iou = np.zeros((len(gt), len(pred)))
+        iou[ia[near], ib[near]] = _pair_iou(a, ia[near], b, ib[near], kind is IouKind.THREE_D)
+        out.append(iou)
+    return out
+
+
 def object_path_detection_pr(gt_frames, pred_frames, cfg):
     """detection_pr as Box3D lists were scored before the row-block core and the edge-array sweep.
 
     Per-frame IoU matrices and sorted boxes, then the frozen incremental
     sweep: one augmenting-path search per prediction.
     """
-    gt_frames, pred_frames = _padded(gt_frames, pred_frames)
-    ious = _frame_ious(gt_frames, pred_frames, *_frame_pairs(gt_frames, pred_frames, cfg.iou_kind))
+    ious = frame_ious(gt_frames, pred_frames, cfg.iou_kind)
+    pred_frames = list(pred_frames) + [[]] * (len(ious) - len(pred_frames))
     frames = [frozen_metrics._sweep_frame(iou, pred, cfg.iou_threshold) for iou, pred in zip(ious, pred_frames)]
     return frozen_metrics._pr_sweep(frames, cfg.recall_points)
 
@@ -629,24 +721,21 @@ class TestFrozenSweep:
         # edge, and one in a contested component; some activation there
         # needs an augmenting path of three or more edges
         gt, pred = (boxes_of(t) for t in contested_tracks(0))
-        ig, ip, values = _frame_pairs(gt, pred, CFG.iou_kind)
-        hit = values >= CFG.iou_threshold
-        ig, ip = ig[hit], ip[hit]
-        deg_p = np.bincount(ip, minlength=sum(map(len, pred)))
-        deg_g = np.bincount(ig, minlength=sum(map(len, gt)))
-        lone = np.zeros_like(deg_p, dtype=bool)
-        lone[ip[(deg_p[ip] == 1) & (deg_g[ig] == 1)]] = True
-        assert (deg_p == 0).any()
-        assert lone.any()
-        assert ((deg_p > 0) & ~lone).any()
-
+        no_edge = lone = contested = False
         long_paths = 0
-        for iou, frame in zip(_frame_ious(gt, pred, *_frame_pairs(gt, pred, CFG.iou_kind)), pred):
+        for iou, frame in zip(frame_ious(gt, pred, CFG.iou_kind), pred):
+            hit = iou >= CFG.iou_threshold
+            deg_g, deg_p = hit.sum(axis=1), hit.sum(axis=0)
+            lone_p = (hit & (deg_g[:, None] == 1) & (deg_p == 1)).any(axis=0)
+            no_edge |= (deg_p == 0).any()
+            lone |= lone_p.any()
+            contested |= ((deg_p > 0) & ~lone_p).any()
             _, adj, n_gt = frozen_metrics._sweep_frame(iou, frame, CFG.iou_threshold)
             owner = [-1] * n_gt
             for root, rows in enumerate(adj):
                 all_taken = bool(rows) and all(owner[g] >= 0 for g in rows)
                 long_paths += frozen_metrics._augment(adj, owner, root) and all_taken
+        assert no_edge and lone and contested
         assert long_paths > 0
 
     @pytest.mark.parametrize("first", [0.0, -0.0], ids=repr)
