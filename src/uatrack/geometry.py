@@ -10,10 +10,10 @@ one group of boxes or many (``_grouped_pairs_in_reach`` over
 The kernel clips box a against the four half-planes of box b,
 Sutherland-Hodgman style restricted to a convex clipper (Sutherland &
 Hodgman, "Reentrant polygon clipping", CACM 1974), on padded vertex
-buffers of all pairs at once, and sums the shoelace formula vertex by
-vertex.  Points within EDGE_EPS x edge length of an edge count as
-inside, so touching configurations do not flicker between 0 and a
-sliver.
+buffers of all pairs at once that each pass indexes by flat offset, and
+adds each polygon's shoelace terms in one cumulative sum.  Points within
+EDGE_EPS x edge length of an edge count as inside, so touching
+configurations do not flicker between 0 and a sliver.
 
 The kernel performs the float operations of a per-pair scalar clip in
 the same order, so its values do not depend on how the pairs are
@@ -44,6 +44,9 @@ _GATE_CELLS = 1 << 15
 SWEEP_SLACK = 1e-9
 # corner k - 1 of a corner loop, for k = 0..3
 _PREV_CORNER = [3, 0, 1, 2]
+# signs of corner k's offsets along and across the heading, counterclockwise
+_ALONG = np.array([1.0, -1.0, -1.0, 1.0])
+_ACROSS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -80,30 +83,26 @@ class _Boxes(NamedTuple):
 
 def _table(fields: np.ndarray) -> _Boxes:
     """Kernel rows from an (N, 7) array of box rows in BOX_FIELDS order."""
-    n = len(fields)
     x, y, z, w, l, h, theta = fields.T
 
     def each(fn, *columns):  # math.* per value: numpy's own may round differently
-        return np.fromiter(map(fn, *(col.tolist() for col in columns)), float, n)
+        return np.fromiter(map(fn, *(col.tolist() for col in columns)), float, len(columns[0]))
 
     c = each(math.cos, theta)
     s = each(math.sin, theta)
-    hl = 0.5 * l
-    hw = 0.5 * w
-    px = np.empty((n, 4))
-    py = np.empty((n, 4))
-    for k, (lx, ly) in enumerate(((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))):
-        px[:, k] = x + lx * c - ly * s
-        py[:, k] = y + lx * s + ly * c
-    ex = px - px[:, _PREV_CORNER]
-    ey = py - py[:, _PREV_CORNER]
-    edge = np.stack([each(math.hypot, ex[:, k], ey[:, k]) for k in range(4)], axis=1)
+    # one row per corner k, at (+-l/2, +-w/2) along and across the heading; negation is exact
+    lx = _ALONG[:, None] * (0.5 * l)
+    ly = _ACROSS[:, None] * (0.5 * w)
+    px = x + lx * c - ly * s
+    py = y + lx * s + ly * c
+    ex = px - px[_PREV_CORNER]
+    ey = py - py[_PREV_CORNER]
     return _Boxes(
         x=x, y=y,
         radius=0.5 * each(math.hypot, w, l),
         area=w * l,
-        px=px, py=py,
-        eps=EDGE_EPS * edge,
+        px=px.T, py=py.T,
+        eps=EDGE_EPS * each(math.hypot, ex.ravel(), ey.ravel()).reshape(4, -1).T,
         z=z, h=h,
     )
 
@@ -205,64 +204,66 @@ def _clip(a: _Boxes, ia: np.ndarray, b: _Boxes, ib: np.ndarray) -> tuple[np.ndar
     """Polygon a[ia] intersect b[ib] per pair: vertex buffers (M, W) and counts (M,).
 
     Vertices k < count of a row are its polygon, in the order a scalar
-    Sutherland-Hodgman pass emits them; the rest is padding.  In exact
+    Sutherland-Hodgman pass emits them; the rest is 0.0.  In exact
     arithmetic each half-plane clip of a convex polygon adds at most one
-    vertex, so W ends at most 8; buffers are sized to the largest
-    polygon so far, so a rounding case with more vertices still fits.
+    vertex, so W ends at most 8; each pass sizes its buffers to its
+    largest polygon, so a rounding case with more vertices still fits.
+    Each pass indexes its buffers by flat offset row * W + col.
     """
     m = len(ia)
-    rows = np.arange(m)
-    qx = a.px[ia]
-    qy = a.py[ia]
+    qx, qy = a.px[ia], a.py[ia]
     n = np.full(m, 4)
-    cpx, cpy, ceps = b.px[ib], b.py[ib], b.eps[ib]
+    width = 4
+    cpx, cpy, tol = b.px[ib], b.py[ib], -b.eps[ib]
+    cex, cey = cpx - cpx[:, _PREV_CORNER], cpy - cpy[:, _PREV_CORNER]
     for k in range(4):
-        if qx.shape[1] == 0:
+        if width == 0:
             break
         # keep what lies left of the directed edge from corner k - 1 to corner k
-        ax = cpx[:, k - 1, None]
-        ay = cpy[:, k - 1, None]
-        ex = cpx[:, k, None] - ax
-        ey = cpy[:, k, None] - ay
-        side = ex * (qy - ay) - ey * (qx - ax)
-        inside = side >= -ceps[:, k, None]
-        # each vertex's predecessor in its own (count-long) loop
-        cols = np.arange(qx.shape[1])
-        before = np.where(cols == 0, np.maximum(n - 1, 0)[:, None], cols - 1)
-        valid = cols < n[:, None]
+        side = cex[:, k, None] * (qy - cpy[:, k - 1, None]) - cey[:, k, None] * (qx - cpx[:, k - 1, None])
+        inside = side >= tol[:, k, None]
+        # each vertex's predecessor in its own (count-long) loop; an empty row's is never read
+        before = np.arange(-1, m * width - 1).reshape(m, width)
+        before[:, 0] += n
+        valid = np.arange(width) < n[:, None]
         keep = inside & valid
-        cross = (inside != inside[rows[:, None], before]) & valid
+        cross = (inside != inside.ravel()[before]) & valid
         # vertex j emits the crossing on its incoming edge, then itself
-        emitted = cross.astype(np.intp) + keep
-        end = np.cumsum(emitted, axis=1)
+        end = np.add(cross, keep, dtype=np.intp).cumsum(axis=1)
         n = end[:, -1]
         width = int(n.max()) if m else 0
-        nx = np.zeros((m, width))
-        ny = np.zeros((m, width))
-        r, j = np.nonzero(cross)
-        i = before[r, j]
-        at = end[r, j] - emitted[r, j]
-        t = side[r, i] / (side[r, i] - side[r, j])
-        nx[r, at] = qx[r, i] + t * (qx[r, j] - qx[r, i])
-        ny[r, at] = qy[r, i] + t * (qy[r, j] - qy[r, i])
-        r, j = np.nonzero(keep)
-        nx[r, end[r, j] - 1] = qx[r, j]
-        ny[r, end[r, j] - 1] = qy[r, j]
-        qx, qy = nx, ny
+        last = (end + (width * np.arange(m) - 1)[:, None]).ravel()  # offset of each vertex's last emission
+        nx, ny = np.zeros(m * width), np.zeros(m * width)
+        qx, qy, side, keep = qx.ravel(), qy.ravel(), side.ravel(), keep.ravel()
+        j = cross.ravel().nonzero()[0]
+        i = before.ravel()[j]
+        s_i, x_i, y_i = side[i], qx[i], qy[i]
+        t = s_i / (s_i - side[j])
+        at = last[j] - keep[j]
+        nx[at] = x_i + t * (qx[j] - x_i)
+        ny[at] = y_i + t * (qy[j] - y_i)
+        j = keep.nonzero()[0]
+        nx[last[j]] = qx[j]
+        ny[last[j]] = qy[j]
+        qx, qy = nx.reshape(m, width), ny.reshape(m, width)
     return qx, qy, n
 
 
 def _overlap(a: _Boxes, ia: np.ndarray, b: _Boxes, ib: np.ndarray) -> np.ndarray:
-    """BEV intersection area of each pair a[ia], b[ib] in reach."""
+    """BEV intersection area of each pair a[ia], b[ib] in reach.
+
+    Each vertex's shoelace term x_k y_(k+1) - x_(k+1) y_k comes from one
+    successor gather, and one cumulative sum adds a row's terms left to
+    right, as the scalar loop does.  A padded lane's term is +-0.0: it
+    leaves a sum as it is, and abs drops the sign of a zero one.
+    """
     qx, qy, n = _clip(a, ia, b, ib)
-    acc = np.zeros(len(ia))
-    width = qx.shape[1]
-    for i in range(width):
-        # the successor of vertex i wraps to vertex 0 at the row's count
-        wrap = n == i + 1
-        x1 = np.where(wrap, qx[:, 0], qx[:, (i + 1) % width])
-        y1 = np.where(wrap, qy[:, 0], qy[:, (i + 1) % width])
-        np.add(acc, qx[:, i] * y1 - x1 * qy[:, i], out=acc, where=i < n)
+    m, width = qx.shape
+    # the successor of vertex k, wrapping to vertex 0 at the row's count
+    cols = np.arange(1, width + 1)
+    succ = np.where(cols < n[:, None], cols, 0) + width * np.arange(m)[:, None]
+    terms = qx * qy.ravel()[succ] - qx.ravel()[succ] * qy
+    acc = terms.cumsum(axis=1)[:, -1] if width else np.zeros(m)
     area = np.minimum(np.minimum(0.5 * np.abs(acc), a.area[ia]), b.area[ib])
     return np.where(n >= 3, area, 0.0)
 
@@ -270,8 +271,7 @@ def _overlap(a: _Boxes, ia: np.ndarray, b: _Boxes, ib: np.ndarray) -> np.ndarray
 def _pair_iou(a: _Boxes, ia: np.ndarray, b: _Boxes, ib: np.ndarray, three_d: bool) -> np.ndarray:
     """BEV (or, if three_d, volumetric) IoU of each pair a[ia], b[ib].
 
-    Every pair must have passed _reach.  Pairs are scored
-    _CHUNK at a time.
+    Every pair must have passed _reach.  Pairs are scored _CHUNK at a time.
     """
     out = np.zeros(len(ia))
     for lo in range(0, len(ia), _CHUNK):

@@ -39,6 +39,7 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -345,28 +346,45 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):  # bool is an int subclass
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int subclass
+
+
+# a scalar field's default type -> (test of its JSON value, what the value must be)
+_SCALARS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _checked(name: str, test: Callable, kind: str, value):
+    if not test(value):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return value
+
+
+def _numbers(name: str, value) -> tuple[float, ...]:
+    _checked(name, lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of numbers", value)
+    return tuple(float(x) for x in value)
 
 
 def _layout(cls) -> dict[str, tuple[Callable, Callable]]:
     """Field name -> (to disk, from disk) for a config class.
 
-    Enums are stored by value and tuples as lists of floats; integer
-    fields take integers only; other fields are stored as they are.
+    Enums are stored by value and tuples as lists of floats.  Reading
+    checks each value's JSON type: an integer field takes an integer, a
+    float field a number, a bool field true or false and a tuple field a
+    list of numbers.
     """
     out = {}
     for f in fields(cls):
         if isinstance(f.default, Enum):
             out[f.name] = (lambda v: v.value, type(f.default))
         elif isinstance(f.default, tuple):
-            out[f.name] = (list, lambda v: tuple(float(x) for x in v))
-        elif type(f.default) is int:
-            out[f.name] = (lambda v: v, lambda v, name=f.name: _integer(name, v))
+            out[f.name] = (list, partial(_numbers, f.name))
         else:
-            out[f.name] = (lambda v: v, lambda v: v)
+            out[f.name] = (lambda v: v, partial(_checked, f.name, *_SCALARS[type(f.default)]))
     return out
 
 

@@ -373,6 +373,17 @@ class TestConfigPath:
         assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_track_config_of_the_wrong_json_type_exits_2(self, tmp_path, scenario_files, capsys):
+        # a string "false" used to run the adaptive tracker as if it read true
+        _, dets = scenario_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tracker": {"use_detection_covariance": "false"}}')
+        capsys.readouterr()
+        assert run(["track", "--dets", str(dets), "--out", str(tmp_path / "t.csv"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config tracker: use_detection_covariance must be true or false, got 'false'\n")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_bad_input_row_exits_2(self, tmp_path, scenario_files, capsys):
         gt, dets = scenario_files
         lines = dets.read_text().splitlines()

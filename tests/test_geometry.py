@@ -1,6 +1,7 @@
 """Rotated-rectangle intersection against analytic and raster oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,7 +252,34 @@ SPECIAL_RECTS = {
 }
 
 
+def nms_shaped_boxes(rng, n):
+    """n boxes, each followed by the duplicates NMS scores it against.
+
+    Two near-duplicates jittered as the postproc benchmark jitters them
+    (sigma 0.4 m in x and y, 0.05 rad in heading), one exact duplicate
+    and one at the same center turned by pi/2.
+    """
+    out = []
+    for box in random_boxes(rng, n, 6.0):
+        jitter = [replace(box, x=box.x + 0.4 * dx, y=box.y + 0.4 * dy, theta=box.theta + 0.05 * dt)
+                  for dx, dy, dt in rng.standard_normal((2, 3))]
+        out += [box, *jitter, replace(box), replace(box, theta=box.theta + math.pi / 2)]
+    return out
+
+
 class TestKernelOracle:
+    @pytest.mark.parametrize("three_d", [False, True], ids=["bev", "3d"])
+    def test_nms_shaped_pairs_bitwise(self, three_d):
+        boxes = nms_shaped_boxes(np.random.default_rng(54), 32)
+        got = kernel_matrix(boxes, boxes, three_d)
+        want = frozen_matrix(boxes, boxes, three_d)
+        assert np.count_nonzero(want) > 2 * len(boxes)  # every box meets its own duplicates
+        assert np.array_equal(bits(got), bits(want))
+        table = _box_table(boxes)
+        ia, ib = reach_pairs(table, 0, len(boxes), table, 0, len(boxes))
+        count = _clip(table, ia, table, ib)[2]
+        assert {0, 5, 6, 7, 8} <= set(count.tolist())
+
     @pytest.mark.parametrize("three_d", [False, True], ids=["bev", "3d"])
     def test_random_pairs_bitwise(self, three_d):
         rng = np.random.default_rng(50 + three_d)

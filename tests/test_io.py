@@ -241,6 +241,29 @@ class TestRunConfig:
         with pytest.raises(FormatError, match="config"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("tracker", "use_detection_covariance", "false", "must be true or false"),
+        ("tracker", "use_detection_covariance", 0, "must be true or false"),
+        ("tracker", "gate_distance", True, "must be a number"),
+        ("eval", "iou_threshold", "0.5", "must be a number"),
+        ("nms", "iou_threshold", None, "must be a number"),
+        ("scoring", "k_s", [0.1], "must be a number"),
+        ("tracker", "default_obs_sigma", "1234567", "must be a list of numbers"),
+        ("tracker", "default_obs_sigma", 0.5, "must be a list of numbers"),
+        ("scenario", "noise_base", [0.1] * 6 + ["0.1"], "must be a list of numbers"),
+        ("scenario", "noise_range_coeff", [False] * 7, "must be a list of numbers"),
+    ])
+    def test_wrong_json_type_names_its_key(self, section, key, value, message):
+        with pytest.raises(FormatError) as exc:
+            config_from_dict({section: {key: value}})
+        assert str(exc.value) == f"config {section}: {key} {message}, got {value!r}"
+
+    def test_json_numbers_and_booleans_taken_as_given(self):
+        cfg = config_from_dict({"tracker": {"gate_distance": 3, "use_detection_covariance": False,
+                                            "default_obs_sigma": [1, 0.5, 1, 1, 1, 1, 1]}})
+        assert cfg.tracker.gate_distance == 3 and cfg.tracker.use_detection_covariance is False
+        assert cfg.tracker.default_obs_sigma == (1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
+
     def test_readme_example_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
