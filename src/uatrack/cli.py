@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 `simulate` and `check-losses` take --seed; every command is byte-deterministic.
-A flag that sets a config field falls back to --config, then to the config
-dataclass default.  Every emitted table, a file or stdout, starts with
-``# uatrack-v1`` (see io.write_table).
+A flag that sets a config field falls back to --config where the command takes
+one (simulate, track and sweep), then to the config dataclass default.  Every
+emitted table, a file or stdout, starts with ``# uatrack-v1`` (see
+io.write_table).
 """
 
 from __future__ import annotations
@@ -35,7 +36,17 @@ from .io import (
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
 from .metrics import TrackingReport, clear_mot_rows, detection_pr_rows
-from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore
+from .scoring import (
+    AggregateMode,
+    IouKind,
+    NmsConfig,
+    ScoreMapConfig,
+    ScoreStrategy,
+    nms,
+    rescore_logvars,
+    rescore_rows,
+    self_logvars,
+)
 from .sim import generate_scenario
 from .tracker import track_frames
 
@@ -152,19 +163,48 @@ def _cmd_eval_det(args) -> int:
 
 # --- nms -----------------------------------------------------------------
 
-def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig) -> DetectionColumns:
-    """The rows NMS keeps, rescored, frame by frame in ascending order, each frame in input order."""
+def _logvars(dets: DetectionColumns, score_cfgs: list[ScoreMapConfig]) -> np.ndarray | None:
+    """The rows' self-anchored log-variances (scoring.self_logvars) where some config rescores them, else None."""
+    if dets.var is None or all(cfg.strategy is ScoreStrategy.NONE for cfg in score_cfgs):
+        return None
+    return self_logvars(dets.rows, dets.var)
+
+
+def _rescored(dets: DetectionColumns, cfg: ScoreMapConfig, logvars: np.ndarray | None,
+              frames: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Each row's rescored value: one column pass over the file from its log-variances.
+
+    Where the pass hands over (logvars None, or a row's value fails),
+    the rows are rescored row by row, frame by frame in ascending order,
+    so that an error names the first frame that fails.
+    """
+    scores = None if logvars is None else rescore_logvars(dets.rows[:, 7], logvars, cfg)
+    if scores is not None:
+        return scores
+    scores = np.empty(len(dets))
+    for frame, index in frames:
+        try:
+            scores[index] = rescore_rows(dets.rows[index], dets.var[index], cfg)
+        except (ArithmeticError, ValueError) as exc:  # a score <= 0, or an over- or underflow
+            raise FormatError(f"frame {frame}: cannot rescore: {exc}") from exc
+    return scores
+
+
+def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig,
+                          logvars: np.ndarray | None) -> DetectionColumns:
+    """The rows NMS keeps, rescored, frame by frame in ascending order, each frame in input order.
+
+    logvars are the rows' _logvars, computed once per file.
+    """
     rescoring = score_cfg.strategy is not ScoreStrategy.NONE
     if rescoring and len(dets) and dets.var is None:
         raise FormatError("variance columns are required for uncertainty scoring")
+    frames = dets.by_frame()
     rows = dets.rows.copy()
+    if rescoring:
+        rows[:, 7] = _rescored(dets, score_cfg, logvars, frames)
     kept = [np.zeros(0, dtype=np.intp)]
-    for frame, index in dets.by_frame():
-        if rescoring:
-            try:
-                rows[index, 7] = rescore(rows[index], dets.var[index], score_cfg)
-            except (ArithmeticError, ValueError) as exc:  # a score <= 0, or an over- or underflow
-                raise FormatError(f"frame {frame}: cannot rescore: {exc}") from exc
+    for _, index in frames:
         kept.append(index[np.sort(nms(rows[index], nms_cfg))])
     return replace(dets, rows=rows).take(np.concatenate(kept))
 
@@ -172,7 +212,7 @@ def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms
 def _cmd_nms(args) -> int:
     cfg = config_from_dict(_config_dict(args))
     dets = read_detection_columns(args.dets)
-    kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms)
+    kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms, _logvars(dets, [cfg.scoring]))
     write_detections(args.out, kept)
     print(f"kept {len(kept)} of {len(dets)} detections -> {args.out}")
     return 0
@@ -194,7 +234,7 @@ def _cmd_check_losses(args) -> int:
 def _parse_sweep_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer with more digits than int() converts: the text as given
         return text
 
 
@@ -230,10 +270,11 @@ def _cmd_sweep(args) -> int:
             return _report_cells(clear_mot_rows(gt, pred, cfg.eval), columns)
     else:
         gt, dets = read_track_columns(args.gt), read_detection_columns(args.dets)
+        logvars = _logvars(dets, [cfg.scoring for _, cfg in grid])
         columns = ["ap", "max_f1"]
 
         def score(cfg):
-            kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms)
+            kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms, logvars)
             ap, max_f1, _ = detection_pr_rows((gt.frame, gt.rows), (kept.frame, kept.rows), cfg.eval)
             return [format_float(ap), format_float(max_f1)]
 

@@ -350,10 +350,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int subclass
 
 
+def _fits_float(value) -> bool:
+    """Whether a JSON number converts to a float: an integer beyond the float range does not."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 # a scalar field's default type -> (test of its JSON value, what the value must be)
 _SCALARS = {
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -364,8 +372,14 @@ def _checked(name: str, test: Callable, kind: str, value):
     return value
 
 
+def _number(name: str, value):
+    _checked(name, _is_number, "a number", value)
+    return _checked(name, _fits_float, "a number within float range", value)
+
+
 def _numbers(name: str, value) -> tuple[float, ...]:
     _checked(name, lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of numbers", value)
+    _checked(name, lambda v: all(map(_fits_float, v)), "a list of numbers within float range", value)
     return tuple(float(x) for x in value)
 
 
@@ -375,7 +389,8 @@ def _layout(cls) -> dict[str, tuple[Callable, Callable]]:
     Enums are stored by value and tuples as lists of floats.  Reading
     checks each value's JSON type: an integer field takes an integer, a
     float field a number, a bool field true or false and a tuple field a
-    list of numbers.
+    list of numbers; a number for a float must convert to one, which an
+    integer beyond the float range does not.
     """
     out = {}
     for f in fields(cls):
@@ -383,6 +398,8 @@ def _layout(cls) -> dict[str, tuple[Callable, Callable]]:
             out[f.name] = (lambda v: v.value, type(f.default))
         elif isinstance(f.default, tuple):
             out[f.name] = (list, partial(_numbers, f.name))
+        elif isinstance(f.default, float):
+            out[f.name] = (lambda v: v, partial(_number, f.name))
         else:
             out[f.name] = (lambda v: v, partial(_checked, f.name, *_SCALARS[type(f.default)]))
     return out
@@ -431,7 +448,7 @@ def read_config(path: str | Path) -> dict:
     """The dict form of a config file, checked to build a valid RunConfig."""
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with more digits than int() converts
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     config_from_dict(data)
     return data

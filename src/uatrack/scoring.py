@@ -4,6 +4,16 @@ Detections are re-ranked by combining the classifier score with a score
 derived from aggregated log-variances, so that among near-duplicate
 proposals the better-localized (lower-uncertainty) one survives NMS.
 All mappings operate in log space to avoid under/overflow.
+
+score_detection states the pipeline for one detection.  rescore runs it
+over a row block as one column pass in two steps: self_logvars, the
+config-free self-anchored log-variances, then rescore_logvars, their
+mapping under a ScoreMapConfig.  Both keep every operation of the
+scalar path in its order: + - * / as numpy column operations, each
+transcendental (hypot, pow, log, exp, log1p) as its math function, one
+map per column, so every value is the scalar path's bit for bit.  Where
+a row's value fails, the pass hands the block to rescore_rows, the
+scalar path row by row, which raises that row's error.
 """
 
 from __future__ import annotations
@@ -12,7 +22,10 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import reduce
+from itertools import repeat
+from operator import add
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,7 +86,9 @@ class NmsConfig:
 
 
 def _aggregate(logvars: Sequence[float], mode: AggregateMode) -> float:
-    return max(logvars) if mode is AggregateMode.MAX else sum(logvars)
+    # the sum adds from 0.0, left to right, as sum() does up to Python 3.11 (3.12's compensates) and as
+    # rescore_logvars adds columns
+    return max(logvars) if mode is AggregateMode.MAX else reduce(add, logvars, 0.0)
 
 
 def aggregate_logvar(s: EncodedLogVar, mode: AggregateMode) -> float:
@@ -123,7 +138,7 @@ def score_detection(detection_score: float, s: EncodedLogVar, cfg: ScoreMapConfi
     return _score(detection_score, s.as_tuple(), cfg)
 
 
-def rescore(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
+def rescore_rows(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
     """Each row's rescored value, without building a box: score_detection(score,
     encode_variance(var, self_anchor(box), box), cfg).
 
@@ -133,7 +148,8 @@ def rescore(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarra
     squared BEV diagonal and each extent by its own square.  Its
     operations are Python's, value by value in encode_variance's order,
     so every value, and the first row's error where one fails, is that
-    of the object path bit for bit.
+    of the object path bit for bit.  rescore computes the same values
+    for a whole block at once; this is its reference and error path.
     """
     def one(row, v):
         _, _, _, w, l, h, _, score = row
@@ -143,6 +159,104 @@ def rescore(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarra
                               math.log(v[6])), cfg)
 
     return np.fromiter(map(one, rows.tolist(), var.tolist()), float, len(rows))
+
+
+def _mapped(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """fn of each value (of each tuple of values, one from each column), by one map over Python floats."""
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+# self_logvars divides variance k by row _DIVISOR[k] of (diagonal², w², l², h², 1.0): the self-anchored
+# encoding scales x and y by the squared BEV diagonal, z and h by h², w and l by their own squares, and
+# leaves theta, which 1.0 divides exactly.
+_DIVISOR = [0, 0, 3, 1, 2, 3, 4]
+
+
+def self_logvars(rows: np.ndarray, var: np.ndarray) -> np.ndarray | None:
+    """The self-anchored encoded log-variances of a row block, row k of the (7, n) result holding
+    EncodedLogVar field k; None where a row's fails.
+
+    rows and var are as in rescore_rows, whose log-variances these are
+    bit for bit: math.hypot, math.pow(., 2.0) (which is x ** 2, not
+    always x * x) and math.log, each mapped over a column, and numpy
+    divisions.  None where a map raises or a square underflows to 0,
+    the rows whose division or log raises in rescore_rows.
+    """
+    n = len(rows)
+    w, l, h = rows[:, 3], rows[:, 4], rows[:, 5]
+    try:
+        divisors = np.ones((5, n))
+        for k, base in enumerate((_mapped(math.hypot, l, w), w, l, h)):
+            divisors[k] = np.fromiter(map(math.pow, base.tolist(), repeat(2.0)), float, n)
+        if not divisors.all():
+            return None
+        with np.errstate(all="ignore"):  # a quotient may overflow to inf, as Python's does, silently
+            quotients = var.T / divisors[_DIVISOR]
+        logvars = np.empty((7, n))
+        for k, q in enumerate(quotients):  # one map per log-variance: n Python floats alive at a time, not 7n
+            logvars[k] = _mapped(math.log, q)
+        return logvars
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _log_scores(g: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
+    """map_uncertainty_to_logscore of each aggregated log-variance in g."""
+    if cfg.strategy is ScoreStrategy.NONE:
+        return np.zeros(len(g))
+    if cfg.strategy is ScoreStrategy.EXPONENTIAL:
+        x = cfg.k_s * g + cfg.b_s
+        out = np.full(len(g), -math.inf)
+        fits = x <= _LOG_FLOAT_MAX
+        out[fits] = -_mapped(math.exp, x[fits])
+        return out
+    x = -cfg.k_s * g + cfg.b_s
+    if cfg.strategy is ScoreStrategy.LINEAR:
+        return np.where(0.0 > x, 0.0, x)  # max(x, 0.0): x unless 0.0 is greater
+    # _log_sigmoid: both branches take exp(-|x|), and -x or x equals -|x| where each is taken
+    log1p = _mapped(math.log1p, _mapped(math.exp, -np.abs(x)))
+    return np.where(x >= 0.0, -log1p, x - log1p)
+
+
+def rescore_logvars(scores: np.ndarray, logvars: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray | None:
+    """Each row's rescored value from its score and self_logvars column; None where a row's fails.
+
+    _score's operations on whole columns: the sum adds from 0.0 left to
+    right, as _aggregate does, and the max keeps the first of equal
+    values, as max() does.  None where a map raises, a score is not > 0
+    or a log of the rescored value exceeds the float range, the rows
+    whose combined_score raises.
+    """
+    if not (scores > 0.0).all():
+        return None
+    try:
+        with np.errstate(all="ignore"):  # Python's float arithmetic over- and underflows silently
+            if cfg.aggregate is AggregateMode.MAX:
+                g = logvars[0]
+                for s in logvars[1:]:
+                    g = np.where(s > g, s, g)
+            else:
+                g = np.zeros(len(scores))
+                for s in logvars:
+                    g = g + s
+            log_beta = cfg.alpha * (_mapped(math.log, scores) + _log_scores(g, cfg))
+        if (log_beta > _LOG_FLOAT_MAX).any():
+            return None
+        return _mapped(math.exp, log_beta)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def rescore(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
+    """rescore_rows(rows, var, cfg), bit for bit, as one column pass over the block.
+
+    self_logvars then rescore_logvars; where either hands over, the
+    block goes to rescore_rows, which raises the first failing row's
+    error.
+    """
+    logvars = self_logvars(rows, var)
+    out = None if logvars is None else rescore_logvars(rows[:, 7], logvars, cfg)
+    return rescore_rows(rows, var, cfg) if out is None else out
 
 
 def nms(rows: np.ndarray, cfg: NmsConfig) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from uatrack import scoring
 from uatrack.cli import build_parser, main
 from uatrack.io import read_detections, read_tracks, write_tracks
 
@@ -189,6 +190,29 @@ class TestNmsCommand:
         assert run(["nms", "--dets", str(path), "--out", str(tmp_path / "kept.csv"), "--strategy", "linear"]) == 2
         assert "error: frame 3: cannot rescore: float division by zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mapping_frame, encoding_frame", [(1, 4), (4, 1)])
+    def test_the_first_failing_frame_is_named_whichever_step_fails(self, tmp_path, capsys, mapping_frame,
+                                                                   encoding_frame):
+        """A score of 0 fails the mapping, h = 1e-200 the encoding (h squared underflows); the lower frame is named."""
+        from uatrack.boxes import Box3D, BoxVariance
+        from uatrack.io import DetectionRecord, write_detections
+
+        def box(f):
+            return Box3D(f, 0, 0, 1.6, 3.9, 1e-200 if f == encoding_frame else 1.5, 0,
+                         score=0.0 if f == mapping_frame else 0.5)
+
+        path, gt = tmp_path / "dets.csv", tmp_path / "gt.csv"
+        write_detections(path, [DetectionRecord(f, box(f), BoxVariance(*[0.1] * 7)) for f in reversed(range(6))])
+        write_tracks(gt, [(f, 1, Box3D(f, 0, 0, 1.6, 3.9, 1.5, 0)) for f in range(6)])
+        first = min(mapping_frame, encoding_frame)
+        error = "detection_score must be > 0" if first == mapping_frame else "float division by zero"
+        for argv in (["nms", "--dets", str(path), "--out", str(tmp_path / "kept.csv"), "--strategy", "linear"],
+                     ["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(path),
+                      "--param", "scoring.strategy=none,linear", "--out", str(tmp_path / "rows.csv")]):
+            capsys.readouterr()
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"error: frame {first}: cannot rescore: {error}\n"
+
     def test_empty_file_keeps_nothing_and_writes_no_variance_columns(self, tmp_path):
         from uatrack.io import DET_COLUMNS, DET_COLUMNS_VAR
 
@@ -275,6 +299,20 @@ class TestSweep:
             assert len(read_detections(kept)) < len(records) * 2
             assert run(["eval-det", "--gt", str(gt), "--dets", str(kept), "--out", str(rep)]) == 0
             assert cell == ",".join([strategy, "0.05", rep.read_text().splitlines()[2]])
+
+    def test_nms_sweep_encodes_the_variances_once_per_file(self, tmp_path, monkeypatch):
+        from uatrack import cli
+
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "3", "--n-frames", "10",
+                    "--seed", "6"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "self_logvars", lambda *args: calls.append(args) or scoring.self_logvars(*args))
+        monkeypatch.setattr(cli, "rescore_rows", None)  # the per-row path must not run on valid rows
+        assert run(["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
+                    "--param", "scoring.strategy=none,linear,exponential,sigmoid",
+                    "--param", "scoring.aggregate=sum,max", "--out", str(tmp_path / "rows.csv")]) == 0
+        assert len(calls) == 1
 
     def test_unknown_param_rejected(self, tmp_path):
         gt = tmp_path / "gt.csv"
@@ -372,6 +410,31 @@ class TestConfigPath:
         capsys.readouterr()
         assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    BIG = "9" * 401  # a JSON integer beyond the float range
+
+    @pytest.mark.parametrize("argv, error", [
+        (["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{tmp}/big_dt.json"],
+         "config scenario: dt must be a number within float range"),
+        (["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{tmp}/big_noise.json"],
+         "config scenario: noise_base must be a list of numbers within float range"),
+        (["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "scoring.b_s=" + BIG],
+         "config scoring: b_s must be a number within float range"),
+        (["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "scoring.k_s=1," + BIG],
+         "config scoring: k_s must be a number within float range"),
+        (["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{tmp}/long_seed.json"],
+         "{tmp}/long_seed.json: invalid JSON: Exceeds the limit"),
+    ])
+    def test_integer_beyond_float_range_exits_2_naming_its_key(self, tmp_path, scenario_files, capsys, argv, error):
+        gt, dets = scenario_files
+        (tmp_path / "big_dt.json").write_text('{"scenario": {"dt": %s}}' % self.BIG)
+        (tmp_path / "big_noise.json").write_text('{"scenario": {"noise_base": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, %s]}}'
+                                                 % self.BIG)
+        (tmp_path / "long_seed.json").write_text('{"scenario": {"seed": %s}}' % ("1" * 5000))
+        capsys.readouterr()
+        assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: " + error.format(tmp=tmp_path))
+        assert not (tmp_path / "g.csv").exists()
 
     def test_track_config_of_the_wrong_json_type_exits_2(self, tmp_path, scenario_files, capsys):
         # a string "false" used to run the adaptive tracker as if it read true

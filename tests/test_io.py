@@ -258,6 +258,34 @@ class TestRunConfig:
             config_from_dict({section: {key: value}})
         assert str(exc.value) == f"config {section}: {key} {message}, got {value!r}"
 
+    BIG = int("9" * 401)  # a JSON integer that converts to no float
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("scenario", "dt", BIG, "must be a number within float range"),
+        ("scoring", "b_s", -BIG, "must be a number within float range"),
+        ("scoring", "k_s", BIG, "must be a number within float range"),
+        ("tracker", "gate_distance", 2**1024, "must be a number within float range"),
+        ("scenario", "noise_base", [0.1] * 6 + [BIG], "must be a list of numbers within float range"),
+        ("tracker", "default_obs_sigma", [1, 1, 1, -BIG, 1, 1, 1], "must be a list of numbers within float range"),
+    ])
+    def test_integer_beyond_float_range_names_its_key(self, section, key, value, message):
+        with pytest.raises(FormatError) as exc:
+            config_from_dict({section: {key: value}})
+        assert str(exc.value) == f"config {section}: {key} {message}, got {value!r}"
+
+    def test_integers_within_float_range_taken_as_given(self):
+        # 2**1024 - 2**970 is the first integer that rounds past the largest float
+        top = 2**1024 - 2**970 - 1
+        cfg = config_from_dict({"scoring": {"b_s": top}, "tracker": {"process_noise_diag": [top] + [0] * 5}})
+        assert cfg.scoring.b_s == top and type(cfg.scoring.b_s) is int
+        assert cfg.tracker.process_noise_diag[0] == float(top) == 1.7976931348623157e308
+
+    def test_integer_too_long_to_parse_exits_as_invalid_json(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": {"seed": %s}}' % ("1" * 5000))
+        with pytest.raises(FormatError, match="invalid JSON"):
+            load_config(path)
+
     def test_json_numbers_and_booleans_taken_as_given(self):
         cfg = config_from_dict({"tracker": {"gate_distance": 3, "use_detection_covariance": False,
                                             "default_obs_sigma": [1, 0.5, 1, 1, 1, 1, 1]}})

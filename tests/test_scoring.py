@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frozen_geometry as frozen
+from uatrack import scoring
 from uatrack.boxes import Box3D, BoxVariance, EncodedLogVar, box_values, encode_variance, self_anchor
 from uatrack.io import read_detection_columns, write_detections
 from uatrack.scoring import (
@@ -22,6 +23,7 @@ from uatrack.scoring import (
     map_uncertainty_to_logscore,
     nms,
     rescore,
+    rescore_logvars,
     score_detection,
 )
 from uatrack.sim import ScenarioConfig, generate_scenario
@@ -331,3 +333,79 @@ class TestRescoreOracle:
         got = outcome(rescore, rows, var, cfg)
         assert got[0] == error
         assert got == outcome(reference_rescore, rows, var, cfg)
+
+
+def _simulated_block(tmp_path):
+    scenario = generate_scenario(ScenarioConfig(n_targets=6, n_frames=30, fp_rate=0.5, seed=13))
+    path = tmp_path / "dets.csv"
+    write_detections(path, [d for frame in scenario.detections for d in frame])
+    return read_detection_columns(path)
+
+
+def _bit_traps(seed=0, n=50000, keep=300):
+    """Extents where x ** 2 != x * x, and quotients where math.log != np.log, among a seeded sample.
+
+    Which values these are depends on the machine's libm and numpy build;
+    each list may be short, or empty, elsewhere.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 5.0, n)
+    squares = np.array([v ** 2 for v in x.tolist()])
+    q = rng.uniform(1e-3, 10.0, n)
+    logs = np.array([math.log(v) for v in q.tolist()])
+    return x[squares != x * x][:keep], q[logs != np.log(q)][:keep]
+
+
+class TestColumnPass:
+    """rescore's column pass: taken where every row is valid, and bit for bit the per-row path's values."""
+
+    @pytest.mark.parametrize("cfg", SCORE_CONFIGS, ids=lambda c: f"{c.strategy.value}-{c.aggregate.value}")
+    def test_valid_rows_never_reach_the_per_row_path(self, tmp_path, monkeypatch, cfg):
+        dets = _simulated_block(tmp_path)
+        expected = outcome(reference_rescore, dets.rows, dets.var, cfg)
+
+        def per_row(*args):
+            raise AssertionError("the column pass handed valid rows to the per-row path")
+
+        monkeypatch.setattr(scoring, "rescore_rows", per_row)
+        assert outcome(rescore, dets.rows, dets.var, cfg) == expected
+
+    def test_bit_traps(self):
+        """Squares whose pow differs from x * x, logs whose math value differs from numpy's, tied log-variances."""
+        squares, logs = _bit_traps()
+        n = max(len(squares), len(logs), 1)
+        rng = np.random.default_rng(1)
+        ext = np.resize(squares, n) if len(squares) else rng.uniform(0.5, 5.0, n)
+        block = np.zeros((n, 8))
+        block[:, 3], block[:, 4], block[:, 5] = ext, np.roll(ext, 1), np.roll(ext, 2)
+        block[:, 7] = rng.uniform(0.05, 1.0, n)
+        var = rng.uniform(1e-3, 2.0, (n, 7))
+        var[:, 6] = np.resize(logs, n) if len(logs) else var[:, 6]
+        # tied log-variances: w = l = h = 2 and each extent's and the yaw's quotient is 1, so five of them are 0.0
+        tied = np.array([[0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.5], [0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0]])
+        tied_var = np.array([[8.0, 8.0, 4.0, 4.0, 4.0, 4.0, 1.0], [4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 1.0]])
+        block, var = np.vstack([block, tied]), np.vstack([var, tied_var])
+        for cfg in SCORE_CONFIGS + [replace(c, k_s=0.3, b_s=-0.0, alpha=0.7) for c in SCORE_CONFIGS]:
+            got = outcome(rescore, block, var, cfg)
+            assert isinstance(got, list)
+            assert got == outcome(reference_rescore, block, var, cfg)
+
+    @pytest.mark.parametrize("cfg", SCORE_CONFIGS + [replace(c, b_s=-0.0) for c in SCORE_CONFIGS],
+                             ids=lambda c: f"{c.strategy.value}-{c.aggregate.value}-{c.b_s}")
+    def test_ties_signed_zeros_and_nan(self, cfg):
+        """max() keeps the first of tied values, 0.0 or -0.0, and passes over a NaN after the first value, as
+        the columns' comparison does (np.maximum would not); the sum adds from 0.0, left to right."""
+        nan = math.nan
+        logvars = np.array([
+            [0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 1.0],
+            [-0.0, 0.0, 0.0, -0.0, 1.5, -2.0, nan],
+            [-1.0, -1.0, -0.0, 0.0, 1.5, -2.0, 2.0],
+            [0.0, -0.0, -0.0, 0.0, -3.0, -2.0, nan],
+            [-0.0, 0.0, 0.0, 0.0, 1.5, -2.0, 0.5],
+            [0.0, 0.0, -0.0, -0.0, 1.5, -2.0, -1.0],
+            [-0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 0.0],
+        ])
+        scores = np.array([1.0, 0.5, 1.0, 0.25, 1.0, 0.75, 0.5])
+        got = rescore_logvars(scores, logvars, cfg)
+        expected = [score_detection(s, EncodedLogVar(*col), cfg) for s, col in zip(scores.tolist(), logvars.T.tolist())]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
