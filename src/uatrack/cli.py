@@ -36,17 +36,7 @@ from .io import (
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
 from .metrics import TrackingReport, clear_mot_rows, detection_pr_rows
-from .scoring import (
-    AggregateMode,
-    IouKind,
-    NmsConfig,
-    ScoreMapConfig,
-    ScoreStrategy,
-    nms,
-    rescore_logvars,
-    rescore_rows,
-    self_logvars,
-)
+from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore, rescore_rows
 from .sim import generate_scenario
 from .tracker import track_frames
 
@@ -163,24 +153,17 @@ def _cmd_eval_det(args) -> int:
 
 # --- nms -----------------------------------------------------------------
 
-def _logvars(dets: DetectionColumns, score_cfgs: list[ScoreMapConfig]) -> np.ndarray | None:
-    """The rows' self-anchored log-variances (scoring.self_logvars) where some config rescores them, else None."""
-    if dets.var is None or all(cfg.strategy is ScoreStrategy.NONE for cfg in score_cfgs):
-        return None
-    return self_logvars(dets.rows, dets.var)
+def _rescored(dets: DetectionColumns, cfg: ScoreMapConfig, frames: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Each row's rescored value: one column pass over the file (scoring.rescore).
 
-
-def _rescored(dets: DetectionColumns, cfg: ScoreMapConfig, logvars: np.ndarray | None,
-              frames: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Each row's rescored value: one column pass over the file from its log-variances.
-
-    Where the pass hands over (logvars None, or a row's value fails),
-    the rows are rescored row by row, frame by frame in ascending order,
-    so that an error names the first frame that fails.
+    Where a row fails, the rows are rescored again row by row, frame by
+    frame in ascending order, so that the error names the first frame
+    that fails.
     """
-    scores = None if logvars is None else rescore_logvars(dets.rows[:, 7], logvars, cfg)
-    if scores is not None:
-        return scores
+    try:
+        return rescore(dets.rows, dets.var, cfg)
+    except (ArithmeticError, ValueError):
+        pass
     scores = np.empty(len(dets))
     for frame, index in frames:
         try:
@@ -190,19 +173,15 @@ def _rescored(dets: DetectionColumns, cfg: ScoreMapConfig, logvars: np.ndarray |
     return scores
 
 
-def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig,
-                          logvars: np.ndarray | None) -> DetectionColumns:
-    """The rows NMS keeps, rescored, frame by frame in ascending order, each frame in input order.
-
-    logvars are the rows' _logvars, computed once per file.
-    """
-    rescoring = score_cfg.strategy is not ScoreStrategy.NONE
-    if rescoring and len(dets) and dets.var is None:
+def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig) -> DetectionColumns:
+    """The rows NMS keeps, rescored, frame by frame in ascending order, each frame in input order."""
+    rescoring = score_cfg.strategy is not ScoreStrategy.NONE and len(dets) > 0
+    if rescoring and dets.var is None:
         raise FormatError("variance columns are required for uncertainty scoring")
     frames = dets.by_frame()
     rows = dets.rows.copy()
     if rescoring:
-        rows[:, 7] = _rescored(dets, score_cfg, logvars, frames)
+        rows[:, 7] = _rescored(dets, score_cfg, frames)
     kept = [np.zeros(0, dtype=np.intp)]
     for _, index in frames:
         kept.append(index[np.sort(nms(rows[index], nms_cfg))])
@@ -212,7 +191,7 @@ def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms
 def _cmd_nms(args) -> int:
     cfg = config_from_dict(_config_dict(args))
     dets = read_detection_columns(args.dets)
-    kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms, _logvars(dets, [cfg.scoring]))
+    kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms)
     write_detections(args.out, kept)
     print(f"kept {len(kept)} of {len(dets)} detections -> {args.out}")
     return 0
@@ -270,11 +249,10 @@ def _cmd_sweep(args) -> int:
             return _report_cells(clear_mot_rows(gt, pred, cfg.eval), columns)
     else:
         gt, dets = read_track_columns(args.gt), read_detection_columns(args.dets)
-        logvars = _logvars(dets, [cfg.scoring for _, cfg in grid])
         columns = ["ap", "max_f1"]
 
         def score(cfg):
-            kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms, logvars)
+            kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms)
             ap, max_f1, _ = detection_pr_rows((gt.frame, gt.rows), (kept.frame, kept.rows), cfg.eval)
             return [format_float(ap), format_float(max_f1)]
 

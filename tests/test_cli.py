@@ -300,19 +300,25 @@ class TestSweep:
             assert run(["eval-det", "--gt", str(gt), "--dets", str(kept), "--out", str(rep)]) == 0
             assert cell == ",".join([strategy, "0.05", rep.read_text().splitlines()[2]])
 
-    def test_nms_sweep_encodes_the_variances_once_per_file(self, tmp_path, monkeypatch):
+    def test_nms_sweep_takes_the_column_pass(self, tmp_path, monkeypatch):
+        """Every strategy x aggregate cell rescores valid rows in one column pass, to the same bytes."""
         from uatrack import cli
 
         gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
         assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "3", "--n-frames", "10",
                     "--seed", "6"]) == 0
-        calls = []
-        monkeypatch.setattr(cli, "self_logvars", lambda *args: calls.append(args) or scoring.self_logvars(*args))
-        monkeypatch.setattr(cli, "rescore_rows", None)  # the per-row path must not run on valid rows
-        assert run(["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
-                    "--param", "scoring.strategy=none,linear,exponential,sigmoid",
-                    "--param", "scoring.aggregate=sum,max", "--out", str(tmp_path / "rows.csv")]) == 0
-        assert len(calls) == 1
+        argv = ["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
+                "--param", "scoring.strategy=none,linear,exponential,sigmoid",
+                "--param", "scoring.aggregate=sum,max", "--out"]
+        assert run(argv + [str(tmp_path / "rows.csv")]) == 0
+
+        def per_row(*args):
+            raise AssertionError("the per-row path ran on valid rows")
+
+        monkeypatch.setattr(cli, "rescore_rows", per_row)
+        monkeypatch.setattr(scoring, "rescore_rows", per_row)
+        assert run(argv + [str(tmp_path / "fast.csv")]) == 0
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_unknown_param_rejected(self, tmp_path):
         gt = tmp_path / "gt.csv"

@@ -39,6 +39,14 @@ class TestAggregate:
         s = EncodedLogVar(0, 1, 2, 0, 0, 0, 0)
         assert aggregate_logvar(s, AggregateMode.MAX) == 2.0
 
+    def test_sum_adds_left_to_right_uncompensated(self):
+        # on every Python version: 1e16 + 1.0 rounds back to 1e16, where a compensated sum (3.12's sum()) gives 1.0
+        s = EncodedLogVar(1e16, 1.0, -1e16, 0, 0, 0, 0)
+        assert aggregate_logvar(s, AggregateMode.SUM) == 0.0
+        cfg = ScoreMapConfig(strategy=ScoreStrategy.LINEAR, aggregate=AggregateMode.SUM, k_s=1.0, b_s=1.0)
+        logvars = np.array(s.as_tuple(), dtype=float).reshape(7, 1)
+        assert rescore_logvars(np.array([0.5]), logvars, cfg).tolist() == [score_detection(0.5, s, cfg)]
+
 
 class TestMapping:
     def test_linear_value(self):
