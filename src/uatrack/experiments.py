@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .assignment import hungarian_assign
 from .boxes import Box3D
-from .metrics import EvalConfig, clear_mot
+from .geometry import _grouped_sweep
+from .metrics import EvalConfig, _lone, clear_mot
 from .sim import Scenario, ScenarioConfig, generate_scenario
 from .tracker import TrackerConfig, constant_sigma_config, track_frames
 
@@ -24,24 +27,49 @@ from .tracker import TrackerConfig, constant_sigma_config, track_frames
 RMSE_MATCH_GATE = 2.0
 
 
+def _centers(frames: list[list[tuple[int, Box3D]]]) -> tuple[np.ndarray, np.ndarray]:
+    """(frame index, (n, 2) box centers) of (id, box) frame lists, in frame order."""
+    boxes = [b for frame in frames for _, b in frame]
+    xy = np.fromiter(chain.from_iterable(map(attrgetter("x", "y"), boxes)), float, 2 * len(boxes)).reshape(-1, 2)
+    return np.repeat(np.arange(len(frames)), [len(frame) for frame in frames]), xy
+
+
 def position_rmse(
     scenario: Scenario,
     pred_frames: list[list[tuple[int, Box3D]]],
     gate: float = RMSE_MATCH_GATE,
 ) -> float:
-    """Planar RMSE of track centers over distance-matched (gt, track) pairs."""
+    """Planar RMSE of track centers over distance-matched (gt, track) pairs.
+
+    Frame f's gt and tracks, up to the shorter list, are matched by count
+    within the gate, then least total distance.  The pairs in the gate
+    come from one sweep over every frame (_grouped_sweep); a frame whose
+    pairs are all lone matches exactly them, any other goes to the
+    solver whole.  Squares are summed in (frame, gt row) order.
+    """
+    n = min(len(scenario.ground_truth), len(pred_frames))
+    (g_frame, g_xy), (p_frame, p_xy) = _centers(scenario.ground_truth[:n]), _centers(pred_frames[:n])
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for ig, ip in _grouped_sweep(g_xy[:, 0], g_frame, gate, p_xy[:, 0], p_frame):
+        d = np.hypot(g_xy[ig, 0] - p_xy[ip, 0], g_xy[ig, 1] - p_xy[ip, 1])
+        keep = d <= gate
+        found.append((ig[keep], ip[keep], d[keep]))
+    ig, ip, d = (np.concatenate(parts) for parts in zip(*found))
+    dist = np.full(len(g_frame), -1.0)  # each gt row's matched distance, or -1
+    dist[ig] = d
+    contested = ~_lone(ig, ip, len(g_frame), len(p_frame))
+    g_lo, p_lo = (frame.searchsorted(np.arange(n + 1)).tolist() for frame in (g_frame, p_frame))
+    for f in np.unique(g_frame[ig[contested]]).tolist():
+        g, p = g_xy[g_lo[f]:g_lo[f + 1]], p_xy[p_lo[f]:p_lo[f + 1]]
+        frame_dist = np.hypot(g[:, 0:1] - p[None, :, 0], g[:, 1:2] - p[None, :, 1])
+        dist[g_lo[f]:g_lo[f + 1]] = -1.0
+        for gi, pi in hungarian_assign(frame_dist, frame_dist <= gate):
+            dist[g_lo[f] + gi] = frame_dist[gi, pi]
     sq_sum = 0.0
-    count = 0
-    for gt_frame, pred_frame in zip(scenario.ground_truth, pred_frames):
-        if not gt_frame or not pred_frame:
-            continue
-        g_xy = np.array([[b.x, b.y] for _, b in gt_frame])
-        p_xy = np.array([[b.x, b.y] for _, b in pred_frame])
-        dist = np.hypot(g_xy[:, 0:1] - p_xy[None, :, 0], g_xy[:, 1:2] - p_xy[None, :, 1])
-        for gi, pi in hungarian_assign(dist, dist <= gate):
-            sq_sum += float(dist[gi, pi]) ** 2
-            count += 1
-    return math.sqrt(sq_sum / count) if count else float("inf")
+    matched = dist[dist >= 0.0].tolist()
+    for r in matched:
+        sq_sum += r ** 2  # pow, as the per-pair sum always took it: d * d differs in the last bit
+    return math.sqrt(sq_sum / len(matched)) if matched else float("inf")
 
 
 @dataclass(frozen=True)

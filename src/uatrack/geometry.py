@@ -6,7 +6,8 @@ loop, circumradius and edge tolerances are computed once per box
 boxes meet (``_reach``, the one cheap reject); every other pair has IoU
 0.  The pairs put to that test come from one sort-and-sweep along x over
 one group of boxes or many (``_grouped_pairs_in_reach`` over
-``sweep_pairs``, the broad phase that the tracker's association shares).
+``_grouped_sweep`` over ``sweep_pairs``, the broad phase that the
+tracker's association and the RMSE pairing share).
 The kernel clips box a against the four half-planes of box b,
 Sutherland-Hodgman style restricted to a convex clipper (Sutherland &
 Hodgman, "Reentrant polygon clipping", CACM 1974), on padded vertex
@@ -167,36 +168,44 @@ def sweep_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nd
     return rows, pos + (stop - end)[rows]
 
 
-def _grouped_pairs_in_reach(a: _Boxes, a_group: np.ndarray, b: _Boxes, b_group: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (ia, ib) of one group that pass _reach, from one sweep over every group; ia ascending.
+def _grouped_sweep(ax: np.ndarray, a_group: np.ndarray, reach, bx: np.ndarray, b_group: np.ndarray):
+    """Blocks of rows (ia, ib) of one group whose x may lie within reach, from one sweep over every group.
 
-    The pair set is that of _reach over each group's full cross
-    product.  Each b row is keyed by its group, then by the rank of its
-    x among all b rows: exact integers, so no window reaches into
-    another group.  a's rows are swept in blocks of about _GATE_CELLS
-    candidates, so temporaries do not grow with the sequence.
+    Each b row is keyed by its group, then by the rank of its x among
+    all b rows: exact integers, so no window reaches into another group.
+    Every pair within reach along x comes, and a few just beyond it (see
+    sweep_window): the caller applies its exact test.  a's rows are
+    swept in blocks of about _GATE_CELLS candidates, ia ascending, so
+    temporaries do not grow with the sequence.
     """
-    if not len(a.x) or not len(b.x):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    xs = np.sort(b.x)
+    if not len(ax) or not len(bx):
+        return
+    xs = np.sort(bx)
     width = len(xs) + 1  # ranks run 0 .. len(xs)
-    order = np.lexsort((b.x, b_group))
-    keys = b_group[order] * width + xs.searchsorted(b.x[order])
-    lo, hi = sweep_window(a.x, a.radius + b.radius.max(), xs)
+    order = np.lexsort((bx, b_group))
+    keys = b_group[order] * width + xs.searchsorted(bx[order])
+    lo, hi = sweep_window(ax, reach, xs)
     base = a_group * width
     lo, hi = base + xs.searchsorted(lo), base + xs.searchsorted(hi)
     filled = (keys.searchsorted(hi) - keys.searchsorted(lo)).cumsum()
     cuts = [0, *filled.searchsorted(np.arange(_GATE_CELLS, filled[-1], _GATE_CELLS)).tolist(), len(lo)]
-    # b's columns in key order, so that each window's candidates are read in sequence
-    bx, by, br = b.x[order], b.y[order], b.radius[order]
-    found_a, found_b = [], []
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
         ia, k = sweep_pairs(keys, lo[r0:r1], hi[r0:r1])
-        ia += r0
-        keep = _reach(a.x[ia], a.y[ia], a.radius[ia], bx[k], by[k], br[k])
-        found_a.append(ia[keep])
-        found_b.append(order[k[keep]])
+        yield ia + r0, order[k]
+
+
+def _grouped_pairs_in_reach(a: _Boxes, a_group: np.ndarray, b: _Boxes, b_group: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (ia, ib) of one group that pass _reach, from one _grouped_sweep over every group; ia ascending.
+
+    The pair set is that of _reach over each group's full cross product.
+    """
+    found_a, found_b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    if len(b.x):
+        for ia, ib in _grouped_sweep(a.x, a_group, a.radius + b.radius.max(), b.x, b_group):
+            keep = _reach(a.x[ia], a.y[ia], a.radius[ia], b.x[ib], b.y[ib], b.radius[ib])
+            found_a.append(ia[keep])
+            found_b.append(ib[keep])
     return np.concatenate(found_a), np.concatenate(found_b)
 
 

@@ -11,11 +11,15 @@ Tracking quality follows the CLEAR protocol: sticky correspondences,
 identity switches, fragmentations, mostly-lost ratio and MOTA.
 Both compute on row blocks, frame indices and (n, 8) rows as the io
 readers return them (TrackColumns for tracks), with no per-row box
-object, and walk only the frames present.  One edge builder serves
+object, and read only the frames present.  One edge builder serves
 both: it scores a whole sequence's pairs with one call of the geometry
 kernel.  CLEAR-MOT matches each frame on the frame's edges, and its AP
-sweep reads the same edges.  The list forms (clear_mot, detection_pr,
-match_frame) convert to row blocks through TrackColumns.of.
+sweep reads the same edges.  As in the sweep, an edge whose gt and
+prediction have no other edge is lone: frames whose edges are all lone
+(and whose ids do not repeat) match exactly their edges, in one array
+pass, and only the rest are walked through persistence and the solver.
+The list forms (clear_mot, detection_pr, match_frame) convert to row
+blocks through TrackColumns.of.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .scoring import IouKind
 # A ground-truth track matched in less than this fraction of its frames
 # counts as mostly lost.
 MOSTLY_LOST_FRACTION = 0.2
+# The most recall levels AP may average over: the sweep holds arrays of that length.
+MAX_RECALL_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,8 +51,8 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError("iou_threshold must be in (0, 1)")
-        if self.recall_points < 1:
-            raise ValueError("recall_points must be >= 1")
+        if not 1 <= self.recall_points <= MAX_RECALL_POINTS:
+            raise ValueError(f"recall_points must be in [1, {MAX_RECALL_POINTS}], got {self.recall_points!r}")
 
 
 @dataclass
@@ -165,6 +171,11 @@ def _augment(adj: list[list[int]], owner: list[int], root: int) -> bool:
     return False
 
 
+def _lone(ig: np.ndarray, ip: np.ndarray, n_gt: int, n_pred: int) -> np.ndarray:
+    """Whether each edge (ig[k], ip[k]) is lone: its gt and its prediction have no other edge."""
+    return (np.bincount(ip, minlength=n_pred)[ip] == 1) & (np.bincount(ig, minlength=n_gt)[ig] == 1)
+
+
 def _gains(scores: np.ndarray, ig: np.ndarray, ip: np.ndarray, n_gt: int) -> np.ndarray:
     """How much activating each prediction grows a maximum matching, in descending-score order.
 
@@ -176,7 +187,7 @@ def _gains(scores: np.ndarray, ig: np.ndarray, ip: np.ndarray, n_gt: int) -> np.
     frame's predictions in that frame's order.
     """
     gain = np.zeros(len(scores), dtype=np.intp)
-    lone = (np.bincount(ip, minlength=len(scores))[ip] == 1) & (np.bincount(ig, minlength=n_gt)[ig] == 1)
+    lone = _lone(ig, ip, n_gt, len(scores))
     gain[ip[lone]] = 1
     order = np.lexsort((ig[~lone], ip[~lone]))  # by prediction, then gt
     cp, cg = ip[~lone][order], ig[~lone][order]
@@ -273,6 +284,12 @@ def clear_mot(
     return clear_mot_rows(TrackColumns.of(gt_tracks), TrackColumns.of(pred_tracks), cfg)
 
 
+def _codes(ids: list) -> tuple[np.ndarray, dict]:
+    """Each id's number, in order of first appearance, and the numbering; ids equal as dict keys share one."""
+    code = {i: n for n, i in enumerate(dict.fromkeys(ids))}
+    return np.fromiter(map(code.__getitem__, ids), np.intp, len(ids)), code
+
+
 def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> TrackingReport:
     """CLEAR-style evaluation of identified tracks, given as row blocks.
 
@@ -280,12 +297,17 @@ def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> Tra
     threshold; the remainder is matched by Hungarian on IoU.  An identity
     switch is counted when a ground-truth track's matched prediction id
     differs from the one at its previous matched frame.  Only the frames
-    present are walked, ascending, each frame's rows in input order; a
-    frame index absent from both blocks is an empty frame, so no
+    present count, ascending, each frame's rows in input order; a frame
+    index absent from both blocks is an empty frame, so no
     correspondence persists across it.  The edges, the pairs with
-    IoU >= threshold, are found once: each frame's matrix of them serves
-    both matchings, and the AP sweep reads them whole, scoring the boxes
-    as detection_pr_rows would.
+    IoU >= threshold, are found once, and the AP sweep reads them whole.
+
+    A lone edge (see _lone) is matched whatever the previous frame held:
+    persistence keeps only edges, and the remainder's maximum-count
+    matching takes every isolated one.  So the frames whose edges are
+    all lone and whose ids do not repeat match exactly their edges, in
+    one array pass; only the rest are walked, through persistence and
+    the solver, a repeated id resolving to its last box.
     """
     e = _edges((gt.frame, gt.rows), (pred.frame, pred.rows), cfg)
     thr = cfg.iou_threshold
@@ -293,16 +315,26 @@ def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> Tra
     g_lo, p_lo = e.g_group.searchsorted(bounds).tolist(), e.p_group.searchsorted(bounds).tolist()
     e_lo = e.ig.searchsorted(g_lo).tolist()  # ig ascends, so each frame's edges are one run
     g_ids, p_ids = gt.track_id[e.g_order].tolist(), pred.track_id[e.p_order].tolist()
+    (g_code, g_of), (p_code, p_of) = _codes(g_ids), _codes(p_ids)
 
-    fn = fp = idsw = 0
-    last_pred_of: dict[int, int] = {}
-    presence: dict[int, list[bool]] = {}  # gt id -> matched flag per present frame
-    prev: dict[int, int] = {}
-    last = -1
-    for k, f in enumerate(e.frames.tolist()):
-        if f != last + 1:  # the frames between are empty: they match nothing
+    walk = np.zeros(len(e.frames), dtype=bool)
+    walk[e.g_group[e.ig[~_lone(e.ig, e.ip, len(g_ids), len(p_ids))]]] = True
+    for group, code, n in ((e.g_group, g_code, len(g_of)), (e.p_group, p_code, len(p_of))):
+        key = np.sort(group * n + code)  # a repeated (frame, id) pair sorts next to itself
+        walk[key[1:][key[1:] == key[:-1]] // n] = True
+    match = np.full(len(g_ids), -1)  # each gt row's matched prediction id, numbered, or -1
+    taken = ~walk[e.g_group[e.ig]]
+    match[e.ig[taken]] = p_code[e.ip[taken]]
+    n_matches = int(np.count_nonzero(taken))
+
+    frames = e.frames.tolist()
+    prev: dict = {}
+    for k in np.flatnonzero(walk).tolist():
+        if not k or frames[k - 1] != frames[k] - 1:  # the frames between are empty: they match nothing
             prev = {}
-        last = f
+        elif not walk[k - 1]:  # the previous frame's matches are its edges
+            prev = {g_ids[g]: p_ids[p] for g, p in zip(e.ig[e_lo[k - 1]:e_lo[k]].tolist(),
+                                                       e.ip[e_lo[k - 1]:e_lo[k]].tolist())}
         gt_ids, pred_ids = g_ids[g_lo[k]:g_lo[k + 1]], p_ids[p_lo[k]:p_lo[k + 1]]
         run = slice(e_lo[k], e_lo[k + 1])
         iou = np.zeros((len(gt_ids), len(pred_ids)))
@@ -327,38 +359,27 @@ def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> Tra
             matches[g_id] = p_id
             used_pred.add(p_id)
 
-        fn += len(gt_ids) - len(matches)
-        fp += len(pred_ids) - len(matches)
-        for g_id in gt_ids:
-            matched = g_id in matches
-            presence.setdefault(g_id, []).append(matched)
-            if matched:
-                p_id = matches[g_id]
-                if g_id in last_pred_of and last_pred_of[g_id] != p_id:
-                    idsw += 1
-                last_pred_of[g_id] = p_id
+        n_matches += len(matches)
+        match[g_lo[k]:g_lo[k + 1]] = [p_of[matches[i]] if i in matches else -1 for i in gt_ids]
         prev = matches
 
-    frag = 0
-    mostly_lost = 0
-    for flags in presence.values():
-        if sum(flags) < MOSTLY_LOST_FRACTION * len(flags):
-            mostly_lost += 1
-        # interruptions: matched -> unmatched transitions that resume later
-        seen_match = False
-        in_gap = False
-        for flag in flags:
-            if flag:
-                if in_gap:
-                    frag += 1
-                    in_gap = False
-                seen_match = True
-            elif seen_match:
-                in_gap = True
+    # each gt id's rows together, in frame order
+    order = np.argsort(g_code, kind="stable")
+    code, hit = g_code[order], match[order]
+    on = hit >= 0
+    # a switch: the id's matched prediction differs from the one at its previous matched row
+    c, m = code[on], hit[on]
+    idsw = int(np.count_nonzero((c[1:] == c[:-1]) & (m[1:] != m[:-1])))
+    # each run of matched rows after an id's first one resumes an interrupted track
+    starts = on.copy()
+    starts[1:] &= ~((code[1:] == code[:-1]) & on[:-1])
+    hits = np.bincount(code[on], minlength=len(g_of))
+    frag = int(np.count_nonzero(starts)) - int(np.count_nonzero(hits))
+    mostly_lost = int(np.count_nonzero(hits < MOSTLY_LOST_FRACTION * np.bincount(code, minlength=len(g_of))))
 
     gt_total = len(gt.frame)
-    n_gt_tracks = len(presence)
-    ml = 100.0 * mostly_lost / n_gt_tracks if n_gt_tracks else 0.0
+    fn, fp = gt_total - n_matches, len(p_ids) - n_matches
+    ml = 100.0 * mostly_lost / len(g_of) if g_of else 0.0
     mota = 100.0 * (1.0 - (fn + fp + idsw) / gt_total) if gt_total else 0.0
     ap, max_f1, _ = _pr_sweep(pred.rows[e.p_order, 7], e.ig, e.ip, gt_total, cfg.recall_points)
     return TrackingReport(ap=ap, max_f1=max_f1, idsw=idsw, frag=frag, ml=ml, mota=mota, fn=fn, fp=fp,

@@ -5,6 +5,7 @@ import pytest
 from uatrack import scoring
 from uatrack.cli import build_parser, main
 from uatrack.io import read_detections, read_tracks, write_tracks
+from uatrack.metrics import MAX_RECALL_POINTS
 
 
 def run(args):
@@ -441,6 +442,25 @@ class TestConfigPath:
         assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: " + error.format(tmp=tmp_path))
         assert not (tmp_path / "g.csv").exists()
+
+    HUGE = "1000000000000000000000"  # 1e21 recall levels: far too many arrays to allocate
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-det", "--gt", "{gt}", "--dets", "{dets}", "--recall-points", HUGE],
+        ["eval-track", "--gt", "{gt}", "--tracks", "{gt}", "--recall-points", HUGE],
+        ["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--config", "{tmp}/huge.json"],
+        ["sweep", "--mode", "track", "--gt", "{gt}", "--dets", "{dets}", "--config", "{tmp}/huge.json"],
+        ["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{tmp}/huge.json"],
+    ])
+    def test_too_many_recall_points_exits_2(self, tmp_path, scenario_files, capsys, argv):
+        # it was a ValueError traceback from allocating the recall levels
+        gt, dets = scenario_files
+        (tmp_path / "huge.json").write_text('{"eval": {"recall_points": %s}}' % self.HUGE)
+        capsys.readouterr()
+        assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config eval: recall_points must be in [1, {MAX_RECALL_POINTS}], got {self.HUGE}\n")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_track_config_of_the_wrong_json_type_exits_2(self, tmp_path, scenario_files, capsys):
         # a string "false" used to run the adaptive tracker as if it read true

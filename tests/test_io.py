@@ -32,6 +32,7 @@ from uatrack.io import (
     write_detections,
     write_tracks,
 )
+from uatrack.metrics import MAX_RECALL_POINTS
 from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import Tracker
 
@@ -233,6 +234,7 @@ class TestRunConfig:
         {"scenario": {"n_targets": 0}},
         {"scenario": {"noise_base": [0.1] * 6}},
         {"eval": {"recall_points": 0}},
+        {"eval": {"recall_points": MAX_RECALL_POINTS + 1}},
         {"tracker": 5},
         {"tracker": {"process_noise_diag": [-1e-4, 1e-4, 1e-5, 0.01, 0.64, 0.0225]}},
         {"tracker": {"default_obs_sigma": [1e-200] * 7}},  # the squares underflow to 0
@@ -257,6 +259,13 @@ class TestRunConfig:
         with pytest.raises(FormatError) as exc:
             config_from_dict({section: {key: value}})
         assert str(exc.value) == f"config {section}: {key} {message}, got {value!r}"
+
+    def test_recall_points_is_bounded(self):
+        assert config_from_dict({"eval": {"recall_points": MAX_RECALL_POINTS}}).eval.recall_points == MAX_RECALL_POINTS
+        for value in (0, MAX_RECALL_POINTS + 1, 10**21):
+            with pytest.raises(FormatError) as exc:
+                config_from_dict({"eval": {"recall_points": value}})
+            assert str(exc.value) == f"config eval: recall_points must be in [1, {MAX_RECALL_POINTS}], got {value}"
 
     BIG = int("9" * 401)  # a JSON integer that converts to no float
 

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import frozen_geometry as frozen
 import frozen_metrics
+from uatrack import metrics
 from uatrack.boxes import Box3D, TrackColumns, box_values
 from uatrack.geometry import _box_table, _pair_iou, _reach, iou_bev
 from uatrack.io import MAX_FRAME_INDEX
@@ -268,7 +269,8 @@ def reference_match_frame(gt, pred, cfg):
             if iou[gi, pi] >= cfg.iou_threshold]
 
 
-def reference_clear_mot(gt_tracks, pred_tracks, cfg):
+def reference_clear_mot(gt_tracks, pred_tracks, cfg, frames_out=None):
+    """The per-frame CLEAR walk; frames_out, if given, gets each frame's (persisted, matches) dicts."""
     n_frames = max(len(gt_tracks), len(pred_tracks))
     gt_tracks = list(gt_tracks) + [[] for _ in range(n_frames - len(gt_tracks))]
     pred_tracks = list(pred_tracks) + [[] for _ in range(n_frames - len(pred_tracks))]
@@ -293,6 +295,8 @@ def reference_clear_mot(gt_tracks, pred_tracks, cfg):
                     matches[g_id] = p_id
                     used_pred.add(p_id)
 
+        if frames_out is not None:
+            frames_out.append((dict(matches), matches))
         rem_gt = [(i, b) for i, b in gt if i not in matches]
         rem_pred = [(i, b) for i, b in pred if i not in used_pred]
         for gi, pi, _ in reference_match_frame([b for _, b in rem_gt], [b for _, b in rem_pred], cfg):
@@ -391,6 +395,47 @@ def random_tracks(seed, n_targets=8, n_gt_frames=12, extra_pred_frames=3):
         if f < n_gt_frames:
             gt_tracks.append(gt_frame)
         pred_tracks.append(pred_frame)
+    return gt_tracks, pred_tracks
+
+
+def edge_pairs(gt, pred, cfg):
+    """The (gt id, prediction id) pairs of one frame with reference IoU >= threshold."""
+    return {(g_id, p_id) for g_id, g in gt for p_id, p in pred
+            if reference_iou_gated(g, p, cfg.iou_kind) >= cfg.iou_threshold}
+
+
+def walked_frame(gt, pred, cfg):
+    """Whether a frame needs the per-frame walk: some box has two edges, or some id repeats."""
+    hit = np.array([[reference_iou_gated(g, p, cfg.iou_kind) >= cfg.iou_threshold for _, p in pred]
+                    for _, g in gt], dtype=bool).reshape(len(gt), len(pred))
+    repeats = len({i for i, _ in gt}) < len(gt) or len({i for i, _ in pred}) < len(pred)
+    return repeats or bool((hit.sum(axis=0) > 1).any() or (hit.sum(axis=1) > 1).any())
+
+
+def lone_tracks(seed, n_targets=5, n_frames=12):
+    """Targets 20 m apart, each predicted at most once per frame: no box ever has two edges.
+
+    Prediction ids of targets 0 and 1 swap at frame 6, target 2 is missed
+    in frames 3-4 (a fragmentation), target 4 is predicted only in frame
+    0 (mostly lost), and some frames hold a far false positive.
+    """
+    rng = np.random.default_rng([seed, 23])
+    gt_tracks, pred_tracks = [], []
+    for f in range(n_frames):
+        gt_frame, pred_frame = [], []
+        for k in range(n_targets):
+            x, y = 20.0 * k + 0.3 * f, 0.1 * f
+            gt_frame.append((k, box(x, y)))
+            if (k == 2 and f in (3, 4)) or (k == 4 and f > 0):
+                continue
+            dx, dy = rng.normal(0.0, 0.1, 2)
+            p_id = 100 + (k ^ 1 if k < 2 and f >= 6 else k)
+            pred_frame.append((p_id, box(x + dx, y + dy, score=float(rng.choice([0.4, 0.8])))))
+        if f % 3 == 1:
+            pred_frame.append((200 + f, box(-50.0, 5.0 * f, score=0.3)))
+        order = rng.permutation(len(pred_frame))
+        gt_tracks.append(gt_frame)
+        pred_tracks.append([pred_frame[k] for k in order])
     return gt_tracks, pred_tracks
 
 
@@ -519,6 +564,50 @@ class TestOracle:
         got = clear_mot_rows(at_frames(TrackColumns.of(gt), [0, 2]), at_frames(TrackColumns.of(pred), [0, 2]), CFG)
         assert got == reference_clear_mot(with_gaps(gt, [0, 2]), with_gaps(pred, [0, 2]), CFG)
         assert got.idsw == 1
+
+    def test_inputs_carry_correspondences_between_lone_and_walked_frames(self):
+        # a frame is lone when no box has two edges and no id repeats, and
+        # clear_mot_rows resolves it without the walk: the inputs carry a
+        # sticky correspondence from a lone frame into a walked one, from
+        # a walked frame into a lone one, and to a walked frame across an
+        # absent one, where it must not persist
+        into_walked = into_lone = across_gap = False
+        for seed in range(4):
+            gt_tracks, pred_tracks, index = gapped_tracks(seed)
+            for gt, pred in ((gt_tracks, pred_tracks), (with_gaps(gt_tracks, index), with_gaps(pred_tracks, index))):
+                log = []
+                reference_clear_mot(gt, pred, CFG, log)
+                walked = [walked_frame(g, p, CFG) for g, p in zip(gt, pred + [[]] * (len(gt) - len(pred)))]
+                walked += [walked_frame([], p, CFG) for p in pred[len(gt):]]
+                present = [f for f in range(len(log)) if f < len(gt) and gt[f] or f < len(pred) and pred[f]]
+                for f in range(1, len(log)):
+                    persisted, matches = log[f]
+                    prev_matches = log[f - 1][1]
+                    into_walked |= walked[f] and not walked[f - 1] and bool(persisted)
+                    into_lone |= walked[f - 1] and not walked[f] and bool(prev_matches.items() & matches.items())
+                for a, b in zip(present, present[1:]):
+                    if b > a + 1 and walked[b]:
+                        across_gap |= bool(log[a][1].items() & edge_pairs(gt[b], pred[b], CFG))
+        assert into_walked and into_lone and across_gap
+
+    def test_lone_frames_reach_no_solver(self, monkeypatch):
+        # well-separated targets, one prediction each: every frame is
+        # lone, yet ids swap, tracks fragment, one is mostly lost and far
+        # false positives come and go, with an absent frame between
+        calls = []
+        inner = metrics._match_from_matrix
+        monkeypatch.setattr(metrics, "_match_from_matrix", lambda *a: calls.append(a) or inner(*a))
+        gt, pred = lone_tracks(0)
+        index = [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12]
+        for g, p in ((gt, pred), (with_gaps(gt, index), with_gaps(pred, index))):
+            assert not any(walked_frame(gf, pf, CFG) for gf, pf in zip(g, p))
+            want = reference_clear_mot(g, p, CFG)
+            assert want.idsw and want.frag and want.ml and want.fp
+            assert clear_mot(g, p, CFG) == want
+        assert calls == []
+        gt_tracks, pred_tracks = random_tracks(0)
+        assert clear_mot(gt_tracks, pred_tracks, CFG) == reference_clear_mot(gt_tracks, pred_tracks, CFG)
+        assert calls  # random_tracks has walked frames, and the counter sees them
 
     def test_more_gt_frames_than_prediction_frames(self):
         gt_tracks, pred_tracks = random_tracks(5, extra_pred_frames=0)
