@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-`simulate` and `check-losses` take --seed; every command is byte-deterministic.
+`simulate` and `check-losses` take --seed, and `experiment` a range of seeds;
+every command is byte-deterministic.
 A flag that sets a config field falls back to --config where the command takes
 one (simulate, track and sweep), then to the config dataclass default.  Every
 emitted table, a file or stdout, starts with ``# uatrack-v1`` (see
@@ -20,6 +21,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .checks import run_loss_checks
+from .experiments import SCENARIO, SIGMA_GRID, TRACKER, compare_adaptive_vs_constant
 from .io import (
     DetectionColumns,
     FormatError,
@@ -56,6 +58,9 @@ _REPORT_COLUMNS = [f.name for f in fields(TrackingReport)]
 
 # The config sections each sweep mode may vary.
 _SWEEP_SECTIONS = {"track": ("tracker",), "nms": ("scoring", "nms")}
+
+# Largest plot-data --points: its s values are one list, as metrics.MAX_RECALL_POINTS bounds AP's arrays.
+MAX_PLOT_POINTS = 1_000_000
 
 
 def _float_list(text: str) -> list[float]:
@@ -220,7 +225,7 @@ def _parse_sweep_value(text: str):
 def _cmd_sweep(args) -> int:
     sections = _SWEEP_SECTIONS[args.mode]
     base = _config_dict(args, DET_IOU_THRESHOLD if args.mode == "nms" else None)
-    axes = []
+    axes, taken = [], set()
     for spec_arg in args.param:
         key, sep, values = spec_arg.partition("=")
         key = key.strip()
@@ -228,6 +233,12 @@ def _cmd_sweep(args) -> int:
             raise FormatError(f"--param expects key=v1,v2,... got {spec_arg!r}")
         if key.partition(".")[0] not in sections:
             raise FormatError(f"sweep --mode {args.mode} varies only {'/'.join(sections)} keys, got {key!r}")
+        cell = {}
+        _set(cell, key, None)
+        sets = {f"{section}.{name}" for section, names in cell.items() for name in names}
+        if sets & taken:  # a later axis would overwrite an earlier one in every cell
+            raise FormatError(f"--param {key!r} sets {', '.join(sorted(sets & taken))}, which an earlier --param sets")
+        taken |= sets
         axes.append((key, [_parse_sweep_value(v) for v in values.split(",")]))
     if not axes:
         raise FormatError("at least one --param axis is required")
@@ -260,11 +271,34 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# --- experiment ------------------------------------------------------------
+
+def _cmd_experiment(args) -> int:
+    """The paper's experiment on seeds FIRST to LAST: a row per seed and arm; the RMSE ratios printed."""
+    try:
+        first, last = map(int, args.seeds.split("-"))  # a ValueError unless two integers joined by one hyphen
+        if first > last:
+            raise ValueError
+    except ValueError:
+        raise FormatError(f"--seeds expects FIRST-LAST with 0 <= FIRST <= LAST, got {args.seeds!r}") from None
+    seeds = range(first, last + 1)
+    rows, ratios = [], []
+    for seed in seeds:
+        adaptive, *consts = arms = compare_adaptive_vs_constant(replace(SCENARIO, seed=seed), SIGMA_GRID, TRACKER)
+        rows += ([str(seed), arm.label, format_float(arm.rmse), format_float(arm.mota)] for arm in arms)
+        ratios.append(adaptive.rmse / min(c.rmse for c in consts))
+        print(f"seed {seed}: RMSE ratio vs best constant {ratios[-1]:.3f}; "
+              f"MOTA margin {adaptive.mota - max(c.mota for c in consts):+.1f}")
+    write_table(args.out, ["seed", "arm", "rmse", "mota"], rows)
+    print(f"mean RMSE ratio over {len(seeds)} scenarios: {np.mean(ratios):.3f}")
+    return 0
+
+
 # --- plot-data ---------------------------------------------------------------
 
 def _cmd_plot_data(args) -> int:
-    if args.points < 2:
-        raise FormatError("--points must be >= 2")
+    if not 2 <= args.points <= MAX_PLOT_POINTS:
+        raise FormatError(f"--points must be in [2, {MAX_PLOT_POINTS}], got {args.points}")
     if not math.isfinite(args.s_max - args.s_min):  # nan or inf unless both ends are finite
         raise FormatError("--s-min and --s-max must span a finite range")
     if not (0.0 <= args.d2 < math.inf and -1.0 <= args.cos <= 1.0):
@@ -368,6 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
+    p = sub.add_parser("experiment", help="adaptive vs constant-sigma tracking, one row per seed and arm")
+    p.add_argument("--seeds", required=True, help="FIRST-LAST, both included")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_experiment)
+
     p = sub.add_parser("plot-data", help="emit loss-curve x,y series")
     p.add_argument("family", choices=["gaussian", "von-mises"])
     p.add_argument("--d2", type=float, default=1.0, help="squared residual for the gaussian family")
@@ -391,6 +430,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:  # not from opening a file
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -7,6 +7,7 @@ lines as they complete.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,10 +38,10 @@ from uatrack.scoring import (
     nms,
     score_detection,
 )
-from uatrack.sim import ScenarioConfig, generate_scenario
+from uatrack.sim import generate_scenario
 from uatrack.special import bessel_i0, log_bessel_i0
 from uatrack.tracker import TrackerConfig, ukf_predict_batch, ukf_update_batch
-from uatrack.experiments import compare_adaptive_vs_constant
+from uatrack.experiments import SCENARIO, SIGMA_GRID, TRACKER, compare_adaptive_vs_constant
 
 from test_special import i0_power_series
 from test_geometry import raster_intersection
@@ -289,25 +290,16 @@ def test_criterion_7_variance_propagation():
 
 # --- criteria 8 and 9: adaptive vs constant covariance tracking --------------
 
-SIGMA_GRID = (0.05, 0.15, 0.5, 1.5, 5.0)
-
-
 @pytest.fixture(scope="module")
 def tracking_experiment():
-    base = TrackerConfig(gate_distance=3.0)
     rows = []
     t0 = time.perf_counter()
     for seed in range(20):
-        cfg = ScenarioConfig(
-            n_targets=15, n_frames=200, dt=0.1, field_extent=60.0,
-            noise_base=(0.03, 0.03, 0.02, 0.02, 0.02, 0.02, 0.01),
-            noise_range_coeff=(0.012, 0.002, 0.002, 0.001, 0.001, 0.001, 0.001),
-            fp_rate=0.5, fn_rate=0.1, seed=seed,
-        )
+        cfg = replace(SCENARIO, seed=seed)
         scenario = generate_scenario(cfg)
         sigmas = np.sqrt(np.concatenate(scenario.true_variances)[:, 0])
         sigma_spread = float(sigmas.max() / sigmas.min())
-        results = compare_adaptive_vs_constant(cfg, SIGMA_GRID, base)
+        results = compare_adaptive_vs_constant(cfg, SIGMA_GRID, TRACKER)
         adaptive, consts = results[0], results[1:]
         rows.append(
             dict(
@@ -423,7 +415,7 @@ def test_criterion_11_determinism(tmp_path):
         assert cli_main([
             "simulate", "--out-gt", str(gt), "--out-dets", str(dets),
             "--n-targets", "8", "--n-frames", "60", "--fp-rate", "0.5", "--fn-rate", "0.1",
-            "--noise-range-coeff", "0.012,0.002,0.002,0.001,0.001,0.001,0.001",
+            "--noise-range-coeff", ",".join(map(str, SCENARIO.noise_range_coeff)),
             "--seed", "11",
         ]) == 0
         assert cli_main(["track", "--dets", str(dets), "--out", str(trk), "--dt", "0.1"]) == 0

@@ -1,15 +1,31 @@
 """End-to-end CLI behavior: determinism, formats, exit codes."""
 
+import errno
+import os
+from dataclasses import replace
+
 import pytest
 
 from uatrack import scoring
-from uatrack.cli import build_parser, main
-from uatrack.io import read_detections, read_tracks, write_tracks
+from uatrack.cli import MAX_PLOT_POINTS, build_parser, main
+from uatrack.experiments import SCENARIO, SIGMA_GRID, TRACKER, compare_adaptive_vs_constant
+from uatrack.io import format_float, read_detections, read_tracks, write_tracks
 from uatrack.metrics import MAX_RECALL_POINTS
+
+# The paper's range-dependent noise coefficients as one simulate flag value.
+RANGE_COEFF = ",".join(map(str, SCENARIO.noise_range_coeff))
 
 
 def run(args):
     return main(args)
+
+
+def exit_code(args):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSimulateTrackEval:
@@ -67,8 +83,7 @@ class TestSimulateTrackEval:
         dets = tmp_path / "dets.csv"
         run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets),
              "--n-targets", "8", "--n-frames", "80", "--field-extent", "60",
-             "--noise-base", "0.03,0.03,0.02,0.02,0.02,0.02,0.01",
-             "--noise-range-coeff", "0.012,0.002,0.002,0.001,0.001,0.001,0.001",
+             "--noise-base", ",".join(map(str, SCENARIO.noise_base)), "--noise-range-coeff", RANGE_COEFF,
              "--fp-rate", "0.5", "--fn-rate", "0.1", "--seed", "12"])
         cfg = EvalConfig(iou_threshold=0.5)
         motas = {}
@@ -330,6 +345,24 @@ class TestSweep:
                   "--param", "tracker.bogus=1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("params, clash", [
+        # both cells used to run t_init=3, labelled 1,3 and 2,3
+        (["tracker.t_init=1,2", "tracker.t_init=3"], "tracker.t_init"),
+        (["tracker.t_init=1", " tracker.t_init =2"], "tracker.t_init"),
+        (["tracker.constant_sigma=0.5,1.5", "tracker.default_obs_sigma=1"], "tracker.default_obs_sigma"),
+        (["tracker.use_detection_covariance=true", "tracker.constant_sigma=0.5"],
+         "tracker.use_detection_covariance"),
+    ])
+    def test_a_key_set_twice_exits_2_naming_it(self, tmp_path, scenario_files, capsys, params, clash):
+        gt, dets = scenario_files
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--mode", "track", "--gt", str(gt), "--dets", str(dets), "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv + [arg for param in params for arg in ("--param", param)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --param ") and clash in err
+        assert not out.exists()
+
 
 class TestPlotData:
     def test_gaussian_minimum_location(self, tmp_path):
@@ -393,6 +426,9 @@ class TestConfigPath:
         ["sweep", "--mode", "track", "--gt", "{gt}", "--dets", "{dets}", "--param", "tracker.t_init=2.5"],
         # plot-data and check-losses flags
         ["plot-data", "gaussian", "--points", "1"],
+        ["plot-data", "gaussian", "--points", str(MAX_PLOT_POINTS + 1)],
+        # it used to build a list of 1e20 points until killed
+        ["plot-data", "gaussian", "--points", "100000000000000000000"],
         ["plot-data", "gaussian", "--d2", "-1"],
         ["plot-data", "von-mises", "--cos", "2"],
         ["plot-data", "gaussian", "--lambda-g", "0"],
@@ -516,7 +552,6 @@ class TestConfigPath:
 
     def test_track_default_config_equals_no_config(self, tmp_path):
         import re
-        from dataclasses import replace
         from pathlib import Path
 
         from uatrack.io import write_detections
@@ -548,6 +583,85 @@ class TestConfigPath:
     def test_seed_only_where_randomness_is_drawn(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--seed", "1"])
+
+    # {missing} does not exist; {tmp} is a directory
+    @pytest.mark.parametrize("argv, path, code", [
+        (["simulate", "--out-gt", "{missing}/g.csv", "--out-dets", "{tmp}/d.csv"], "{missing}/g.csv", errno.ENOENT),
+        (["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}"], "{tmp}", errno.EISDIR),
+        (["simulate", "--out-gt", "{tmp}/g.csv", "--out-dets", "{tmp}/d.csv", "--config", "{missing}"],
+         "{missing}", errno.ENOENT),
+        (["track", "--dets", "{missing}", "--out", "{tmp}/t.csv"], "{missing}", errno.ENOENT),
+        (["track", "--dets", "{tmp}", "--out", "{tmp}/t.csv"], "{tmp}", errno.EISDIR),
+        (["track", "--dets", "{dets}", "--out", "{tmp}"], "{tmp}", errno.EISDIR),
+        (["track", "--dets", "{dets}", "--out", "{tmp}/t.csv", "--config", "{missing}"], "{missing}", errno.ENOENT),
+        (["eval-track", "--gt", "{missing}", "--tracks", "{gt}"], "{missing}", errno.ENOENT),
+        (["eval-track", "--gt", "{gt}", "--tracks", "{tmp}"], "{tmp}", errno.EISDIR),
+        (["eval-track", "--gt", "{gt}", "--tracks", "{gt}", "--out", "{missing}/r.csv"],
+         "{missing}/r.csv", errno.ENOENT),
+        (["eval-det", "--gt", "{gt}", "--dets", "{missing}"], "{missing}", errno.ENOENT),
+        (["eval-det", "--gt", "{gt}", "--dets", "{dets}", "--out", "{tmp}"], "{tmp}", errno.EISDIR),
+        (["nms", "--dets", "{missing}", "--out", "{tmp}/k.csv"], "{missing}", errno.ENOENT),
+        (["nms", "--dets", "{dets}", "--out", "{tmp}"], "{tmp}", errno.EISDIR),
+        (["sweep", "--mode", "track", "--gt", "{missing}", "--dets", "{dets}", "--param", "tracker.t_init=1"],
+         "{missing}", errno.ENOENT),
+        (["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{tmp}", "--param", "nms.pre_top_k=5"],
+         "{tmp}", errno.EISDIR),
+        (["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "nms.pre_top_k=5",
+          "--config", "{missing}"], "{missing}", errno.ENOENT),
+        (["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "nms.pre_top_k=5",
+          "--out", "{missing}/s.csv"], "{missing}/s.csv", errno.ENOENT),
+        (["plot-data", "gaussian", "--points", "3", "--out", "{tmp}"], "{tmp}", errno.EISDIR),
+        (["experiment", "--seeds", "0-0", "--out", "{missing}/a.csv"], "{missing}/a.csv", errno.ENOENT),
+    ])
+    def test_file_error_exits_2_naming_the_path(self, tmp_path, scenario_files, capsys, argv, path, code):
+        # each was an OSError traceback, exit 1
+        gt, dets = scenario_files
+        names = dict(gt=gt, dets=dets, tmp=tmp_path, missing=tmp_path / "missing")
+        capsys.readouterr()
+        assert run([a.format(**names) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path.format(**names)}: {os.strerror(code)}\n"
+
+
+class TestExperiment:
+    """uatrack experiment: the paper's experiment (experiments.SCENARIO) over a range of seeds."""
+
+    def test_rows_are_the_comparison_of_each_seed(self, tmp_path, capsys):
+        out = tmp_path / "arms.csv"
+        assert run(["experiment", "--seeds", "3-3", "--out", str(out)]) == 0
+        adaptive, *consts = arms = compare_adaptive_vs_constant(replace(SCENARIO, seed=3), SIGMA_GRID, TRACKER)
+        assert out.read_text().splitlines() == [
+            "# uatrack-v1", "seed,arm,rmse,mota",
+            *(f"3,{arm.label},{format_float(arm.rmse)},{format_float(arm.mota)}" for arm in arms)]
+        ratio = adaptive.rmse / min(c.rmse for c in consts)
+        assert capsys.readouterr().out.splitlines() == [
+            f"seed 3: RMSE ratio vs best constant {ratio:.3f}; "
+            f"MOTA margin {adaptive.mota - max(c.mota for c in consts):+.1f}",
+            f"mean RMSE ratio over 1 scenarios: {ratio:.3f}"]
+
+    def test_each_seed_lists_every_arm_once_adaptive_first(self, tmp_path, capsys):
+        out = tmp_path / "arms.csv"
+        assert run(["experiment", "--seeds", "0-1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# uatrack-v1", "seed,arm,rmse,mota"]
+        cells = [line.split(",") for line in lines[2:]]
+        labels = ["adaptive"] + [f"sigma={s:g}" for s in SIGMA_GRID]
+        assert [cell[:2] for cell in cells] == [[seed, label] for seed in ("0", "1") for label in labels]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == ["seed 0", "seed 1", "mean RMSE ratio over 2 scenarios"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--seeds", "3-1", "--out", "{tmp}/a.csv"], "error: --seeds expects FIRST-LAST"),
+        (["--seeds", "a-b", "--out", "{tmp}/a.csv"], "error: --seeds expects FIRST-LAST"),
+        (["--seeds=-1-2", "--out", "{tmp}/a.csv"], "error: --seeds expects FIRST-LAST"),
+        (["--seeds", "1-2-3", "--out", "{tmp}/a.csv"], "error: --seeds expects FIRST-LAST"),
+        # argparse reads -1-2 as a flag, not as the value of --seeds
+        (["--seeds", "-1-2", "--out", "{tmp}/a.csv"], "uatrack experiment: error: argument --seeds"),
+        (["--seeds", "0-1"], "uatrack experiment: error: the following arguments are required: --out"),
+    ])
+    def test_bad_seeds_or_no_out_exits_2(self, tmp_path, capsys, argv, error):
+        assert exit_code(["experiment"] + [a.format(tmp=tmp_path) for a in argv]) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
 
 
 # sha256 of every output of one small seeded run through each table-writing
@@ -737,7 +851,7 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     commands = [
         (["simulate", "--out-gt", path("gt.csv"), "--out-dets", path("dets.csv"),
           "--n-targets", "4", "--n-frames", "30", "--fp-rate", "0.3", "--fn-rate", "0.1",
-          "--noise-range-coeff", "0.012,0.002,0.002,0.001,0.001,0.001,0.001", "--seed", "5"], log),
+          "--noise-range-coeff", RANGE_COEFF, "--seed", "5"], log),
         (["track", "--dets", path("dets.csv"), "--out", path("tracks.csv"), "--dt", "0.1"], log),
         (["eval-track", "--gt", path("gt.csv"), "--tracks", path("tracks.csv"), "--out", path("eval_track.csv")], log),
         (["eval-det", "--gt", path("gt.csv"), "--dets", path("dets.csv"), "--out", path("eval_det.csv")], log),

@@ -11,6 +11,7 @@ import pytest
 
 from uatrack.boxes import Box3D, BoxVariance
 from uatrack.cli import main
+from uatrack.experiments import SCENARIO
 from uatrack.geometry import _box_table, _table
 from uatrack.io import (
     DET_COLUMNS_VAR,
@@ -441,7 +442,7 @@ def pipeline_files(tmp_path_factory):
                  "--strategy", "exponential"]) == 0
     assert main(["simulate", "--out-gt", str(d / "c11_gt.csv"), "--out-dets", str(d / "c11_dets.csv"),
                  "--n-targets", "8", "--n-frames", "60", "--fp-rate", "0.5", "--fn-rate", "0.1",
-                 "--noise-range-coeff", "0.012,0.002,0.002,0.001,0.001,0.001,0.001", "--seed", "11"]) == 0
+                 "--noise-range-coeff", ",".join(map(str, SCENARIO.noise_range_coeff)), "--seed", "11"]) == 0
     assert main(["track", "--dets", str(d / "c11_dets.csv"), "--out", str(d / "c11_tracks.csv"), "--dt", "0.1"]) == 0
     return ([d / name for name in ("pp_dets.csv", "pp_kept.csv", "c11_dets.csv")],
             [d / name for name in ("pp_gt.csv", "c11_gt.csv", "c11_tracks.csv")])
