@@ -5,7 +5,7 @@ every command is byte-deterministic.
 A flag that sets a config field falls back to --config where the command takes
 one (simulate, track and sweep), then to the config dataclass default.  Every
 emitted table, a file or stdout, starts with ``# uatrack-v1`` (see
-io.write_table).
+io.table_text).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .io import (
     read_config,
     read_detection_columns,
     read_track_columns,
+    table_text,
     write_detections,
     write_table,
     write_tracks,
@@ -283,13 +284,14 @@ def _cmd_experiment(args) -> int:
         raise FormatError(f"--seeds expects FIRST-LAST with 0 <= FIRST <= LAST, got {args.seeds!r}") from None
     seeds = range(first, last + 1)
     rows, ratios = [], []
-    for seed in seeds:
-        adaptive, *consts = arms = compare_adaptive_vs_constant(replace(SCENARIO, seed=seed), SIGMA_GRID, TRACKER)
-        rows += ([str(seed), arm.label, format_float(arm.rmse), format_float(arm.mota)] for arm in arms)
-        ratios.append(adaptive.rmse / min(c.rmse for c in consts))
-        print(f"seed {seed}: RMSE ratio vs best constant {ratios[-1]:.3f}; "
-              f"MOTA margin {adaptive.mota - max(c.mota for c in consts):+.1f}")
-    write_table(args.out, ["seed", "arm", "rmse", "mota"], rows)
+    with open(args.out, "w") as out:  # before the first seed, so a bad --out fails at once
+        for seed in seeds:
+            adaptive, *consts = arms = compare_adaptive_vs_constant(replace(SCENARIO, seed=seed), SIGMA_GRID, TRACKER)
+            rows += ([str(seed), arm.label, format_float(arm.rmse), format_float(arm.mota)] for arm in arms)
+            ratios.append(adaptive.rmse / min(c.rmse for c in consts))
+            print(f"seed {seed}: RMSE ratio vs best constant {ratios[-1]:.3f}; "
+                  f"MOTA margin {adaptive.mota - max(c.mota for c in consts):+.1f}")
+        out.write(table_text(["seed", "arm", "rmse", "mota"], rows))
     print(f"mean RMSE ratio over {len(seeds)} scenarios: {np.mean(ratios):.3f}")
     return 0
 

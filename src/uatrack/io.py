@@ -81,12 +81,14 @@ def format_float(x: float) -> str:
     return format(float(x), _FLOAT_FORMAT)
 
 
-def write_table(path: str | Path | None, header: list[str], rows: Iterable[Iterable[str]]) -> None:
-    """Write the version line, the header and one comma-joined line per row.
+def table_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
+    """The version line, the header and one comma-joined line per row, each ending in a newline."""
+    return "\n".join([FORMAT_VERSION_LINE, ",".join(header), *(",".join(row) for row in rows)]) + "\n"
 
-    The table goes to stdout when there is no path.
-    """
-    text = "\n".join([FORMAT_VERSION_LINE, ",".join(header), *(",".join(row) for row in rows)]) + "\n"
+
+def write_table(path: str | Path | None, header: list[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write table_text to path, or to stdout when there is no path."""
+    text = table_text(header, rows)
     if path:
         Path(path).write_text(text)
     else:
@@ -142,10 +144,14 @@ class _Faults:
 def _read_table(path: str | Path, headers: list[list[str]]) -> tuple[list[list[str]], _Faults]:
     """The columns of a versioned table with one of the given headers, and the faults of its rows.
 
-    Blank lines are skipped.  A row without the header's field count
-    raises FormatError naming its path:line.
+    Blank lines are skipped.  A file that is not UTF-8 text, or a row
+    without the header's field count, raises FormatError naming its
+    path (and line).
     """
-    text = Path(path).read_text().splitlines()
+    try:
+        text = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not text or text[0].strip() != FORMAT_VERSION_LINE:
         raise FormatError(f"{path}: missing version line {FORMAT_VERSION_LINE!r}")
     header = text[1].strip() if len(text) > 1 else ""

@@ -16,11 +16,16 @@ OMEGA_EPS = 1e-6
 IX, IY, ITHETA, IV, IA, IOMEGA = range(6)
 
 
-def ctra_step(state: np.ndarray, dt: float) -> np.ndarray:
+def ctra_step(state: np.ndarray, dt: float, trig: np.ndarray | None = None) -> np.ndarray:
     """Propagate CTRA states by dt; vectorized over leading axes.
 
-    state[..., :] = (x, y, theta, v, a, omega).  Returns a new array;
-    theta is left unwrapped so callers can do circular statistics.
+    state[..., :] = (x, y, theta, v, a, omega).  Returns a new array, laid
+    out in memory as state is (so on a transposed view of a
+    component-major array, every component is one contiguous block);
+    theta is left unwrapped so callers can do circular statistics.  The
+    sine and cosine of the new theta are computed either way; given
+    trig, of shape (2, *state.shape[:-1]), they are written to trig[0]
+    and trig[1], so a circular mean need not compute them again.
     """
     s = np.asarray(state, dtype=float)
     x, y, th, v, a, om = (s[..., i] for i in range(6))
@@ -28,7 +33,10 @@ def ctra_step(state: np.ndarray, dt: float) -> np.ndarray:
     th_new = th + om * dt
     v_new = v + a * dt
     sin0, cos0 = np.sin(th), np.cos(th)
-    sin1, cos1 = np.sin(th_new), np.cos(th_new)
+    if trig is None:
+        sin1, cos1 = np.sin(th_new), np.cos(th_new)
+    else:
+        sin1, cos1 = np.sin(th_new, out=trig[0]), np.cos(th_new, out=trig[1])
 
     straight = np.abs(om) < OMEGA_EPS
     om_safe = np.where(straight, 1.0, om)

@@ -17,13 +17,26 @@ A Tracker keeps every track in one table, a numpy structured array with
 one row per track (see TRACK_DTYPE).  step() takes a frame as a
 DetectionColumns block, whose arrays it slices, or as a list of
 records, which it first converts to the same arrays; it checks the rows
-and variances, then predicts, associates, updates, drops and spawns with
-array operations on a copy of the table.  The confirmed rows are checked
-as one block before that copy replaces the old table, so a step either
-completes or changes nothing.  The filter math takes a batch of states
-(leading axis T); a single state is the T=1 case.  Track records are
-built only for the confirmed tracks a step returns, and their boxes,
-whose values step() has checked, skip Box3D's checks.
+and variances, and reads the frame as plain arrays: (n, 8) rows, (n, 7)
+observation variances and class codes.  It then predicts, associates,
+updates, drops and spawns with array operations on a copy of the table.
+Whole rows (the copy, the matched rows, the drop and confirmed filters,
+the spawned rows' concatenation) move as raw bytes through one void
+view of the row (_ROW): numpy moves a structured row field by field,
+and since _pad makes every byte of a row a field, the raw move leaves
+the same bytes.  The confirmed rows are checked as one block before
+that copy replaces the old table, so a step either completes or changes
+nothing.  Track records are built only for the confirmed tracks a step
+returns, and their boxes, whose values step() has checked, skip Box3D's
+checks.
+
+The filter math takes a batch of states (leading axis T); a single
+state is the T=1 case.  The predict builds the sigma points
+component-major, as an (n, T, 2n+1) array straight from each covariance
+factor, runs ctra_step on it through a transposed view, so that each
+component is one contiguous block, and takes the sine and cosine of
+the predicted headings, which the circular mean needs, from that same
+ctra_step call.
 """
 
 from __future__ import annotations
@@ -78,8 +91,8 @@ DEFAULT_OBS_SIGMA = (0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.1)
 # detection, smoothed score, consecutive hits and misses.  class_id is a
 # code into Tracker.class_names.  _pad fills the row out to its 8-byte
 # alignment: numpy leaves bytes outside any field unset when it copies,
-# filters or concatenates rows, so every byte is a field, and equal tables
-# have equal bytes.
+# filters or concatenates rows field by field, so every byte is a field,
+# and equal tables have equal bytes.
 TRACK_DTYPE = np.dtype(
     [
         ("id", np.int64),
@@ -99,11 +112,16 @@ TRACK_DTYPE = np.dtype(
     align=True,
 )
 
-# One row per detection: the box and its observation variances, both in
-# BOX_FIELDS order, then score and class code.  The pose filter observes
-# columns _OBS (x, y, theta), the size filter 3:5 (w, l); z (2) and h (5)
-# pass through.
-_DETECTION_DTYPE = np.dtype([("box", float, (7,)), ("var", float, (7,)), ("score", float), ("class_id", np.int64)])
+# A track row as opaque bytes.  step() copies, gathers, filters and
+# concatenates rows through this view: numpy moves a structured row field
+# by field, a void row in one block.  Since every byte of a row is a
+# field (see _pad), the two moves leave the same bytes.
+_ROW = np.dtype((np.void, TRACK_DTYPE.itemsize))
+
+# Of a detection's (n, 8) row and (n, 7) variances, both in BOX_FIELDS
+# order, the pose filter observes columns _OBS (x, y, theta), the size
+# filter 3:5 (w, l); z (2) and h (5) pass through, and the row's column 7
+# is its score.
 _OBS = [0, 1, 6]
 
 _POSE = np.arange(3)  # observed state components (x, y, theta)
@@ -165,12 +183,14 @@ def constant_sigma_config(base: TrackerConfig, sigma: float) -> TrackerConfig:
 
 
 def _sigma_points(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """(T, 2n+1, n) sigma points for T states.
+    """(n, T, 2n+1) sigma points for T states, component-major.
 
-    Each covariance is factored as M M^T by Cholesky when it is positive
-    definite; otherwise by an eigen factor with negative eigenvalues clamped
-    to zero, which keeps exactly-singular covariances (pinned state
-    components) singular.
+    pts[i, t] holds component i of state t's points: its mean, then the
+    mean plus and the mean minus gamma times each column of the
+    covariance factor.  Each covariance is factored as M M^T by Cholesky
+    when it is positive definite; otherwise by an eigen factor with
+    negative eigenvalues clamped to zero, which keeps exactly-singular
+    covariances (pinned state components) singular.
     """
     try:
         factors = np.linalg.cholesky(covs)
@@ -182,31 +202,14 @@ def _sigma_points(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
                 factors[i] = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    offsets = _GAMMA * np.swapaxes(factors, -1, -2)  # rows are scaled sqrt columns
-    center = means[:, None, :]
-    return np.concatenate([center, center + offsets, center - offsets], axis=1)
-
-
-def _moments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean of sigma points and their deviations from it, circular in theta.
-
-    Each row's weighted sums run over its own points in one fixed order,
-    and its heading comes from math.atan2 (numpy's own may round
-    differently), so a row's result does not depend on the rows batched
-    with it.  The mean's theta is in (-pi, pi]; deviations in theta are
-    wrapped.
-    """
-    t, p, n = pts.shape
-    # C-contiguous, so that every row is summed by the same einsum loop
-    rows = np.empty((t, n + 2, p))
-    rows[:, :n] = np.swapaxes(pts, 1, 2)
-    rows[:, n], rows[:, n + 1] = np.sin(pts[..., 2]), np.cos(pts[..., 2])
-    sums = np.einsum("tp,p->t", rows.reshape(-1, p), _WM).reshape(t, n + 2)
-    mean = sums[:, :n]
-    mean[:, 2] = wrap_angles(np.array([math.atan2(s, c) for s, c in sums[:, n:].tolist()]))
-    dev = pts - mean[:, None, :]
-    dev[..., 2] = wrap_angles(dev[..., 2])
-    return mean, dev
+    t = len(means)
+    pts = np.empty((_N, t, 2 * _N + 1))
+    center = means.T[:, :, None]
+    offsets = _GAMMA * factors.transpose(1, 0, 2)  # offsets[i, t, j]: component i of column j
+    pts[:, :, :1] = center
+    np.add(center, offsets, out=pts[:, :, 1:_N + 1])
+    np.subtract(center, offsets, out=pts[:, :, _N + 1:])
+    return pts
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -218,9 +221,27 @@ def ukf_predict_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unscented CTRA prediction for a batch of pose states; adds process_noise * dt.
 
-    Means leave with theta in (-pi, pi], covariances exactly symmetric.
+    The sigma points go through ctra_step component-major, as a
+    transposed view, so each component is one contiguous block; the
+    step also hands over the sine and cosine of each point's new
+    heading, which the circular mean needs.  Each row's weighted sums
+    run over its own points in one fixed order (one einsum loop over
+    contiguous rows), and its heading comes from math.atan2 (numpy's own
+    may round differently), so a row's result does not depend on the
+    rows batched with it.  Means leave with theta in (-pi, pi],
+    covariances exactly symmetric.
     """
-    mean, dev = _moments(ctra_step(_sigma_points(means, covs), dt))
+    t, p = len(means), 2 * _N + 1
+    # the propagated points, component-major, then the sine and cosine of their headings
+    rows = np.empty((_N + 2, t, p))
+    rows[:_N] = ctra_step(_sigma_points(means, covs).transpose(1, 2, 0), dt, trig=rows[_N:]).transpose(2, 0, 1)
+    sums = np.einsum("tp,p->t", rows.reshape(-1, p), _WM).reshape(_N + 2, t)
+    mean = sums[:_N].T
+    mean[:, 2] = wrap_angles(np.array([math.atan2(s, c) for s, c in zip(sums[_N].tolist(), sums[_N + 1].tolist())]))
+    dev = rows[:_N] - mean.T[:, :, None]
+    dev[2] = wrap_angles(dev[2])
+    # C-contiguous (T, 2n+1, n): the product's BLAS path, and so its bits, depend on the operands' layout
+    dev = np.ascontiguousarray(dev.transpose(1, 2, 0))
     # sum_p Wc[p] dev[p] dev[p]^T, one matrix product per row, is symmetric only up to rounding
     return mean, _sym((np.swapaxes(dev, -1, -2) * _WC) @ dev + process_noise * dt)
 
@@ -238,7 +259,7 @@ def ukf_update_batch(
     covariances exactly symmetric.
     """
     s_mat = covs[:, :3, :3].copy()
-    s_mat[:, _POSE, _POSE] += obs_var
+    s_mat.reshape(-1, 9)[:, ::4] += obs_var  # the diagonal of each fresh 3x3 copy
     # K^T = S^-1 P[:3, :], since P and S are symmetric
     gain = np.swapaxes(np.linalg.solve(s_mat, covs[:, :3, :]), -1, -2)
     innovation = obs - means[:, :3]
@@ -334,16 +355,17 @@ class Tracker:
         self._process_noise = np.diag(self.config.process_noise_diag)
         self._default_var = np.array([s * s for s in self.config.default_obs_sigma])
 
-    def _read_frame(self, detections: FrameDetections) -> tuple[np.ndarray, tuple[str, ...]]:
-        """The frame as detection rows, checked before any state changes, and its class names.
+    def _read_frame(self, detections: FrameDetections) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
+        """The frame's (n, 8) rows, (n, 7) observation variances and class codes, checked before any state changes.
 
         A block's arrays are sliced as they are; records convert to the
         same arrays first (see _record_arrays).  The rows are checked as
         Box3D checks a box, then the observation variances.  Each
         detection's variance is its own when the config feeds detection
         covariance and it has one, else the configured default.  The
-        names are class_names with the frame's new ones appended, in the
-        order they first appear; step() keeps them only when it completes.
+        codes index the returned names: class_names with the frame's new
+        ones appended, in the order they first appear; step() keeps them
+        only when it completes.
         """
         own = self.config.use_detection_covariance
         if isinstance(detections, DetectionColumns):
@@ -352,28 +374,25 @@ class Tracker:
             rows, var, names = _record_arrays(detections, own, self._default_var)
         check_rows(rows)
         if not own or var is None:
-            var = self._default_var
+            var = np.repeat(self._default_var[None], len(rows), 0)
         if not np.all((var > 0.0) & (var < np.inf)):
             raise ValueError("observation noise must be positive definite")
         codes = {name: code for code, name in enumerate(self.class_names)}
-        frame = np.empty(len(rows), dtype=_DETECTION_DTYPE)
-        frame["box"], frame["var"], frame["score"] = rows[:, :7], var, rows[:, 7]
-        frame["class_id"] = [codes.setdefault(name, len(codes)) for name in names]
-        return frame, tuple(codes)
+        class_id = np.array([codes.setdefault(name, len(codes)) for name in names], dtype=np.int64)
+        return rows, var, class_id, tuple(codes)
 
-    def _spawn(self, dets: np.ndarray) -> np.ndarray:
+    def _spawn(self, rows: np.ndarray, var: np.ndarray, class_id: np.ndarray) -> np.ndarray:
         """New tentative rows, one per detection, ids in detection order."""
-        new = np.zeros(len(dets), dtype=TRACK_DTYPE)
-        new["id"] = np.arange(self._next_id, self._next_id + len(dets))
-        box, var = dets["box"], dets["var"]
-        new["class_id"] = dets["class_id"]
-        new["mean"][:, :3] = box[:, _OBS]
+        new = np.zeros(len(rows), dtype=TRACK_DTYPE)
+        new["id"] = np.arange(self._next_id, self._next_id + len(rows))
+        new["class_id"] = class_id
+        new["mean"][:, :3] = rows[:, _OBS]
         new["mean"][:, 2] = wrap_angles(new["mean"][:, 2])
         new["cov"][:, _POSE, _POSE] = var[:, _OBS]
         new["cov"][:, _HIDDEN, _HIDDEN] = _PRIOR_HIDDEN_VAR
-        new["size"], new["size_var"] = box[:, 3:5], var[:, 3:5]
-        new["z"], new["h"] = box[:, 2], box[:, 5]
-        new["score"] = dets["score"]
+        new["size"], new["size_var"] = rows[:, 3:5], var[:, 3:5]
+        new["z"], new["h"] = rows[:, 2], rows[:, 5]
+        new["score"] = rows[:, 7]
         new["hits"] = 1
         return new
 
@@ -391,35 +410,36 @@ class Tracker:
         if not len(self.table) and not detections:
             return []  # nothing to predict, match or spawn: the step changes nothing
         cfg = self.config
-        dets, class_names = self._read_frame(detections)
-        table = self.table.copy()
+        rows, var, det_class, class_names = self._read_frame(detections)
+        table = self.table.view(_ROW).copy().view(TRACK_DTYPE)
 
         if len(table):
             table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, self._process_noise)
         matches, _, unmatched_d = associate(
-            table["mean"][:, :2], dets["box"][:, :2], table["class_id"], dets["class_id"], cfg.gate_distance
+            table["mean"][:, :2], rows[:, :2], table["class_id"], det_class, cfg.gate_distance
         )
         ti, di = np.array(matches, dtype=np.intp).reshape(-1, 2).T
         if matches:
-            matched, box, var = table[ti], dets["box"][di], dets["var"][di]
+            matched, box, box_var = table.view(_ROW)[ti].view(TRACK_DTYPE), rows[di], var[di]
             table["mean"][ti], table["cov"][ti] = ukf_update_batch(
-                matched["mean"], matched["cov"], box[:, _OBS], var[:, _OBS]
+                matched["mean"], matched["cov"], box[:, _OBS], box_var[:, _OBS]
             )
             table["size"][ti], table["size_var"][ti] = size_update(
-                matched["size"], matched["size_var"], box[:, 3:5], var[:, 3:5]
+                matched["size"], matched["size_var"], box[:, 3:5], box_var[:, 3:5]
             )
             table["z"][ti], table["h"][ti] = box[:, 2], box[:, 5]
-            table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * dets["score"][di]
+            table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * box[:, 7]
 
         hit = np.zeros(len(table), dtype=bool)
         hit[ti] = True
         table["hits"] = np.where(hit, table["hits"] + 1, 0)
         table["misses"] = np.where(hit, 0, table["misses"] + 1)
-        table = table[table["misses"] < cfg.t_drop]
+        table = table.view(_ROW)[table["misses"] < cfg.t_drop].view(TRACK_DTYPE)
         if unmatched_d:
-            table = np.concatenate([table, self._spawn(dets[unmatched_d])], dtype=TRACK_DTYPE)
+            new = self._spawn(rows[unmatched_d], var[unmatched_d], det_class[unmatched_d])
+            table = np.concatenate([table.view(_ROW), new.view(_ROW)]).view(TRACK_DTYPE)
         table["confirmed"] |= table["hits"] >= cfg.t_init
-        out = table[table["confirmed"]]
+        out = table.view(_ROW)[table["confirmed"]].view(TRACK_DTYPE)
         mean, size = out["mean"], out["size"]
         boxes = np.column_stack((mean[:, :2], out["z"], size, out["h"], mean[:, 2], out["score"]))
         check_rows(boxes)

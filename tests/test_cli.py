@@ -621,6 +621,22 @@ class TestConfigPath:
         assert run([a.format(**names) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {path.format(**names)}: {os.strerror(code)}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["eval-det", "--gt", "{bin}", "--dets", "{dets}"],
+        ["eval-det", "--gt", "{gt}", "--dets", "{bin}"],
+        ["eval-track", "--gt", "{gt}", "--tracks", "{bin}"],
+        ["track", "--dets", "{bin}", "--out", "{tmp}/t.csv"],
+        ["nms", "--dets", "{bin}", "--out", "{tmp}/k.csv"],
+    ])
+    def test_binary_table_exits_2_naming_the_path(self, tmp_path, scenario_files, capsys, argv):
+        # it was a UnicodeDecodeError traceback, exit 1
+        gt, dets = scenario_files
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(bytes(range(256)) + b"\x80\xff" * 22)
+        capsys.readouterr()
+        assert run([a.format(gt=gt, dets=dets, bin=binary, tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {binary}: not UTF-8 text: ")
+
 
 class TestExperiment:
     """uatrack experiment: the paper's experiment (experiments.SCENARIO) over a range of seeds."""
@@ -648,6 +664,14 @@ class TestExperiment:
         assert [cell[:2] for cell in cells] == [[seed, label] for seed in ("0", "1") for label in labels]
         printed = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in printed] == ["seed 0", "seed 1", "mean RMSE ratio over 2 scenarios"]
+
+    def test_bad_out_fails_before_the_first_seed(self, tmp_path, capsys):
+        # it used to run every seed (about 2 s each) before it got its error
+        out = tmp_path / "missing" / "a.csv"
+        assert run(["experiment", "--seeds", "0-0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
+        assert "seed 0:" not in captured.out
 
     @pytest.mark.parametrize("argv, error", [
         (["--seeds", "3-1", "--out", "{tmp}/a.csv"], "error: --seeds expects FIRST-LAST"),

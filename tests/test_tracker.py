@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import frozen_tracker as frozen
 from uatrack.assignment import FORBIDDEN_COST, hungarian_assign
 from uatrack.boxes import Box3D, BoxVariance, DetectionColumns, DetectionRecord, box_values, wrap_angle
-from uatrack.motion import ctra_step, wrap_angles
+from uatrack.motion import OMEGA_EPS, ctra_step, wrap_angles
 from uatrack.sim import ScenarioConfig, generate_scenario
 from uatrack.tracker import (
     DEFAULT_OBS_SIGMA,
@@ -19,12 +20,11 @@ from uatrack.tracker import (
     PRIOR_SPEED_STD,
     PRIOR_TURN_STD,
     SCORE_SMOOTHING,
+    TRACK_DTYPE,
     Tracker,
     TrackerConfig,
     _GAMMA,
     _WC,
-    _moments,
-    _sigma_points,
     associate,
     constant_sigma_config,
     size_update,
@@ -273,6 +273,54 @@ class TestRowIndependence:
                 assert got_cov[i].tobytes() == want_cov[0].tobytes(), i
 
 
+class TestPredictOracle:
+    """ukf_predict_batch is bitwise the sigma-point path it replaced (tests/frozen_tracker.py)."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        # field views of a track table, strided as step() passes them; in
+        # the first rows, turn rates at the straight-line switch (0, +-eps,
+        # one ulp inside it) next to arcs, a turn-rate variance small enough
+        # that the sigma points straddle the switch, and a singular
+        # covariance, so that Cholesky fails and the eigen fallback runs
+        n = 250
+        rng = np.random.default_rng(41)
+        ulp = np.spacing(math.pi)
+        inside = np.nextafter(OMEGA_EPS, 0.0)
+        table = np.zeros(n, dtype=TRACK_DTYPE)
+        mean = np.column_stack([rng.normal(0.0, 20.0, (n, 2)), rng.uniform(-math.pi, math.pi, n),
+                                rng.uniform(0.0, 10.0, n), rng.normal(0.0, 1.0, n), rng.normal(0.0, 0.3, n)])
+        mean[::3, 2] = math.pi * rng.choice([-1.0, 1.0], len(mean[::3])) + ulp * rng.integers(-4, 5, len(mean[::3]))
+        mean[:12, 5] = [0.0, OMEGA_EPS, -OMEGA_EPS, inside, 0.4, -inside, -0.0, OMEGA_EPS, 2.0 * OMEGA_EPS,
+                        -0.3, inside, 0.0]
+        a = rng.normal(0.0, 0.3, (n, 6, 6))
+        cov = a @ np.swapaxes(a, 1, 2) + 1e-3 * np.eye(6)
+        cov[7:10, 5, :] = cov[7:10, :, 5] = 0.0
+        cov[7:10, 5, 5] = 1e-14
+        cov[1] = np.diag([0.5, 0.5, 0.1, 1.0, 0.3, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov[1])
+        table["mean"], table["cov"] = mean, cov
+        return table
+
+    @pytest.mark.parametrize("t", [1, 2, 15, 250])
+    def test_bitwise_the_frozen_path(self, table, t):
+        q = np.diag(DEFAULT_PROCESS_DIAG)
+        rows = table[:t]
+        assert rows["mean"].strides[0] == rows["cov"].strides[0] == TRACK_DTYPE.itemsize
+        got = ukf_predict_batch(rows["mean"], rows["cov"], 0.1, q)
+        want = frozen.ukf_predict_batch(rows["mean"], rows["cov"], 0.1, q)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_sigma_points_cross_the_straight_line_switch(self, table):
+        # the cases above reach both branches of ctra_step in one batch
+        pts = frozen._sigma_points(table["mean"][:12], table["cov"][:12])
+        straight = np.abs(pts[..., 5]) < OMEGA_EPS
+        assert straight.any() and not straight.all()
+        assert (straight.any(axis=1) & ~straight.all(axis=1)).any()
+
+
 class TestUkfUpdate:
     def test_uninformative_measurement(self):
         state = pose(mean=[1, 2, 0.3, 4, 0, 0], cov=np.eye(6))
@@ -314,8 +362,8 @@ class TestUkfUpdate:
     @staticmethod
     def _unscented_update(means, covs, obs, obs_var):
         """The unscented update: the same moments, taken through sigma points."""
-        pts = _sigma_points(means, covs)
-        z_mean, dz = _moments(pts[:, :, :3])
+        pts = frozen._sigma_points(means, covs)
+        z_mean, dz = frozen._moments(pts[:, :, :3])
         dx = pts - means[:, None, :]
         dx[..., 2] = wrap_angles(dx[..., 2])
         s_mat = (np.swapaxes(dz, 1, 2) * _WC) @ dz + obs_var[:, :, None] * np.eye(3)
@@ -851,6 +899,39 @@ class TestTrackerLifecycle:
         assert cfg.default_obs_sigma == (0.5,) * 7
         with pytest.raises(ValueError):
             constant_sigma_config(TrackerConfig(), 0.0)
+
+
+class TestRawRowMoves:
+    """step() moves track rows as raw bytes; the table holds the bytes that moving them field by field gives."""
+
+    def test_table_bytes_equal_field_moves(self, monkeypatch):
+        import uatrack.tracker as tracker_module
+
+        sc = generate_scenario(ScenarioConfig(n_targets=6, n_frames=40, fp_rate=0.5, fn_rate=0.3, seed=5))
+        cfg = TrackerConfig(t_init=2, t_drop=2)
+        raw, ref = Tracker(cfg), Tracker(cfg)
+        raw._next_id = ref._next_id = 2**40 + 7  # ids with high bytes set
+        events = {"drop": 0, "spawn": 0, "confirm": 0}
+        for k, frame in enumerate(sc.detections):
+            for trk in (raw, ref):  # every _pad byte of a surviving row must come through unchanged
+                trk.table["_pad"] = (trk.table["id"][:, None] * 7 + np.arange(7) + k) % 251 + 1
+            before = raw.table.copy()
+            raw.step(frame, 0.1)
+            with monkeypatch.context() as m:  # the same step, moving TRACK_DTYPE rows field by field
+                m.setattr(tracker_module, "_ROW", TRACK_DTYPE)
+                ref.step(frame, 0.1)
+            assert raw.table.tobytes() == ref.table.tobytes(), k
+            # surviving rows come first, in their order, with their ids, classes and _pad bytes
+            kept = np.isin(before["id"], raw.table["id"])
+            old, new = raw.table[:kept.sum()], raw.table[kept.sum():]
+            for name in ("id", "class_id", "_pad"):
+                assert old[name].tobytes() == before[name][kept].tobytes(), (k, name)
+            assert not new["_pad"].any()
+            events["drop"] += int((~kept).sum())
+            events["spawn"] += len(new) if k else 0
+            events["confirm"] += int((old["confirmed"] & ~before["confirmed"][kept]).sum())
+        assert all(events.values()), events
+        assert raw.class_names == ref.class_names and raw._next_id == ref._next_id
 
 
 class TestCovarianceHealth:
