@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # Cost that stands in for a forbidden pairing inside the solver.  Far above
 # any allowed cost, so the solver pairs as many allowed cells as it can
 # before it minimizes their total cost.
 FORBIDDEN_COST = 1e9
+
+
+def linear_sum_assignment(cost_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.optimize.linear_sum_assignment, imported on the first call.
+
+    Importing scipy.optimize takes most of a command's start-up, and only
+    a contested matrix reaches the solver, so commands that never meet
+    one never load it.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost_matrix)
 
 
 def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:

@@ -33,6 +33,12 @@ BOX_FIELDS = ("x", "y", "z", "w", "l", "h", "theta")
 box_values = attrgetter(*BOX_FIELDS)  # a box's BOX_FIELDS values as a tuple
 _box_row = attrgetter(*BOX_FIELDS, "score")  # a box's row in a block: BOX_FIELDS values, then score
 
+# Largest frame index a file or scenario may hold (a day at 10 Hz is
+# 864,000 frames).  track steps through every frame up to the largest
+# index, empty ones included, so this bounds its time and memory for any
+# file; the simulator emits frames 0 to n_frames - 1 within it.
+MAX_FRAME_INDEX = 1_000_000
+
 
 def wrap_angle(theta: float) -> float:
     """Normalize an angle to (-pi, pi]."""

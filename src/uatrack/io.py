@@ -4,7 +4,10 @@ Detections and tracks travel as versioned CSV files with a fixed header;
 floats are printed with 9 significant digits.  That is exact for float32
 but not for float64: a value read back may differ from the one written
 by up to half a unit in its ninth significant digit.  A file written
-here reads back and writes again to the same bytes.
+here reads back and writes again to the same bytes; so the writers
+refuse, with FormatError and before writing anything, a class name that
+holds a comma or a line boundary str.splitlines splits at, which a
+reader would split into fields or lines.
 
 One table reader serves detection and track files: it splits a file
 into columns, parses each field with int or float, and checks whole
@@ -45,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import (BOX_FIELDS, Box3D, DetectionColumns, DetectionRecord, FrameDetections, TrackColumns, box_values,
-                    first_bad_row, wrap_angle)
+from .boxes import (BOX_FIELDS, MAX_FRAME_INDEX, Box3D, DetectionColumns, DetectionRecord, FrameDetections,
+                    TrackColumns, box_values, first_bad_row, wrap_angle)
 from .metrics import EvalConfig
 from .motion import wrap_angles
 from .scoring import NmsConfig, ScoreMapConfig
@@ -62,11 +65,6 @@ DET_COLUMNS_VAR = [*DET_COLUMNS, *(f"var_{name}" for name in BOX_FIELDS)]
 TRACK_COLUMNS = ["frame", "id", *_BOX_COLS]
 
 KITTI_SKIP_TYPES = {"DontCare"}
-
-# Largest frame index a file may hold (a day at 10 Hz is 864,000 frames).
-# track steps through every frame up to the largest index, empty ones
-# included, so this bounds its time and memory for any file.
-MAX_FRAME_INDEX = 1_000_000
 
 
 class FormatError(ValueError):
@@ -95,15 +93,28 @@ def write_table(path: str | Path | None, header: list[str], rows: Iterable[Itera
         sys.stdout.write(text)
 
 
+def _float_cells(k: int) -> str:
+    """A %-format of k comma-joined floats; %-formatting prints what format_float prints."""
+    return ",".join(["%" + _FLOAT_FORMAT] * k)
+
+
+def _check_class_names(names: set[str]) -> None:
+    """Raise FormatError for a class name a reader would split: one holding a comma or a line boundary."""
+    for name in names:
+        if "," in name or len(f"{name}.".splitlines()) > 1:  # a boundary splits off the appended "."
+            raise FormatError(f"class name {name!r} holds a comma or a line break, which no reader takes back")
+
+
 def write_detections(path: str | Path, records: list[DetectionRecord] | DetectionColumns) -> None:
     """Write detection rows, given as records or as columns; variance columns are all-or-none."""
     try:
         dets = records if isinstance(records, DetectionColumns) else DetectionColumns.of(records)
     except ValueError as exc:  # records with and without a variance
         raise FormatError(str(exc)) from exc
+    _check_class_names(set(dets.class_id.tolist()))
     has_var = dets.var is not None and len(dets) > 0  # no rows: no variance columns either
     values = np.hstack([dets.rows, dets.var]) if has_var else dets.rows
-    floats = ",".join(["%" + _FLOAT_FORMAT] * values.shape[1])  # %-formatting prints what format_float prints
+    floats = _float_cells(values.shape[1])
     rows = ((str(f), c, floats % tuple(v))
             for f, c, v in zip(dets.frame.tolist(), dets.class_id.tolist(), values.tolist()))
     write_table(path, DET_COLUMNS_VAR if has_var else DET_COLUMNS, rows)
@@ -260,10 +271,11 @@ def detections_to_frames(records: Sequence[DetectionRecord]) -> list[FrameDetect
 
 
 def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
-    """Write (frame, track id, box) rows."""
-    write_table(path, TRACK_COLUMNS, ([str(frame), str(track_id), box.class_id,
-                                       *map(format_float, (*box_values(box), box.score))]
-                                      for frame, track_id, box in rows))
+    """Write (frame, track id, box) rows, a list: a first pass checks their class names."""
+    _check_class_names({box.class_id for _, _, box in rows})
+    floats = _float_cells(8)
+    write_table(path, TRACK_COLUMNS, ((str(frame), str(track_id), box.class_id,
+                                       floats % (*box_values(box), box.score)) for frame, track_id, box in rows))
 
 
 def read_track_columns(path: str | Path) -> TrackColumns:

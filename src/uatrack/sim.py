@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3D, DetectionColumns, check_rows
+from .boxes import MAX_FRAME_INDEX, Box3D, DetectionColumns, check_rows
 from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -53,6 +53,10 @@ MIN_DIMENSION = 0.05
 # Variance floor so the noiseless limit still emits valid covariances.
 VARIANCE_FLOOR = 1e-12
 
+# Most targets a scenario may hold: each frame draws (n_targets, 7) arrays,
+# so this bounds a frame's memory; a crowded scene is a few hundred.
+MAX_TARGETS = 100_000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -76,8 +80,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_targets < 1 or self.n_frames < 1:
-            raise ValueError("n_targets and n_frames must be >= 1")
+        if not 1 <= self.n_targets <= MAX_TARGETS:
+            raise ValueError(f"n_targets must be in [1, {MAX_TARGETS}], got {self.n_targets}")
+        if not 1 <= self.n_frames <= MAX_FRAME_INDEX + 1:  # frames 0 .. n_frames - 1 are written
+            raise ValueError(f"n_frames must be in [1, {MAX_FRAME_INDEX + 1}], got {self.n_frames}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be finite and > 0")
         if not 0.0 < self.field_extent < math.inf:

@@ -901,6 +901,61 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == GOLDEN_SHA256
 
 
+# Runs the JSON list of argv lists in sys.argv[1] through main, the first
+# list's commands first, then checks that scipy is not loaded; then runs
+# the second list's and checks that it is.
+_LAZY_SOLVER = """
+import json
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+import uatrack
+import uatrack.cli
+
+before, after = json.loads(sys.argv[1])
+with redirect_stdout(StringIO()):
+    for argv in before:
+        assert uatrack.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+    for argv in after:
+        assert uatrack.cli.main(argv) == 0, argv
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_only_when_a_contested_matrix_needs_the_solver(tmp_path):
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import uatrack
+    from uatrack.boxes import Box3D
+    from uatrack.io import DetectionRecord, write_detections
+
+    def path(name):
+        return str(tmp_path / name)
+
+    def car(x, y):
+        return Box3D(x, y, 0.8, 1.8, 4.2, 1.6, 0.0, score=0.9)
+
+    # frame 1 holds two detections in the gate of frame 0's one track: a contested row
+    write_detections(path("contested.csv"), [DetectionRecord(0, car(10.0, 0.0)), DetectionRecord(1, car(10.3, 0.0)),
+                                             DetectionRecord(1, car(10.0, 0.3))])
+    before = [
+        ["simulate", "--out-gt", path("gt.csv"), "--out-dets", path("dets.csv"), "--n-targets", "4",
+         "--n-frames", "30", "--fp-rate", "0.3", "--noise-range-coeff", RANGE_COEFF, "--seed", "5"],
+        ["nms", "--dets", path("dets.csv"), "--out", path("kept.csv"), "--strategy", "exponential"],
+        ["eval-det", "--gt", path("gt.csv"), "--dets", path("kept.csv")],
+        ["plot-data", "gaussian", "--points", "11"],
+    ]
+    after = [["track", "--dets", path("contested.csv"), "--out", path("tracks.csv")]]
+    src = str(Path(uatrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", _LAZY_SOLVER, json.dumps([before, after])], env=env, check=True)
+
+
 def test_nms_output_is_in_frame_order_and_input_order_within_a_frame(tmp_path):
     from uatrack.boxes import Box3D
     from uatrack.io import DetectionRecord, write_detections

@@ -34,7 +34,7 @@ from uatrack.io import (
     write_tracks,
 )
 from uatrack.metrics import MAX_RECALL_POINTS
-from uatrack.sim import ScenarioConfig, generate_scenario
+from uatrack.sim import MAX_TARGETS, ScenarioConfig, generate_scenario
 from uatrack.tracker import Tracker
 
 
@@ -121,6 +121,38 @@ class TestTracksRoundTrip:
         assert back[0][2].l == pytest.approx(rows[0][2].l, rel=1e-8)
 
 
+class TestClassNames:
+    """A class name a reader would split is refused before anything is written; any other name reads back."""
+
+    @staticmethod
+    def write(kind, path, name):
+        car, other = Box3D(1, 2, 0, 1, 2, 1, 0), Box3D(1, 2, 0, 1, 2, 1, 0, class_id=name)
+        if kind == "detections":
+            write_detections(path, [DetectionRecord(0, car), DetectionRecord(0, other)])
+        else:
+            write_tracks(path, [(0, 1, car), (0, 2, other)])
+
+    @staticmethod
+    def read(kind, path):
+        return (read_detection_columns if kind == "detections" else read_track_columns)(path).class_id.tolist()
+
+    # a comma splits a field; \n, \x0b, \u2028 and \r are boundaries str.splitlines splits a line at
+    @pytest.mark.parametrize("name", ["Car,Big", "Car\nBig", "Car\x0bBig", "Car\u2028Big", "Car\r", ","])
+    @pytest.mark.parametrize("kind", ["detections", "tracks"])
+    def test_split_name_rejected_before_writing(self, tmp_path, kind, name):
+        path = tmp_path / "out.csv"
+        with pytest.raises(FormatError, match=re.escape(repr(name))):
+            self.write(kind, path, name)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["", "Car", " Big Car ", "Car;Big", "Car\tBig", "Fahrrad-\u00e9"])
+    @pytest.mark.parametrize("kind", ["detections", "tracks"])
+    def test_other_names_round_trip(self, tmp_path, kind, name):
+        path = tmp_path / "out.csv"
+        self.write(kind, path, name)
+        assert self.read(kind, path) == ["Car", name]
+
+
 class TestKittiLabels:
     CAR_LINE = "Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
 
@@ -205,6 +237,15 @@ class TestRunConfig:
         assert cfg.tracker.gate_distance == 7.5
         assert config_to_dict(cfg)["scoring"]["strategy"] == "exponential"
         assert config_to_dict(cfg) == json.loads(json.dumps(config_to_dict(cfg)))
+
+    @pytest.mark.parametrize("key, most", [("n_frames", MAX_FRAME_INDEX + 1), ("n_targets", MAX_TARGETS)])
+    def test_scenario_sizes_are_bounded(self, key, most):
+        # configs only: generating a scenario this size is what the bound prevents
+        assert getattr(config_from_dict({"scenario": {key: most}}).scenario, key) == most
+        for value in (0, most + 1, 10**21):
+            with pytest.raises(FormatError) as exc:
+                config_from_dict({"scenario": {key: value}})
+            assert str(exc.value) == f"config scenario: {key} must be in [1, {most}], got {value}"
 
     def test_unknown_top_level_key(self):
         with pytest.raises(FormatError, match="unknown config key"):
