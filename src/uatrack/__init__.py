@@ -10,6 +10,7 @@ from .boxes import (
     EncodedTarget,
     FrameDetections,
     TrackColumns,
+    TrackFrames,
     anchor_grid,
     decode_box,
     decode_variance,

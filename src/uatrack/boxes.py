@@ -13,16 +13,24 @@ check_rows makes those constructors' checks on a whole block at once,
 and trusted_box builds a Box3D from values that have passed them.
 Tracks travel the same way: TrackColumns holds track rows (ids too) as
 the track reader returns them and CLEAR-MOT scores them, and
-TrackColumns.of converts (id, box) frame lists to it.
+TrackColumns.of converts (id, box) frame lists to it.  A block whose
+arrays are all read-only (the simulator's truth, the track reader's
+blocks) never changes, so what is computed from it alone, such as
+CLEAR-MOT's truth side, is computed once and kept with it
+(TrackColumns.kept).  TrackFrames is a read-only sequence of (id, box)
+frame lists over such a block, the simulator's ground truth: each frame
+is built through the checked Box3D constructor when it is read, and
+TrackColumns.of returns its block as it is.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, index as as_index
+from typing import TypeVar
 
 import numpy as np
 
@@ -293,24 +301,102 @@ class DetectionColumns(Sequence):
         return list(zip(frames.tolist(), np.split(order, starts[1:])))
 
 
-@dataclass(frozen=True)
+_T = TypeVar("_T")
+
+
+@dataclass(frozen=True, eq=False)
 class TrackColumns:
-    """Track rows as columns, one entry per row, in input order; `rows` as in DetectionColumns."""
+    """Track rows as columns, one entry per row, in input order; `rows` as in DetectionColumns.
+
+    A block whose four arrays are all read-only is taken never to change:
+    kept computes a value from it once and keeps it with the block.
+    """
 
     frame: np.ndarray  # (n,) int64 frame indices
     track_id: np.ndarray  # (n,) ids as Python ints, dtype object
     class_id: np.ndarray  # (n,) class names, dtype object
     rows: np.ndarray  # (n, 8)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def sealed(cls, frame: np.ndarray, track_id: np.ndarray, class_id: np.ndarray, rows: np.ndarray) -> TrackColumns:
+        """The block of these arrays, each marked read-only, so that kept keeps what it computes."""
+        for column in (frame, track_id, class_id, rows):
+            column.flags.writeable = False
+        return cls(frame, track_id, class_id, rows)
+
+    def kept(self, build: Callable[[TrackColumns], _T]) -> _T:
+        """build(self), computed on the first call and kept for later ones where every array is read-only.
+
+        A block with a writable array may change between calls, so each
+        call builds afresh.
+        """
+        if any(column.flags.writeable for column in (self.frame, self.track_id, self.class_id, self.rows)):
+            return build(self)
+        if build not in self._kept:
+            self._kept[build] = build(self)
+        return self._kept[build]
 
     @classmethod
     def of(cls, frames: Sequence[Sequence[tuple[int, Box3D]]]) -> TrackColumns:
-        """(id, box) frame lists as columns: list position f is frame f."""
+        """(id, box) frame lists as columns: list position f is frame f.  A TrackFrames view gives its block."""
+        if isinstance(frames, TrackFrames):
+            return frames.block
         ids = [i for frame in frames for i, _ in frame]
         boxes = [b for frame in frames for _, b in frame]
         n = len(boxes)
         return cls(np.repeat(np.arange(len(frames), dtype=np.int64), [len(frame) for frame in frames]),
                    np.fromiter(ids, object, n), np.fromiter(map(attrgetter("class_id"), boxes), object, n),
                    np.fromiter(chain.from_iterable(map(_box_row, boxes)), float, 8 * n).reshape(n, 8))
+
+
+class TrackFrames(Sequence):
+    """A read-only sequence of (id, Box3D) frame lists over one TrackColumns block: position f is frame f.
+
+    The block's frame indices ascend within [0, n_frames), and len is
+    n_frames.  view[f] builds frame f's list through the checked Box3D
+    constructor, as DetectionColumns builds its records; iteration
+    builds one frame at a time.  A slice with step 1 is again a view,
+    its frames renumbered from 0 as a list slice's positions are, over a
+    block of the same rows, read-only where this one's is; any other
+    step gives a list of frame lists, as a list's slice does.
+    """
+
+    def __init__(self, block: TrackColumns, n_frames: int):
+        frame = block.frame
+        if len(frame) and not (frame[0] >= 0 and frame[-1] < n_frames and (frame[1:] >= frame[:-1]).all()):
+            raise ValueError(f"frame indices must ascend within [0, {n_frames})")
+        self.block = block
+        self._lo = frame.searchsorted(np.arange(n_frames + 1)).tolist()  # frame f's rows are _lo[f]:_lo[f + 1]
+
+    def __len__(self) -> int:
+        return len(self._lo) - 1
+
+    def _frame(self, lo: int, hi: int) -> list[tuple[int, Box3D]]:
+        b = self.block
+        return [(i, Box3D(*v[:7], class_id=c, score=v[7]))
+                for i, c, v in zip(b.track_id[lo:hi].tolist(), b.class_id[lo:hi].tolist(), b.rows[lo:hi].tolist())]
+
+    def __getitem__(self, f):
+        if isinstance(f, slice):
+            start, stop, step = f.indices(len(self))
+            if step != 1:
+                return [self[k] for k in range(start, stop, step)]
+            stop = max(start, stop)
+            lo, hi = self._lo[start], self._lo[stop]
+            b = self.block
+            frame = b.frame[lo:hi] - start
+            frame.flags.writeable = b.frame.flags.writeable  # the slice is read-only where the block is
+            return TrackFrames(TrackColumns(frame, b.track_id[lo:hi], b.class_id[lo:hi], b.rows[lo:hi]), stop - start)
+        f = range(len(self))[as_index(f)]  # IndexError out of range; a negative index counts from the end
+        return self._frame(self._lo[f], self._lo[f + 1])
+
+    def __iter__(self) -> Iterator[list[tuple[int, Box3D]]]:
+        for lo, hi in zip(self._lo, self._lo[1:]):
+            yield self._frame(lo, hi)
 
 
 # One frame's worth of detections, a DetectionColumns block or a list of

@@ -110,11 +110,11 @@ def _cmd_simulate(args) -> int:
         scenario = generate_scenario(cfg)
     except ValueError as exc:  # a noise model whose variance overflows
         raise FormatError(f"config scenario: {exc}") from exc
-    gt_rows = [(f, tid, box) for f, frame in enumerate(scenario.ground_truth) for tid, box in frame]
-    write_tracks(args.out_gt, gt_rows)
+    truth = scenario.ground_truth.block
+    write_tracks(args.out_gt, truth)
     dets = DetectionColumns.concat(scenario.detections)
     write_detections(args.out_dets, dets)
-    print(f"wrote {len(gt_rows)} ground-truth rows to {args.out_gt}")
+    print(f"wrote {len(truth)} ground-truth rows to {args.out_gt}")
     print(f"wrote {len(dets)} detections to {args.out_dets}")
     return 0
 

@@ -9,6 +9,7 @@ TRACKER and SIGMA_GRID state the paper's experiment (criterion 8).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
@@ -16,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from .assignment import hungarian_assign
-from .boxes import Box3D
+from .boxes import Box3D, TrackFrames
 from .geometry import _grouped_sweep
 from .metrics import EvalConfig, _lone, clear_mot
 from .sim import Scenario, ScenarioConfig, generate_scenario
@@ -39,8 +40,10 @@ TRACKER = TrackerConfig(gate_distance=3.0)
 SIGMA_GRID = (0.05, 0.15, 0.5, 1.5, 5.0)
 
 
-def _centers(frames: list[list[tuple[int, Box3D]]]) -> tuple[np.ndarray, np.ndarray]:
-    """(frame index, (n, 2) box centers) of (id, box) frame lists, in frame order."""
+def _centers(frames: Sequence[Sequence[tuple[int, Box3D]]]) -> tuple[np.ndarray, np.ndarray]:
+    """(frame index, (n, 2) box centers) of (id, box) frame lists, in frame order; a TrackFrames view's, its rows'."""
+    if isinstance(frames, TrackFrames):
+        return frames.block.frame, frames.block.rows[:, :2]
     boxes = [b for frame in frames for _, b in frame]
     xy = np.fromiter(chain.from_iterable(map(attrgetter("x", "y"), boxes)), float, 2 * len(boxes)).reshape(-1, 2)
     return np.repeat(np.arange(len(frames)), [len(frame) for frame in frames]), xy
@@ -54,11 +57,15 @@ def position_rmse(
     """Planar RMSE of track centers over distance-matched (gt, track) pairs.
 
     Frame f's gt and tracks, up to the shorter list, are matched by count
-    within the gate, then least total distance.  The pairs in the gate
-    come from one sweep over every frame (_grouped_sweep); a frame whose
-    pairs are all lone matches exactly them, any other goes to the
-    solver whole.  Squares are summed in (frame, gt row) order.
+    within the gate, then least total distance; a gate that is not > 0
+    (inf is) raises ValueError.  The pairs in the gate come from one
+    sweep over every frame (_grouped_sweep); a frame whose pairs are all
+    lone matches exactly them, any other goes to the solver whole.
+    Squares are summed in (frame, gt row) order.  A Scenario's ground
+    truth is read from its block's rows (see _centers), with no box.
     """
+    if not gate > 0.0:  # NaN too
+        raise ValueError(f"gate must be > 0, got {gate!r}")
     n = min(len(scenario.ground_truth), len(pred_frames))
     (g_frame, g_xy), (p_frame, p_xy) = _centers(scenario.ground_truth[:n]), _centers(pred_frames[:n])
     found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]

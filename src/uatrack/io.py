@@ -13,8 +13,9 @@ One table reader serves detection and track files: it splits a file
 into columns, parses each field with int or float, and checks whole
 columns at once; the first bad row, by the order a row-by-row reader
 would check, raises FormatError naming its path:line.  A detection file
-reads as boxes.DetectionColumns and a track file as boxes.TrackColumns
-(both re-exported here), arrays with one entry per row (the form
+reads as boxes.DetectionColumns and a track file as a read-only
+boxes.TrackColumns (both re-exported here, both written back by the
+writers), arrays with one entry per row (the form
 `uatrack nms` carries from reader to writer, `uatrack track` feeds the
 tracker one frame block at a time, and `uatrack eval-det` and
 `uatrack eval-track` score as row blocks), or as DetectionRecord rows
@@ -270,16 +271,26 @@ def detections_to_frames(records: Sequence[DetectionRecord]) -> list[FrameDetect
     return [frames[f] if f in frames else empty() for f in range(max(frames, default=-1) + 1)]
 
 
-def write_tracks(path: str | Path, rows: list[tuple[int, int, Box3D]]) -> None:
-    """Write (frame, track id, box) rows, a list: a first pass checks their class names."""
-    _check_class_names({box.class_id for _, _, box in rows})
+def write_tracks(path: str | Path, tracks: list[tuple[int, int, Box3D]] | TrackColumns) -> None:
+    """Write track rows, given as (frame, track id, box) rows or as columns: a first pass checks their class names."""
+    if isinstance(tracks, TrackColumns):
+        rows = zip(tracks.frame.tolist(), tracks.track_id.tolist(), tracks.class_id.tolist(), tracks.rows.tolist())
+        names = set(tracks.class_id.tolist())
+    else:
+        rows = ((frame, track_id, box.class_id, (*box_values(box), box.score)) for frame, track_id, box in tracks)
+        names = {box.class_id for _, _, box in tracks}
+    _check_class_names(names)
     floats = _float_cells(8)
-    write_table(path, TRACK_COLUMNS, ((str(frame), str(track_id), box.class_id,
-                                       floats % (*box_values(box), box.score)) for frame, track_id, box in rows))
+    write_table(path, TRACK_COLUMNS, ((str(frame), str(track_id), name, floats % tuple(values))
+                                      for frame, track_id, name, values in rows))
 
 
 def read_track_columns(path: str | Path) -> TrackColumns:
-    """A track file as columns, checked as read_detection_columns checks a detection file; an id appears at most once per frame."""
+    """A track file as columns, checked as read_detection_columns checks a detection file; an id appears at most once per frame.
+
+    The block's arrays are read-only, so what is computed from it is
+    kept with it (see TrackColumns.kept).
+    """
     columns, faults = _read_table(path, [TRACK_COLUMNS])
     frame = _frames(columns[0], faults)
     values = _floats(columns[3:], faults)
@@ -294,7 +305,7 @@ def read_track_columns(path: str | Path) -> TrackColumns:
         seen.add(key)
     faults.raise_first()
     values[:, 6] = wrap_angles(values[:, 6])
-    return TrackColumns(frame, ids, np.array(columns[2], dtype=object), values)
+    return TrackColumns.sealed(frame, ids, np.array(columns[2], dtype=object), values)
 
 
 def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:

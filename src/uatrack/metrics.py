@@ -20,6 +20,12 @@ prediction have no other edge is lone: frames whose edges are all lone
 pass, and only the rest are walked through persistence and the solver.
 The list forms (clear_mot, detection_pr, match_frame) convert to row
 blocks through TrackColumns.of.
+
+The edge builder reads each block through its side: its rows in frame
+order and their kernel table.  CLEAR-MOT's truth side (that and the id
+codes) does not depend on the predictions, so a read-only truth block
+keeps it (TrackColumns.kept): the arms of one scenario, or the cells of
+a sweep over one ground-truth file, build the truth's table once.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from .assignment import hungarian_assign
 from .boxes import Box3D, TrackColumns
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
-from .geometry import _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
+from .geometry import _Boxes, _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
 from .scoring import IouKind
 
 # A ground-truth track matched in less than this fraction of its frames
@@ -81,6 +87,20 @@ class TrackingReport:
         ]
 
 
+class _Side(NamedTuple):
+    """What the edge builder reads of one row block, whatever the other block holds."""
+
+    order: np.ndarray  # the rows in frame order, input order within a frame
+    frame: np.ndarray  # their frame indices, ascending
+    table: _Boxes  # their kernel rows
+
+
+def _side(frame: np.ndarray, rows: np.ndarray) -> _Side:
+    """The side of a row block, (frame indices, rows)."""
+    order = frame.argsort(kind="stable")
+    return _Side(order, frame[order], _table(rows[order, :7]))
+
+
 class _Edges(NamedTuple):
     """Two row blocks' frames and match edges, the pairs of one frame with IoU at or above threshold."""
 
@@ -94,24 +114,20 @@ class _Edges(NamedTuple):
     iou: np.ndarray  # each edge's IoU
 
 
-def _edges(gt: tuple[np.ndarray, np.ndarray], pred: tuple[np.ndarray, np.ndarray], cfg: EvalConfig) -> _Edges:
-    """The match edges of two row blocks, (frame indices, rows) each.
+def _edges(gt: _Side, pred: _Side, cfg: EvalConfig) -> _Edges:
+    """The match edges of two row blocks, given by their sides.
 
     Only the frames present are grouped, so memory does not grow with
     the largest frame index.  Every frame's pairs come from one
     sort-and-sweep with the frames as groups, and the kernel scores them
     all in one call.
     """
-    (g_frame, g_rows), (p_frame, p_rows) = gt, pred
-    frames, group = np.unique(np.concatenate([g_frame, p_frame]), return_inverse=True)
-    g_group, p_group = group[: len(g_frame)], group[len(g_frame):]
-    g_order, p_order = g_group.argsort(kind="stable"), p_group.argsort(kind="stable")
-    g_group, p_group = g_group[g_order], p_group[p_order]
-    g_table, p_table = _table(g_rows[g_order, :7]), _table(p_rows[p_order, :7])
-    ig, ip = _grouped_pairs_in_reach(g_table, g_group, p_table, p_group)
-    iou = _pair_iou(g_table, ig, p_table, ip, cfg.iou_kind is IouKind.THREE_D)
+    frames = np.unique(np.concatenate([gt.frame, pred.frame]))
+    g_group, p_group = frames.searchsorted(gt.frame), frames.searchsorted(pred.frame)
+    ig, ip = _grouped_pairs_in_reach(gt.table, g_group, pred.table, p_group)
+    iou = _pair_iou(gt.table, ig, pred.table, ip, cfg.iou_kind is IouKind.THREE_D)
     hit = iou >= cfg.iou_threshold  # below threshold a pair takes part in no matching
-    return _Edges(frames, g_order, g_group, p_order, p_group, ig[hit], ip[hit], iou[hit])
+    return _Edges(frames, gt.order, g_group, pred.order, p_group, ig[hit], ip[hit], iou[hit])
 
 
 def _boxes_block(frames: list[list[Box3D]]) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +146,7 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], cfg: EvalConfig) -> list[tup
     Pairs below the IoU threshold are forbidden.  Returns (gt index,
     pred index, iou) triples.
     """
-    e = _edges(_boxes_block([gt]), _boxes_block([pred]), cfg)  # one frame: the orders are the input's
+    e = _edges(_side(*_boxes_block([gt])), _side(*_boxes_block([pred])), cfg)  # one frame: the orders are the input's
     iou = np.zeros((len(gt), len(pred)))
     iou[e.ig, e.ip] = e.iou
     return _match_from_matrix(iou, cfg.iou_threshold)
@@ -253,7 +269,7 @@ def detection_pr_rows(
     present are scored, each frame's rows in input order, so memory
     does not grow with the largest frame index.
     """
-    e = _edges(gt, pred, cfg)
+    e = _edges(_side(*gt), _side(*pred), cfg)
     return _pr_sweep(pred[1][e.p_order, 7], e.ig, e.ip, len(gt[0]), cfg.recall_points)
 
 
@@ -290,6 +306,21 @@ def _codes(ids: list) -> tuple[np.ndarray, dict]:
     return np.fromiter(map(code.__getitem__, ids), np.intp, len(ids)), code
 
 
+class _Truth(NamedTuple):
+    """What CLEAR-MOT reads of a ground-truth block alone: its side and its ids in the side's order, numbered."""
+
+    side: _Side
+    ids: list
+    code: np.ndarray  # each id's number (see _codes)
+    of: dict  # the numbering
+
+
+def _truth(gt: TrackColumns) -> _Truth:
+    side = _side(gt.frame, gt.rows)
+    ids = gt.track_id[side.order].tolist()
+    return _Truth(side, ids, *_codes(ids))
+
+
 def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> TrackingReport:
     """CLEAR-style evaluation of identified tracks, given as row blocks.
 
@@ -308,14 +339,19 @@ def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> Tra
     all lone and whose ids do not repeat match exactly their edges, in
     one array pass; only the rest are walked, through persistence and
     the solver, a repeated id resolving to its last box.
+
+    The truth side (see _truth) is built once per read-only gt block
+    and kept with it; a writable block's is built on every call.
     """
-    e = _edges((gt.frame, gt.rows), (pred.frame, pred.rows), cfg)
+    truth = gt.kept(_truth)
+    e = _edges(truth.side, _side(pred.frame, pred.rows), cfg)
     thr = cfg.iou_threshold
     bounds = np.arange(len(e.frames) + 1)
     g_lo, p_lo = e.g_group.searchsorted(bounds).tolist(), e.p_group.searchsorted(bounds).tolist()
     e_lo = e.ig.searchsorted(g_lo).tolist()  # ig ascends, so each frame's edges are one run
-    g_ids, p_ids = gt.track_id[e.g_order].tolist(), pred.track_id[e.p_order].tolist()
-    (g_code, g_of), (p_code, p_of) = _codes(g_ids), _codes(p_ids)
+    g_ids, g_code, g_of = truth.ids, truth.code, truth.of
+    p_ids = pred.track_id[e.p_order].tolist()
+    p_code, p_of = _codes(p_ids)
 
     walk = np.zeros(len(e.frames), dtype=bool)
     walk[e.g_group[e.ig[~_lone(e.ig, e.ip, len(g_ids), len(p_ids))]]] = True

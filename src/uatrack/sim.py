@@ -7,7 +7,9 @@ standard deviation grows linearly with range from the sensor at the
 origin, so a tracker consuming the per-detection covariance sees a
 genuinely heteroscedastic stream with known ground truth.  Each
 frame's detections are one DetectionColumns block, tagged with its frame
-index and checked as a whole; no object is built per detection.
+index and checked as a whole; the ground truth of every frame is one
+read-only TrackColumns block, seen as (id, box) frame lists through a
+TrackFrames view.  No object is built per detection or per true box.
 
 All randomness comes from a single numpy Generator seeded from the
 config (PCG64, a named portable algorithm with documented state), with a
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import MAX_FRAME_INDEX, Box3D, DetectionColumns, check_rows
+from .boxes import MAX_FRAME_INDEX, DetectionColumns, TrackColumns, TrackFrames, check_rows
 from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -102,6 +104,12 @@ class ScenarioConfig:
 class Scenario:
     """Generated ground truth and detections.
 
+    ground_truth is every frame's true boxes as one read-only
+    TrackColumns block (ground_truth.block): frame indices, ids 0 to
+    n_targets - 1 in each frame, "Car" names and (n, 8) rows (BOX_FIELDS
+    values with theta wrapped by motion.wrap_angles, then score 1.0),
+    frame by frame.  As a Sequence, ground_truth[f] is frame f's
+    (id, Box3D) list, built when read (see boxes.TrackFrames).
     detections[f] holds frame f's detections as one block: frame indices,
     "Car" names, (n, 8) rows (BOX_FIELDS values with theta wrapped by
     motion.wrap_angles, then score) and the (n, 7) *reported* variances.
@@ -113,7 +121,7 @@ class Scenario:
     """
 
     config: ScenarioConfig
-    ground_truth: list[list[tuple[int, Box3D]]]
+    ground_truth: TrackFrames
     detections: list[DetectionColumns]
     true_variances: list[np.ndarray]
     gt_states: list[np.ndarray]
@@ -123,7 +131,8 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """The scenario the config describes.
 
     Raises ValueError where the noise model's variance leaves float64's
-    positive finite range, or where a detection fails Box3D's checks.
+    positive finite range, or where a detection or a true box fails
+    Box3D's checks.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_targets
@@ -145,16 +154,17 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     widths, lengths, heights = (rng.uniform(lo, hi, n) for lo, hi in SIZE_RANGES)
     z_centers = heights / 2.0
 
-    ground_truth: list[list[tuple[int, Box3D]]] = []
+    truth_rows = np.empty((cfg.n_frames, n, 8))  # every frame's true boxes, then score 1.0
+    truth_rows[:, :, 7] = 1.0
     detections: list[DetectionColumns] = []
     true_variances: list[np.ndarray] = []
     gt_states: list[np.ndarray] = []
 
     for f in range(cfg.n_frames):
         gt_states.append(states.copy())
-        # box rows in BOX_FIELDS order; Box3D wraps theta
+        # box rows in BOX_FIELDS order, theta unwrapped
         truth = np.column_stack([states[:, 0], states[:, 1], z_centers, widths, lengths, heights, states[:, 2]])
-        ground_truth.append([(i, Box3D(*row)) for i, row in enumerate(truth.tolist())])
+        truth_rows[f, :, :7] = truth
 
         noise = rng.standard_normal((n, 7))
         fn_draws = rng.random(n)
@@ -212,4 +222,10 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             TURN_LIMIT,
         )
 
-    return Scenario(cfg, ground_truth, detections, true_variances, gt_states)
+    truth_rows = truth_rows.reshape(-1, 8)
+    check_rows(truth_rows)
+    truth_rows[:, 6] = wrap_angles(truth_rows[:, 6])
+    truth = TrackColumns.sealed(np.repeat(np.arange(cfg.n_frames, dtype=np.int64), n),
+                                np.tile(np.arange(n), cfg.n_frames).astype(object),
+                                np.full(len(truth_rows), "Car", object), truth_rows)
+    return Scenario(cfg, TrackFrames(truth, cfg.n_frames), detections, true_variances, gt_states)

@@ -277,6 +277,28 @@ class TestSweep:
         report = rep.read_text().splitlines()[2].split(",")
         assert rows.read_text().splitlines()[2] == ",".join(["3"] + report[:6])
 
+    def test_track_sweep_builds_one_truth_table(self, tmp_path, monkeypatch):
+        """The cells share the ground truth's side: one truth table and one per cell, each row as its own sweep's."""
+        from uatrack import metrics
+
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "4", "--n-frames", "25",
+                    "--fp-rate", "0.5", "--fn-rate", "0.1", "--seed", "6"]) == 0
+        sigmas = ["0.1", "0.5", "2"]
+
+        def sweep(values):
+            out = tmp_path / "rows.csv"
+            assert run(["sweep", "--mode", "track", "--gt", str(gt), "--dets", str(dets),
+                        "--param", "tracker.constant_sigma=" + ",".join(values), "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        alone = [sweep([v])[2] for v in sigmas]
+        built = []
+        table = metrics._table
+        monkeypatch.setattr(metrics, "_table", lambda fields: built.append(len(fields)) or table(fields))
+        assert sweep(sigmas)[2:] == alone
+        assert len(built) == 1 + len(sigmas)
+
     def test_nms_sweep(self, tmp_path):
         gt = tmp_path / "gt.csv"
         dets = tmp_path / "dets.csv"
@@ -783,7 +805,7 @@ class TestTrackOnColumns:
         monkeypatch.setattr(Box3D, "__post_init__", counted)
         return built
 
-    def test_simulate_builds_ground_truth_boxes_only(self, tmp_path, monkeypatch):
+    def test_simulate_builds_no_box(self, tmp_path, monkeypatch):
         gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
         argv = ["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "6", "--n-frames", "15",
                 "--fp-rate", "0.5", "--fn-rate", "0.1", "--seed", "3"]
@@ -792,7 +814,7 @@ class TestTrackOnColumns:
         built = self._count_boxes(monkeypatch)
         assert run(argv) == 0
         assert (dets.read_bytes(), gt.read_bytes()) == want
-        assert len(built) == n_gt == 6 * 15
+        assert n_gt == 6 * 15 and built == []
 
     def test_track_and_sweep_build_no_box_per_detection(self, tmp_path, monkeypatch):
         from uatrack.boxes import Box3D

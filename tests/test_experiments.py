@@ -1,14 +1,20 @@
 """Position RMSE of the constant-vs-adaptive experiment against its dense per-frame form."""
 
 import math
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from uatrack import metrics
 from uatrack.assignment import hungarian_assign
-from uatrack.boxes import Box3D
-from uatrack.experiments import RMSE_MATCH_GATE, position_rmse
+from uatrack.boxes import Box3D, TrackColumns
+from uatrack.experiments import (RMSE_MATCH_GATE, SCENARIO, SIGMA_GRID, TRACKER, compare_adaptive_vs_constant,
+                                 position_rmse)
+from uatrack.metrics import EvalConfig, clear_mot, clear_mot_rows
+from uatrack.sim import ScenarioConfig, generate_scenario
 
 
 def reference_position_rmse(scenario, pred_frames, gate=RMSE_MATCH_GATE):
@@ -109,8 +115,69 @@ class TestPositionRmse:
         assert position_rmse(sc, pred) == want
         assert want in (math.sqrt(2.5 / 2), 1.0)
 
+    @pytest.mark.parametrize("gate", [0.0, -1.0, math.nan, -math.inf])
+    def test_gate_not_above_0_rejected(self, gate):
+        gt_xy, pred_xy = random_case(0)
+        with pytest.raises(ValueError, match="gate must be > 0"):
+            position_rmse(scenario(gt_xy), tracks(pred_xy), gate)
+
+    def test_infinite_gate_pairs_every_frame_by_count(self):
+        gt_xy, pred_xy = random_case(1)
+        sc, pred = scenario(gt_xy), tracks(pred_xy)
+        assert position_rmse(sc, pred, math.inf) == reference_position_rmse(sc, pred, math.inf) < math.inf
+
     def test_no_pair_is_inf(self):
         far = ([[(0.0, 0.0)], [], [(5.0, 5.0)]], [[(3.0, 0.0)], [(0.0, 0.0)], []])
         for gt_xy, pred_xy in (far, ([], []), ([[(0.0, 0.0)]], [])):
             assert position_rmse(scenario(gt_xy), tracks(pred_xy)) == math.inf
             assert reference_position_rmse(scenario(gt_xy), tracks(pred_xy)) == math.inf
+
+
+def _bits(value):
+    """A float's or a report's floats as float.hex, the rest as they are: equal only bit for bit."""
+    values = astuple(value) if isinstance(value, metrics.TrackingReport) else (value,)
+    return [float(v).hex() if isinstance(v, float) else v for v in values]
+
+
+class TestGroundTruthView:
+    """A scenario's ground truth is scored from its read-only block, as its frame lists are scored."""
+
+    @given(n_targets=st.integers(1, 5), n_frames=st.integers(1, 8), fp_rate=st.sampled_from([0.0, 0.5, 1.0]),
+           fn_rate=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 50), cut=st.integers(0, 9))
+    @example(n_targets=3, n_frames=1, fp_rate=0.0, fn_rate=1.0, seed=0, cut=1)
+    @example(n_targets=3, n_frames=1, fp_rate=1.0, fn_rate=1.0, seed=0, cut=1)
+    @settings(max_examples=60, deadline=None)
+    def test_scores_equal_those_of_the_frame_lists(self, n_targets, n_frames, fp_rate, fn_rate, seed, cut):
+        sc = generate_scenario(ScenarioConfig(n_targets=n_targets, n_frames=n_frames, fp_rate=fp_rate,
+                                              fn_rate=fn_rate, noise_base=(0.3,) * 7, seed=seed))
+        view = sc.ground_truth
+        lists = [list(frame) for frame in view]
+        # the detections as tracks: ids repeat across frames, and some boxes miss their truth
+        pred = [[(k, d.box) for k, d in enumerate(frame)] for frame in sc.detections]
+        cfg = EvalConfig(iou_threshold=0.3)
+        for gt, want in ((view, lists), (view[:cut], lists[:cut]), (view[cut:], lists[cut:])):
+            expected = _bits(clear_mot(want, pred, cfg))
+            assert _bits(clear_mot(gt, pred, cfg)) == _bits(clear_mot(gt, pred, cfg)) == expected  # kept side too
+            assert (_bits(position_rmse(SimpleNamespace(ground_truth=gt), pred))
+                    == _bits(position_rmse(SimpleNamespace(ground_truth=want), pred)))
+
+    def test_the_arms_of_a_scenario_share_one_truth_table(self, monkeypatch):
+        built = []
+        table = metrics._table
+        monkeypatch.setattr(metrics, "_table", lambda fields: built.append(len(fields)) or table(fields))
+        cfg = replace(SCENARIO, n_targets=4, n_frames=30, seed=2)
+        arms = compare_adaptive_vs_constant(cfg, SIGMA_GRID, TRACKER)
+        assert len(arms) == 6 and len(built) == 7  # once for the truth, once per arm
+        assert built[0] == cfg.n_targets * cfg.n_frames
+
+    def test_a_writable_truth_block_is_read_afresh(self, monkeypatch):
+        built = []
+        table = metrics._table
+        monkeypatch.setattr(metrics, "_table", lambda fields: built.append(len(fields)) or table(fields))
+        sc = generate_scenario(ScenarioConfig(n_targets=3, n_frames=10, seed=4))
+        gt = TrackColumns.of(list(sc.ground_truth))
+        pred = TrackColumns.of([[(k, d.box) for k, d in enumerate(frame)] for frame in sc.detections])
+        first = clear_mot_rows(gt, pred, EvalConfig())
+        gt.rows[:, 0] += 100.0  # a writable block may change between calls
+        assert clear_mot_rows(gt, pred, EvalConfig()).fn == first.gt_total > first.fn
+        assert len(built) == 4

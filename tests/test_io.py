@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uatrack.boxes import Box3D, BoxVariance
+from uatrack.boxes import Box3D, BoxVariance, TrackColumns
 from uatrack.cli import main
 from uatrack.experiments import SCENARIO
 from uatrack.geometry import _box_table, _table
@@ -119,6 +119,9 @@ class TestTracksRoundTrip:
         back = read_tracks(path)
         assert [(f, i) for f, i, _ in back] == [(f, i) for f, i, _ in rows]
         assert back[0][2].l == pytest.approx(rows[0][2].l, rel=1e-8)
+        columns = read_track_columns(path)
+        write_tracks(tmp_path / "again.csv", columns)  # columns write the bytes their rows would
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 class TestClassNames:
@@ -129,16 +132,20 @@ class TestClassNames:
         car, other = Box3D(1, 2, 0, 1, 2, 1, 0), Box3D(1, 2, 0, 1, 2, 1, 0, class_id=name)
         if kind == "detections":
             write_detections(path, [DetectionRecord(0, car), DetectionRecord(0, other)])
-        else:
+        elif kind == "tracks":
             write_tracks(path, [(0, 1, car), (0, 2, other)])
+        else:
+            write_tracks(path, TrackColumns.of([[(1, car), (2, other)]]))
 
     @staticmethod
     def read(kind, path):
         return (read_detection_columns if kind == "detections" else read_track_columns)(path).class_id.tolist()
 
+    KINDS = ["detections", "tracks", "track columns"]
+
     # a comma splits a field; \n, \x0b, \u2028 and \r are boundaries str.splitlines splits a line at
     @pytest.mark.parametrize("name", ["Car,Big", "Car\nBig", "Car\x0bBig", "Car\u2028Big", "Car\r", ","])
-    @pytest.mark.parametrize("kind", ["detections", "tracks"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_split_name_rejected_before_writing(self, tmp_path, kind, name):
         path = tmp_path / "out.csv"
         with pytest.raises(FormatError, match=re.escape(repr(name))):
@@ -146,7 +153,7 @@ class TestClassNames:
         assert not path.exists()
 
     @pytest.mark.parametrize("name", ["", "Car", " Big Car ", "Car;Big", "Car\tBig", "Fahrrad-\u00e9"])
-    @pytest.mark.parametrize("kind", ["detections", "tracks"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_other_names_round_trip(self, tmp_path, kind, name):
         path = tmp_path / "out.csv"
         self.write(kind, path, name)

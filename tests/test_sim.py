@@ -245,7 +245,7 @@ class TestBlocks:
                 with pytest.raises(IndexError):
                     frame[bad]
 
-    def test_builds_no_detection_box(self, monkeypatch):
+    def test_builds_no_box(self, monkeypatch):
         from uatrack.boxes import Box3D
 
         built = []
@@ -258,8 +258,8 @@ class TestBlocks:
         monkeypatch.setattr(Box3D, "__post_init__", counted)
         cfg = small_config(**self.CONFIG)
         sc = generate_scenario(cfg)
-        assert len(built) == cfg.n_targets * cfg.n_frames  # the ground truth's boxes only
-        assert sum(map(len, sc.detections)) > 0 and len(built) == sum(map(len, sc.ground_truth))
+        assert sum(map(len, sc.detections)) > 0 and len(sc.ground_truth.block) == cfg.n_targets * cfg.n_frames
+        assert built == []  # neither a detection's box nor a true one
 
     def test_theta_is_wrapped_as_a_box_wraps_it(self):
         from uatrack.boxes import wrap_angle
@@ -268,3 +268,62 @@ class TestBlocks:
         theta = np.concatenate([frame.rows[:, 6] for frame in sc.detections])
         again = np.array([wrap_angle(t) for t in theta.tolist()])
         assert np.array_equal(again.view(np.uint64), theta.view(np.uint64))
+
+
+class TestGroundTruthView:
+    """The ground truth is one read-only block, read as the (id, box) frame lists the simulator used to build."""
+
+    CONFIG = dict(n_targets=4, n_frames=12, seed=3, fp_rate=0.5, fn_rate=0.2)
+
+    def test_boxes_are_those_of_the_unwrapped_rows(self):
+        # each box was Box3D(*row) of the row with theta unwrapped; the view builds it from the row wrapped once
+        # by wrap_angles, so this holds as long as wrap_angle leaves an angle it has wrapped as it is
+        from uatrack.boxes import Box3D
+
+        cfg = small_config(n_targets=8, n_frames=300, seed=13)
+        sc = generate_scenario(cfg)
+        rows = sc.ground_truth.block.rows.reshape(cfg.n_frames, cfg.n_targets, 8).tolist()
+        unwrapped = 0
+        for frame, states, frame_rows in zip(sc.ground_truth, sc.gt_states, rows):
+            assert [tid for tid, _ in frame] == list(range(cfg.n_targets))
+            for (_, box), s, row in zip(frame, states.tolist(), frame_rows):
+                want = Box3D(s[0], s[1], row[2], row[3], row[4], row[5], s[2])
+                unwrapped += not -math.pi < s[2] <= math.pi
+                assert box.class_id == want.class_id == "Car"
+                assert ([float(v).hex() for v in (box.x, box.y, box.z, box.w, box.l, box.h, box.theta, box.score)]
+                        == [float(v).hex() for v in (want.x, want.y, want.z, want.w, want.l, want.h, want.theta,
+                                                     want.score)])
+        assert unwrapped > 0  # some headings left (-pi, pi], so the rows' theta was wrapped
+
+    def test_reads_as_a_list_of_frames(self):
+        from uatrack.boxes import TrackColumns, TrackFrames
+
+        view = generate_scenario(small_config(**self.CONFIG)).ground_truth
+        frames = list(view)
+        assert len(view) == len(frames) == self.CONFIG["n_frames"]
+        for k in range(-len(frames), len(frames)):
+            assert view[k] == frames[k]
+        assert view[np.int64(2)] == frames[2]
+        for bad in (len(frames), -len(frames) - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        for step_not_1 in (slice(None, None, 2), slice(None, None, -1), slice(8, 2, -3), slice(1, 9, 3)):
+            assert view[step_not_1] == frames[step_not_1]
+        for s in (slice(3, 9), slice(0, 4), slice(-5, None), slice(7, 3), slice(None, 100), slice(12, None)):
+            part, want = view[s], frames[s]
+            assert isinstance(part, TrackFrames) and len(part) == len(want) and list(part) == want
+            got, ref = TrackColumns.of(part), TrackColumns.of(want)  # frames renumbered as list positions are
+            assert np.array_equal(got.frame, ref.frame) and np.array_equal(got.rows, ref.rows)
+            assert got.track_id.tolist() == ref.track_id.tolist()
+        b = view.block
+        for block, n_frames in ((b, 3),  # frames past the third
+                                (TrackColumns(b.frame[::-1], b.track_id, b.class_id, b.rows), len(view))):
+            with pytest.raises(ValueError, match="ascend"):
+                TrackFrames(block, n_frames)
+
+    def test_block_is_read_only(self):
+        view = generate_scenario(small_config(**self.CONFIG)).ground_truth
+        for block in (view.block, view[2:5].block):
+            for column in (block.frame, block.track_id, block.class_id, block.rows):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[-1]
