@@ -149,7 +149,7 @@ def _cmd_eval_det(args) -> int:
     cfg = config_from_dict(_config_dict(args, DET_IOU_THRESHOLD)).eval
     gt = read_track_columns(args.gt)
     dets = read_detection_columns(args.dets)
-    ap, max_f1, _ = detection_pr_rows((gt.frame, gt.rows), (dets.frame, dets.rows), cfg)
+    ap, max_f1, _ = detection_pr_rows(gt, (dets.frame, dets.rows), cfg)
     print(f"AP:     {ap:.2f} %")
     print(f"Max F1: {max_f1:.2f} %")
     if args.out:
@@ -265,7 +265,7 @@ def _cmd_sweep(args) -> int:
 
         def score(cfg):
             kept = _rescore_and_suppress(dets, cfg.scoring, cfg.nms)
-            ap, max_f1, _ = detection_pr_rows((gt.frame, gt.rows), (kept.frame, kept.rows), cfg.eval)
+            ap, max_f1, _ = detection_pr_rows(gt, (kept.frame, kept.rows), cfg.eval)
             return [format_float(ap), format_float(max_f1)]
 
     write_table(args.out, [key for key, _ in axes] + columns, (cells + score(cfg) for cells, cfg in grid))

@@ -9,10 +9,16 @@ refuse, with FormatError and before writing anything, a class name that
 holds a comma or a line boundary str.splitlines splits at, which a
 reader would split into fields or lines.
 
-One table reader serves detection and track files: it splits a file
-into columns, parses each field with int or float, and checks whole
-columns at once; the first bad row, by the order a row-by-row reader
-would check, raises FormatError naming its path:line.  A detection file
+One table reader serves detection and track files.  str.splitlines
+cuts a file into lines, and one C-level pass of numpy's tokenizer
+parses every data line into int64 frames and ids, class text as
+written and float64 values, each bit for bit what int() and float()
+give.  Where numpy refuses a line (a field that only int() or float()
+takes, a wrong field count) or the text is not plain ASCII, the
+per-field path splits the lines into columns, parses each field with
+int or float and names the first bad row.  Whole columns are checked at
+once; the first bad row, by the order a row-by-row reader would check,
+raises FormatError naming its path:line.  A detection file
 reads as boxes.DetectionColumns and a track file as a read-only
 boxes.TrackColumns (both re-exported here, both written back by the
 writers), arrays with one entry per row (the form
@@ -40,12 +46,14 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,33 +161,83 @@ class _Faults:
             raise FormatError(f"{self.path}:{self.lineno(self.row)}: {self.message}")
 
 
-def _read_table(path: str | Path, headers: list[list[str]]) -> tuple[list[list[str]], _Faults]:
-    """The columns of a versioned table with one of the given headers, and the faults of its rows.
+class _Table(NamedTuple):
+    """A table's data rows parsed, whichever path parsed them, and the faults found so far."""
 
-    Blank lines are skipped.  A file that is not UTF-8 text, or a row
-    without the header's field count, raises FormatError naming its
-    path (and line).
+    header: list[str]
+    frame: np.ndarray  # int64
+    ids: np.ndarray | None  # Python ints, where the header has an id column
+    names: np.ndarray  # the class texts as written
+    values: np.ndarray  # float64, the columns after class, writable
+    faults: _Faults
+
+
+def _read_table(path: str | Path, headers: list[list[str]]) -> _Table:
+    """A versioned table with one of the given headers, its data rows parsed.
+
+    Blank lines are skipped.  The rows are parsed in one pass of numpy's
+    tokenizer (see _loaded), given only ASCII text without U+001F: its
+    int parser reads a non-ASCII character through C's isdigit, out of
+    that table's bounds, and it strips U+001F as whitespace, which int()
+    and float() reject.  Where it is not given the text or refuses a row,
+    the per-field path parses each field with int or float instead.  A
+    file that is not UTF-8 text raises FormatError naming its path.
     """
     try:
-        text = Path(path).read_text().splitlines()
+        text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not text or text[0].strip() != FORMAT_VERSION_LINE:
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != FORMAT_VERSION_LINE:
         raise FormatError(f"{path}: missing version line {FORMAT_VERSION_LINE!r}")
-    header = text[1].strip() if len(text) > 1 else ""
+    header = lines[1].strip() if len(lines) > 1 else ""
     if header not in [",".join(columns) for columns in headers]:
         raise FormatError(f"{path}: unrecognized header {header!r}")
-    want = header.count(",") + 1
-    lines = text[2:]
-    rows = [line for line in lines if line.strip()]
-    faults = _Faults(path, lines, len(rows))
+    header, rows = header.split(","), [line for line in lines[2:] if line.strip()]
+    faults = _Faults(path, lines[2:], len(rows))
+    at, has_id = header.index("class"), "id" in header
+    table = _loaded(rows, header) if text.isascii() and "\x1f" not in text else None
+    if table is not None:
+        frame, values = _frames_in_range(table["frame"], faults), table["values"].copy()
+        ids = table["id"].astype(object) if has_id else None  # each id a Python int
+        return _Table(header, frame, ids, np.array(table["class"], dtype=object), values, faults)
+    columns = _columns(rows, len(header), faults)
+    frame, values = _frames(columns[0], faults), _floats(columns[at + 1:], faults)
+    ids = _parsed(columns[header.index("id")], int, faults, dtype=object) if has_id else None
+    return _Table(header, frame, ids, np.array(columns[at], dtype=object), values, faults)
+
+
+def _loaded(rows: list[str], header: list[str]) -> np.ndarray | None:
+    """The rows as records from one pass of numpy's tokenizer; None where it refuses a row or warns.
+
+    The columns before `class` parse as int64, `class` as its text as
+    written, and the rest as one float64 `values` block.  numpy hands a
+    float field's stripped ASCII text to the routine float() uses, so
+    each value it takes is float()'s bit for bit, and each ASCII int
+    field it takes is int()'s.  It refuses what int() and float() take
+    beyond that (underscores, ids beyond int64) and rows of another
+    field count; the per-field path then parses the rows.
+    """
+    n_ints = header.index("class")
+    dtype = [*((name, np.int64) for name in header[:n_ints]), ("class", object),
+             ("values", np.float64, len(header) - n_ints - 1)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an older numpy parses "3.0" as an int with only a DeprecationWarning
+            return np.loadtxt(rows, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except Exception:
+        return None
+
+
+def _columns(rows: list[str], n_fields: int, faults: _Faults) -> list[list[str]]:
+    """The rows' fields as columns; a row without n_fields fields raises FormatError naming its path:line."""
     commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
-    bad = np.flatnonzero(commas != want - 1)
+    bad = np.flatnonzero(commas != n_fields - 1)
     if len(bad):
         row = int(bad[0])
-        raise FormatError(f"{path}:{faults.lineno(row)}: expected {want} fields, got {commas[row] + 1}")
+        raise FormatError(f"{faults.path}:{faults.lineno(row)}: expected {n_fields} fields, got {commas[row] + 1}")
     fields = ",".join(rows).split(",") if rows else []
-    return [fields[k::want] for k in range(want)], faults
+    return [fields[k::n_fields] for k in range(n_fields)]
 
 
 def _parsed(column: list[str], parse: Callable[[str], object], faults: _Faults, dtype=float) -> np.ndarray:
@@ -211,10 +269,14 @@ def _frame_index(text: str) -> int:
 
 
 def _frames(column: list[str], faults: _Faults) -> np.ndarray:
-    """The frame column as int64, each text parsed by int; an index outside [0, MAX_FRAME_INDEX] is a fault."""
-    frame = _parsed(column, int, faults)  # as float64, exact for every index in range
-    faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(column[row])))
-    return frame.clip(-1, MAX_FRAME_INDEX + 1).astype(np.int64)
+    """The frame column as int64, each text parsed by _frame_index; a text it rejects is a fault."""
+    return _parsed(column, _frame_index, faults, dtype=np.int64)
+
+
+def _frames_in_range(frame: np.ndarray, faults: _Faults) -> np.ndarray:
+    """The frame column as loaded; an index outside [0, MAX_FRAME_INDEX] is a fault."""
+    faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(frame[row])))
+    return np.ascontiguousarray(frame)
 
 
 def _floats(columns: list[list[str]], faults: _Faults) -> np.ndarray:
@@ -225,20 +287,20 @@ def _floats(columns: list[list[str]], faults: _Faults) -> np.ndarray:
 def read_detection_columns(path: str | Path) -> DetectionColumns:
     """A detection file as columns, every row checked.
 
-    Each field is parsed by int or float; frame indices must lie in
-    [0, MAX_FRAME_INDEX], box values and scores be finite, extents and
-    variances positive.  The first bad row raises FormatError naming
-    its path:line.
+    The data lines are parsed in one pass of numpy's tokenizer (see
+    _loaded); where it refuses one, each field is parsed by int or
+    float.  Frame indices must lie in [0, MAX_FRAME_INDEX], box values
+    and scores be finite, extents and variances positive.  The first bad
+    row raises FormatError naming its path:line.
     """
-    columns, faults = _read_table(path, [DET_COLUMNS, DET_COLUMNS_VAR])
-    frame = _frames(columns[0], faults)
-    values = _floats(columns[2:], faults)
-    var = values[:, 8:] if len(columns) == len(DET_COLUMNS_VAR) else None
+    t = _read_table(path, [DET_COLUMNS, DET_COLUMNS_VAR])
+    values, faults = t.values, t.faults
+    var = values[:, 8:] if len(t.header) == len(DET_COLUMNS_VAR) else None
     if bad := first_bad_row(values[:, :8], var):
         faults.note(*bad)
     faults.raise_first()
     values[:, 6] = wrap_angles(values[:, 6])
-    return DetectionColumns(frame, np.array(columns[1], dtype=object), values[:, :8], var)
+    return DetectionColumns(t.frame, t.names, values[:, :8], var)
 
 
 def read_detections(path: str | Path) -> list[DetectionRecord]:
@@ -286,15 +348,13 @@ def write_tracks(path: str | Path, tracks: list[tuple[int, int, Box3D]] | TrackC
 
 
 def read_track_columns(path: str | Path) -> TrackColumns:
-    """A track file as columns, checked as read_detection_columns checks a detection file; an id appears at most once per frame.
+    """A track file as columns, read as read_detection_columns reads one; an id appears at most once per frame.
 
     The block's arrays are read-only, so what is computed from it is
     kept with it (see TrackColumns.kept).
     """
-    columns, faults = _read_table(path, [TRACK_COLUMNS])
-    frame = _frames(columns[0], faults)
-    values = _floats(columns[3:], faults)
-    ids = _parsed(columns[1], int, faults, dtype=object)
+    t = _read_table(path, [TRACK_COLUMNS])
+    frame, ids, values, faults = t.frame, t.ids, t.values, t.faults
     if bad := first_bad_row(values):
         faults.note(*bad)
     seen: set[tuple[int, int]] = set()
@@ -305,7 +365,7 @@ def read_track_columns(path: str | Path) -> TrackColumns:
         seen.add(key)
     faults.raise_first()
     values[:, 6] = wrap_angles(values[:, 6])
-    return TrackColumns.sealed(frame, ids, np.array(columns[2], dtype=object), values)
+    return TrackColumns.sealed(frame, ids, t.names, values)
 
 
 def read_tracks(path: str | Path) -> list[tuple[int, int, Box3D]]:

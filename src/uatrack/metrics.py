@@ -22,10 +22,11 @@ The list forms (clear_mot, detection_pr, match_frame) convert to row
 blocks through TrackColumns.of.
 
 The edge builder reads each block through its side: its rows in frame
-order and their kernel table.  CLEAR-MOT's truth side (that and the id
+order and their kernel table.  The truth side (and CLEAR-MOT's id
 codes) does not depend on the predictions, so a read-only truth block
-keeps it (TrackColumns.kept): the arms of one scenario, or the cells of
-a sweep over one ground-truth file, build the truth's table once.
+keeps it (TrackColumns.kept), for detection AP as for CLEAR-MOT: the
+arms of one scenario, or the cells of a sweep over one ground-truth
+file, build the truth's table once.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def _side(frame: np.ndarray, rows: np.ndarray) -> _Side:
     return _Side(order, frame[order], _table(rows[order, :7]))
 
 
+def _block_side(block: TrackColumns) -> _Side:
+    """The side of a TrackColumns block; a read-only block keeps it (TrackColumns.kept)."""
+    return _side(block.frame, block.rows)
+
+
 class _Edges(NamedTuple):
     """Two row blocks' frames and match edges, the pairs of one frame with IoU at or above threshold."""
 
@@ -130,10 +136,9 @@ def _edges(gt: _Side, pred: _Side, cfg: EvalConfig) -> _Edges:
     return _Edges(frames, gt.order, g_group, pred.order, p_group, ig[hit], ip[hit], iou[hit])
 
 
-def _boxes_block(frames: list[list[Box3D]]) -> tuple[np.ndarray, np.ndarray]:
-    """Box frame lists as (frame indices, rows): list position f is frame f."""
-    t = TrackColumns.of([list(enumerate(frame)) for frame in frames])
-    return t.frame, t.rows
+def _boxes_block(frames: list[list[Box3D]]) -> TrackColumns:
+    """Box frame lists as a row block: list position f is frame f."""
+    return TrackColumns.of([list(enumerate(frame)) for frame in frames])
 
 
 def _match_from_matrix(iou: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
@@ -146,7 +151,7 @@ def match_frame(gt: list[Box3D], pred: list[Box3D], cfg: EvalConfig) -> list[tup
     Pairs below the IoU threshold are forbidden.  Returns (gt index,
     pred index, iou) triples.
     """
-    e = _edges(_side(*_boxes_block([gt])), _side(*_boxes_block([pred])), cfg)  # one frame: the orders are the input's
+    e = _edges(_block_side(_boxes_block([gt])), _block_side(_boxes_block([pred])), cfg)  # one frame: input orders
     iou = np.zeros((len(gt), len(pred)))
     iou[e.ig, e.ip] = e.iou
     return _match_from_matrix(iou, cfg.iou_threshold)
@@ -258,19 +263,21 @@ def _pr_sweep(
 
 
 def detection_pr_rows(
-    gt: tuple[np.ndarray, np.ndarray],
+    gt: TrackColumns,
     pred: tuple[np.ndarray, np.ndarray],
     cfg: EvalConfig,
 ) -> tuple[float, float, list[tuple[float, float, float]]]:
-    """detection_pr of row blocks: (frame indices, rows) for the ground truth and for the predictions.
+    """detection_pr of row blocks: the ground truth's TrackColumns and the predictions' (frame indices, rows).
 
     A block's rows hold BOX_FIELDS values, then the score (read for
     predictions only); rows pair up by frame index.  Only the frames
     present are scored, each frame's rows in input order, so memory
-    does not grow with the largest frame index.
+    does not grow with the largest frame index.  The truth's side is
+    built once per read-only gt block and kept with it, as clear_mot_rows
+    keeps it: the cells of a sweep over one gt file build it once.
     """
-    e = _edges(_side(*gt), _side(*pred), cfg)
-    return _pr_sweep(pred[1][e.p_order, 7], e.ig, e.ip, len(gt[0]), cfg.recall_points)
+    e = _edges(gt.kept(_block_side), _side(*pred), cfg)
+    return _pr_sweep(pred[1][e.p_order, 7], e.ig, e.ip, len(gt), cfg.recall_points)
 
 
 def detection_pr(
@@ -288,7 +295,8 @@ def detection_pr(
     precision at recall levels i/recall_points, i = 1..recall_points.
     The boxes are scored as row blocks (see detection_pr_rows).
     """
-    return detection_pr_rows(_boxes_block(gt_frames), _boxes_block(pred_frames), cfg)
+    pred = _boxes_block(pred_frames)
+    return detection_pr_rows(_boxes_block(gt_frames), (pred.frame, pred.rows), cfg)
 
 
 def clear_mot(
@@ -316,7 +324,7 @@ class _Truth(NamedTuple):
 
 
 def _truth(gt: TrackColumns) -> _Truth:
-    side = _side(gt.frame, gt.rows)
+    side = gt.kept(_block_side)
     ids = gt.track_id[side.order].tolist()
     return _Truth(side, ids, *_codes(ids))
 

@@ -299,6 +299,28 @@ class TestSweep:
         assert sweep(sigmas)[2:] == alone
         assert len(built) == 1 + len(sigmas)
 
+    def test_nms_sweep_builds_one_truth_table(self, tmp_path, monkeypatch):
+        """The cells share the ground truth's side: one truth table and one per cell, each row as its own sweep's."""
+        from uatrack import metrics
+
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "4", "--n-frames", "25",
+                    "--fp-rate", "0.5", "--fn-rate", "0.1", "--seed", "6"]) == 0
+        k_s = ["0.5", "1", "2"]
+
+        def sweep(values):
+            out = tmp_path / "rows.csv"
+            assert run(["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
+                        "--param", "scoring.k_s=" + ",".join(values), "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        alone = [sweep([v])[2] for v in k_s]
+        built = []
+        table = metrics._table
+        monkeypatch.setattr(metrics, "_table", lambda fields: built.append(len(fields)) or table(fields))
+        assert sweep(k_s)[2:] == alone
+        assert len(built) == 1 + len(k_s)
+
     def test_nms_sweep(self, tmp_path):
         gt = tmp_path / "gt.csv"
         dets = tmp_path / "dets.csv"

@@ -8,12 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import frozen_io
+from uatrack import io
 from uatrack.boxes import Box3D, BoxVariance, TrackColumns
 from uatrack.cli import main
 from uatrack.experiments import SCENARIO
 from uatrack.geometry import _box_table, _table
 from uatrack.io import (
+    DET_COLUMNS,
     DET_COLUMNS_VAR,
     MAX_FRAME_INDEX,
     TRACK_COLUMNS,
@@ -524,3 +528,129 @@ class TestColumnReadersFeedTheKernel:
             assert all(type(i) is int for i in columns.track_id.tolist())
             assert columns.track_id.tolist() == [i for _, i, _ in rows]
             assert columns.class_id.tolist() == [b.class_id for b in boxes]
+
+
+class TestFrameIndexBeyondFloats:
+    """A frame index beyond the float range is out of range, as every other one is."""
+
+    @pytest.mark.parametrize("sign, message", [("", "frame index {} above the maximum"),
+                                               ("-", "negative frame index {}")])
+    @pytest.mark.parametrize("columns, row", [(DET_COLUMNS_VAR, VAR_ROW), (TRACK_COLUMNS, TRACK_ROW)])
+    def test_named_as_out_of_range(self, tmp_path, sign, message, columns, row):
+        frame = sign + "1" * 400
+        path = tmp_path / "table.csv"
+        _write_rows(path, ",".join(columns), [row, frame + row[1:]])
+        reader = read_track_columns if columns == TRACK_COLUMNS else read_detection_columns
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}:4: " + message.format(frame) + ("" if sign else f" {MAX_FRAME_INDEX}")
+
+    def test_too_many_digits_for_int_keeps_its_message(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        _write_rows(path, ",".join(DET_COLUMNS_VAR), ["1" * 5000 + VAR_ROW[1:]])
+        with pytest.raises(FormatError, match="dets.csv:3: Exceeds the limit"):
+            read_detection_columns(path)
+
+
+# Field texts the two readers must agree on: int() and float() take some
+# that numpy's tokenizer refuses (underscores, non-ASCII digits, ids beyond
+# int64), numpy strips U+001F as whitespace where they do not, and a `#` or
+# `"` is text like any other.
+_EDGE_NUMBERS = [" 1", "1\t", "\xa01\xa0", "1\u3000", "\x1f1", "1_0", "\u0661", "1\u0662", "#", '"1"', "1e400",
+                 "-1e400", "nan", "-nan", "-0", "+3", "3.0", "1e3", ".5", "007", "inf", "-inf", "", " ", "abc",
+                 "99999999999999999999", "-99999999999999999999", "9223372036854775807", "1" * 400, "0x10"]
+# the frozen readers name a frame index beyond the float range by its float conversion's error
+_EDGE_FRAMES = [text for text in _EDGE_NUMBERS if len(text) < 400]
+_EDGE_NAMES = ["Car", " Car ", "#Car", 'a"b', "Fu\xdfg\xe4nger", "", "a\x1fb", "\xa0", "a b", "x#y"]
+
+
+def _valid_text(name):
+    """A strategy for a text that both readers take for column `name`."""
+    if name == "frame":
+        return st.sampled_from(["0", "1", "2", str(MAX_FRAME_INDEX)])
+    if name == "id":
+        return st.integers(0, 10**6).map(str)
+    if name == "class":
+        return st.sampled_from(_EDGE_NAMES)
+    if name in ("w", "l", "h") or name.startswith("var_"):
+        return st.sampled_from(["1.8", "4.2", "0.1", "2e-3"])
+    return st.sampled_from(["0", "-1.5", "12.25", "0.9", "3.14159265"])
+
+
+@st.composite
+def _table_lines(draw, columns):
+    """A table's data lines: valid rows, up to two fields swapped for edge texts, blank lines, wrong field counts."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", "\xa0"])))
+            continue
+        fields = [draw(_valid_text(name)) for name in columns]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+            at = draw(st.integers(0, len(columns) - 1))
+            if columns[at] != "class":
+                fields[at] = draw(st.sampled_from(_EDGE_FRAMES if columns[at] == "frame" else _EDGE_NUMBERS))
+        if kind == 1:
+            fields = fields[:-1]
+        elif kind == 2:
+            fields.append("0")
+        lines.append(",".join(fields))
+    return lines
+
+
+def _outcome(reader, path):
+    """What a reader gives for the file: its block's arrays as comparable values, or its FormatError's message."""
+    try:
+        block = reader(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    var = getattr(block, "var", None)
+    ids = getattr(block, "track_id", None)
+    return ("block", block.frame.dtype, block.frame.tobytes(), block.rows.tobytes(), block.class_id.tolist(),
+            None if var is None else var.tobytes(),
+            None if ids is None else [(type(i), i) for i in ids.tolist()])
+
+
+class TestReadersAgainstTheFrozenOnes:
+    """The one-parse readers return what the per-field ones did, block for block and error for error."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("differential")
+
+    @pytest.mark.parametrize("columns", [DET_COLUMNS, DET_COLUMNS_VAR, TRACK_COLUMNS],
+                             ids=["detections", "variances", "tracks"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_block_or_same_error(self, directory, columns, data):
+        lines = data.draw(_table_lines(columns))
+        path = directory / "table.csv"
+        path.write_text("\n".join(["# uatrack-v1", ",".join(columns), *lines]) + "\n", encoding="utf-8")
+        if columns == TRACK_COLUMNS:
+            assert _outcome(read_track_columns, path) == _outcome(frozen_io.read_track_columns, path)
+        else:
+            assert _outcome(read_detection_columns, path) == _outcome(frozen_io.read_detection_columns, path)
+
+    @pytest.mark.parametrize("columns, row", [(DET_COLUMNS_VAR, VAR_ROW), (TRACK_COLUMNS, TRACK_ROW)])
+    def test_each_path_gives_blocks_and_errors(self, tmp_path, monkeypatch, columns, row):
+        """numpy parses ASCII files it takes; the per-field path parses the rest, and both name bad rows."""
+        reader = read_track_columns if columns == TRACK_COLUMNS else read_detection_columns
+        per_field = []
+        split = io._columns
+        monkeypatch.setattr(io, "_columns", lambda *args: per_field.append(1) or split(*args))
+        path = tmp_path / "table.csv"
+        # (a column, its text, whether numpy refuses the file, what both readers give)
+        for name, value, refused, outcome in (
+            ("x", "1", False, "block"), ("x", "1e400", False, "error"), ("class", "#Car", False, "block"),
+            ("score", "0.9#", True, "error"), ("x", "1_0", True, "block"), ("x", "\u0661", True, "block"),
+            ("x", "\x1f1", True, "error"),
+        ):
+            fields = row.split(",")
+            fields[columns.index(name)] = value
+            _write_rows(path, ",".join(columns), [",".join(fields)])
+            per_field.clear()
+            got = _outcome(reader, path)
+            assert got == _outcome(getattr(frozen_io, reader.__name__), path)
+            assert got[0] == outcome
+            assert per_field == ([1] if refused else [])

@@ -691,6 +691,13 @@ def row_block(frames, index, rng):
     return np.array([index[f] for f, _ in boxes], dtype=np.int64), rows
 
 
+def truth_block(block):
+    """A (frame indices, rows) block as the TrackColumns that detection_pr_rows takes for the ground truth."""
+    frame, rows = block
+    ids = np.arange(len(frame)).astype(object)
+    return TrackColumns(frame, ids, np.full(len(frame), "Car", dtype=object), rows)
+
+
 def sparse_case(seed):
     """random_tracks' boxes, an empty frame on both sides inserted, at increasing frame indices up to MAX_FRAME_INDEX."""
     gt_tracks, pred_tracks = random_tracks(seed)
@@ -714,7 +721,8 @@ class TestRowBlockOracle:
         assert 0 < len(want[2])
         assert repr(detection_pr(gt, pred, cfg)) == repr(want)
         # frames absent from both blocks score nothing, so sparse indices score as the dense list
-        assert repr(detection_pr_rows(row_block(gt, index, rng), row_block(pred, index, rng), cfg)) == repr(want)
+        got = detection_pr_rows(truth_block(row_block(gt, index, rng)), row_block(pred, index, rng), cfg)
+        assert repr(got) == repr(want)
 
     def test_inputs_exercise_the_edge_frames(self):
         for seed in range(4):
@@ -733,7 +741,7 @@ class TestRowBlockOracle:
         gt, pred, index, rng = sparse_case(1)
         empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 8)))
         for g, p in ((empty, row_block(pred, index, rng)), (row_block(gt, index, rng), empty), (empty, empty)):
-            assert detection_pr_rows(g, p, cfg) == (0.0, 0.0, [])
+            assert detection_pr_rows(truth_block(g), p, cfg) == (0.0, 0.0, [])
         assert detection_pr([], [], cfg) == detection_pr(gt, [], cfg) == (0.0, 0.0, [])
 
 
@@ -842,7 +850,7 @@ class TestFrozenSweep:
         rows = row_block(gt, [0, 1], np.random.default_rng(0))
         p_frame, p_rows = row_block(pred, [0, 1], np.random.default_rng(0))
         flip = np.argsort(-p_frame, kind="stable")
-        assert repr(detection_pr_rows(rows, (p_frame[flip], p_rows[flip]), CFG)) == repr(want)
+        assert repr(detection_pr_rows(truth_block(rows), (p_frame[flip], p_rows[flip]), CFG)) == repr(want)
 
     def test_false_positives_only(self):
         # precision and recall are 0 at every threshold: F1 is masked, not 0 / 0
