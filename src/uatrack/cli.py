@@ -39,7 +39,7 @@ from .io import (
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
 from .metrics import TrackingReport, clear_mot_rows, detection_pr_rows
-from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore, rescore_rows
+from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore
 from .sim import generate_scenario
 from .tracker import track_frames
 
@@ -159,37 +159,19 @@ def _cmd_eval_det(args) -> int:
 
 # --- nms -----------------------------------------------------------------
 
-def _rescored(dets: DetectionColumns, cfg: ScoreMapConfig, frames: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Each row's rescored value: one column pass over the file (scoring.rescore).
-
-    Where a row fails, the rows are rescored again row by row, frame by
-    frame in ascending order, so that the error names the first frame
-    that fails.
-    """
-    try:
-        return rescore(dets.rows, dets.var, cfg)
-    except (ArithmeticError, ValueError):
-        pass
-    scores = np.empty(len(dets))
-    for frame, index in frames:
-        try:
-            scores[index] = rescore_rows(dets.rows[index], dets.var[index], cfg)
-        except (ArithmeticError, ValueError) as exc:  # a score <= 0, or an over- or underflow
-            raise FormatError(f"frame {frame}: cannot rescore: {exc}") from exc
-    return scores
-
-
 def _rescore_and_suppress(dets: DetectionColumns, score_cfg: ScoreMapConfig, nms_cfg: NmsConfig) -> DetectionColumns:
     """The rows NMS keeps, rescored, frame by frame in ascending order, each frame in input order."""
     rescoring = score_cfg.strategy is not ScoreStrategy.NONE and len(dets) > 0
     if rescoring and dets.var is None:
         raise FormatError("variance columns are required for uncertainty scoring")
-    frames = dets.by_frame()
     rows = dets.rows.copy()
     if rescoring:
-        rows[:, 7] = _rescored(dets, score_cfg, frames)
+        rows[:, 7], errors = rescore(dets.rows, dets.var, score_cfg)  # one column pass over the file
+        if errors:  # the lowest failing frame, with the error of its first failing row in input order
+            row = min(errors, key=lambda i: (dets.frame[i], i))
+            raise FormatError(f"frame {dets.frame[row]}: cannot rescore: {errors[row]}") from errors[row]
     kept = [np.zeros(0, dtype=np.intp)]
-    for _, index in frames:
+    for _, index in dets.by_frame():
         kept.append(index[np.sort(nms(rows[index], nms_cfg))])
     return replace(dets, rows=rows).take(np.concatenate(kept))
 

@@ -5,15 +5,15 @@ derived from aggregated log-variances, so that among near-duplicate
 proposals the better-localized (lower-uncertainty) one survives NMS.
 All mappings operate in log space to avoid under/overflow.
 
-score_detection states the pipeline for one detection.  rescore runs it
-over a row block as one column pass in two steps: self_logvars, the
-config-free self-anchored log-variances, then rescore_logvars, their
-mapping under a ScoreMapConfig.  Both keep every operation of the
-scalar path in its order: + - * / as numpy column operations, each
-transcendental (hypot, pow, log, exp, log1p) as its math function, one
-map per column, so every value is the scalar path's bit for bit.  Where
-a row's value fails, the pass hands the block to rescore_rows, the
-scalar path row by row, which raises that row's error.
+rescore states the pipeline once, as one column pass over a row block
+in two steps: self_logvars, the config-free self-anchored
+log-variances, then rescore_logvars, their mapping under a
+ScoreMapConfig.  + - * / run as numpy column operations in the
+formula's order, each transcendental (hypot, pow, log, exp, log1p) as its math
+function, one map per column.  A row whose value fails reports its own
+error, the first its steps raise, and the other rows are computed on.
+score_detection, combined_score, map_uncertainty_to_logscore and
+aggregate_logvar are one-row calls of the same column functions.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from itertools import repeat
-from operator import add
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -85,85 +83,40 @@ class NmsConfig:
             raise ValueError("pre_top_k must be >= 1")
 
 
-def _aggregate(logvars: Sequence[float], mode: AggregateMode) -> float:
-    # the sum adds from 0.0, left to right, as sum() does up to Python 3.11 (3.12's compensates) and as
-    # rescore_logvars adds columns
-    return max(logvars) if mode is AggregateMode.MAX else reduce(add, logvars, 0.0)
-
-
-def aggregate_logvar(s: EncodedLogVar, mode: AggregateMode) -> float:
-    """Collapse the seven per-parameter log-variances to one scalar."""
-    return _aggregate(s.as_tuple(), mode)
-
-
-def _log_sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return -math.log1p(math.exp(-x))
-    return x - math.log1p(math.exp(x))
-
-
-def map_uncertainty_to_logscore(g_s: float, cfg: ScoreMapConfig) -> float:
-    """log(beta_s) from the aggregated log-variance g_s.
-
-    Monotone non-increasing in g_s for every strategy, so boxes with more
-    uncertainty never gain score.
-    """
-    if cfg.strategy is ScoreStrategy.NONE:
-        return 0.0
-    if cfg.strategy is ScoreStrategy.LINEAR:
-        return max(-cfg.k_s * g_s + cfg.b_s, 0.0)
-    if cfg.strategy is ScoreStrategy.EXPONENTIAL:
-        x = cfg.k_s * g_s + cfg.b_s
-        return -math.exp(x) if x <= _LOG_FLOAT_MAX else -math.inf  # past exp's range, beta_s is 0 in the limit
-    return _log_sigmoid(-cfg.k_s * g_s + cfg.b_s)
-
-
-def combined_score(detection_score: float, log_beta_s: float, alpha: float = 1.0) -> float:
-    """beta = (beta_d * beta_s)^alpha, evaluated through logs; ValueError where it is beyond float range."""
-    if not detection_score > 0.0:
-        raise ValueError("detection_score must be > 0")
-    log_beta = alpha * (math.log(detection_score) + log_beta_s)
-    if log_beta > _LOG_FLOAT_MAX:
-        raise ValueError(f"rescored value exp({log_beta}) is beyond float range")
-    return math.exp(log_beta)
-
-
-def _score(detection_score: float, logvars: Sequence[float], cfg: ScoreMapConfig) -> float:
-    g = _aggregate(logvars, cfg.aggregate)
-    return combined_score(detection_score, map_uncertainty_to_logscore(g, cfg), cfg.alpha)
-
-
-def score_detection(detection_score: float, s: EncodedLogVar, cfg: ScoreMapConfig) -> float:
-    """Full pipeline: aggregate, map and combine into the rescored value."""
-    return _score(detection_score, s.as_tuple(), cfg)
-
-
-def rescore_rows(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
-    """Each row's rescored value, without building a box: score_detection(score,
-    encode_variance(var, self_anchor(box), box), cfg).
-
-    rows is an (n, 8) block (BOX_FIELDS values, then score) and var the
-    rows' (n, 7) variances.  The self-anchored encoding is the one step
-    stated here again: with the anchor at the box, x and y scale by the
-    squared BEV diagonal and each extent by its own square.  Its
-    operations are Python's, value by value in encode_variance's order,
-    so every value, and the first row's error where one fails, is that
-    of the object path bit for bit.  rescore computes the same values
-    for a whole block at once; this is its reference and error path.
-    """
-    def one(row, v):
-        _, _, _, w, l, h, _, score = row
-        d2 = math.hypot(l, w) ** 2
-        return _score(score, (math.log(v[0] / d2), math.log(v[1] / d2), math.log(v[2] / h**2),
-                              math.log(v[3] / w**2), math.log(v[4] / l**2), math.log(v[5] / h**2),
-                              math.log(v[6])), cfg)
-
-    return np.fromiter(map(one, rows.tolist(), var.tolist()), float, len(rows))
-
-
 def _mapped(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
     """fn of each value (of each tuple of values, one from each column), by one map over Python floats."""
     return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def _fail(errors: dict[int, Exception], rows: np.ndarray, error: Exception) -> None:
+    """Record error for each row that rows marks and that holds no error yet: a row's first failing step names it."""
+    for i in np.flatnonzero(rows).tolist():
+        errors.setdefault(i, error)
+
+
+def _one(result: tuple[np.ndarray, dict[int, Exception]]) -> float:
+    """A one-row pass's value, or its error raised."""
+    values, errors = result
+    if errors:
+        raise errors[0]
+    return values.item()
+
+
+def _squares(x: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """x ** 2 of each value by one math.pow map, and the error of each value whose square overflows: where the
+    map raises, the column alone is squared again by ** (whose error, not pow's, a row reports), overflows as inf."""
+    values = x.tolist()
+    try:
+        return np.fromiter(map(math.pow, values, repeat(2.0)), float, len(values)), {}
+    except OverflowError:
+        pass
+    squares, errors = np.empty(len(values)), {}
+    for i, v in enumerate(values):
+        try:
+            squares[i] = v ** 2
+        except OverflowError as exc:
+            squares[i], errors[i] = math.inf, exc
+    return squares, errors
 
 
 # self_logvars divides variance k by row _DIVISOR[k] of (diagonal², w², l², h², 1.0): the self-anchored
@@ -172,91 +125,127 @@ def _mapped(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
 _DIVISOR = [0, 0, 3, 1, 2, 3, 4]
 
 
-def self_logvars(rows: np.ndarray, var: np.ndarray) -> np.ndarray | None:
+def self_logvars(rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """The self-anchored encoded log-variances of a row block, row k of the (7, n) result holding
-    EncodedLogVar field k; None where a row's fails.
+    EncodedLogVar field k, and the error of each row whose encoding fails.
 
-    rows and var are as in rescore_rows, whose log-variances these are
-    bit for bit: math.hypot, math.pow(., 2.0) (which is x ** 2, not
-    always x * x) and math.log, each mapped over a column, and numpy
-    divisions.  None where a map raises or a square underflows to 0,
-    the rows whose division or log raises in rescore_rows.
+    rows and var are as in rescore.  The values are encode_variance(var, self_anchor(box), box)'s
+    bit for bit: math.hypot, math.pow(., 2.0) and math.log mapped over columns, and numpy divisions.
+    A row's error is the first the encoding raises: its squared diagonal overflows; then, field by
+    field, a square first taken there overflows, a divisor is 0 or a quotient is <= 0.
     """
     n = len(rows)
     w, l, h = rows[:, 3], rows[:, 4], rows[:, 5]
-    try:
-        divisors = np.ones((5, n))
-        for k, base in enumerate((_mapped(math.hypot, l, w), w, l, h)):
-            divisors[k] = np.fromiter(map(math.pow, base.tolist(), repeat(2.0)), float, n)
-        if not divisors.all():
-            return None
-        with np.errstate(all="ignore"):  # a quotient may overflow to inf, as Python's does, silently
-            quotients = var.T / divisors[_DIVISOR]
-        logvars = np.empty((7, n))
-        for k, q in enumerate(quotients):  # one map per log-variance: n Python floats alive at a time, not 7n
-            logvars[k] = _mapped(math.log, q)
-        return logvars
-    except (ArithmeticError, ValueError):
-        return None
+    squares = [_squares(base) for base in (_mapped(math.hypot, l, w), w, l, h)]
+    divisors = np.vstack([square for square, _ in squares] + [np.ones(n)])
+    with np.errstate(all="ignore"):  # a quotient may overflow to inf, as Python's does, silently
+        quotients = var.T / divisors[_DIVISOR]
+    logvars, errors = np.empty((7, n)), {}
+    for k, q in enumerate(quotients):  # one map per log-variance: n Python floats alive at a time, not 7n
+        d = _DIVISOR[k]
+        if d < 4:  # a square's overflow is recorded where it is first taken; setdefault skips the repeats
+            for i, exc in squares[d][1].items():
+                errors.setdefault(i, exc)
+            _fail(errors, divisors[d] == 0.0, ZeroDivisionError("float division by zero"))
+        undefined = q <= 0.0
+        _fail(errors, undefined, ValueError("math domain error"))
+        logvars[k] = _mapped(math.log, np.where(undefined, 1.0, q))
+    return logvars, errors
+
+
+def _aggregated(logvars: np.ndarray, mode: AggregateMode) -> np.ndarray:
+    """Each column of seven log-variances collapsed to one: the max keeps the first of equal values, and
+    passes over a NaN after the first, as max() does; the sum adds from 0.0, left to right, uncompensated
+    on every Python version."""
+    if mode is AggregateMode.MAX:
+        g = logvars[0]
+        for s in logvars[1:]:
+            g = np.where(s > g, s, g)
+        return g
+    g = np.zeros(logvars.shape[1])
+    with np.errstate(all="ignore"):  # float arithmetic over- and underflows silently, as Python's does
+        for s in logvars:
+            g = g + s
+    return g
 
 
 def _log_scores(g: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
-    """map_uncertainty_to_logscore of each aggregated log-variance in g."""
+    """log(beta_s) of each aggregated log-variance in g."""
     if cfg.strategy is ScoreStrategy.NONE:
         return np.zeros(len(g))
-    if cfg.strategy is ScoreStrategy.EXPONENTIAL:
-        x = cfg.k_s * g + cfg.b_s
-        out = np.full(len(g), -math.inf)
-        fits = x <= _LOG_FLOAT_MAX
-        out[fits] = -_mapped(math.exp, x[fits])
-        return out
-    x = -cfg.k_s * g + cfg.b_s
+    with np.errstate(all="ignore"):
+        if cfg.strategy is ScoreStrategy.EXPONENTIAL:
+            x = cfg.k_s * g + cfg.b_s
+            out = np.full(len(g), -math.inf)  # past exp's range, beta_s is 0 in the limit
+            fits = x <= _LOG_FLOAT_MAX
+            out[fits] = -_mapped(math.exp, x[fits])
+            return out
+        x = -cfg.k_s * g + cfg.b_s
     if cfg.strategy is ScoreStrategy.LINEAR:
         return np.where(0.0 > x, 0.0, x)  # max(x, 0.0): x unless 0.0 is greater
-    # _log_sigmoid: both branches take exp(-|x|), and -x or x equals -|x| where each is taken
+    # log sigmoid: -log1p(exp(-x)) where x >= 0, else x - log1p(exp(x)); both take exp(-|x|)
     log1p = _mapped(math.log1p, _mapped(math.exp, -np.abs(x)))
     return np.where(x >= 0.0, -log1p, x - log1p)
 
 
-def rescore_logvars(scores: np.ndarray, logvars: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray | None:
-    """Each row's rescored value from its score and self_logvars column; None where a row's fails.
+def _combined(scores: np.ndarray, log_beta_s: np.ndarray, alpha: float) -> tuple[np.ndarray, dict[int, Exception]]:
+    """(beta_d * beta_s)^alpha of each row, evaluated through logs, and the error of each row where it
+    fails: a score not > 0 (NaN included), else a value beyond float range."""
+    errors: dict[int, Exception] = {}
+    positive = scores > 0.0
+    _fail(errors, ~positive, ValueError("detection_score must be > 0"))
+    with np.errstate(all="ignore"):
+        log_beta = alpha * (_mapped(math.log, np.where(positive, scores, 1.0)) + log_beta_s)
+    beyond = log_beta > _LOG_FLOAT_MAX  # math.exp overflows here
+    for i in np.flatnonzero(beyond).tolist():
+        errors.setdefault(i, ValueError(f"rescored value exp({log_beta[i].item()}) is beyond float range"))
+    return _mapped(math.exp, np.where(beyond, 0.0, log_beta)), errors
 
-    _score's operations on whole columns: the sum adds from 0.0 left to
-    right, as _aggregate does, and the max keeps the first of equal
-    values, as max() does.  None where a map raises, a score is not > 0
-    or a log of the rescored value exceeds the float range, the rows
-    whose combined_score raises.
+
+def rescore_logvars(scores: np.ndarray, logvars: np.ndarray,
+                    cfg: ScoreMapConfig) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Each row's rescored value from its score and self_logvars column under cfg: aggregate, map and
+    combine; and the error of each row whose value fails, a score not > 0, else one beyond float range."""
+    return _combined(scores, _log_scores(_aggregated(logvars, cfg.aggregate), cfg), cfg.alpha)
+
+
+def rescore(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Each row's rescored value, without building a box: score_detection(score,
+    encode_variance(var, self_anchor(box), box), cfg); and each failing row's error, by row index.
+
+    rows is an (n, 8) block (BOX_FIELDS values, then score) and var the rows' (n, 7) variances.  A
+    row's error is the first its steps raise, its encoding's before its score's; its value is NaN.
     """
-    if not (scores > 0.0).all():
-        return None
-    try:
-        with np.errstate(all="ignore"):  # Python's float arithmetic over- and underflows silently
-            if cfg.aggregate is AggregateMode.MAX:
-                g = logvars[0]
-                for s in logvars[1:]:
-                    g = np.where(s > g, s, g)
-            else:
-                g = np.zeros(len(scores))
-                for s in logvars:
-                    g = g + s
-            log_beta = cfg.alpha * (_mapped(math.log, scores) + _log_scores(g, cfg))
-        if (log_beta > _LOG_FLOAT_MAX).any():
-            return None
-        return _mapped(math.exp, log_beta)
-    except (ArithmeticError, ValueError):
-        return None
+    logvars, errors = self_logvars(rows, var)
+    values, late = rescore_logvars(rows[:, 7], logvars, cfg)
+    errors = late | errors  # a row's encoding fails before its score is read
+    values[list(errors)] = math.nan
+    return values, errors
 
 
-def rescore(rows: np.ndarray, var: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
-    """rescore_rows(rows, var, cfg), bit for bit, as one column pass over the block.
+def aggregate_logvar(s: EncodedLogVar, mode: AggregateMode) -> float:
+    """Collapse the seven per-parameter log-variances to one scalar."""
+    return _aggregated(np.array(s.as_tuple(), dtype=float)[:, None], mode).item()
 
-    self_logvars then rescore_logvars; where either hands over, the
-    block goes to rescore_rows, which raises the first failing row's
-    error.
+
+def map_uncertainty_to_logscore(g_s: float, cfg: ScoreMapConfig) -> float:
+    """log(beta_s) from the aggregated log-variance g_s.
+
+    Monotone non-increasing in g_s for every strategy, so boxes with more
+    uncertainty never gain score.
     """
-    logvars = self_logvars(rows, var)
-    out = None if logvars is None else rescore_logvars(rows[:, 7], logvars, cfg)
-    return rescore_rows(rows, var, cfg) if out is None else out
+    return _log_scores(np.array([g_s], dtype=float), cfg).item()
+
+
+def combined_score(detection_score: float, log_beta_s: float, alpha: float = 1.0) -> float:
+    """beta = (beta_d * beta_s)^alpha, evaluated through logs; ValueError where it is beyond float range."""
+    return _one(_combined(np.array([detection_score], dtype=float), np.array([log_beta_s], dtype=float), alpha))
+
+
+def score_detection(detection_score: float, s: EncodedLogVar, cfg: ScoreMapConfig) -> float:
+    """Full pipeline: aggregate, map and combine into the rescored value."""
+    return _one(rescore_logvars(np.array([detection_score], dtype=float),
+                                np.array(s.as_tuple(), dtype=float)[:, None], cfg))
 
 
 def nms(rows: np.ndarray, cfg: NmsConfig) -> np.ndarray:

@@ -196,6 +196,18 @@ class TestNmsCommand:
         assert run(["nms", "--dets", str(path), "--out", str(tmp_path / "kept.csv"), "--strategy", "linear"]) == 2
         assert "error: frame 2: cannot rescore: detection_score must be > 0" in capsys.readouterr().err
 
+        # frame 1 holds two failing rows, neither first in the file: a score of 0, then h = 1e-200, whose square
+        # underflows; the first of them in input order names the error, though an encoding fails before a score
+        gt = tmp_path / "gt.csv"
+        write_detections(path, [DetectionRecord(f, Box3D(0, 0, 0, 1.6, 3.9, h, 0, score=s), BoxVariance(*[0.1] * 7))
+                                for f, h, s in [(3, 1e-200, 0.5), (1, 1.5, 0.5), (1, 1.5, 0.0), (1, 1e-200, 0.5)]])
+        write_tracks(gt, [(f, 1, Box3D(0, 0, 0, 1.6, 3.9, 1.5, 0)) for f in range(4)])
+        for argv in (["nms", "--dets", str(path), "--out", str(tmp_path / "kept.csv"), "--strategy", "linear"],
+                     ["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(path),
+                      "--param", "scoring.strategy=none,linear", "--out", str(tmp_path / "rows.csv")]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == "error: frame 1: cannot rescore: detection_score must be > 0\n"
+
     def test_rescoring_arithmetic_error_exits_2_naming_the_frame(self, tmp_path, capsys):
         # h squared underflows to 0 in the self-anchored encoding
         from uatrack.boxes import Box3D, BoxVariance
@@ -361,7 +373,7 @@ class TestSweep:
             assert cell == ",".join([strategy, "0.05", rep.read_text().splitlines()[2]])
 
     def test_nms_sweep_takes_the_column_pass(self, tmp_path, monkeypatch):
-        """Every strategy x aggregate cell rescores valid rows in one column pass, to the same bytes."""
+        """Every strategy x aggregate cell rescores valid rows in one column pass, no row failing, to the same bytes."""
         from uatrack import cli
 
         gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
@@ -372,12 +384,16 @@ class TestSweep:
                 "--param", "scoring.aggregate=sum,max", "--out"]
         assert run(argv + [str(tmp_path / "rows.csv")]) == 0
 
-        def per_row(*args):
-            raise AssertionError("the per-row path ran on valid rows")
+        failures = []
 
-        monkeypatch.setattr(cli, "rescore_rows", per_row)
-        monkeypatch.setattr(scoring, "rescore_rows", per_row)
+        def checked(rows, var, cfg):
+            values, errors = scoring.rescore(rows, var, cfg)
+            failures.append(errors)
+            return values, errors
+
+        monkeypatch.setattr(cli, "rescore", checked)
         assert run(argv + [str(tmp_path / "fast.csv")]) == 0
+        assert failures == [{}] * 6  # every cell but the two of strategy none rescores, and no row fails
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_unknown_param_rejected(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frozen_geometry as frozen
-from uatrack import scoring
+import frozen_scoring
 from uatrack.boxes import Box3D, BoxVariance, EncodedLogVar, box_values, encode_variance, self_anchor
 from uatrack.io import read_detection_columns, write_detections
 from uatrack.scoring import (
@@ -32,20 +32,24 @@ from uatrack.sim import ScenarioConfig, generate_scenario
 class TestAggregate:
     def test_uniform(self):
         s = EncodedLogVar(*([-2.0] * 7))
-        assert aggregate_logvar(s, AggregateMode.MAX) == -2.0
+        assert aggregate_logvar(s, AggregateMode.MAX) == frozen_scoring.aggregate_logvar(s, AggregateMode.MAX) == -2.0
+        assert aggregate_logvar(s, AggregateMode.SUM) == frozen_scoring.aggregate_logvar(s, AggregateMode.SUM)
         assert aggregate_logvar(s, AggregateMode.SUM) == pytest.approx(-14.0)
 
     def test_max_picks_largest(self):
         s = EncodedLogVar(0, 1, 2, 0, 0, 0, 0)
-        assert aggregate_logvar(s, AggregateMode.MAX) == 2.0
+        assert aggregate_logvar(s, AggregateMode.MAX) == frozen_scoring.aggregate_logvar(s, AggregateMode.MAX) == 2.0
 
     def test_sum_adds_left_to_right_uncompensated(self):
         # on every Python version: 1e16 + 1.0 rounds back to 1e16, where a compensated sum (3.12's sum()) gives 1.0
         s = EncodedLogVar(1e16, 1.0, -1e16, 0, 0, 0, 0)
         assert aggregate_logvar(s, AggregateMode.SUM) == 0.0
+        assert frozen_scoring.aggregate_logvar(s, AggregateMode.SUM) == 0.0
         cfg = ScoreMapConfig(strategy=ScoreStrategy.LINEAR, aggregate=AggregateMode.SUM, k_s=1.0, b_s=1.0)
         logvars = np.array(s.as_tuple(), dtype=float).reshape(7, 1)
-        assert rescore_logvars(np.array([0.5]), logvars, cfg).tolist() == [score_detection(0.5, s, cfg)]
+        values, errors = rescore_logvars(np.array([0.5]), logvars, cfg)
+        assert errors == {}
+        assert values.tolist() == [frozen_scoring.score_detection(0.5, s, cfg)]
 
 
 class TestMapping:
@@ -269,12 +273,22 @@ class TestNmsOracle:
 # --- row rescoring against the per-box pipeline -------------------------------
 
 def reference_rescore(rows, var, cfg):
-    """score_detection of each row through Box3D, BoxVariance and the self anchor."""
+    """The frozen score_detection of each row through Box3D, BoxVariance and the self anchor; the first failing
+    row's error raised."""
     out = []
     for row, v in zip(rows.tolist(), var.tolist()):
         box = Box3D(*row[:7], score=row[7])
-        out.append(score_detection(box.score, encode_variance(BoxVariance(*v), self_anchor(box), box), cfg))
+        out.append(frozen_scoring.score_detection(box.score, encode_variance(BoxVariance(*v), self_anchor(box), box),
+                                                  cfg))
     return out
+
+
+def rescored(rows, var, cfg):
+    """rescore's values, or the first failing row's error raised, as reference_rescore raises it."""
+    values, errors = rescore(rows, var, cfg)
+    if errors:
+        raise errors[min(errors)]
+    return values
 
 
 def outcome(fn, *args):
@@ -298,7 +312,7 @@ class TestRescoreOracle:
         write_detections(path, [d for frame in scenario.detections for d in frame])
         dets = read_detection_columns(path)
         assert len(dets) > 100
-        got = outcome(rescore, dets.rows, dets.var, cfg)
+        got = outcome(rescored, dets.rows, dets.var, cfg)
         assert isinstance(got, list)
         assert got == outcome(reference_rescore, dets.rows, dets.var, cfg)
 
@@ -316,18 +330,19 @@ class TestRescoreOracle:
         cfg = replace(base, k_s=k_s, b_s=b_s, alpha=alpha)
         block = np.array([(0.0, 0.0, 0.0, w, l, h, 0.0, score) for w, l, h, score, _ in rows])
         var = np.array([v for *_, v in rows])
-        assert outcome(rescore, block, var, cfg) == outcome(reference_rescore, block, var, cfg)
+        assert outcome(rescored, block, var, cfg) == outcome(reference_rescore, block, var, cfg)
 
     def test_overflow_cases(self):
         rows = np.array([[0.0, 0.0, 0.0, 1.6, 3.9, 1.5, 0.0, 0.5]])
         var = np.full((1, 7), 0.1)
         # the exponential mapping overflows: beta_s is 0, and so is the rescored value
         cfg = ScoreMapConfig(strategy=ScoreStrategy.EXPONENTIAL, b_s=1000.0)
-        assert rescore(rows, var, cfg).tolist() == reference_rescore(rows, var, cfg) == [0.0]
+        assert rescored(rows, var, cfg).tolist() == reference_rescore(rows, var, cfg) == [0.0]
         cfg = ScoreMapConfig(strategy=ScoreStrategy.LINEAR, b_s=1000.0)
-        assert outcome(rescore, rows, var, cfg) == outcome(reference_rescore, rows, var, cfg)
-        with pytest.raises(ValueError, match="beyond float range"):
-            rescore(rows, var, cfg)
+        assert outcome(rescored, rows, var, cfg) == outcome(reference_rescore, rows, var, cfg)
+        values, errors = rescore(rows, var, cfg)
+        assert list(errors) == [0] and "beyond float range" in str(errors[0])
+        assert math.isnan(values[0])
 
     @pytest.mark.parametrize("w, h, var_x, error", [
         (1e200, 1.5, 0.1, "OverflowError"),  # the squared diagonal overflows
@@ -338,7 +353,7 @@ class TestRescoreOracle:
         rows = np.array([[0.0, 0.0, 0.0, w, 3.9, h, 0.0, 0.5]])
         var = np.array([[var_x] + [0.1] * 6])
         cfg = ScoreMapConfig(strategy=ScoreStrategy.EXPONENTIAL)
-        got = outcome(rescore, rows, var, cfg)
+        got = outcome(rescored, rows, var, cfg)
         assert got[0] == error
         assert got == outcome(reference_rescore, rows, var, cfg)
 
@@ -365,18 +380,15 @@ def _bit_traps(seed=0, n=50000, keep=300):
 
 
 class TestColumnPass:
-    """rescore's column pass: taken where every row is valid, and bit for bit the per-row path's values."""
+    """rescore's column pass: no failure on valid rows, and bit for bit the frozen per-row path's values."""
 
     @pytest.mark.parametrize("cfg", SCORE_CONFIGS, ids=lambda c: f"{c.strategy.value}-{c.aggregate.value}")
-    def test_valid_rows_never_reach_the_per_row_path(self, tmp_path, monkeypatch, cfg):
+    def test_valid_rows_never_reach_the_per_row_path(self, tmp_path, cfg):
         dets = _simulated_block(tmp_path)
         expected = outcome(reference_rescore, dets.rows, dets.var, cfg)
-
-        def per_row(*args):
-            raise AssertionError("the column pass handed valid rows to the per-row path")
-
-        monkeypatch.setattr(scoring, "rescore_rows", per_row)
-        assert outcome(rescore, dets.rows, dets.var, cfg) == expected
+        values, errors = rescore(dets.rows, dets.var, cfg)
+        assert errors == {}
+        assert [v.hex() for v in values.tolist()] == expected
 
     def test_bit_traps(self):
         """Squares whose pow differs from x * x, logs whose math value differs from numpy's, tied log-variances."""
@@ -394,7 +406,7 @@ class TestColumnPass:
         tied_var = np.array([[8.0, 8.0, 4.0, 4.0, 4.0, 4.0, 1.0], [4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 1.0]])
         block, var = np.vstack([block, tied]), np.vstack([var, tied_var])
         for cfg in SCORE_CONFIGS + [replace(c, k_s=0.3, b_s=-0.0, alpha=0.7) for c in SCORE_CONFIGS]:
-            got = outcome(rescore, block, var, cfg)
+            got = outcome(rescored, block, var, cfg)
             assert isinstance(got, list)
             assert got == outcome(reference_rescore, block, var, cfg)
 
@@ -414,6 +426,132 @@ class TestColumnPass:
             [-0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 0.0],
         ])
         scores = np.array([1.0, 0.5, 1.0, 0.25, 1.0, 0.75, 0.5])
-        got = rescore_logvars(scores, logvars, cfg)
-        expected = [score_detection(s, EncodedLogVar(*col), cfg) for s, col in zip(scores.tolist(), logvars.T.tolist())]
+        got, errors = rescore_logvars(scores, logvars, cfg)
+        assert errors == {}
+        expected = [frozen_scoring.score_detection(s, EncodedLogVar(*col), cfg)
+                    for s, col in zip(scores.tolist(), logvars.T.tolist())]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+
+# --- each row's value or error against the frozen per-row path ----------------
+
+def row_outcomes(rows, var, cfg):
+    """Each row's rescore outcome: its value's bits, or its error's type and message."""
+    values, errors = rescore(rows, var, cfg)
+    return [(type(errors[i]).__name__, str(errors[i])) if i in errors else [v.hex()]
+            for i, v in enumerate(values.tolist())]
+
+
+def frozen_row_outcomes(rows, var, cfg):
+    """Each row's outcome through the frozen per-row path, one row at a time."""
+    return [outcome(frozen_scoring.rescore_rows, rows[i:i + 1], var[i:i + 1], cfg) for i in range(len(rows))]
+
+
+OVERFLOW = ("OverflowError", "(34, 'Numerical result out of range')")
+ZERO_DIVISOR = ("ZeroDivisionError", "float division by zero")
+DOMAIN = ("ValueError", "math domain error")
+SCORE = ("ValueError", "detection_score must be > 0")
+BEYOND = "beyond float range"  # under linear alone, the one mapping whose log(beta_s) is > 0 here
+TINY, HUGE, TOP = 5e-324, 1e200, 1.7e308
+
+# (w, l, h, score, variances, the error every config gives, None for a value): one row for each failure, in the
+# order the per-row path raises them, and the traps where a row could fail two ways
+TRAP_ROWS = [
+    (1.6, 3.9, 1.5, 0.5, [0.1] * 7, None),
+    (HUGE, 3.9, 1.5, 0.5, [0.1] * 7, OVERFLOW),  # the squared diagonal overflows
+    (TOP, TOP, 1.5, 0.5, [0.1] * 7, DOMAIN),  # hypot overflows to inf, so var_x / inf is 0
+    (0.0, 0.0, 1.5, 0.5, [0.1] * 7, ZERO_DIVISOR),  # the diagonal is 0
+    (1.6, 3.9, 1.5, 0.5, [TINY] + [0.1] * 6, DOMAIN),  # var_x / d2 underflows to 0
+    (1.6, 3.9, HUGE, 0.5, [TINY] + [0.1] * 6, DOMAIN),  # ... before h squared overflows
+    (1.6, 3.9, HUGE, 0.5, [0.1] * 7, OVERFLOW),  # h squared overflows
+    (1.6, 3.9, 1e-200, 0.5, [0.1] * 7, ZERO_DIVISOR),  # h squared underflows to 0
+    (1.6, 3.9, 1e-200, 0.5, [0.1, -0.1] + [0.1] * 5, DOMAIN),  # var_y <= 0 before h squared is taken
+    (1e-200, 3.9, 1.5, 0.5, [0.1] * 7, ZERO_DIVISOR),  # w squared underflows to 0
+    (1e-200, 3.9, 1.5, 0.5, [0.1, 0.1, 0.0] + [0.1] * 4, DOMAIN),  # var_z is 0 before w squared is taken
+    (1.6, 3.9, 1.5, 0.5, [0.1] * 6 + [0.0], DOMAIN),  # the yaw's variance is 0
+    (1.6, 3.9, 1.5, 0.0, [0.1] * 7, SCORE),
+    (1.6, 3.9, 1.5, math.nan, [0.1] * 7, SCORE),
+    (1.6, 3.9, 1.5, -0.5, [0.1] * 6 + [-1.0], DOMAIN),  # a score <= 0 in a row whose encoding fails
+    (1.6, 3.9, 1e-200, 0.0, [0.1] * 7, ZERO_DIVISOR),
+    (1.6, 3.9, 1.5, TOP, [1e-300] * 7, BEYOND),  # log(TOP) + log(beta_s) is past log(DBL_MAX) where log(beta_s) > 0
+    (1.6, 3.9, 1.5, 0.5, [math.nan] + [0.1] * 6, None),  # a NaN log-variance fails nowhere
+]
+
+
+def _block(trap_rows):
+    rows = np.array([(0.0, 0.0, 0.0, w, l, h, 0.0, score) for w, l, h, score, *_ in trap_rows]).reshape(-1, 8)
+    var = np.array([v for *_, v, _ in trap_rows]).reshape(-1, 7)
+    return rows, var
+
+
+ROW_VALUE = st.one_of(st.floats(0.5, 5.0), st.sampled_from([0.0, TINY, 1e-200, HUGE, TOP]))
+VARIANCE = st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.0, -0.1, TINY, TOP, math.nan]))
+SCORE_VALUE = st.one_of(st.floats(0.05, 1.0), st.sampled_from([0.0, -0.5, math.nan, TINY, TOP, math.inf]))
+RANDOM_ROW = st.tuples(ROW_VALUE, ROW_VALUE, ROW_VALUE, SCORE_VALUE, st.lists(VARIANCE, min_size=7, max_size=7),
+                       st.none())
+
+
+class TestPerRowErrors:
+    """rescore reports each row's value or error: the one the frozen per-row path gives that row alone."""
+
+    @pytest.mark.parametrize("cfg", SCORE_CONFIGS + [replace(c, k_s=0.3, b_s=1000.0, alpha=0.7) for c in SCORE_CONFIGS],
+                             ids=lambda c: f"{c.strategy.value}-{c.aggregate.value}-{c.b_s}")
+    def test_each_failure_in_one_block(self, cfg):
+        rows, var = _block(TRAP_ROWS)
+        got = row_outcomes(rows, var, cfg)
+        assert got == frozen_row_outcomes(rows, var, cfg)
+        for (*_, error), row in zip(TRAP_ROWS, got):
+            if error is BEYOND:
+                assert (isinstance(row, tuple) and BEYOND in row[1]) == (cfg.strategy is ScoreStrategy.LINEAR)
+            else:
+                assert row == error if error else isinstance(row, list)
+
+    @given(st.lists(st.one_of(st.sampled_from(TRAP_ROWS), RANDOM_ROW), min_size=1, max_size=8),
+           st.floats(1e-4, 10.0), st.floats(-5.0, 1000.0), st.floats(0.1, 100.0))
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_blocks(self, trap_rows, k_s, b_s, alpha):
+        """Valid rows among rows that fail each way, under every strategy x aggregate config."""
+        rows, var = _block(trap_rows)
+        for base in SCORE_CONFIGS:
+            cfg = replace(base, k_s=k_s, b_s=b_s, alpha=alpha)
+            assert row_outcomes(rows, var, cfg) == frozen_row_outcomes(rows, var, cfg)
+
+
+def one_outcome(fn, *args):
+    """The bits of fn(*args), or the type and message of the error it raises."""
+    try:
+        return float(fn(*args)).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+ANY_FLOAT = st.floats()
+ANY_CONFIG = st.builds(ScoreMapConfig, st.sampled_from(list(ScoreStrategy)), st.floats(1e-4, 10.0),
+                       st.floats(-1000.0, 1000.0), st.sampled_from(list(AggregateMode)), st.floats(0.1, 100.0))
+LOGVARS = st.builds(EncodedLogVar, *[st.one_of(ANY_FLOAT, st.sampled_from([0.0, -0.0]))] * 7)
+
+
+class TestOneRowCalls:
+    """The public one-row calls against their frozen twins: equal bits, or the same error."""
+
+    @given(LOGVARS, st.sampled_from(list(AggregateMode)))
+    @settings(max_examples=300, deadline=None)
+    def test_aggregate_logvar(self, s, mode):
+        assert one_outcome(aggregate_logvar, s, mode) == one_outcome(frozen_scoring.aggregate_logvar, s, mode)
+
+    @given(ANY_FLOAT, ANY_CONFIG)
+    @settings(max_examples=300, deadline=None)
+    def test_map_uncertainty_to_logscore(self, g, cfg):
+        assert (one_outcome(map_uncertainty_to_logscore, g, cfg)
+                == one_outcome(frozen_scoring.map_uncertainty_to_logscore, g, cfg))
+
+    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    @settings(max_examples=300, deadline=None)
+    def test_combined_score(self, score, log_beta_s, alpha):
+        assert (one_outcome(combined_score, score, log_beta_s, alpha)
+                == one_outcome(frozen_scoring.combined_score, score, log_beta_s, alpha))
+
+    @given(ANY_FLOAT, LOGVARS, ANY_CONFIG)
+    @settings(max_examples=300, deadline=None)
+    def test_score_detection(self, score, s, cfg):
+        assert one_outcome(score_detection, score, s, cfg) == one_outcome(frozen_scoring.score_detection, score, s, cfg)
