@@ -12,8 +12,9 @@ each built through the checked Box3D and BoxVariance constructors.
 check_rows makes those constructors' checks on a whole block at once,
 and trusted_box builds a Box3D from values that have passed them.
 Tracks travel the same way: TrackColumns holds track rows (ids too) as
-the track reader returns them and CLEAR-MOT scores them, and
-TrackColumns.of converts (id, box) frame lists to it.  A block whose
+the tracker and the track reader return them and CLEAR-MOT and the
+position RMSE score them, and TrackColumns.of converts (id, box) frame
+lists to it.  A block whose
 arrays are all read-only (the simulator's truth, the track reader's
 blocks) never changes, so what is computed from it alone, such as
 CLEAR-MOT's truth side, is computed once and kept with it
@@ -79,7 +80,7 @@ class Box3D:
     score: float = 1.0
 
     def __post_init__(self):
-        t = (*box_values(self), self.score)
+        t = _box_row(self)
         if not all_finite(t):
             raise ValueError(f"box values must be finite, got {t}")
         if not (self.w > 0.0 and self.l > 0.0 and self.h > 0.0):
@@ -275,7 +276,7 @@ class DetectionColumns(Sequence):
         return cls(
             np.fromiter((r.frame for r in records), np.int64, n),
             np.array([r.box.class_id for r in records], dtype=object),
-            np.array([(*box_values(r.box), r.box.score) for r in records], dtype=float).reshape(n, 8),
+            np.array([_box_row(r.box) for r in records], dtype=float).reshape(n, 8),
             np.array([r.variance.as_tuple() for r in records], dtype=float) if n and with_var[0] else None,
         )
 
@@ -341,8 +342,10 @@ class TrackColumns:
         return self._kept[build]
 
     @classmethod
-    def of(cls, frames: Sequence[Sequence[tuple[int, Box3D]]]) -> TrackColumns:
-        """(id, box) frame lists as columns: list position f is frame f.  A TrackFrames view gives its block."""
+    def of(cls, frames: Sequence[Sequence[tuple[int, Box3D]]] | TrackColumns) -> TrackColumns:
+        """(id, box) frame lists as columns: list position f is frame f.  A block, or a TrackFrames view's, as it is."""
+        if isinstance(frames, TrackColumns):
+            return frames
         if isinstance(frames, TrackFrames):
             return frames.block
         ids = [i for frame in frames for i, _ in frame]

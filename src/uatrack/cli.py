@@ -25,6 +25,7 @@ from .experiments import SCENARIO, SIGMA_GRID, TRACKER, compare_adaptive_vs_cons
 from .io import (
     DetectionColumns,
     FormatError,
+    RunConfig,
     TrackColumns,
     config_from_dict,
     detections_to_frames,
@@ -125,12 +126,18 @@ def _cmd_track(args) -> int:
     if getattr(args, "tracker.constant_sigma") is not None and getattr(args, "tracker.use_detection_covariance"):
         raise FormatError("--constant-sigma and --use-variance are mutually exclusive")
     cfg = config_from_dict(_config_dict(args))
-    frames = detections_to_frames(read_detection_columns(args.dets))
-    tracked = track_frames(frames, cfg.tracker, cfg.scenario.dt)
-    rows = [(f, track_id, box) for f, frame in enumerate(tracked) for track_id, box in frame]
-    write_tracks(args.out, rows)
-    print(f"wrote {len(rows)} track rows to {args.out}")
+    tracked = _tracked(args.dets, detections_to_frames(read_detection_columns(args.dets)), cfg)
+    write_tracks(args.out, tracked)
+    print(f"wrote {len(tracked)} track rows to {args.out}")
     return 0
+
+
+def _tracked(path: str, frames: list[DetectionColumns], cfg: RunConfig) -> TrackColumns:
+    """track_frames' block; a frame the tracker refuses raises FormatError naming the file and the frame."""
+    try:
+        return track_frames(frames, cfg.tracker, cfg.scenario.dt)
+    except ValueError as exc:  # a track state the filter cannot keep finite, say
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # --- evaluation ----------------------------------------------------------
@@ -239,8 +246,7 @@ def _cmd_sweep(args) -> int:
         columns = _REPORT_COLUMNS[:6]
 
         def score(cfg):
-            pred = TrackColumns.of(track_frames(frames, cfg.tracker, cfg.scenario.dt))
-            return _report_cells(clear_mot_rows(gt, pred, cfg.eval), columns)
+            return _report_cells(clear_mot_rows(gt, _tracked(args.dets, frames, cfg), cfg.eval), columns)
     else:
         gt, dets = read_track_columns(args.gt), read_detection_columns(args.dets)
         columns = ["ap", "max_f1"]

@@ -24,12 +24,13 @@ boxes.TrackColumns (both re-exported here, both written back by the
 writers), arrays with one entry per row (the form
 `uatrack nms` carries from reader to writer, `uatrack track` feeds the
 tracker one frame block at a time, and `uatrack eval-det` and
-`uatrack eval-track` score as row blocks), or as DetectionRecord rows
-and the (frame, id, box) rows the tracker emits; `frames_of` groups
-(frame, item) pairs by frame.  KITTI object/tracking label files can be
-imported as ground truth.  Run configuration is namespaced JSON with
-strict key checking; its keys and defaults are the fields of the config
-dataclasses, each stored under its own name and in its own form.
+`uatrack eval-track` score as row blocks, and the block `uatrack track`
+writes as tracker.track_frames returns it), or as DetectionRecord rows
+and (frame, id, box) rows; `frames_of` groups (frame, item) pairs by
+frame.  KITTI object/tracking label files can be imported as ground
+truth.  Run configuration is namespaced JSON with strict key checking;
+its keys and defaults are the fields of the config dataclasses, each
+stored under its own name and in its own form.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -58,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boxes import (BOX_FIELDS, MAX_FRAME_INDEX, Box3D, DetectionColumns, DetectionRecord, FrameDetections,
-                    TrackColumns, box_values, first_bad_row, wrap_angle)
+                    TrackColumns, _box_row, first_bad_row, wrap_angle)
 from .metrics import EvalConfig
 from .motion import wrap_angles
 from .scoring import NmsConfig, ScoreMapConfig
@@ -339,7 +340,7 @@ def write_tracks(path: str | Path, tracks: list[tuple[int, int, Box3D]] | TrackC
         rows = zip(tracks.frame.tolist(), tracks.track_id.tolist(), tracks.class_id.tolist(), tracks.rows.tolist())
         names = set(tracks.class_id.tolist())
     else:
-        rows = ((frame, track_id, box.class_id, (*box_values(box), box.score)) for frame, track_id, box in tracks)
+        rows = ((frame, track_id, box.class_id, _box_row(box)) for frame, track_id, box in tracks)
         names = {box.class_id for _, _, box in tracks}
     _check_class_names(names)
     floats = _float_cells(8)

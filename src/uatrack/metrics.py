@@ -10,8 +10,8 @@ and the curve is one cumulative sum over descending scores.
 Tracking quality follows the CLEAR protocol: sticky correspondences,
 identity switches, fragmentations, mostly-lost ratio and MOTA.
 Both compute on row blocks, frame indices and (n, 8) rows as the io
-readers return them (TrackColumns for tracks), with no per-row box
-object, and read only the frames present.  One edge builder serves
+readers and tracker.track_frames return them (TrackColumns for tracks),
+with no per-row box object, and read only the frames present.  One edge builder serves
 both: it scores a whole sequence's pairs with one call of the geometry
 kernel.  CLEAR-MOT matches each frame on the frame's edges, and its AP
 sweep reads the same edges.  As in the sweep, an edge whose gt and
@@ -19,7 +19,7 @@ prediction have no other edge is lone: frames whose edges are all lone
 (and whose ids do not repeat) match exactly their edges, in one array
 pass, and only the rest are walked through persistence and the solver.
 The list forms (clear_mot, detection_pr, match_frame) convert to row
-blocks through TrackColumns.of.
+blocks through TrackColumns.of, which passes a block through as it is.
 
 The edge builder reads each block through its side: its rows in frame
 order and their kernel table.  The truth side (and CLEAR-MOT's id

@@ -24,11 +24,14 @@ Whole rows (the copy, the matched rows, the drop and confirmed filters,
 the spawned rows' concatenation) move as raw bytes through one void
 view of the row (_ROW): numpy moves a structured row field by field,
 and since _pad makes every byte of a row a field, the raw move leaves
-the same bytes.  The confirmed rows are checked as one block before
-that copy replaces the old table, so a step either completes or changes
-nothing.  Track records are built only for the confirmed tracks a step
-returns, and their boxes, whose values step() has checked, skip Box3D's
-checks.
+the same bytes.  The confirmed rows are checked as one block, and every
+track's mean and covariance for finiteness, before that copy replaces
+the old table: a step either completes or changes nothing, and a state
+the filter overflows is refused, never kept as NaN.  step_rows returns
+the confirmed tracks as arrays (ids, class names, (n, 8) rows), and
+track_frames gathers a sequence's into one boxes.TrackColumns block,
+with no per-track object.  step() wraps the rows as Track records, whose
+boxes, whose values step_rows has checked, skip Box3D's checks.
 
 The filter math takes a batch of states (leading axis T); a single
 state is the T=1 case.  The predict builds the sigma points
@@ -47,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import hungarian_assign
-from .boxes import Box3D, DetectionColumns, FrameDetections, box_values, check_rows, trusted_box
+from .boxes import Box3D, DetectionColumns, FrameDetections, TrackColumns, _box_row, check_rows, trusted_box
 from .geometry import sweep_pairs, sweep_window
 from .motion import ctra_step, wrap_angles
 
@@ -397,38 +400,45 @@ class Tracker:
         return new
 
     def step(self, detections: FrameDetections, dt: float) -> list[Track]:
-        """Advance one frame; returns the confirmed tracks.
+        """Advance one frame; returns the confirmed tracks (see step_rows)."""
+        ids, names, rows = self.step_rows(detections, dt)
+        return [Track(i, name, *box) for i, name, box in zip(ids.tolist(), names, rows.tolist())]
+
+    def step_rows(self, detections: FrameDetections, dt: float) -> tuple[np.ndarray, list[str], np.ndarray]:
+        """Advance one frame; returns the confirmed tracks' ids, class names and checked (n, 8) rows.
 
         Raises ValueError, leaving the tracker unchanged, on a
         non-positive or non-finite dt, a detection box Box3D would
-        reject, a non-positive or non-finite observation variance, or a
-        confirmed track whose box would leave the finite range or lose a
-        positive extent.
+        reject, a non-positive or non-finite observation variance, a
+        track mean or covariance that the filter could not keep finite,
+        or a confirmed track whose box would leave the finite range or
+        lose a positive extent.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be finite and > 0")
         if not len(self.table) and not detections:
-            return []  # nothing to predict, match or spawn: the step changes nothing
+            return np.zeros(0, np.int64), [], np.zeros((0, 8))  # nothing to predict, match or spawn
         cfg = self.config
         rows, var, det_class, class_names = self._read_frame(detections)
         table = self.table.view(_ROW).copy().view(TRACK_DTYPE)
 
-        if len(table):
-            table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, self._process_noise)
-        matches, _, unmatched_d = associate(
-            table["mean"][:, :2], rows[:, :2], table["class_id"], det_class, cfg.gate_distance
-        )
-        ti, di = np.array(matches, dtype=np.intp).reshape(-1, 2).T
-        if matches:
-            matched, box, box_var = table.view(_ROW)[ti].view(TRACK_DTYPE), rows[di], var[di]
-            table["mean"][ti], table["cov"][ti] = ukf_update_batch(
-                matched["mean"], matched["cov"], box[:, _OBS], box_var[:, _OBS]
+        with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows is refused below
+            if len(table):
+                table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, self._process_noise)
+            matches, _, unmatched_d = associate(
+                table["mean"][:, :2], rows[:, :2], table["class_id"], det_class, cfg.gate_distance
             )
-            table["size"][ti], table["size_var"][ti] = size_update(
-                matched["size"], matched["size_var"], box[:, 3:5], box_var[:, 3:5]
-            )
-            table["z"][ti], table["h"][ti] = box[:, 2], box[:, 5]
-            table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * box[:, 7]
+            ti, di = np.array(matches, dtype=np.intp).reshape(-1, 2).T
+            if matches:
+                matched, box, box_var = table.view(_ROW)[ti].view(TRACK_DTYPE), rows[di], var[di]
+                table["mean"][ti], table["cov"][ti] = ukf_update_batch(
+                    matched["mean"], matched["cov"], box[:, _OBS], box_var[:, _OBS]
+                )
+                table["size"][ti], table["size_var"][ti] = size_update(
+                    matched["size"], matched["size_var"], box[:, 3:5], box_var[:, 3:5]
+                )
+                table["z"][ti], table["h"][ti] = box[:, 2], box[:, 5]
+                table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * box[:, 7]
 
         hit = np.zeros(len(table), dtype=bool)
         hit[ti] = True
@@ -438,6 +448,8 @@ class Tracker:
         if unmatched_d:
             new = self._spawn(rows[unmatched_d], var[unmatched_d], det_class[unmatched_d])
             table = np.concatenate([table.view(_ROW), new.view(_ROW)]).view(TRACK_DTYPE)
+        if not (np.isfinite(table["mean"]).all() and np.isfinite(table["cov"]).all()):
+            raise ValueError("track state is not finite: a detection's values or variances overflow the filter")
         table["confirmed"] |= table["hits"] >= cfg.t_init
         out = table.view(_ROW)[table["confirmed"]].view(TRACK_DTYPE)
         mean, size = out["mean"], out["size"]
@@ -446,8 +458,7 @@ class Tracker:
 
         self.table, self.class_names = table, class_names
         self._next_id += len(unmatched_d)
-        names = [class_names[code] for code in out["class_id"].tolist()]
-        return [Track(i, name, *box) for i, name, box in zip(out["id"].tolist(), names, boxes.tolist())]
+        return out["id"].copy(), [class_names[code] for code in out["class_id"].tolist()], boxes
 
 
 def _record_arrays(records: FrameDetections, own: bool,
@@ -456,13 +467,26 @@ def _record_arrays(records: FrameDetections, own: bool,
 
     A record's variance is its own when `own` and it has one, else the default.
     """
-    rows = np.array([(*box_values(d.box), d.box.score) for d in records], dtype=float).reshape(-1, 8)
+    rows = np.array([_box_row(d.box) for d in records], dtype=float).reshape(-1, 8)
     var = np.array([d.variance.as_tuple() if own and d.variance is not None else default for d in records],
                    dtype=float).reshape(-1, 7)
     return rows, var, [d.box.class_id for d in records]
 
 
-def track_frames(frames: list[FrameDetections], cfg: TrackerConfig, dt: float) -> list[list[tuple[int, Box3D]]]:
-    """Run a fresh tracker over a frame list; the confirmed (id, box) pairs of each frame."""
+def track_frames(frames: list[FrameDetections], cfg: TrackerConfig, dt: float) -> TrackColumns:
+    """Run a fresh tracker over a frame list; every frame's confirmed tracks as one block, list position f frame f.
+
+    A frame the tracker refuses raises its ValueError, prefixed with the frame's position.
+    """
     tracker = Tracker(cfg)
-    return [[(t.id, t.to_box()) for t in tracker.step(frame, dt)] for frame in frames]
+    steps = []
+    for f, frame in enumerate(frames):
+        try:
+            steps.append(tracker.step_rows(frame, dt))
+        except ValueError as exc:
+            raise ValueError(f"frame {f}: {exc}") from exc
+    ids, names, rows = zip(*steps) if steps else ((), (), ())
+    return TrackColumns(np.repeat(np.arange(len(steps), dtype=np.int64), [len(i) for i in ids]),
+                        np.concatenate([np.zeros(0, np.int64), *ids]).astype(object),
+                        np.array([name for frame in names for name in frame], dtype=object),
+                        np.concatenate([np.zeros((0, 8)), *rows]))

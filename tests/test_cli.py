@@ -758,6 +758,7 @@ GOLDEN_SHA256 = {
     "eval_det.csv": "a507800394638ec72088754caf9d6add907bddeddde76c322a699a6f9f89dbc3",
     "kept.csv": "aa4f658b12bbb84fb16d5477b9b4a0326103a029b720680955a84ceab31e3458",
     "sweep_track.csv": "112c4a92d5277a8c24e5b47ea23d1ae8dcb68a0fe4c1f44919b0f7a358c281a9",
+    "arms.csv": "440b8793205bbe7d6797d9ab3211ea3d407364bae856005c48b5bd44558ec0fb",
     "gauss.csv": "5a29f5f5cd7fd019fd3c9910a4347ff8d5f71d073c40e272afd0b835039000b2",
     "sweep_nms.stdout": "5183c8e7a803c2aa8ac513349658d9935765e45d4b1839fcb9297ce0d38b1dc1",
     "von_mises.stdout": "2f29ce8100bb32593cef8fa073c408d0b135ad614f0aecf4163ef5879a96747a",
@@ -854,8 +855,11 @@ class TestTrackOnColumns:
         assert (dets.read_bytes(), gt.read_bytes()) == want
         assert n_gt == 6 * 15 and built == []
 
-    def test_track_and_sweep_build_no_box_per_detection(self, tmp_path, monkeypatch):
+    def test_track_sweep_and_experiment_build_no_box_or_track(self, tmp_path, monkeypatch):
+        import uatrack.boxes
+        import uatrack.tracker
         from uatrack.boxes import Box3D
+        from uatrack.tracker import Track
 
         gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
         assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-targets", "5", "--n-frames", "30",
@@ -864,19 +868,40 @@ class TestTrackOnColumns:
         def commands(tag):
             return [["track", "--dets", str(dets), "--out", str(tmp_path / f"tracks_{tag}.csv")],
                     ["sweep", "--mode", "track", "--gt", str(gt), "--dets", str(dets),
-                     "--param", "tracker.constant_sigma=0.2,0.5", "--out", str(tmp_path / f"sweep_{tag}.csv")]]
+                     "--param", "tracker.constant_sigma=0.2,0.5", "--out", str(tmp_path / f"sweep_{tag}.csv")],
+                    ["experiment", "--seeds", "0-0", "--out", str(tmp_path / f"arms_{tag}.csv")]]
 
         for argv in commands("objects"):
             assert run(argv) == 0
 
-        def refuse(self):
-            raise AssertionError("a Box3D was built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Box3D or a Track was built")
 
+        # Box3D's constructor, trusted_box, which skips it, and Track
         monkeypatch.setattr(Box3D, "__post_init__", refuse)
+        monkeypatch.setattr(uatrack.boxes, "trusted_box", refuse)
+        monkeypatch.setattr(uatrack.tracker, "trusted_box", refuse)
+        monkeypatch.setattr(Track, "__init__", refuse)
         for argv in commands("columns"):  # sweep reads the ground truth as columns too
             assert run(argv) == 0
-        for name in ("tracks", "sweep"):
+        for name in ("tracks", "sweep", "arms"):
             assert (tmp_path / f"{name}_columns.csv").read_bytes() == (tmp_path / f"{name}_objects.csv").read_bytes()
+
+    # Rows every reader check passes whose track state overflows the filter at frame 1.
+    @pytest.mark.parametrize("row", ["{f},Car,1,2,0,1.8,4.2,1.5,0.3,0.9,1.7e308,0.1,0.1,0.1,0.1,0.1,0.1",
+                                     "{f},Car,1.79e308,2,0,1.8,4.2,1.5,0.3,0.9,0.1,0.1,0.1,0.1,0.1,0.1,0.1"],
+                             ids=["var_x", "x"])
+    def test_state_that_overflows_exits_2_naming_the_frame(self, tmp_path, capsys, row):
+        from uatrack.io import DET_COLUMNS_VAR
+
+        gt = _table_file(tmp_path / "gt.csv", GT_HEADER, [GT_ROW])
+        dets = _table_file(tmp_path / "dets.csv", ",".join(DET_COLUMNS_VAR), [row.format(f=f) for f in range(6)])
+        for argv in (["track", "--dets", str(dets), "--out", str(tmp_path / "tracks.csv")],
+                     ["sweep", "--mode", "track", "--gt", str(gt), "--dets", str(dets), "--param", "tracker.t_init=1"]):
+            capsys.readouterr()
+            assert run(argv) == 2
+            assert f"error: {dets}: frame 1: track state is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "tracks.csv").exists()
 
     @pytest.mark.parametrize("rows, where, error", [
         (["0,Car,1,2,0,1.8,4.2,1.5,0.3,0.9", "", "1,Car,1,2,0,1.8,0,1.5,0.3,0.9"], "dets.csv:5",
@@ -942,6 +967,7 @@ def test_cli_outputs_match_golden_digests(tmp_path):
         (["nms", "--dets", path("dets.csv"), "--out", path("kept.csv"), "--strategy", "exponential"], log),
         (["sweep", "--mode", "track", "--gt", path("gt.csv"), "--dets", path("dets.csv"),
           "--param", "tracker.constant_sigma=0.5,1.5", "--out", path("sweep_track.csv")], log),
+        (["experiment", "--seeds", "0-0", "--out", path("arms.csv")], log),
         (["plot-data", "gaussian", "--points", "11", "--out", path("gauss.csv")], log),
         (["sweep", "--mode", "nms", "--gt", path("gt.csv"), "--dets", path("dets.csv"),
           "--param", "scoring.strategy=none,exponential"], path("sweep_nms.stdout")),

@@ -876,6 +876,24 @@ class TestTrackerLifecycle:
         monkeypatch.setattr(tracker_module, "ukf_update_batch", update)
         assert len(tracker.step([detection(5.0, 5.0)], 0.1)) == 2
 
+    # Rows Box3D and BoxVariance pass whose filter state overflows at the first predict: a variance
+    # whose deviations square past the float range, and an x whose ulp-level deviations do.
+    @pytest.mark.parametrize("x, var_x", [(1.0, 1.7e308), (1.79e308, 0.1)], ids=["var_x", "x"])
+    def test_state_that_overflows_rejected_without_change(self, x, var_x):
+        var = np.full((1, 7), 0.1)
+        var[0, 0] = var_x
+        block = DetectionColumns(np.zeros(1, np.int64), np.array(["Car"], dtype=object),
+                                 np.array([[x, 2.0, 0.0, 1.8, 4.2, 1.5, 0.3, 0.9]]), var)
+        tracker = Tracker(TrackerConfig())
+        assert tracker.step(block, 0.1) == []
+        state = self._state(tracker)
+        # no RuntimeWarning escapes first: pyproject.toml's error::RuntimeWarning filter would raise it
+        with pytest.raises(ValueError, match="track state is not finite"):
+            tracker.step(block, 0.1)
+        self._unchanged(tracker, state)
+        with pytest.raises(ValueError, match="frame 1: track state is not finite"):
+            track_frames([block] * 6, TrackerConfig(), 0.1)
+
     @pytest.mark.parametrize("column, value, error", [
         (0, math.nan, "box values must be finite"), (7, math.inf, "box values must be finite"),
         (4, 0.0, "box dimensions must be positive"), (5, -1.0, "box dimensions must be positive"),
@@ -1128,6 +1146,15 @@ def _bits(frame):
             for tid, b in frame]
 
 
+def _block_bits(block, n_frames):
+    """A track block as _bits gives the (id, box) list of each of frames 0 to n_frames - 1."""
+    frames = [[] for _ in range(n_frames)]
+    for f, tid, cls, row in zip(block.frame.tolist(), block.track_id.tolist(), block.class_id.tolist(),
+                                block.rows.tolist()):
+        frames[f].append((tid, cls, *(float(v).hex() for v in row)))
+    return frames
+
+
 def _run_both(frames, cfg):
     tracker, reference = Tracker(cfg), ReferenceTracker(cfg)
     for frame in frames:
@@ -1165,8 +1192,10 @@ class TestOracle:
 
     def test_boxes_pass_the_checks_they_skip(self):
         # theta comes out of wrap_angles, so a checked Box3D of the same values holds the same bits
-        for frame in track_frames(sim_frames(5), ORACLE_CFGS["t_init=1"], 0.1):
-            for _, box in frame:
+        tracker = Tracker(ORACLE_CFGS["t_init=1"])
+        for frame in sim_frames(5):
+            for track in tracker.step(frame, 0.1):
+                box = track.to_box()
                 checked = Box3D(*box_values(box), class_id=box.class_id, score=box.score)
                 assert repr(checked) == repr(box) and checked == box and hash(checked) == hash(box)
 
@@ -1179,8 +1208,23 @@ class TestOracle:
 
         monkeypatch.setattr(Box3D, "__post_init__", refuse)
         got = track_frames(frames, ORACLE_CFGS["adaptive"], 0.1)
-        assert [_bits(frame) for frame in got] == [_bits(frame) for frame in want]
-        assert sum(map(len, got)) > 0
+        assert _block_bits(got, len(frames)) == _block_bits(want, len(frames))
+        assert len(got) > 0
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS.values(), ids=ORACLE_CFGS.keys())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_track_frames_block_equals_reference(self, cfg, seed):
+        frames = oracle_frames(seed)
+        block = track_frames(frames, cfg, 0.1)
+        reference = ReferenceTracker(cfg)
+        assert _block_bits(block, len(frames)) == [_bits(reference.step(frame, 0.1)) for frame in frames]
+        assert block.frame.dtype == np.int64 and block.rows.shape == (len(block), 8)
+        assert {type(i) for i in block.track_id.tolist()} == {int}
+
+    def test_no_frames_is_an_empty_block(self):
+        block = track_frames([], ORACLE_CFGS["adaptive"], 0.1)
+        shapes = block.frame.shape, block.track_id.shape, block.class_id.shape, block.rows.shape
+        assert shapes == ((0,), (0,), (0,), (0, 8))
 
     def test_inputs_exercise_the_hard_cases(self):
         for seed in range(3):
