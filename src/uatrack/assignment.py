@@ -22,6 +22,15 @@ def linear_sum_assignment(cost_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return solve(cost_matrix)
 
 
+def lone_edges(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Whether each edge (rows[k], cols[k]) is lone: its row and its column hold no other edge.
+
+    Every matching with the most pairs holds every lone edge, so a lone
+    edge is matched directly.
+    """
+    return (np.bincount(rows, minlength=n_rows)[rows] == 1) & (np.bincount(cols, minlength=n_cols)[cols] == 1)
+
+
 def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
     """Optimal matching over the allowed cells of a cost matrix.
 
@@ -31,7 +40,7 @@ def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
     cost's shape; forbidden cells may hold anything.  Returns (row, col)
     pairs, rows ascending, all of them allowed.
 
-    When no row and no column holds two allowed cells, the unique
+    When every allowed cell is lone (see lone_edges), the unique
     optimum is every allowed cell, and it is returned without calling
     the solver.
 
@@ -50,9 +59,9 @@ def hungarian_assign(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
         return []
     if not np.isfinite(cost[allowed]).all():
         raise ValueError("allowed costs must be finite")
-    rows, cols = (a.tolist() for a in np.nonzero(allowed))
-    if len(set(rows)) == len(set(cols)) == len(rows):  # no row or column is contested
-        return list(zip(rows, cols))
+    rows, cols = np.nonzero(allowed)
+    if lone_edges(rows, cols, *allowed.shape).all():  # no row or column is contested
+        return list(zip(rows.tolist(), cols.tolist()))
     rows, cols = linear_sum_assignment(np.where(allowed, cost, FORBIDDEN_COST))
     keep = allowed[rows, cols]
     return list(zip(rows[keep].tolist(), cols[keep].tolist()))

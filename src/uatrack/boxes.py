@@ -65,6 +65,15 @@ def all_finite(values: tuple[float, ...]) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
+def math_map(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """fn of each value (of each tuple of values, one from each column), by one map over Python floats.
+
+    A math function so mapped gives the bits of its scalar call, where
+    numpy's own ufunc may round differently.
+    """
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented box: center (x, y, z), extents (w, l, h), yaw about z."""
@@ -256,10 +265,7 @@ class DetectionColumns(Sequence):
 
     def __getitem__(self, i: int) -> DetectionRecord:
         i = range(len(self))[as_index(i)]  # IndexError out of range; a negative index counts from the end
-        v = self.var
-        return DetectionRecord(int(self.frame[i]), Box3D(*self.rows[i, :7].tolist(), class_id=self.class_id[i],
-                                                         score=float(self.rows[i, 7])),
-                               None if v is None else BoxVariance(*v[i].tolist()))
+        return next(iter(self.take([i])))
 
     def __iter__(self) -> Iterator[DetectionRecord]:
         variances = self.var.tolist() if self.var is not None else [None] * len(self)
@@ -268,7 +274,9 @@ class DetectionColumns(Sequence):
 
     @classmethod
     def of(cls, records: Sequence[DetectionRecord]) -> DetectionColumns:
-        """The records as columns; raises ValueError unless variances are all-or-none."""
+        """The records as columns, a block as it is; raises ValueError unless variances are all-or-none."""
+        if isinstance(records, DetectionColumns):
+            return records
         with_var = [r.variance is not None for r in records]
         if any(with_var) and not all(with_var):
             raise ValueError("either every record carries a variance or none does")

@@ -19,10 +19,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .assignment import hungarian_assign
+from .assignment import hungarian_assign, lone_edges
 from .boxes import Box3D, TrackColumns, TrackFrames
 from .geometry import _grouped_sweep
-from .metrics import EvalConfig, _lone, clear_mot_rows
+from .metrics import EvalConfig, clear_mot_rows
 from .sim import Scenario, ScenarioConfig, generate_scenario
 from .tracker import TrackerConfig, constant_sigma_config, track_frames
 
@@ -82,7 +82,7 @@ def position_rmse(
     ig, ip, d = (np.concatenate(parts) for parts in zip(*found))
     dist = np.full(len(g_frame), -1.0)  # each gt row's matched distance, or -1
     dist[ig] = d
-    contested = ~_lone(ig, ip, len(g_frame), len(p_frame))
+    contested = ~lone_edges(ig, ip, len(g_frame), len(p_frame))
     frames = np.unique(g_frame[ig[contested]])
     # each contested frame's rows: g_lo:g_hi of the gt, p_lo:p_hi of the tracks
     (g_lo, g_hi), (p_lo, p_hi) = (frame.searchsorted([frames, frames + 1]).tolist() for frame in (g_frame, p_frame))

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boxes import Box3D, all_finite, box_values
+from .boxes import Box3D, all_finite, box_values, math_map
 
 EDGE_EPS = 1e-9
 
@@ -85,12 +85,8 @@ class _Boxes(NamedTuple):
 def _table(fields: np.ndarray) -> _Boxes:
     """Kernel rows from an (N, 7) array of box rows in BOX_FIELDS order."""
     x, y, z, w, l, h, theta = fields.T
-
-    def each(fn, *columns):  # math.* per value: numpy's own may round differently
-        return np.fromiter(map(fn, *(col.tolist() for col in columns)), float, len(columns[0]))
-
-    c = each(math.cos, theta)
-    s = each(math.sin, theta)
+    c = math_map(math.cos, theta)
+    s = math_map(math.sin, theta)
     # one row per corner k, at (+-l/2, +-w/2) along and across the heading; negation is exact
     lx = _ALONG[:, None] * (0.5 * l)
     ly = _ACROSS[:, None] * (0.5 * w)
@@ -100,10 +96,10 @@ def _table(fields: np.ndarray) -> _Boxes:
     ey = py - py[_PREV_CORNER]
     return _Boxes(
         x=x, y=y,
-        radius=0.5 * each(math.hypot, w, l),
+        radius=0.5 * math_map(math.hypot, w, l),
         area=w * l,
         px=px.T, py=py.T,
-        eps=EDGE_EPS * each(math.hypot, ex.ravel(), ey.ravel()).reshape(4, -1).T,
+        eps=EDGE_EPS * math_map(math.hypot, ex.ravel(), ey.ravel()).reshape(4, -1).T,
         z=z, h=h,
     )
 

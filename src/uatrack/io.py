@@ -26,11 +26,13 @@ writers), arrays with one entry per row (the form
 tracker one frame block at a time, and `uatrack eval-det` and
 `uatrack eval-track` score as row blocks, and the block `uatrack track`
 writes as tracker.track_frames returns it), or as DetectionRecord rows
-and (frame, id, box) rows; `frames_of` groups (frame, item) pairs by
-frame.  KITTI object/tracking label files can be imported as ground
-truth.  Run configuration is namespaced JSON with strict key checking;
-its keys and defaults are the fields of the config dataclasses, each
-stored under its own name and in its own form.
+and (frame, id, box) rows.  Records reach the detection writer and
+detections_to_frames only as a block, through DetectionColumns.of:
+records with and without a variance raise FormatError.  KITTI
+object/tracking label files can be imported as ground truth.  Run
+configuration is namespaced JSON with strict key checking; its keys
+and defaults are the fields of the config dataclasses, each stored
+under its own name and in its own form.
 
 Axis convention: the internal frame is right-handed with z up and the
 sensor at the origin.  KITTI camera coordinates (x right, y down,
@@ -58,8 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boxes import (BOX_FIELDS, MAX_FRAME_INDEX, Box3D, DetectionColumns, DetectionRecord, FrameDetections,
-                    TrackColumns, _box_row, first_bad_row, wrap_angle)
+from .boxes import (BOX_FIELDS, MAX_FRAME_INDEX, Box3D, DetectionColumns, DetectionRecord, TrackColumns, _box_row,
+                    first_bad_row, wrap_angle)
 from .metrics import EvalConfig
 from .motion import wrap_angles
 from .scoring import NmsConfig, ScoreMapConfig
@@ -115,12 +117,17 @@ def _check_class_names(names: set[str]) -> None:
             raise FormatError(f"class name {name!r} holds a comma or a line break, which no reader takes back")
 
 
+def _columns_of(records: Sequence[DetectionRecord]) -> DetectionColumns:
+    """DetectionColumns.of(records); records with and without a variance raise FormatError."""
+    try:
+        return DetectionColumns.of(records)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def write_detections(path: str | Path, records: list[DetectionRecord] | DetectionColumns) -> None:
     """Write detection rows, given as records or as columns; variance columns are all-or-none."""
-    try:
-        dets = records if isinstance(records, DetectionColumns) else DetectionColumns.of(records)
-    except ValueError as exc:  # records with and without a variance
-        raise FormatError(str(exc)) from exc
+    dets = _columns_of(records)
     _check_class_names(set(dets.class_id.tolist()))
     has_var = dets.var is not None and len(dets) > 0  # no rows: no variance columns either
     values = np.hstack([dets.rows, dets.var]) if has_var else dets.rows
@@ -309,29 +316,19 @@ def read_detections(path: str | Path) -> list[DetectionRecord]:
     return list(read_detection_columns(path))
 
 
-def frames_of(pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
-    """(frame, item) pairs grouped by frame: only the frames present, ascending, each in input order."""
-    out: dict[int, list] = {}
-    for frame, item in pairs:
-        out.setdefault(frame, []).append(item)
-    return dict(sorted(out.items()))
+def detections_to_frames(records: Sequence[DetectionRecord]) -> list[DetectionColumns]:
+    """The rows as one block per frame from frame 0 up to the largest present, for tracking.
 
-
-def detections_to_frames(records: Sequence[DetectionRecord]) -> list[FrameDetections]:
-    """The rows as consecutive per-frame sequences from frame 0 up to the largest present, for tracking.
-
-    Empty frames count there, so absent frames are empty: columns give
-    one block per frame, absent frames one shared empty block, so no
-    record is built; records give one list per frame.
+    Empty frames count there, so an absent frame is one shared empty
+    block.  Records become a block first, as write_detections takes
+    them: records with and without a variance raise FormatError.
     """
-    if isinstance(records, DetectionColumns):
-        none = records.take(np.zeros(0, np.intp))
-        frames, empty = {frame: records.take(index) for frame, index in records.by_frame()}, lambda: none
-    else:
-        frames, empty = frames_of((r.frame, r) for r in records), list
+    dets = _columns_of(records)
+    frames = {frame: dets.take(index) for frame, index in dets.by_frame()}
     if min(frames, default=0) < 0:
         raise FormatError(f"frame index {min(frames)} out of range: frames start at 0")
-    return [frames[f] if f in frames else empty() for f in range(max(frames, default=-1) + 1)]
+    none = dets.take(np.zeros(0, np.intp))
+    return [frames.get(f, none) for f in range(max(frames, default=-1) + 1)]
 
 
 def write_tracks(path: str | Path, tracks: list[tuple[int, int, Box3D]] | TrackColumns) -> None:
@@ -381,9 +378,10 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
 
     Object-format lines (15 or 16 fields) all land in frame 0; tracking
     lines (17 or 18 fields, leading frame and id) use their own frame.
-    DontCare entries are skipped.
+    Only the frames present are keys, ascending, each frame's boxes in
+    line order.  Blank lines and DontCare entries are skipped.
     """
-    rows: list[tuple[int, Box3D]] = []
+    frames: dict[int, list[Box3D]] = {}
     text = Path(path).read_text().splitlines()
     for lineno, line in enumerate(text, start=1):
         if not line.strip():
@@ -421,8 +419,8 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
             )
         except (ValueError, IndexError) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        rows.append((frame, box))
-    return frames_of(rows)
+        frames.setdefault(frame, []).append(box)
+    return dict(sorted(frames.items()))
 
 
 # --- run configuration -------------------------------------------------

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import hungarian_assign
+from .assignment import hungarian_assign, lone_edges
 from .boxes import Box3D, TrackColumns
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
 from .geometry import _Boxes, _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
@@ -192,11 +192,6 @@ def _augment(adj: list[list[int]], owner: list[int], root: int) -> bool:
     return False
 
 
-def _lone(ig: np.ndarray, ip: np.ndarray, n_gt: int, n_pred: int) -> np.ndarray:
-    """Whether each edge (ig[k], ip[k]) is lone: its gt and its prediction have no other edge."""
-    return (np.bincount(ip, minlength=n_pred)[ip] == 1) & (np.bincount(ig, minlength=n_gt)[ig] == 1)
-
-
 def _gains(scores: np.ndarray, ig: np.ndarray, ip: np.ndarray, n_gt: int) -> np.ndarray:
     """How much activating each prediction grows a maximum matching, in descending-score order.
 
@@ -208,7 +203,7 @@ def _gains(scores: np.ndarray, ig: np.ndarray, ip: np.ndarray, n_gt: int) -> np.
     frame's predictions in that frame's order.
     """
     gain = np.zeros(len(scores), dtype=np.intp)
-    lone = _lone(ig, ip, n_gt, len(scores))
+    lone = lone_edges(ig, ip, n_gt, len(scores))
     gain[ip[lone]] = 1
     order = np.lexsort((ig[~lone], ip[~lone]))  # by prediction, then gt
     cp, cg = ip[~lone][order], ig[~lone][order]
@@ -341,12 +336,13 @@ def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> Tra
     correspondence persists across it.  The edges, the pairs with
     IoU >= threshold, are found once, and the AP sweep reads them whole.
 
-    A lone edge (see _lone) is matched whatever the previous frame held:
-    persistence keeps only edges, and the remainder's maximum-count
-    matching takes every isolated one.  So the frames whose edges are
-    all lone and whose ids do not repeat match exactly their edges, in
-    one array pass; only the rest are walked, through persistence and
-    the solver, a repeated id resolving to its last box.
+    A lone edge (see assignment.lone_edges) is matched whatever the
+    previous frame held: persistence keeps only edges, and the
+    remainder's maximum-count matching takes every isolated one.  So the
+    frames whose edges are all lone and whose ids do not repeat match
+    exactly their edges, in one array pass; only the rest are walked,
+    through persistence and the solver, a repeated id resolving to its
+    last box.
 
     The truth side (see _truth) is built once per read-only gt block
     and kept with it; a writable block's is built on every call.
@@ -362,7 +358,7 @@ def clear_mot_rows(gt: TrackColumns, pred: TrackColumns, cfg: EvalConfig) -> Tra
     p_code, p_of = _codes(p_ids)
 
     walk = np.zeros(len(e.frames), dtype=bool)
-    walk[e.g_group[e.ig[~_lone(e.ig, e.ip, len(g_ids), len(p_ids))]]] = True
+    walk[e.g_group[e.ig[~lone_edges(e.ig, e.ip, len(g_ids), len(p_ids))]]] = True
     for group, code, n in ((e.g_group, g_code, len(g_of)), (e.p_group, p_code, len(p_of))):
         key = np.sort(group * n + code)  # a repeated (frame, id) pair sorts next to itself
         walk[key[1:][key[1:] == key[:-1]] // n] = True

@@ -9,9 +9,10 @@ rescore states the pipeline once, as one column pass over a row block
 in two steps: self_logvars, the config-free self-anchored
 log-variances, then rescore_logvars, their mapping under a
 ScoreMapConfig.  + - * / run as numpy column operations in the
-formula's order, each transcendental (hypot, pow, log, exp, log1p) as its math
-function, one map per column.  A row whose value fails reports its own
-error, the first its steps raise, and the other rows are computed on.
+formula's order, each transcendental (hypot, pow, log, exp, log1p) as
+its math function, one map per column (boxes.math_map).  A row whose
+value fails reports its own error, the first its steps raise, and the
+other rows are computed on.
 score_detection, combined_score, map_uncertainty_to_logscore and
 aggregate_logvar are one-row calls of the same column functions.
 """
@@ -23,11 +24,10 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
-from .boxes import EncodedLogVar
+from .boxes import EncodedLogVar, math_map
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
 from .geometry import _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
 
@@ -83,11 +83,6 @@ class NmsConfig:
             raise ValueError("pre_top_k must be >= 1")
 
 
-def _mapped(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """fn of each value (of each tuple of values, one from each column), by one map over Python floats."""
-    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
-
-
 def _fail(errors: dict[int, Exception], rows: np.ndarray, error: Exception) -> None:
     """Record error for each row that rows marks and that holds no error yet: a row's first failing step names it."""
     for i in np.flatnonzero(rows).tolist():
@@ -136,7 +131,7 @@ def self_logvars(rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, dict[in
     """
     n = len(rows)
     w, l, h = rows[:, 3], rows[:, 4], rows[:, 5]
-    squares = [_squares(base) for base in (_mapped(math.hypot, l, w), w, l, h)]
+    squares = [_squares(base) for base in (math_map(math.hypot, l, w), w, l, h)]
     divisors = np.vstack([square for square, _ in squares] + [np.ones(n)])
     with np.errstate(all="ignore"):  # a quotient may overflow to inf, as Python's does, silently
         quotients = var.T / divisors[_DIVISOR]
@@ -149,7 +144,7 @@ def self_logvars(rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, dict[in
             _fail(errors, divisors[d] == 0.0, ZeroDivisionError("float division by zero"))
         undefined = q <= 0.0
         _fail(errors, undefined, ValueError("math domain error"))
-        logvars[k] = _mapped(math.log, np.where(undefined, 1.0, q))
+        logvars[k] = math_map(math.log, np.where(undefined, 1.0, q))
     return logvars, errors
 
 
@@ -178,13 +173,13 @@ def _log_scores(g: np.ndarray, cfg: ScoreMapConfig) -> np.ndarray:
             x = cfg.k_s * g + cfg.b_s
             out = np.full(len(g), -math.inf)  # past exp's range, beta_s is 0 in the limit
             fits = x <= _LOG_FLOAT_MAX
-            out[fits] = -_mapped(math.exp, x[fits])
+            out[fits] = -math_map(math.exp, x[fits])
             return out
         x = -cfg.k_s * g + cfg.b_s
     if cfg.strategy is ScoreStrategy.LINEAR:
         return np.where(0.0 > x, 0.0, x)  # max(x, 0.0): x unless 0.0 is greater
     # log sigmoid: -log1p(exp(-x)) where x >= 0, else x - log1p(exp(x)); both take exp(-|x|)
-    log1p = _mapped(math.log1p, _mapped(math.exp, -np.abs(x)))
+    log1p = math_map(math.log1p, math_map(math.exp, -np.abs(x)))
     return np.where(x >= 0.0, -log1p, x - log1p)
 
 
@@ -195,11 +190,11 @@ def _combined(scores: np.ndarray, log_beta_s: np.ndarray, alpha: float) -> tuple
     positive = scores > 0.0
     _fail(errors, ~positive, ValueError("detection_score must be > 0"))
     with np.errstate(all="ignore"):
-        log_beta = alpha * (_mapped(math.log, np.where(positive, scores, 1.0)) + log_beta_s)
+        log_beta = alpha * (math_map(math.log, np.where(positive, scores, 1.0)) + log_beta_s)
     beyond = log_beta > _LOG_FLOAT_MAX  # math.exp overflows here
     for i in np.flatnonzero(beyond).tolist():
         errors.setdefault(i, ValueError(f"rescored value exp({log_beta[i].item()}) is beyond float range"))
-    return _mapped(math.exp, np.where(beyond, 0.0, log_beta)), errors
+    return math_map(math.exp, np.where(beyond, 0.0, log_beta)), errors
 
 
 def rescore_logvars(scores: np.ndarray, logvars: np.ndarray,

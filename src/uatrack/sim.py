@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import MAX_FRAME_INDEX, DetectionColumns, TrackColumns, TrackFrames, check_rows
+from .boxes import MAX_FRAME_INDEX, DetectionColumns, TrackColumns, TrackFrames, check_rows, math_map
 from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -181,7 +181,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         kept = fn_draws >= cfg.fn_rate
         n_tp = int(kept.sum())
         true_rows = np.concatenate([truth[kept], np.column_stack([fp_xy, fp_h / 2.0, fp_w, fp_l, fp_h, fp_theta])])
-        dist = np.array([math.hypot(x, y) for x, y in true_rows[:, :2].tolist()])
+        dist = math_map(math.hypot, true_rows[:, 0], true_rows[:, 1])
         with np.errstate(over="ignore"):
             sigma = base + coeff * dist[:, None]
             var = np.maximum(sigma**2, VARIANCE_FLOOR)

@@ -16,7 +16,8 @@ as a config file does: a process-noise diagonal and observation sigmas.
 A Tracker keeps every track in one table, a numpy structured array with
 one row per track (see TRACK_DTYPE).  step() takes a frame as a
 DetectionColumns block, whose arrays it slices, or as a list of
-records, which it first converts to the same arrays; it checks the rows
+records, which becomes such a block through DetectionColumns.of, each
+record without a variance given the default first; it checks the rows
 and variances, and reads the frame as plain arrays: (n, 8) rows, (n, 7)
 observation variances and class codes.  It then predicts, associates,
 updates, drops and spawns with array operations on a copy of the table.
@@ -49,8 +50,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import hungarian_assign
-from .boxes import Box3D, DetectionColumns, FrameDetections, TrackColumns, _box_row, check_rows, trusted_box
+from .assignment import hungarian_assign, lone_edges
+from .boxes import (Box3D, BoxVariance, DetectionColumns, FrameDetections, TrackColumns, check_rows, math_map,
+                    trusted_box)
 from .geometry import sweep_pairs, sweep_window
 from .motion import ctra_step, wrap_angles
 
@@ -240,7 +242,7 @@ def ukf_predict_batch(
     rows[:_N] = ctra_step(_sigma_points(means, covs).transpose(1, 2, 0), dt, trig=rows[_N:]).transpose(2, 0, 1)
     sums = np.einsum("tp,p->t", rows.reshape(-1, p), _WM).reshape(_N + 2, t)
     mean = sums[:_N].T
-    mean[:, 2] = wrap_angles(np.array([math.atan2(s, c) for s, c in zip(sums[_N].tolist(), sums[_N + 1].tolist())]))
+    mean[:, 2] = wrap_angles(math_map(math.atan2, sums[_N], sums[_N + 1]))
     dev = rows[:_N] - mean.T[:, :, None]
     dev[2] = wrap_angles(dev[2])
     # C-contiguous (T, 2n+1, n): the product's BLAS path, and so its bits, depend on the operands' layout
@@ -321,7 +323,7 @@ def associate(
     dist = np.hypot(gap[:, 0], gap[:, 1])
     edge = ((dist <= gate_distance) & (np.asarray(track_class)[ti] == np.asarray(det_class)[di])).nonzero()[0]
     ti, di, dist = ti[edge], di[edge], dist[edge]
-    direct = (np.bincount(ti, minlength=n_t)[ti] == 1) & (np.bincount(di, minlength=n_d)[di] == 1)
+    direct = lone_edges(ti, di, n_t, n_d)
     mt, md = ti[direct], di[direct]
     if len(mt) < len(ti):
         ti, di, dist = ti[~direct], di[~direct], dist[~direct]
@@ -361,8 +363,9 @@ class Tracker:
     def _read_frame(self, detections: FrameDetections) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
         """The frame's (n, 8) rows, (n, 7) observation variances and class codes, checked before any state changes.
 
-        A block's arrays are sliced as they are; records convert to the
-        same arrays first (see _record_arrays).  The rows are checked as
+        A block's arrays are sliced as they are; a record list becomes a
+        block through DetectionColumns.of, each record without a variance
+        given the configured default first.  The rows are checked as
         Box3D checks a box, then the observation variances.  Each
         detection's variance is its own when the config feeds detection
         covariance and it has one, else the configured default.  The
@@ -370,13 +373,13 @@ class Tracker:
         ones appended, in the order they first appear; step() keeps them
         only when it completes.
         """
-        own = self.config.use_detection_covariance
-        if isinstance(detections, DetectionColumns):
-            rows, var, names = detections.rows, detections.var, detections.class_id.tolist()
-        else:
-            rows, var, names = _record_arrays(detections, own, self._default_var)
+        if not isinstance(detections, DetectionColumns):
+            default = BoxVariance(*self._default_var.tolist())
+            detections = DetectionColumns.of([d if d.variance is not None else replace(d, variance=default)
+                                              for d in detections])
+        rows, var, names = detections.rows, detections.var, detections.class_id.tolist()
         check_rows(rows)
-        if not own or var is None:
+        if not self.config.use_detection_covariance or var is None:
             var = np.repeat(self._default_var[None], len(rows), 0)
         if not np.all((var > 0.0) & (var < np.inf)):
             raise ValueError("observation noise must be positive definite")
@@ -459,18 +462,6 @@ class Tracker:
         self.table, self.class_names = table, class_names
         self._next_id += len(unmatched_d)
         return out["id"].copy(), [class_names[code] for code in out["class_id"].tolist()], boxes
-
-
-def _record_arrays(records: FrameDetections, own: bool,
-                   default: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Records as the (n, 8) rows, (n, 7) observation variances and class names of a block.
-
-    A record's variance is its own when `own` and it has one, else the default.
-    """
-    rows = np.array([_box_row(d.box) for d in records], dtype=float).reshape(-1, 8)
-    var = np.array([d.variance.as_tuple() if own and d.variance is not None else default for d in records],
-                   dtype=float).reshape(-1, 7)
-    return rows, var, [d.box.class_id for d in records]
 
 
 def track_frames(frames: list[FrameDetections], cfg: TrackerConfig, dt: float) -> TrackColumns:

@@ -345,6 +345,10 @@ class TestDetectionColumns:
             with pytest.raises(TypeError):
                 block[0:2]
 
+    def test_of_a_block_is_the_block(self):
+        block = DetectionColumns.of(self._records())
+        assert DetectionColumns.of(block) is block
+
     def test_mixed_variances_rejected(self):
         mixed = self._records() + self._records(with_var=False)
         with pytest.raises(ValueError, match="every record"):

@@ -405,6 +405,22 @@ class TestSweep:
                   "--param", "tracker.bogus=1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode, params, error", [
+        ("track", ["tracker.t_init"], "--param expects key=v1,v2,... got 'tracker.t_init'"),
+        ("nms", ["tracker.t_init=1"], "sweep --mode nms varies only scoring/nms keys, got 'tracker.t_init'"),
+        ("track", ["scoring.k_s=1"], "sweep --mode track varies only tracker keys, got 'scoring.k_s'"),
+        ("track", [], "at least one --param axis is required"),
+    ])
+    def test_bad_or_missing_param_exits_2_with_its_message(self, tmp_path, scenario_files, capsys, mode, params,
+                                                            error):
+        gt, dets = scenario_files
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--mode", mode, "--gt", str(gt), "--dets", str(dets), "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv + [arg for param in params for arg in ("--param", param)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("params, clash", [
         # both cells used to run t_init=3, labelled 1,3 and 2,3
         (["tracker.t_init=1,2", "tracker.t_init=3"], "tracker.t_init"),
@@ -538,6 +554,24 @@ class TestConfigPath:
         assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: " + error.format(tmp=tmp_path))
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("argv, config, error", [
+        (["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "scoring.k_s=1"],
+         '{"nms": {"pre_top_k": 0}}', "config nms: pre_top_k must be >= 1"),
+        (["sweep", "--mode", "nms", "--gt", "{gt}", "--dets", "{dets}", "--param", "scoring.k_s=1"],
+         '{"eval": {"iou_threshold": 1.0}}', "config eval: iou_threshold must be in (0, 1)"),
+        (["track", "--dets", "{dets}", "--out", "{tmp}/t.csv"],
+         '{"tracker": {"t_init": 0}}', "config tracker: t_init and t_drop must be >= 1"),
+    ])
+    def test_config_value_a_section_refuses_exits_2_with_its_message(self, tmp_path, scenario_files, capsys, argv,
+                                                                      config, error):
+        gt, dets = scenario_files
+        (tmp_path / "c.json").write_text(config)
+        argv = [*argv, "--config", "{tmp}/c.json"]
+        capsys.readouterr()
+        assert run([a.format(gt=gt, dets=dets, tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "t.csv").exists()
 
     HUGE = "1000000000000000000000"  # 1e21 recall levels: far too many arrays to allocate
 
@@ -1040,6 +1074,21 @@ def test_scipy_loads_only_when_a_contested_matrix_needs_the_solver(tmp_path):
     src = str(Path(uatrack.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", _LAZY_SOLVER, json.dumps([before, after])], env=env, check=True)
+
+
+def test_module_entry_point_prints_help():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import uatrack
+
+    src = str(Path(uatrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "uatrack", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: uatrack ")
+    assert all(command in done.stdout for command in ("simulate", "track", "eval-det", "sweep", "experiment"))
 
 
 def test_nms_output_is_in_frame_order_and_input_order_within_a_frame(tmp_path):

@@ -174,6 +174,11 @@ class TestRotatedRectChecks:
         with pytest.raises(ValueError, match="finite"):
             RotatedRect(*values)
 
+    @pytest.mark.parametrize("w, l", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_extent_not_positive_rejected(self, w, l):
+        with pytest.raises(ValueError, match="rectangle extents must be positive"):
+            RotatedRect(0.0, 0.0, w, l, 0.0)
+
     def test_overflowing_sum_accepted(self):
         RotatedRect(1e308, 1e308, 1.0, 1.0, 0.0)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import frozen_io
 from uatrack import io
-from uatrack.boxes import Box3D, BoxVariance, TrackColumns
+from uatrack.boxes import Box3D, BoxVariance, DetectionColumns, TrackColumns
 from uatrack.cli import main
 from uatrack.experiments import SCENARIO
 from uatrack.geometry import _box_table, _table
@@ -94,6 +94,20 @@ class TestDetectionsRoundTrip:
         records = random_records(rng, 4, with_var=True) + random_records(rng, 1, with_var=False)
         with pytest.raises(FormatError):
             write_detections(tmp_path / "x.csv", records)
+
+    def test_mixed_variance_rejected_for_tracking(self):
+        rng = np.random.default_rng(3)
+        records = random_records(rng, 4, with_var=True) + random_records(rng, 1, with_var=False)
+        with pytest.raises(FormatError, match="every record carries a variance"):
+            detections_to_frames(records)
+
+    def test_records_group_into_one_block_per_frame(self):
+        rng = np.random.default_rng(4)
+        records = random_records(rng, 40)
+        frames = detections_to_frames(records)
+        assert all(isinstance(frame, DetectionColumns) for frame in frames)
+        last = max(r.frame for r in records)
+        assert [list(frame) for frame in frames] == [[r for r in records if r.frame == f] for f in range(last + 1)]
 
     def test_missing_version_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -198,6 +212,15 @@ class TestKittiLabels:
         )
         frames = parse_kitti_labels(path)
         assert sorted(frames) == [0, 1]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("\n1 2 " + self.CAR_LINE + "\n  \n0 3 " + self.CAR_LINE + "\n\n1 4 " + self.CAR_LINE + "\n")
+        frames = parse_kitti_labels(path)
+        assert list(frames) == [0, 1] and [len(boxes) for boxes in frames.values()] == [1, 2]
+        dense = tmp_path / "dense.txt"
+        dense.write_text("".join(f"{key} " + self.CAR_LINE + "\n" for key in ("1 2", "0 3", "1 4")))
+        assert frames == parse_kitti_labels(dense)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -103,6 +103,19 @@ class TestVonMisesNll:
         assert minima[0] > minima[1] > minima[2]
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("s0", [math.inf, -math.inf, math.nan])
+    def test_von_mises_s0_must_be_finite(self, s0):
+        with pytest.raises(ValueError, match="s0 must be finite"):
+            VonMisesNllConfig(s0=s0)
+
+    @pytest.mark.parametrize("name", ["alpha_cls", "alpha_reg", "alpha_angle", "alpha_var"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_loss_weights_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            LossWeights(**{name: value})
+
+
 class TestGradients:
     def test_all_check_suites_pass(self):
         results = run_loss_checks(seed=0)

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -1189,6 +1189,21 @@ class TestOracle:
             assert _bits(got) == _bits(want)
         assert by_block.table.tobytes() == by_records.table.tobytes()
         assert by_block.class_names == by_records.class_names and by_block._next_id == by_records._next_id
+
+    @pytest.mark.parametrize("cfg", ORACLE_CFGS.values(), ids=ORACLE_CFGS.keys())
+    def test_mixed_records_track_as_with_the_default_written_in(self, cfg):
+        # oracle_frames gives about a tenth of the targets' records no variance
+        default = BoxVariance(*(s * s for s in cfg.default_obs_sigma))
+        mixed, filled = Tracker(cfg), Tracker(cfg)
+        frames = oracle_frames(1)
+        assert sum(len({d.variance is None for d in frame}) == 2 for frame in frames) > 10
+        for frame in frames:
+            got = [(t.id, t.to_box()) for t in mixed.step(frame, 0.1)]
+            want = [(t.id, t.to_box()) for t in filled.step([d if d.variance is not None else
+                                                             replace(d, variance=default) for d in frame], 0.1)]
+            assert _bits(got) == _bits(want)
+            assert mixed.table.tobytes() == filled.table.tobytes()
+        assert mixed.class_names == filled.class_names and mixed._next_id == filled._next_id
 
     def test_boxes_pass_the_checks_they_skip(self):
         # theta comes out of wrap_angles, so a checked Box3D of the same values holds the same bits
