@@ -1,6 +1,23 @@
-"""Gated minimum-cost one-to-one assignment used by association and matching."""
+"""Gated minimum-cost one-to-one assignment used by association and matching.
+
+The solver is scipy's linear_sum_assignment, the shortest augmenting
+path method of Crouse (2016), "On implementing 2D rectangular
+assignment algorithms", IEEE TAES.  It lives in one small C extension,
+scipy.optimize._lsap, which scipy.optimize re-exports.  Importing
+scipy.optimize would also load scipy.linalg, scipy.sparse and the rest
+of the package, about half a second and 40 MB, so the first contested
+matrix loads that extension on its own; only where scipy ships no such
+extension file does it import scipy.optimize's public function.
+"""
 
 from __future__ import annotations
+
+import functools
+import os
+import sys
+from collections.abc import Callable
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 
@@ -10,16 +27,42 @@ import numpy as np
 FORBIDDEN_COST = 1e9
 
 
-def linear_sum_assignment(cost_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy.optimize.linear_sum_assignment, imported on the first call.
+@functools.cache
+def _solver() -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """linear_sum_assignment of scipy's _lsap extension, loaded from its file under its own name.
 
-    Importing scipy.optimize takes most of a command's start-up, and only
-    a contested matrix reaches the solver, so commands that never meet
-    one never load it.
+    Only `import scipy` runs, not scipy.optimize's __init__.  CPython
+    records a single-phase extension in sys.modules as it creates it;
+    where the module was not there before, that entry is taken out
+    again, so a later `import scipy.optimize` loads and binds its own.
+    Where scipy ships no _lsap extension file, the solver is the public
+    scipy.optimize function.
     """
-    from scipy.optimize import linear_sum_assignment as solve
+    import scipy
 
-    return solve(cost_matrix)
+    found = PathFinder.find_spec("_lsap", [os.path.join(p, "optimize") for p in scipy.__path__])
+    if found is None or not isinstance(found.loader, ExtensionFileLoader):
+        from scipy.optimize import linear_sum_assignment as solve
+
+        return solve
+    spec = spec_from_file_location("scipy.optimize._lsap", found.origin)
+    held = spec.name in sys.modules
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not held:
+        sys.modules.pop(spec.name, None)
+    return module.linear_sum_assignment
+
+
+def linear_sum_assignment(cost_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's linear_sum_assignment, loaded on the first call (see _solver).
+
+    Only a contested matrix reaches the solver, so commands that never
+    meet one never load scipy.  The first call loads the solver's own
+    extension, in about 20 ms, and never scipy.optimize; it is the
+    function scipy.optimize exports, so every result is scipy's.
+    """
+    return _solver()(cost_matrix)
 
 
 def lone_edges(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:

@@ -321,12 +321,15 @@ def detections_to_frames(records: Sequence[DetectionRecord]) -> list[DetectionCo
 
     Empty frames count there, so an absent frame is one shared empty
     block.  Records become a block first, as write_detections takes
-    them: records with and without a variance raise FormatError.
+    them: records with and without a variance raise FormatError.  Frame
+    indices must lie in [0, MAX_FRAME_INDEX], as the readers require, so
+    the list stays bounded: the first row outside raises FormatError.
     """
     dets = _columns_of(records)
+    outside = np.flatnonzero((dets.frame < 0) | (dets.frame > MAX_FRAME_INDEX))
+    if len(outside):
+        raise FormatError(_frame_fault(int(dets.frame[outside[0]])))
     frames = {frame: dets.take(index) for frame, index in dets.by_frame()}
-    if min(frames, default=0) < 0:
-        raise FormatError(f"frame index {min(frames)} out of range: frames start at 0")
     none = dets.take(np.zeros(0, np.intp))
     return [frames.get(f, none) for f in range(max(frames, default=-1) + 1)]
 

@@ -1023,7 +1023,9 @@ def test_cli_outputs_match_golden_digests(tmp_path):
 
 # Runs the JSON list of argv lists in sys.argv[1] through main, the first
 # list's commands first, then checks that scipy is not loaded; then runs
-# the second list's and checks that it is.
+# the second list's and checks that the solver is loaded and cached, and
+# that no scipy.optimize module, _lsap included, is in sys.modules unless
+# scipy ships no _lsap extension file (sys.argv[2] says whether it does).
 _LAZY_SOLVER = """
 import json
 import sys
@@ -1040,7 +1042,9 @@ with redirect_stdout(StringIO()):
     assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
     for argv in after:
         assert uatrack.cli.main(argv) == 0, argv
-assert "scipy.optimize" in sys.modules
+assert uatrack.assignment._solver.cache_info().currsize == 1
+optimize = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+assert bool(optimize) == (sys.argv[2] == "no-extension"), (sys.argv[2], optimize)
 """
 
 
@@ -1048,7 +1052,10 @@ def test_scipy_loads_only_when_a_contested_matrix_needs_the_solver(tmp_path):
     import json
     import subprocess
     import sys
+    from importlib.machinery import EXTENSION_SUFFIXES
     from pathlib import Path
+
+    import scipy
 
     import uatrack
     from uatrack.boxes import Box3D
@@ -1073,7 +1080,10 @@ def test_scipy_loads_only_when_a_contested_matrix_needs_the_solver(tmp_path):
     after = [["track", "--dets", path("contested.csv"), "--out", path("tracks.csv")]]
     src = str(Path(uatrack.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", _LAZY_SOLVER, json.dumps([before, after])], env=env, check=True)
+    extension = any((Path(p) / "optimize" / f"_lsap{suffix}").is_file()
+                    for p in scipy.__path__ for suffix in EXTENSION_SUFFIXES)
+    subprocess.run([sys.executable, "-c", _LAZY_SOLVER, json.dumps([before, after]),
+                    "extension" if extension else "no-extension"], env=env, check=True)
 
 
 def test_module_entry_point_prints_help():

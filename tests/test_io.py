@@ -483,11 +483,19 @@ class TestReaderChecks:
         with pytest.raises(FormatError, match=f"table.csv:3: {error}"):
             (read_tracks if columns == TRACK_COLUMNS else read_detections)(path)
 
-    @pytest.mark.parametrize("frame", [-1])
+    @pytest.mark.parametrize("frame", [-1, MAX_FRAME_INDEX + 1])
     def test_detections_to_frames_range_checked(self, frame):
         box = Box3D(0, 0, 0, 1, 1, 1, 0)
-        with pytest.raises(FormatError, match="out of range"):
+        with pytest.raises(FormatError, match=f"^{re.escape(io._frame_fault(frame))}$"):
             detections_to_frames([DetectionRecord(frame, box)])
+
+    def test_detections_to_frames_names_the_first_row_outside_of_a_block(self):
+        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        block = DetectionColumns.of([DetectionRecord(f, box) for f in (3, 0, 2 * MAX_FRAME_INDEX, -5)])
+        with pytest.raises(FormatError, match=f"^{re.escape(io._frame_fault(2 * MAX_FRAME_INDEX))}$"):
+            detections_to_frames(block)
+        assert len(detections_to_frames(DetectionColumns.of([DetectionRecord(MAX_FRAME_INDEX, box)]))) == \
+            MAX_FRAME_INDEX + 1
 
 
 @pytest.fixture(scope="module")
