@@ -1,6 +1,7 @@
 """The assignment solver loader: scipy's _lsap extension on its own, or scipy.optimize's public function."""
 
 from importlib.machinery import ModuleSpec
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,22 +37,12 @@ def test_loaded_solver_matches_scipys_public_function(fresh_solver):
     assert assignment._solver.cache_info().misses == 1
 
 
-class _Miss:
-    """A PathFinder stand-in whose lookup returns `spec`."""
-
-    def __init__(self, spec):
-        self.spec = spec
-
-    def find_spec(self, name, path):
-        return self.spec
-
-
 @pytest.mark.parametrize("spec", [None, ModuleSpec("_lsap", None)], ids=["no-file", "not-an-extension"])
 def test_lookup_miss_falls_back_to_the_public_function(fresh_solver, monkeypatch, spec):
     rng = np.random.default_rng(7)
     cases = [(rng.uniform(0.0, 1.0, (6, 9)), rng.random((6, 9)) < 0.4) for _ in range(20)]
     want = [hungarian_assign(cost, allowed) for cost, allowed in cases]
     assignment._solver.cache_clear()
-    monkeypatch.setattr(assignment, "PathFinder", _Miss(spec))
+    monkeypatch.setattr(assignment, "PathFinder", SimpleNamespace(find_spec=lambda name, path: spec))
     assert assignment._solver() is public_solver
     assert [hungarian_assign(cost, allowed) for cost, allowed in cases] == want
