@@ -13,19 +13,15 @@ noise of new tracks); otherwise a fixed default applies, which is the
 classic constant-covariance tracker.  TrackerConfig states both noises
 as a config file does: a process-noise diagonal and observation sigmas.
 
-A Tracker keeps every track in one table, a numpy structured array with
-one row per track (see TRACK_DTYPE).  step() takes a frame as a
-DetectionColumns block, whose arrays it slices, or as a list of
-records, which becomes such a block through DetectionColumns.of, each
-record without a variance given the default first; it checks the rows
-and variances, and reads the frame as plain arrays: (n, 8) rows, (n, 7)
-observation variances and class codes.  It then predicts, associates,
-updates, drops and spawns with array operations on a copy of the table.
-Whole rows (the copy, the matched rows, the drop and confirmed filters,
-the spawned rows' concatenation) move as raw bytes through one void
-view of the row (_ROW): numpy moves a structured row field by field,
-and since _pad makes every byte of a row a field, the raw move leaves
-the same bytes.  The confirmed rows are checked as one block, and every
+A Tracker keeps every track in one table, a float64 matrix with one row
+per track and one column per value (see _ID to _CONFIRMED).  step()
+takes a frame as a DetectionColumns block, whose arrays it slices, or as
+a list of records, which becomes such a block through DetectionColumns.of,
+each record without a variance given the default first; it checks the
+rows and variances, and reads the frame as plain arrays: (n, 8) rows,
+(n, 7) observation variances and class codes.  It then predicts,
+associates, updates, drops and spawns with array operations on a copy of
+the table.  The confirmed rows are checked as one block, and every
 track's mean and covariance for finiteness, before that copy replaces
 the old table: a step either completes or changes nothing, and a state
 the filter overflows is refused, never kept as NaN.  step_rows returns
@@ -91,37 +87,27 @@ DEFAULT_PROCESS_DIAG = (1e-4, 1e-4, 1e-5, 0.01, 0.64, 0.0225)
 # variance is not used.
 DEFAULT_OBS_SIGMA = (0.5, 0.5, 0.5, 0.2, 0.2, 0.2, 0.1)
 
-# One row per track: pose mean (x, y, theta, v, a, omega) and covariance,
-# filtered (w, l) and their variances, z and h of the latest matched
-# detection, smoothed score, consecutive hits and misses.  class_id is a
-# code into Tracker.class_names.  _pad fills the row out to its 8-byte
-# alignment: numpy leaves bytes outside any field unset when it copies,
-# filters or concatenates rows field by field, so every byte is a field,
-# and equal tables have equal bytes.
-TRACK_DTYPE = np.dtype(
-    [
-        ("id", np.int64),
-        ("class_id", np.int64),
-        ("mean", float, (_N,)),
-        ("cov", float, (_N, _N)),
-        ("size", float, (2,)),
-        ("size_var", float, (2,)),
-        ("z", float),
-        ("h", float),
-        ("score", float),
-        ("hits", np.int64),
-        ("misses", np.int64),
-        ("confirmed", bool),
-        ("_pad", np.uint8, (7,)),
-    ],
-    align=True,
-)
+# The track table's columns: id, class code (into Tracker.class_names),
+# pose mean (x, y, theta, v, a, omega) and covariance (row-major), filtered
+# (w, l) and their variances, z and h of the latest matched detection,
+# smoothed score, consecutive hits and misses, and confirmed (0.0 or 1.0).
+# Ids, codes and counts are integers far below 2**53, so float64 holds
+# them exactly.
+_ID, _CLASS = 0, 1
+_MEAN = slice(2, 2 + _N)
+_COV = slice(_MEAN.stop, _MEAN.stop + _N * _N)
+_SIZE = slice(_COV.stop, _COV.stop + 2)
+_SIZE_VAR = slice(_SIZE.stop, _SIZE.stop + 2)
+_Z, _H, _SCORE, _HITS, _MISSES, _CONFIRMED = range(_SIZE_VAR.stop, _SIZE_VAR.stop + 6)
+_COLUMNS = _CONFIRMED + 1
+# a confirmed row's reported box, in BOX_FIELDS order, then its score
+_BOX = [_MEAN.start, _MEAN.start + 1, _Z, _SIZE.start, _SIZE.start + 1, _H, _MEAN.start + 2, _SCORE]
 
-# A track row as opaque bytes.  step() copies, gathers, filters and
-# concatenates rows through this view: numpy moves a structured row field
-# by field, a void row in one block.  Since every byte of a row is a
-# field (see _pad), the two moves leave the same bytes.
-_ROW = np.dtype((np.void, TRACK_DTYPE.itemsize))
+
+def _cov(table: np.ndarray) -> np.ndarray:
+    """The (T, 6, 6) covariances of a table's rows, as a view."""
+    return table[:, _COV].reshape(-1, _N, _N)
+
 
 # Of a detection's (n, 8) row and (n, 7) variances, both in BOX_FIELDS
 # order, the pose filter observes columns _OBS (x, y, theta), the size
@@ -292,13 +278,14 @@ def associate(
     track_class: np.ndarray,
     det_class: np.ndarray,
     gate_distance: float,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global nearest neighbor on planar center distance.
 
     Takes (T, 2) track and (D, 2) detection centers with their classes.
     Pairs with distance above the gate or with differing classes are
-    forbidden.  Returns the (track, detection) matches, tracks
-    ascending, and the unmatched track and detection rows.
+    forbidden.  Returns intp arrays: the matched track rows, ascending,
+    the detection row matched to each, and the unmatched detection rows,
+    ascending.
 
     Only the detections in each track's x-window of the gate are tested
     (sweep_pairs over the detections sorted by x).  An allowed pair
@@ -312,7 +299,7 @@ def associate(
     """
     n_t, n_d = len(track_xy), len(det_xy)
     if not n_t or not n_d:
-        return [], list(range(n_t)), list(range(n_d))
+        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.arange(n_d, dtype=np.intp)
     # array methods, not module functions: see sweep_pairs
     det_x = det_xy[:, 0]
     order = det_x.argsort(kind="stable")
@@ -337,9 +324,7 @@ def associate(
         mt, md = np.concatenate((mt, rows[pr])), np.concatenate((md, cols[pc]))
         by_track = mt.argsort()
         mt, md = mt[by_track], md[by_track]
-    free_t = (np.bincount(mt, minlength=n_t) == 0).nonzero()[0]
-    free_d = (np.bincount(md, minlength=n_d) == 0).nonzero()[0]
-    return list(zip(mt.tolist(), md.tolist())), free_t.tolist(), free_d.tolist()
+    return mt, md, (np.bincount(md, minlength=n_d) == 0).nonzero()[0]
 
 
 class Tracker:
@@ -347,14 +332,14 @@ class Tracker:
 
     step() replaces the track table and must not be called concurrently
     on the same instance.  Track ids are assigned from a strictly
-    increasing counter and never reused.  The table's class_id column
+    increasing counter and never reused.  The table's _CLASS column
     holds codes into class_names, which grows by each new class name a
     completed step brings.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
-        self.table = np.zeros(0, dtype=TRACK_DTYPE)
+        self.table = np.zeros((0, _COLUMNS))
         self.class_names: tuple[str, ...] = ()
         self._next_id = 1
         self._process_noise = np.diag(self.config.process_noise_diag)
@@ -389,17 +374,18 @@ class Tracker:
 
     def _spawn(self, rows: np.ndarray, var: np.ndarray, class_id: np.ndarray) -> np.ndarray:
         """New tentative rows, one per detection, ids in detection order."""
-        new = np.zeros(len(rows), dtype=TRACK_DTYPE)
-        new["id"] = np.arange(self._next_id, self._next_id + len(rows))
-        new["class_id"] = class_id
-        new["mean"][:, :3] = rows[:, _OBS]
-        new["mean"][:, 2] = wrap_angles(new["mean"][:, 2])
-        new["cov"][:, _POSE, _POSE] = var[:, _OBS]
-        new["cov"][:, _HIDDEN, _HIDDEN] = _PRIOR_HIDDEN_VAR
-        new["size"], new["size_var"] = rows[:, 3:5], var[:, 3:5]
-        new["z"], new["h"] = rows[:, 2], rows[:, 5]
-        new["score"] = rows[:, 7]
-        new["hits"] = 1
+        new = np.zeros((len(rows), _COLUMNS))
+        new[:, _ID] = np.arange(self._next_id, self._next_id + len(rows))
+        new[:, _CLASS] = class_id
+        mean, cov = new[:, _MEAN], _cov(new)
+        mean[:, :3] = rows[:, _OBS]
+        mean[:, 2] = wrap_angles(mean[:, 2])
+        cov[:, _POSE, _POSE] = var[:, _OBS]
+        cov[:, _HIDDEN, _HIDDEN] = _PRIOR_HIDDEN_VAR
+        new[:, _SIZE], new[:, _SIZE_VAR] = rows[:, 3:5], var[:, 3:5]
+        new[:, _Z], new[:, _H] = rows[:, 2], rows[:, 5]
+        new[:, _SCORE] = rows[:, 7]
+        new[:, _HITS] = 1.0
         return new
 
     def step(self, detections: FrameDetections, dt: float) -> list[Track]:
@@ -423,45 +409,44 @@ class Tracker:
             return np.zeros(0, np.int64), [], np.zeros((0, 8))  # nothing to predict, match or spawn
         cfg = self.config
         rows, var, det_class, class_names = self._read_frame(detections)
-        table = self.table.view(_ROW).copy().view(TRACK_DTYPE)
+        table = self.table.copy()
 
         with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows is refused below
             if len(table):
-                table["mean"], table["cov"] = ukf_predict_batch(table["mean"], table["cov"], dt, self._process_noise)
-            matches, _, unmatched_d = associate(
-                table["mean"][:, :2], rows[:, :2], table["class_id"], det_class, cfg.gate_distance
-            )
-            ti, di = np.array(matches, dtype=np.intp).reshape(-1, 2).T
-            if matches:
-                matched, box, box_var = table.view(_ROW)[ti].view(TRACK_DTYPE), rows[di], var[di]
-                table["mean"][ti], table["cov"][ti] = ukf_update_batch(
-                    matched["mean"], matched["cov"], box[:, _OBS], box_var[:, _OBS]
+                mean, cov = table[:, _MEAN], _cov(table)
+                mean[:], cov[:] = ukf_predict_batch(mean, cov, dt, self._process_noise)
+            ti, di, free = associate(table[:, _MEAN][:, :2], rows[:, :2], table[:, _CLASS], det_class,
+                                     cfg.gate_distance)
+            if len(ti):
+                matched, box, box_var = table[ti], rows[di], var[di]
+                mean, cov = matched[:, _MEAN], _cov(matched)
+                mean[:], cov[:] = ukf_update_batch(mean, cov, box[:, _OBS], box_var[:, _OBS])
+                matched[:, _SIZE], matched[:, _SIZE_VAR] = size_update(
+                    matched[:, _SIZE], matched[:, _SIZE_VAR], box[:, 3:5], box_var[:, 3:5]
                 )
-                table["size"][ti], table["size_var"][ti] = size_update(
-                    matched["size"], matched["size_var"], box[:, 3:5], box_var[:, 3:5]
-                )
-                table["z"][ti], table["h"][ti] = box[:, 2], box[:, 5]
-                table["score"][ti] = SCORE_SMOOTHING * matched["score"] + (1.0 - SCORE_SMOOTHING) * box[:, 7]
+                matched[:, _Z], matched[:, _H] = box[:, 2], box[:, 5]
+                matched[:, _SCORE] = SCORE_SMOOTHING * matched[:, _SCORE] + (1.0 - SCORE_SMOOTHING) * box[:, 7]
+                table[ti] = matched
 
         hit = np.zeros(len(table), dtype=bool)
         hit[ti] = True
-        table["hits"] = np.where(hit, table["hits"] + 1, 0)
-        table["misses"] = np.where(hit, 0, table["misses"] + 1)
-        table = table.view(_ROW)[table["misses"] < cfg.t_drop].view(TRACK_DTYPE)
-        if unmatched_d:
-            new = self._spawn(rows[unmatched_d], var[unmatched_d], det_class[unmatched_d])
-            table = np.concatenate([table.view(_ROW), new.view(_ROW)]).view(TRACK_DTYPE)
-        if not (np.isfinite(table["mean"]).all() and np.isfinite(table["cov"]).all()):
+        table[:, _HITS] = np.where(hit, table[:, _HITS] + 1.0, 0.0)
+        table[:, _MISSES] = np.where(hit, 0.0, table[:, _MISSES] + 1.0)
+        table = table[table[:, _MISSES] < cfg.t_drop]
+        if len(free):
+            table = np.concatenate([table, self._spawn(rows[free], var[free], det_class[free])])
+        if not (np.isfinite(table[:, _MEAN]).all() and np.isfinite(table[:, _COV]).all()):
             raise ValueError("track state is not finite: a detection's values or variances overflow the filter")
-        table["confirmed"] |= table["hits"] >= cfg.t_init
-        out = table.view(_ROW)[table["confirmed"]].view(TRACK_DTYPE)
-        mean, size = out["mean"], out["size"]
-        boxes = np.column_stack((mean[:, :2], out["z"], size, out["h"], mean[:, 2], out["score"]))
+        confirmed = (table[:, _CONFIRMED] == 1.0) | (table[:, _HITS] >= cfg.t_init)
+        table[:, _CONFIRMED] = confirmed
+        out = table[confirmed]
+        boxes = out.take(_BOX, 1)  # C-ordered, where out[:, _BOX] would be Fortran-ordered
         check_rows(boxes)
 
         self.table, self.class_names = table, class_names
-        self._next_id += len(unmatched_d)
-        return out["id"].copy(), [class_names[code] for code in out["class_id"].tolist()], boxes
+        self._next_id += len(free)
+        names = [class_names[code] for code in out[:, _CLASS].astype(np.intp).tolist()]
+        return out[:, _ID].astype(np.int64), names, boxes
 
 
 def track_frames(frames: list[FrameDetections], cfg: TrackerConfig, dt: float) -> TrackColumns:

@@ -39,7 +39,7 @@ from uatrack.io import (
 )
 from uatrack.metrics import MAX_RECALL_POINTS
 from uatrack.sim import MAX_TARGETS, ScenarioConfig, generate_scenario
-from uatrack.tracker import Tracker
+from uatrack.tracker import Tracker, _SIZE_VAR, _cov
 
 
 def random_records(rng, n, with_var=True):
@@ -295,8 +295,8 @@ class TestRunConfig:
         # a variance-free detection spawns a track with variance sigma**2
         tracker = Tracker(cfg.tracker)
         tracker.step([DetectionRecord(0, Box3D(1.0, 2.0, 0.0, 1.8, 4.2, 1.5, 0.3))], 0.1)
-        assert np.diag(tracker.table["cov"][0])[:3].tolist() == [0.25] * 3
-        assert tracker.table["size_var"][0].tolist() == [0.25] * 2
+        assert np.diag(_cov(tracker.table)[0])[:3].tolist() == [0.25] * 3
+        assert tracker.table[0, _SIZE_VAR].tolist() == [0.25] * 2
 
     def test_process_noise_diag_length_checked(self):
         with pytest.raises(FormatError):

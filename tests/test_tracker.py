@@ -20,11 +20,16 @@ from uatrack.tracker import (
     PRIOR_SPEED_STD,
     PRIOR_TURN_STD,
     SCORE_SMOOTHING,
-    TRACK_DTYPE,
     Tracker,
     TrackerConfig,
+    _CLASS,
+    _COLUMNS,
+    _CONFIRMED,
     _GAMMA,
+    _ID,
+    _MEAN,
     _WC,
+    _cov,
     associate,
     constant_sigma_config,
     size_update,
@@ -182,7 +187,7 @@ class TestAngleWrap:
         # Box3D wraps a heading one ulp past pi to -pi
         tracker = Tracker()
         tracker.step([detection(0.0, 0.0, 3.1415926535897936)], 0.1)
-        assert tracker.table["mean"][0, 2] == math.pi
+        assert tracker.table[0, _MEAN][2] == math.pi
 
 
 class TestWrapAnglesFormula:
@@ -278,7 +283,7 @@ class TestPredictOracle:
 
     @pytest.fixture(scope="class")
     def table(self):
-        # field views of a track table, strided as step() passes them; in
+        # column views of a track table, strided as step() passes them; in
         # the first rows, turn rates at the straight-line switch (0, +-eps,
         # one ulp inside it) next to arcs, a turn-rate variance small enough
         # that the sigma points straddle the switch, and a singular
@@ -287,7 +292,7 @@ class TestPredictOracle:
         rng = np.random.default_rng(41)
         ulp = np.spacing(math.pi)
         inside = np.nextafter(OMEGA_EPS, 0.0)
-        table = np.zeros(n, dtype=TRACK_DTYPE)
+        table = np.zeros((n, _COLUMNS))
         mean = np.column_stack([rng.normal(0.0, 20.0, (n, 2)), rng.uniform(-math.pi, math.pi, n),
                                 rng.uniform(0.0, 10.0, n), rng.normal(0.0, 1.0, n), rng.normal(0.0, 0.3, n)])
         mean[::3, 2] = math.pi * rng.choice([-1.0, 1.0], len(mean[::3])) + ulp * rng.integers(-4, 5, len(mean[::3]))
@@ -300,22 +305,43 @@ class TestPredictOracle:
         cov[1] = np.diag([0.5, 0.5, 0.1, 1.0, 0.3, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(cov[1])
-        table["mean"], table["cov"] = mean, cov
+        table[:, _MEAN], _cov(table)[:] = mean, cov
         return table
 
     @pytest.mark.parametrize("t", [1, 2, 15, 250])
     def test_bitwise_the_frozen_path(self, table, t):
         q = np.diag(DEFAULT_PROCESS_DIAG)
         rows = table[:t]
-        assert rows["mean"].strides[0] == rows["cov"].strides[0] == TRACK_DTYPE.itemsize
-        got = ukf_predict_batch(rows["mean"], rows["cov"], 0.1, q)
-        want = frozen.ukf_predict_batch(rows["mean"], rows["cov"], 0.1, q)
+        mean, cov = rows[:, _MEAN], _cov(rows)
+        assert np.shares_memory(mean, table) and np.shares_memory(cov, table)
+        assert t == 1 or mean.strides[0] == cov.strides[0] == table.strides[0]  # one row's stride is free
+        got = ukf_predict_batch(mean, cov, 0.1, q)
+        want = frozen.ukf_predict_batch(mean, cov, 0.1, q)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("t", [1, 2, 15, 250])
+    def test_bits_do_not_depend_on_the_layout(self, table, t):
+        # the same states as the table's column views, as contiguous
+        # copies, and as the fields of a structured array
+        rows = table[:t]
+        fields = np.zeros(t, dtype=np.dtype([("id", np.int64), ("mean", float, (6,)), ("cov", float, (6, 6)),
+                                             ("confirmed", bool)], align=True))
+        fields["mean"], fields["cov"] = rows[:, _MEAN], _cov(rows)
+        layouts = [(rows[:, _MEAN], _cov(rows)), (rows[:, _MEAN].copy(), _cov(rows).copy()),
+                   (fields["mean"], fields["cov"])]
+        assert t == 1 or [m.flags.c_contiguous for m, _ in layouts] == [False, True, False]
+        rng = np.random.default_rng(t)
+        obs = rows[:, _MEAN][:, :3] + rng.normal(0.0, 1.0, (t, 3))
+        obs_var = rng.uniform(0.01, 2.0, (t, 3))
+        q = np.diag(DEFAULT_PROCESS_DIAG)
+        outs = [ukf_predict_batch(m, c, 0.1, q) + ukf_update_batch(m, c, obs, obs_var) for m, c in layouts]
+        for out in outs[1:]:
+            assert [o.tobytes() for o in out] == [o.tobytes() for o in outs[0]]
+
     def test_sigma_points_cross_the_straight_line_switch(self, table):
         # the cases above reach both branches of ctra_step in one batch
-        pts = frozen._sigma_points(table["mean"][:12], table["cov"][:12])
+        pts = frozen._sigma_points(table[:12, _MEAN], _cov(table[:12]))
         straight = np.abs(pts[..., 5]) < OMEGA_EPS
         assert straight.any() and not straight.all()
         assert (straight.any(axis=1) & ~straight.all(axis=1)).any()
@@ -438,8 +464,7 @@ class TestUkfUpdate:
             tracker.step([detection(-30.0, 0.0, class_id="Cyclist"), detection(bad_x, 5.0, variance=bad)], 0.1)
         assert tracker.table is table and tracker._next_id == next_id
         assert tracker.class_names == ("Car", "Pedestrian")
-        for name in before.dtype.names:
-            assert np.array_equal(table[name], before[name]), name
+        assert np.array_equal(table, before)
 
     def test_bad_noise_rejected(self):
         self._rejects_without_change(5.0)  # would update the Car track
@@ -455,8 +480,7 @@ class TestUkfUpdate:
         with pytest.raises(ValueError, match="dt"):
             tracker.step([detection(5.0, 5.0), detection(20.0, 0.0)], dt)
         assert tracker.table is table and tracker._next_id == next_id
-        for name in before.dtype.names:
-            assert np.array_equal(table[name], before[name]), name
+        assert np.array_equal(table, before)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_process_noise_rejected(self, bad):
@@ -645,18 +669,25 @@ class TestAssignmentShortcut:
             hungarian_assign(np.zeros(3), allowed[0])
 
 
+def matched_pairs(t_xy, d_xy, t_cls, d_cls, gate):
+    """associate's matches as (track, detection) pairs, and its unmatched detections, as lists."""
+    ti, di, free_d = associate(t_xy, d_xy, t_cls, d_cls, gate)
+    assert ti.dtype == di.dtype == free_d.dtype == np.intp
+    return list(zip(ti.tolist(), di.tolist())), free_d.tolist()
+
+
 class TestAssociate:
     def test_simple_match(self):
-        matches, ut, ud = associate(centers(0, 0), centers(0.1, 0.0), ["Car"], ["Car"], 2.0)
-        assert matches == [(0, 0)] and not ut and not ud
+        matches, ud = matched_pairs(centers(0, 0), centers(0.1, 0.0), ["Car"], ["Car"], 2.0)
+        assert matches == [(0, 0)] and not ud
 
     def test_gated_out(self):
-        matches, ut, ud = associate(centers(0, 0), centers(5.0, 0.0), ["Car"], ["Car"], 2.0)
-        assert not matches and ut == [0] and ud == [0]
+        matches, ud = matched_pairs(centers(0, 0), centers(5.0, 0.0), ["Car"], ["Car"], 2.0)
+        assert not matches and ud == [0]
 
     def test_class_separation(self):
-        matches, _, _ = associate(centers(0, 0), centers(0.1, 0.0), ["Car"], ["Pedestrian"],
-                                  TrackerConfig().gate_distance)
+        matches, _ = matched_pairs(centers(0, 0), centers(0.1, 0.0), ["Car"], ["Pedestrian"],
+                                   TrackerConfig().gate_distance)
         assert not matches
 
     def test_crossing_matches_brute_force(self):
@@ -665,7 +696,7 @@ class TestAssociate:
         for _ in range(50):
             tracks = rng.uniform(-5, 5, (3, 2))
             dets = rng.uniform(-5, 5, (3, 2))
-            matches, _, _ = associate(tracks, dets, ["Car"] * 3, ["Car"] * 3, cfg.gate_distance)
+            matches, _ = matched_pairs(tracks, dets, ["Car"] * 3, ["Car"] * 3, cfg.gate_distance)
             dist = np.array(
                 [[math.hypot(t[0] - d[0], t[1] - d[1]) for d in dets] for t in tracks]
             )
@@ -727,9 +758,8 @@ class TestSparseAssociate:
         for _ in range(10):
             t_xy, d_xy, t_cls, d_cls = sparse_frame(rng, n_tracks, self.GATE, offset)
             want = dense_associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
-            matches, free_t, free_d = associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
+            matches, free_d = matched_pairs(t_xy, d_xy, t_cls, d_cls, self.GATE)
             assert matches == want
-            assert free_t == sorted(set(range(len(t_xy))) - {t for t, _ in want})
             assert free_d == sorted(set(range(len(d_xy))) - {d for _, d in want})
             dist = np.hypot(*(t_xy[:, None, :] - d_xy[None, :, :]).transpose(2, 0, 1))
             contested += int(((dist <= self.GATE).sum(axis=1) > 1).sum())
@@ -739,9 +769,9 @@ class TestSparseAssociate:
         for offset in (0.0, 1e6):
             t_xy = centers(offset + 1.0, offset + 2.0)
             d_xy = centers(offset + 3.5, offset + 2.0, offset + 1.0, np.nextafter(offset + 4.5, np.inf))
-            matches, _, free_d = associate(t_xy, d_xy, [0], [0, 0], self.GATE)
+            matches, free_d = matched_pairs(t_xy, d_xy, [0], [0, 0], self.GATE)
             assert matches == [(0, 0)] and free_d == [1]
-            matches, _, _ = associate(t_xy, d_xy[1:], [0], [0], self.GATE)
+            matches, _ = matched_pairs(t_xy, d_xy[1:], [0], [0], self.GATE)
             assert matches == []
 
     @pytest.mark.parametrize("n_tracks", [15, 60, 240])
@@ -751,7 +781,7 @@ class TestSparseAssociate:
         for _ in range(10):
             t_xy, d_xy, t_cls, d_cls = sparse_frame(rng, n_tracks, self.GATE, ties=True)
             want = dense_associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
-            matches, _, _ = associate(t_xy, d_xy, t_cls, d_cls, self.GATE)
+            matches, _ = matched_pairs(t_xy, d_xy, t_cls, d_cls, self.GATE)
 
             def total(pairs):
                 return math.fsum(math.hypot(*(t_xy[t] - d_xy[d])) for t, d in pairs)
@@ -764,8 +794,7 @@ class TestSparseAssociate:
     @pytest.mark.parametrize("n_tracks, n_dets", [(0, 3), (3, 0), (0, 0)])
     def test_empty_side(self, n_tracks, n_dets):
         t_xy, d_xy = np.zeros((n_tracks, 2)), np.zeros((n_dets, 2))
-        assert associate(t_xy, d_xy, [0] * n_tracks, [0] * n_dets, self.GATE) == (
-            [], list(range(n_tracks)), list(range(n_dets)))
+        assert matched_pairs(t_xy, d_xy, [0] * n_tracks, [0] * n_dets, self.GATE) == ([], list(range(n_dets)))
 
 
 class TestTrackerLifecycle:
@@ -802,7 +831,7 @@ class TestTrackerLifecycle:
         out = tracker.step([detection(0.0, 0.0, class_id="Pedestrian"), detection(10.0, 0.0),
                             detection(20.0, 0.0, class_id="Pedestrian")], 0.1)
         assert tracker.class_names == ("Pedestrian", "Car")
-        assert tracker.table["class_id"].tolist() == [0, 1, 0]
+        assert tracker.table[:, _CLASS].tolist() == [0, 1, 0]
         assert [t.class_id for t in out] == ["Pedestrian", "Car", "Pedestrian"]
         out = tracker.step([detection(10.0, 0.0), detection(40.0, 0.0, class_id="Cyclist")], 0.1)
         assert tracker.class_names == ("Pedestrian", "Car", "Cyclist")
@@ -833,7 +862,7 @@ class TestTrackerLifecycle:
         tracker = Tracker(TrackerConfig(t_init=1))
         a = tracker.step([self._stationary_det()], 0.1)[0].id
         b = tracker.step([self._stationary_det(), detection(50.0, 50.0, 0.0)], 0.1)
-        ids = sorted(tracker.table["id"])
+        ids = sorted(tracker.table[:, _ID])
         assert ids[0] == a and ids[-1] > a
 
     def test_miss_resets_consecutive_hits(self):
@@ -849,8 +878,7 @@ class TestTrackerLifecycle:
     def _unchanged(tracker, state):
         table, before, class_names, next_id = state
         assert tracker.table is table and tracker.class_names == class_names and tracker._next_id == next_id
-        for name in before.dtype.names:
-            assert np.array_equal(table[name], before[name]), name
+        assert np.array_equal(table, before)
 
     @staticmethod
     def _state(tracker):
@@ -919,37 +947,43 @@ class TestTrackerLifecycle:
             constant_sigma_config(TrackerConfig(), 0.0)
 
 
-class TestRawRowMoves:
-    """step() moves track rows as raw bytes; the table holds the bytes that moving them field by field gives."""
+class TestLifecycleOrder:
+    """step() keeps the surviving rows first, in their order, then spawns one row per unmatched detection."""
 
-    def test_table_bytes_equal_field_moves(self, monkeypatch):
+    def test_survivors_then_spawns_in_detection_order(self, monkeypatch):
         import uatrack.tracker as tracker_module
 
         sc = generate_scenario(ScenarioConfig(n_targets=6, n_frames=40, fp_rate=0.5, fn_rate=0.3, seed=5))
-        cfg = TrackerConfig(t_init=2, t_drop=2)
-        raw, ref = Tracker(cfg), Tracker(cfg)
-        raw._next_id = ref._next_id = 2**40 + 7  # ids with high bytes set
+        tracker = Tracker(TrackerConfig(t_init=2, t_drop=2))
+        tracker._next_id = 2**40 + 7  # ids with high bits set
+        seen = []
+
+        def spy(*args):
+            seen.append(associate(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(tracker_module, "associate", spy)
         events = {"drop": 0, "spawn": 0, "confirm": 0}
         for k, frame in enumerate(sc.detections):
-            for trk in (raw, ref):  # every _pad byte of a surviving row must come through unchanged
-                trk.table["_pad"] = (trk.table["id"][:, None] * 7 + np.arange(7) + k) % 251 + 1
-            before = raw.table.copy()
-            raw.step(frame, 0.1)
-            with monkeypatch.context() as m:  # the same step, moving TRACK_DTYPE rows field by field
-                m.setattr(tracker_module, "_ROW", TRACK_DTYPE)
-                ref.step(frame, 0.1)
-            assert raw.table.tobytes() == ref.table.tobytes(), k
-            # surviving rows come first, in their order, with their ids, classes and _pad bytes
-            kept = np.isin(before["id"], raw.table["id"])
-            old, new = raw.table[:kept.sum()], raw.table[kept.sum():]
-            for name in ("id", "class_id", "_pad"):
-                assert old[name].tobytes() == before[name][kept].tobytes(), (k, name)
-            assert not new["_pad"].any()
+            before, next_id = tracker.table.copy(), tracker._next_id
+            seen.clear()
+            tracker.step(frame, 0.1)
+            table = tracker.table
+            # surviving rows come first, in their order, with their ids and class codes
+            kept = np.isin(before[:, _ID], table[:, _ID])
+            old, new = table[:kept.sum()], table[kept.sum():]
+            assert old[:, [_ID, _CLASS]].tobytes() == before[kept][:, [_ID, _CLASS]].tobytes(), k
+            # spawned rows follow in detection order, with consecutive ids from the counter
+            free = seen[0][2] if seen else np.zeros(0, np.intp)  # an empty step on an empty table associates nothing
+            assert new[:, _ID].tolist() == list(range(next_id, next_id + len(free))), k
+            assert new[:, _MEAN][:, :2].tobytes() == frame.rows[free, :2].tobytes(), k
+            assert tracker._next_id == next_id + len(free)
+            codes = {name: code for code, name in enumerate(tracker.class_names)}
+            assert new[:, _CLASS].tolist() == [codes[name] for name in frame.class_id[free].tolist()], k
             events["drop"] += int((~kept).sum())
             events["spawn"] += len(new) if k else 0
-            events["confirm"] += int((old["confirmed"] & ~before["confirmed"][kept]).sum())
+            events["confirm"] += int((old[:, _CONFIRMED] > before[kept][:, _CONFIRMED]).sum())
         assert all(events.values()), events
-        assert raw.class_names == ref.class_names and raw._next_id == ref._next_id
 
 
 class TestCovarianceHealth:
