@@ -56,38 +56,34 @@ def _grad_ok(analytic: float, numeric: float) -> bool:
     return diff < REL_TOL * scale
 
 
-def check_gaussian_gradients(rng: np.random.Generator, n: int = 1000) -> CheckResult:
+def _check_gradients(name: str, loss: Callable, draw: Callable[[], tuple], labels: tuple, n: int) -> CheckResult:
+    """loss's partials against central differences at n draws of (x, x_target, s, cfg); labels name x, x_target, s."""
     worst = 0.0
+    h = FD_STEP
     for _ in range(n):
-        v = rng.uniform(-3.0, 3.0)
-        v_t = rng.uniform(-3.0, 3.0)
-        s = rng.uniform(-4.0, 4.0)
-        cfg = GaussianNllConfig(lambda_g=rng.uniform(0.2, 3.0))
-        res = gaussian_nll(v, v_t, s, cfg)
-        h = FD_STEP
-        fd_v = (gaussian_nll(v + h, v_t, s, cfg).value - gaussian_nll(v - h, v_t, s, cfg).value) / (2 * h)
-        fd_s = (gaussian_nll(v, v_t, s + h, cfg).value - gaussian_nll(v, v_t, s - h, cfg).value) / (2 * h)
-        if not (_grad_ok(res.d_value, fd_v) and _grad_ok(res.d_s, fd_s)):
-            return CheckResult("gaussian-gradients", False, f"mismatch at v={v} v_t={v_t} s={s}")
-        worst = max(worst, abs(res.d_value - fd_v), abs(res.d_s - fd_s))
-    return CheckResult("gaussian-gradients", True, f"{n} points, worst abs dev {worst:.2e}")
+        x, x_t, s, cfg = draw()
+        res = loss(x, x_t, s, cfg)
+        fd_x = (loss(x + h, x_t, s, cfg).value - loss(x - h, x_t, s, cfg).value) / (2 * h)
+        fd_s = (loss(x, x_t, s + h, cfg).value - loss(x, x_t, s - h, cfg).value) / (2 * h)
+        if not (_grad_ok(res.d_value, fd_x) and _grad_ok(res.d_s, fd_s)):
+            at = " ".join(f"{label}={value}" for label, value in zip(labels, (x, x_t, s)))
+            return CheckResult(name, False, f"mismatch at {at}")
+        worst = max(worst, abs(res.d_value - fd_x), abs(res.d_s - fd_s))
+    return CheckResult(name, True, f"{n} points, worst abs dev {worst:.2e}")
+
+
+def check_gaussian_gradients(rng: np.random.Generator, n: int = 1000) -> CheckResult:
+    def draw():
+        v, v_t, s = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-4.0, 4.0)
+        return v, v_t, s, GaussianNllConfig(lambda_g=rng.uniform(0.2, 3.0))
+    return _check_gradients("gaussian-gradients", gaussian_nll, draw, ("v", "v_t", "s"), n)
 
 
 def check_von_mises_gradients(rng: np.random.Generator, n: int = 1000) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        th = rng.uniform(-math.pi, math.pi)
-        th_t = rng.uniform(-math.pi, math.pi)
-        s = rng.uniform(-4.0, 4.0)
-        cfg = VonMisesNllConfig(lambda_v=rng.uniform(0.0, 2.0), s0=rng.uniform(-1.0, 2.0))
-        res = von_mises_nll(th, th_t, s, cfg)
-        h = FD_STEP
-        fd_th = (von_mises_nll(th + h, th_t, s, cfg).value - von_mises_nll(th - h, th_t, s, cfg).value) / (2 * h)
-        fd_s = (von_mises_nll(th, th_t, s + h, cfg).value - von_mises_nll(th, th_t, s - h, cfg).value) / (2 * h)
-        if not (_grad_ok(res.d_value, fd_th) and _grad_ok(res.d_s, fd_s)):
-            return CheckResult("von-mises-gradients", False, f"mismatch at th={th} th_t={th_t} s={s}")
-        worst = max(worst, abs(res.d_value - fd_th), abs(res.d_s - fd_s))
-    return CheckResult("von-mises-gradients", True, f"{n} points, worst abs dev {worst:.2e}")
+    def draw():
+        th, th_t, s = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi), rng.uniform(-4.0, 4.0)
+        return th, th_t, s, VonMisesNllConfig(lambda_v=rng.uniform(0.0, 2.0), s0=rng.uniform(-1.0, 2.0))
+    return _check_gradients("von-mises-gradients", von_mises_nll, draw, ("th", "th_t", "s"), n)
 
 
 def check_gaussian_argmin(rng: np.random.Generator, n: int = 20) -> CheckResult:

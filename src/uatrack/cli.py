@@ -295,18 +295,23 @@ def _cmd_plot_data(args) -> int:
         raise FormatError("--d2 must be finite and >= 0, --cos in [-1, 1]")
     try:
         if args.family == "gaussian":
-            loss, residual = gaussian_nll, math.sqrt(args.d2)
+            loss, residual, flags = gaussian_nll, math.sqrt(args.d2), "--d2, --lambda-g"
             curves = [(f"lambda_g={format_float(lam)}", GaussianNllConfig(lambda_g=lam)) for lam in args.lambda_g]
         else:
-            loss, residual = von_mises_nll, math.acos(args.cos)
+            loss, residual, flags = von_mises_nll, math.acos(args.cos), "--lambda-v, --s0"
             curves = [(f"lambda_v={format_float(lam)}", VonMisesNllConfig(lambda_v=lam, s0=args.s0))
                       for lam in args.lambda_v]
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+    def row(s: float) -> list[str]:
+        values = [loss(residual, 0.0, s, cfg).value for _, cfg in curves]
+        if not all(map(math.isfinite, values)):  # the table is built in full before a byte is written
+            raise FormatError(f"{flags}, --s-min and --s-max give a loss beyond the float range at s={format_float(s)}")
+        return [format_float(s), *map(format_float, values)]
+
     s_values = [args.s_min + i * (args.s_max - args.s_min) / (args.points - 1) for i in range(args.points)]
-    rows = ([format_float(s)] + [format_float(loss(residual, 0.0, s, cfg).value) for _, cfg in curves]
-            for s in s_values)
-    write_table(args.out, ["s"] + [name for name, _ in curves], rows)
+    write_table(args.out, ["s"] + [name for name, _ in curves], map(row, s_values))
     return 0
 
 

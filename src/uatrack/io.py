@@ -206,11 +206,13 @@ def _read_table(path: str | Path, headers: list[list[str]]) -> _Table:
     at, has_id = header.index("class"), "id" in header
     table = _loaded(rows, header) if text.isascii() and "\x1f" not in text else None
     if table is not None:
-        frame, values = _frames_in_range(table["frame"], faults), table["values"].copy()
+        frame = np.ascontiguousarray(table["frame"])
+        faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(frame[row])))
         ids = table["id"].astype(object) if has_id else None  # each id a Python int
-        return _Table(header, frame, ids, np.array(table["class"], dtype=object), values, faults)
+        return _Table(header, frame, ids, np.array(table["class"], dtype=object), table["values"].copy(), faults)
     columns = _columns(rows, len(header), faults)
-    frame, values = _frames(columns[0], faults), _floats(columns[at + 1:], faults)
+    frame = _parsed(columns[0], _frame_index, faults, dtype=np.int64)
+    values = np.column_stack([_parsed(column, float, faults) for column in columns[at + 1:]])
     ids = _parsed(columns[header.index("id")], int, faults, dtype=object) if has_id else None
     return _Table(header, frame, ids, np.array(columns[at], dtype=object), values, faults)
 
@@ -274,22 +276,6 @@ def _frame_index(text: str) -> int:
     if not 0 <= frame <= MAX_FRAME_INDEX:
         raise ValueError(_frame_fault(frame))
     return frame
-
-
-def _frames(column: list[str], faults: _Faults) -> np.ndarray:
-    """The frame column as int64, each text parsed by _frame_index; a text it rejects is a fault."""
-    return _parsed(column, _frame_index, faults, dtype=np.int64)
-
-
-def _frames_in_range(frame: np.ndarray, faults: _Faults) -> np.ndarray:
-    """The frame column as loaded; an index outside [0, MAX_FRAME_INDEX] is a fault."""
-    faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(frame[row])))
-    return np.ascontiguousarray(frame)
-
-
-def _floats(columns: list[list[str]], faults: _Faults) -> np.ndarray:
-    """The columns, each text parsed by float, as an (n, k) block."""
-    return np.column_stack([_parsed(column, float, faults) for column in columns])
 
 
 def read_detection_columns(path: str | Path) -> DetectionColumns:

@@ -2,8 +2,10 @@
 
 The modified Bessel function I0 and the ratio I1/I0 are evaluated with a
 power series below a fixed crossover argument and with the large-argument
-asymptotic expansion above it.  The log variant never forms exp(kappa) and
-therefore stays finite far beyond the overflow point of I0 itself.
+asymptotic expansion above it.  The log variant never forms exp(kappa):
+it is finite for every finite kappa >= 0, where I0 itself exceeds the
+double range beyond kappa ~713.  At kappa = inf each function returns its
+limit: inf for I0 and log I0, 1 for the ratio.
 """
 
 from __future__ import annotations
@@ -21,31 +23,19 @@ def _require_nonnegative(kappa: float) -> None:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
 
 
-def _i0_series(kappa: float) -> float:
-    # sum_k (kappa^2/4)^k / (k!)^2 via term recurrence
-    acc = 1.0
-    term = 1.0
+def _series(kappa: float, nu: int) -> float:
+    # I_nu for nu in {0, 1}: sum_k (kappa/2)^(2k+nu) / (k! (k+nu)!) via term
+    # recurrence (Abramowitz & Stegun 9.6.10).  It stops at a term <= 1e-18 * acc,
+    # too small to move acc, so a sum whose terms underflow to 0 ends too
+    # (nu = 1 with kappa = 0 or below ~1e-305, where 1e-18 * acc is 0).
+    acc = term = 0.5 * kappa if nu else 1.0
     q = 0.25 * kappa * kappa
     n = 0
     while True:
         n += 1
-        term *= q / (n * n)
+        term *= q / (n * (n + nu))
         acc += term
-        if term < 1e-18 * acc:
-            return acc
-
-
-def _i1_series(kappa: float) -> float:
-    # sum_k (kappa/2)^(2k+1) / (k! (k+1)!)
-    acc = 0.5 * kappa
-    term = acc
-    q = 0.25 * kappa * kappa
-    n = 0
-    while True:
-        n += 1
-        term *= q / (n * (n + 1))
-        acc += term
-        if term < 1e-18 * acc:
+        if term <= 1e-18 * acc:
             return acc
 
 
@@ -72,22 +62,28 @@ def _asymptotic_sum(kappa: float, mu: float) -> float:
 
 
 def log_bessel_i0(kappa: float) -> float:
-    """log I0(kappa), overflow-free for arbitrarily large kappa."""
+    """log I0(kappa): finite for every finite kappa >= 0, and inf at kappa = inf."""
     _require_nonnegative(kappa)
     if kappa <= BESSEL_CROSSOVER:
-        return math.log(_i0_series(kappa))
-    return kappa - 0.5 * math.log(2.0 * math.pi * kappa) + math.log(_asymptotic_sum(kappa, 0.0))
+        return math.log(_series(kappa, 0))
+    if kappa == math.inf:
+        return math.inf
+    scaled = 2.0 * math.pi * kappa
+    # the product overflows for kappa above ~2.86e307; only there is its log taken as a sum
+    log_scaled = math.log(scaled) if scaled < math.inf else math.log(2.0 * math.pi) + math.log(kappa)
+    return kappa - 0.5 * log_scaled + math.log(_asymptotic_sum(kappa, 0.0))
 
 
 def bessel_i0(kappa: float) -> float:
     """Modified Bessel function of the first kind, order zero.
 
-    Overflows to inf for kappa beyond ~713 where I0 exceeds the double
-    range; use :func:`log_bessel_i0` there.
+    Raises OverflowError, as math.exp does, for finite kappa beyond ~713,
+    where I0 exceeds the double range; use :func:`log_bessel_i0` there.
+    Returns inf at kappa = inf.
     """
     _require_nonnegative(kappa)
     if kappa <= BESSEL_CROSSOVER:
-        return _i0_series(kappa)
+        return _series(kappa, 0)
     return math.exp(log_bessel_i0(kappa))
 
 
@@ -98,10 +94,8 @@ def bessel_ratio_i1_i0(kappa: float) -> float:
     large arguments.
     """
     _require_nonnegative(kappa)
-    if kappa == 0.0:
-        return 0.0
     if kappa <= BESSEL_CROSSOVER:
-        return _i1_series(kappa) / _i0_series(kappa)
+        return _series(kappa, 1) / _series(kappa, 0)
     return _asymptotic_sum(kappa, 4.0) / _asymptotic_sum(kappa, 0.0)
 
 

@@ -133,6 +133,19 @@ class TestCheckLosses:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
+    # The stdout's sha256: the loss and Bessel tests bound errors only, so
+    # these catch a moved last bit in the losses or a changed draw order.
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "ce0a9922df7f95d223229d40e6ab8f838640cd6ce89f78162394969ed26facad"),
+        (1, "9073e00611f3d108c6c600f069f467edad2a16e1b166f6717d4a9233394f9f90"),
+    ])
+    def test_stdout_bytes_are_pinned(self, capsys, seed, digest):
+        import hashlib
+
+        capsys.readouterr()
+        assert run(["check-losses", "--seed", str(seed)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestNmsCommand:
     def test_filters_duplicates(self, tmp_path):
@@ -460,6 +473,19 @@ class TestPlotData:
                     "--s0", "1", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines[1].split(",")) == 4
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gaussian", "--d2", "1e308", "--s-min", "-10", "--s-max", "0"], "--d2"),
+        (["gaussian", "--lambda-g", "1e308"], "--lambda-g"),
+        (["von-mises", "--s0=-1e308", "--lambda-v", "2"], "--s0"),
+    ])
+    def test_loss_beyond_the_float_range_exits_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "curve.csv"
+        capsys.readouterr()
+        assert run(["plot-data", *argv, "--points", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "--s-min and --s-max" in err
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -1014,7 +1040,9 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     src = str(Path(uatrack.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], env=env, check=True)
+    # pyproject's filterwarnings reaches only this process, so the child gets tier-1's policy as a flag
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _RUN_COMMANDS, json.dumps(commands)],
+                   env=env, check=True)
     outputs = {name: (tmp_path / name).read_bytes() for name in GOLDEN_SHA256}
     for name, data in outputs.items():
         assert data.startswith(b"# uatrack-v1\n"), name

@@ -1,6 +1,8 @@
 """Special-function accuracy against independent oracles."""
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +132,44 @@ class TestBesselRatio:
         values = [bessel_ratio_i1_i0(float(k)) for k in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v < 1.0 for v in values)
+
+
+class TestDomainEnds:
+    @pytest.mark.parametrize("kappa", [2.87e307, 1e308, sys.float_info.max])
+    def test_log_i0_finite_where_two_pi_kappa_overflows(self, kappa):
+        # the asymptotic form with log(2 pi kappa) taken as a sum; its series factor is 1 here
+        expected = kappa - 0.5 * (math.log(2.0 * math.pi) + math.log(kappa))
+        assert log_bessel_i0(kappa) == expected
+
+    def test_limits_at_infinity(self):
+        assert log_bessel_i0(math.inf) == math.inf
+        assert bessel_i0(math.inf) == math.inf
+        assert bessel_ratio_i1_i0(math.inf) == 1.0
+
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-323, 1e-306])
+    def test_ratio_where_the_series_terms_underflow(self, kappa):
+        # every I1 term after the first is 0, and below ~1e-305 so is 1e-18 times the sum
+        assert bessel_ratio_i1_i0(kappa) == 0.5 * kappa
+
+    @pytest.mark.parametrize("kappa", [720.0, 1e308, sys.float_info.max])
+    def test_i0_beyond_the_float_range_raises(self, kappa):
+        with pytest.raises(OverflowError):
+            bessel_i0(kappa)
+
+
+# sha256 of float.hex of log I0, I1/I0 and (up to kappa = 700) I0 on a grid
+# that spans the series/asymptotic crossover.  The oracle tests above bound
+# the relative error only, so they would not see a changed last bit.
+BITS_SHA256 = "0611455d660d7b8ec48eb41a6916670b92964e2edfc2dcd02fb46e3f8be6a816"
+
+
+def test_bits_are_pinned():
+    grid = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(1e-300, 1e307, 601)])
+    lines = []
+    for kappa in map(float, grid):
+        functions = (log_bessel_i0, bessel_ratio_i1_i0) + ((bessel_i0,) if kappa <= 700.0 else ())
+        lines.append(",".join(f(kappa).hex() for f in functions))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BITS_SHA256
 
 
 class TestElu:
