@@ -4,10 +4,12 @@ One numpy kernel scores a batch of (a, b) box pairs.  Each box's corner
 loop, circumradius and edge tolerances are computed once per box
 (``_table`` of box rows).  A pair is scored only if the circumcircles of its two
 boxes meet (``_reach``, the one cheap reject); every other pair has IoU
-0.  The pairs put to that test come from one sort-and-sweep along x over
-one group of boxes or many (``_grouped_pairs_in_reach`` over
-``_grouped_sweep`` over ``sweep_pairs``, the broad phase that the
-tracker's association and the RMSE pairing share).
+0.  The pairs put to that test come from one sort-and-sweep along x,
+``_grouped_sweep``: over many groups, keyed by group and x rank
+(``_grouped_pairs_in_reach`` for evaluation, and the RMSE pairing), or
+over one group, keyed by x itself (NMS).  It searches each window's ends
+once and expands them to pairs with ``_between``, which the tracker's
+association reaches through ``sweep_pairs``.
 The kernel clips box a against the four half-planes of box b,
 Sutherland-Hodgman style restricted to a convex clipper (Sutherland &
 Hodgman, "Reentrant polygon clipping", CACM 1974), on padded vertex
@@ -151,42 +153,54 @@ def sweep_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nd
 
     The broad phase of sort and sweep (Baraff 1992, "Dynamic simulation
     of non-penetrating rigid bodies"): two binary searches per window,
-    then work in proportion to the pairs found, not to windows x keys.
-    Pairs come i ascending, then k ascending.  Array methods stand in
-    for numpy's module functions, whose dispatch costs more than the
-    work at a few dozen rows.
+    then work in proportion to the pairs found, not to windows x keys
+    (_between).  Pairs come i ascending, then k ascending.  Array
+    methods stand in for numpy's module functions, whose dispatch costs
+    more than the work at a few dozen rows.
     """
-    start = keys.searchsorted(lo)
-    stop = keys.searchsorted(hi)
-    end = (stop - start).cumsum()
-    pos = np.arange(end[-1] if len(end) else 0)
-    rows = end.searchsorted(pos, "right")
-    return rows, pos + (stop - end)[rows]
+    return _between(keys.searchsorted(lo), keys.searchsorted(hi))
 
 
-def _grouped_sweep(ax: np.ndarray, a_group: np.ndarray, reach, bx: np.ndarray, b_group: np.ndarray):
+def _between(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, k) with start[i] <= k < stop[i]; start <= stop.  Pairs come i ascending, then k ascending."""
+    count = stop - start
+    rows = np.arange(len(count)).repeat(count)
+    # pair p of row i, counted over all rows, is k = p - (its row's end - stop[i])
+    return rows, (stop - count.cumsum()).repeat(count) + np.arange(len(rows))
+
+
+def _grouped_sweep(ax: np.ndarray, a_group: np.ndarray | None, reach, bx: np.ndarray, b_group: np.ndarray | None):
     """Blocks of rows (ia, ib) of one group whose x may lie within reach, from one sweep over every group.
 
-    Each b row is keyed by its group, then by the rank of its x among
-    all b rows: exact integers, so no window reaches into another group.
+    With groups, each b row is keyed by its group, then by the rank of
+    its x among all b rows: exact integers, so no window reaches into
+    another group.  Without (a_group and b_group None), every row is of
+    the one group and the keys are the b rows' x values, sorted once.
     Every pair within reach along x comes, and a few just beyond it (see
-    sweep_window): the caller applies its exact test.  a's rows are
-    swept in blocks of about _GATE_CELLS candidates, ia ascending, so
+    sweep_window): the caller applies its exact test.  Each window's
+    ends are searched in the keys once; a's rows are then swept in
+    blocks of about _GATE_CELLS candidates, ia ascending, so
     temporaries do not grow with the sequence.
     """
     if not len(ax) or not len(bx):
         return
-    xs = np.sort(bx)
-    width = len(xs) + 1  # ranks run 0 .. len(xs)
-    order = np.lexsort((bx, b_group))
-    keys = b_group[order] * width + xs.searchsorted(bx[order])
-    lo, hi = sweep_window(ax, reach, xs)
-    base = a_group * width
-    lo, hi = base + xs.searchsorted(lo), base + xs.searchsorted(hi)
-    filled = (keys.searchsorted(hi) - keys.searchsorted(lo)).cumsum()
+    if a_group is None:
+        order = bx.argsort(kind="stable")
+        keys = bx[order]
+        lo, hi = sweep_window(ax, reach, keys)
+    else:
+        xs = np.sort(bx)
+        width = len(xs) + 1  # ranks run 0 .. len(xs)
+        order = np.lexsort((bx, b_group))
+        keys = b_group[order] * width + xs.searchsorted(bx[order])
+        lo, hi = sweep_window(ax, reach, xs)
+        base = a_group * width
+        lo, hi = base + xs.searchsorted(lo), base + xs.searchsorted(hi)
+    start, stop = keys.searchsorted(lo), keys.searchsorted(hi)
+    filled = (stop - start).cumsum()
     cuts = [0, *filled.searchsorted(np.arange(_GATE_CELLS, filled[-1], _GATE_CELLS)).tolist(), len(lo)]
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        ia, k = sweep_pairs(keys, lo[r0:r1], hi[r0:r1])
+        ia, k = _between(start[r0:r1], stop[r0:r1])
         yield ia + r0, order[k]
 
 

@@ -14,11 +14,11 @@ cuts a file into lines, and one C-level pass of numpy's tokenizer
 parses every data line into int64 frames and ids, class text as
 written and float64 values, each bit for bit what int() and float()
 give.  Where numpy refuses a line (a field that only int() or float()
-takes, a wrong field count) or the text is not plain ASCII, the
-per-field path splits the lines into columns, parses each field with
-int or float and names the first bad row.  Whole columns are checked at
-once; the first bad row, by the order a row-by-row reader would check,
-raises FormatError naming its path:line.  A detection file
+takes, a wrong field count) or a field other than class is not plain
+ASCII, the per-field path splits the lines into columns, parses each
+field with int or float and names the first bad row.  Whole columns are
+checked at once; the first bad row, by the order a row-by-row reader
+would check, raises FormatError naming its path:line.  A detection file
 reads as boxes.DetectionColumns and a track file as a read-only
 boxes.TrackColumns (both re-exported here, both written back by the
 writers), arrays with one entry per row (the form
@@ -184,12 +184,11 @@ def _read_table(path: str | Path, headers: list[list[str]]) -> _Table:
     """A versioned table with one of the given headers, its data rows parsed.
 
     Blank lines are skipped.  The rows are parsed in one pass of numpy's
-    tokenizer (see _loaded), given only ASCII text without U+001F: its
-    int parser reads a non-ASCII character through C's isdigit, out of
-    that table's bounds, and it strips U+001F as whitespace, which int()
-    and float() reject.  Where it is not given the text or refuses a row,
-    the per-field path parses each field with int or float instead.  A
-    file that is not UTF-8 text raises FormatError naming its path.
+    tokenizer (see _loaded), given only rows whose fields other than
+    class are ASCII without U+001F (see _plain).  Where it is not given
+    the rows or refuses one, the per-field path parses each field with
+    int or float instead.  A file that is not UTF-8 text raises
+    FormatError naming its path.
     """
     try:
         text = Path(path).read_text()
@@ -204,7 +203,8 @@ def _read_table(path: str | Path, headers: list[list[str]]) -> _Table:
     header, rows = header.split(","), [line for line in lines[2:] if line.strip()]
     faults = _Faults(path, lines[2:], len(rows))
     at, has_id = header.index("class"), "id" in header
-    table = _loaded(rows, header) if text.isascii() and "\x1f" not in text else None
+    plain = (text.isascii() and "\x1f" not in text) or _plain(rows, at)
+    table = _loaded(rows, header) if plain else None
     if table is not None:
         frame = np.ascontiguousarray(table["frame"])
         faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(frame[row])))
@@ -215,6 +215,23 @@ def _read_table(path: str | Path, headers: list[list[str]]) -> _Table:
     values = np.column_stack([_parsed(column, float, faults) for column in columns[at + 1:]])
     ids = _parsed(columns[header.index("id")], int, faults, dtype=object) if has_id else None
     return _Table(header, frame, ids, np.array(columns[at], dtype=object), values, faults)
+
+
+def _plain(rows: list[str], at: int) -> bool:
+    """Whether every field of the rows but field `at`, the class, is ASCII without U+001F.
+
+    Only such rows may go to numpy's tokenizer: its int parser reads a
+    non-ASCII character through C's isdigit, out of that table's bounds,
+    and it strips U+001F from a number as whitespace, which int() and
+    float() reject.  It keeps class text as written, whatever it holds.
+    Only the rows that are not all ASCII, or hold U+001F, are split.
+    """
+    for row in [row for row in rows if not row.isascii() or "\x1f" in row]:
+        fields = row.split(",")
+        numbers = ",".join(fields[:at] + fields[at + 1:])
+        if not numbers.isascii() or "\x1f" in numbers:
+            return False
+    return True
 
 
 def _loaded(rows: list[str], header: list[str]) -> np.ndarray | None:

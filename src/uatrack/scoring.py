@@ -29,7 +29,7 @@ import numpy as np
 
 from .boxes import EncodedLogVar, math_map
 # iou_bev and iou_3d stay bound here: the benchmark's tracer wraps them by name.
-from .geometry import _grouped_pairs_in_reach, _pair_iou, _table, iou_3d, iou_bev  # noqa: F401
+from .geometry import _grouped_sweep, _pair_iou, _reach, _table, iou_3d, iou_bev  # noqa: F401
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
@@ -249,21 +249,30 @@ def nms(rows: np.ndarray, cfg: NmsConfig) -> np.ndarray:
     rows is an (n, 8) block: BOX_FIELDS values, then score.  At most
     pre_top_k highest-scoring rows are considered; a row is dropped when
     its IoU with any already-kept row exceeds the threshold.  Score ties
-    break toward the lower row index.  The IoU of each candidate with
-    every row ranked before it and in reach is scored in one kernel
-    call, with the candidate as the first box.
+    break toward the lower row index.  The pairs come from the one-group
+    _grouped_sweep; of each block, those whose first row ranks later
+    go to _reach.  Every pair that passes is scored in one kernel call,
+    the later-ranked candidate as the first box, and the edges above the
+    threshold are resolved in one greedy pass, later rank ascending: an
+    edge drops its candidate if the earlier row is kept, and every edge
+    of that earlier row came before it.
     """
     order = (-rows[:, 7]).argsort(kind="stable")[: cfg.pre_top_k]
+    if not len(order):
+        return order
     table = _table(rows[order, :7])
-    group = np.zeros(len(order), dtype=np.intp)
-    later, earlier = _grouped_pairs_in_reach(table, group, table, group)
-    once = later > earlier
-    later, earlier = later[once], earlier[once]
+    x, y, radius = table.x, table.y, table.radius
+    found_r, found_c = [], []
+    for later, earlier in _grouped_sweep(x, None, radius + radius.max(), x, None):
+        once = later > earlier
+        later, earlier = later[once], earlier[once]
+        near = _reach(x[later], y[later], radius[later], x[earlier], y[earlier], radius[earlier])
+        found_r.append(later[near])
+        found_c.append(earlier[near])
+    later, earlier = np.concatenate(found_r), np.concatenate(found_c)
     over = _pair_iou(table, later, table, earlier, cfg.iou_kind is IouKind.THREE_D) > cfg.iou_threshold
-    rivals: list[list[int]] = [[] for _ in order]
+    kept = [True] * len(order)
     for r, c in zip(later[over].tolist(), earlier[over].tolist()):
-        rivals[r].append(c)
-    kept = [False] * len(order)
-    for r, cols in enumerate(rivals):
-        kept[r] = not any(kept[c] for c in cols)
+        if kept[c]:
+            kept[r] = False
     return order[kept]

@@ -12,15 +12,18 @@ from uatrack.boxes import Box3D
 from uatrack.geometry import (
     _GATE_CELLS,
     RotatedRect,
+    _between,
     _box_table,
     _clip,
     _grouped_pairs_in_reach,
+    _grouped_sweep,
     _pair_iou,
     _reach,
     _rect_table,
     iou_3d,
     iou_bev,
     rotated_intersection_area,
+    sweep_window,
 )
 
 
@@ -415,3 +418,70 @@ class TestGroupedPairsInReach:
         assert self.grouped(a, [3], b, [8]) == {(i, j) for i in range(3) for j in (0, 2, 3, 4, 6, 7)}
         empty = _box_table([])
         assert self.grouped(empty, [0], b, [8]) == self.grouped(a, [3], empty, [0]) == set()
+
+
+class TestOneGroupSweep:
+    """The one-group sweep finds every pair within the window, as the grouped sweep does with one group."""
+
+    @staticmethod
+    def blocks(ax, a_group, reach, bx, b_group):
+        """The sweep's pairs as a set, checking that ia ascends across blocks and no pair repeats."""
+        found = list(_grouped_sweep(ax, a_group, reach, bx, b_group))
+        ia = np.concatenate([np.zeros(0, np.intp), *(i for i, _ in found)])
+        assert np.all(np.diff(ia) >= 0)
+        pairs = [(i, k) for block in found for i, k in zip(*(side.tolist() for side in block))]
+        assert len(set(pairs)) == len(pairs)
+        return len(found), set(pairs)
+
+    @staticmethod
+    def in_window(ax, reach, bx):
+        """Every (i, k) with bx[k] in sweep_window's [lo[i], hi[i]), pair by pair."""
+        lo, hi = sweep_window(ax, reach, np.sort(bx))
+        return {(i, k) for i in range(len(ax)) for k in range(len(bx)) if lo[i] <= bx[k] < hi[i]}
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_pairs_as_one_zero_group_and_as_the_window(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        ax = offset + rng.uniform(-20, 20, 70).round(1)  # rounded: many equal x
+        bx = np.concatenate([ax[:20], offset + rng.uniform(-20, 20, 50)])
+        reach = rng.uniform(0.0, 2.0, len(ax))
+        n, one = self.blocks(ax, None, reach, bx, None)
+        assert n == 1
+        zeros = self.blocks(ax, np.zeros(len(ax), np.intp), reach, bx, np.zeros(len(bx), np.intp))[1]
+        assert one == zeros == self.in_window(ax, reach, bx)
+        assert len(one) > 100
+
+    def test_window_ends(self):
+        # keys on each window's ends and one ulp outside them; the extreme keys, which set the widening, stay put
+        ax, reach = np.array([0.0, 3.0, 7.5]), np.array([1.0, 0.25, 2.0])
+        lo, hi = sweep_window(ax, reach, np.array([-10.0, 1e3]))
+        inside = np.concatenate([lo, np.nextafter(hi, -np.inf)])
+        bx = np.concatenate([[-10.0, 1e3], inside, np.nextafter(lo, -np.inf), hi])
+        want = {(i, 2 + i) for i in range(3)} | {(i, 5 + i) for i in range(3)}
+        for a_group, b_group in ((None, None), (np.zeros(3, np.intp), np.zeros(len(bx), np.intp))):
+            assert self.blocks(ax, a_group, reach, bx, b_group)[1] == self.in_window(ax, reach, bx) == want
+
+    def test_many_blocks(self, monkeypatch):
+        monkeypatch.setattr("uatrack.geometry._GATE_CELLS", 64)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 30, 200)
+        reach = np.full(len(x), 1.5)
+        n, one = self.blocks(x, None, reach, x, None)
+        assert n > 10
+        assert one == self.blocks(x, np.zeros(len(x), np.intp), reach, x, np.zeros(len(x), np.intp))[1]
+        assert one == self.in_window(x, reach, x)
+
+    def test_empty_sides(self):
+        some = np.arange(3.0)
+        for ax, bx in ((some, some[:0]), (some[:0], some), (some[:0], some[:0])):
+            assert list(_grouped_sweep(ax, None, 1.0, bx, None)) == []
+
+    def test_between(self):
+        none = np.zeros(0, np.intp)
+        rows, k = _between(none, none)
+        assert rows.tolist() == k.tolist() == []
+        rows, k = _between(np.array([2, 3, 0, 5]), np.array([2, 5, 0, 7]))  # two empty windows
+        assert rows.tolist() == [1, 1, 3, 3] and k.tolist() == [3, 4, 5, 6]
+        rows, k = _between(np.array([4, 4]), np.array([4, 4]))
+        assert rows.tolist() == k.tolist() == []

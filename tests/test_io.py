@@ -685,3 +685,59 @@ class TestReadersAgainstTheFrozenOnes:
             assert got == _outcome(getattr(frozen_io, reader.__name__), path)
             assert got[0] == outcome
             assert per_field == ([1] if refused else [])
+
+
+class TestClassTextLeavesTheFileToTheTokenizer:
+    """Only the fields other than class are guarded before numpy's tokenizer: a class name may hold any text."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """A list that gets an entry each time the per-field path splits a file."""
+        per_field, split = [], io._columns
+        monkeypatch.setattr(io, "_columns", lambda *args: per_field.append(1) or split(*args))
+        return per_field
+
+    @pytest.mark.parametrize("name", ["Fu\xdfg\xe4nger", "\xa0Car", "Car\u2003", "a\x1fb"])
+    @pytest.mark.parametrize("columns, row", [(DET_COLUMNS_VAR, VAR_ROW), (TRACK_COLUMNS, TRACK_ROW)],
+                             ids=["detections", "tracks"])
+    def test_same_block_as_the_per_field_path(self, tmp_path, monkeypatch, columns, row, name):
+        reader = read_track_columns if columns == TRACK_COLUMNS else read_detection_columns
+        path = tmp_path / "table.csv"
+        rows = [row, row.replace("Car", name).replace("0,", "2,", 1), "",
+                row.replace("0,", "1,", 1).replace("1,2,", "7.25,-3e-2,")]
+        _write_rows(path, ",".join(columns), rows)
+        with monkeypatch.context() as m:
+            m.setattr(io, "_loaded", lambda *args: None)  # every file to the per-field path
+            per_field = self.spied(m)
+            want = _outcome(reader, path)
+            assert per_field == [1]
+        per_field = self.spied(monkeypatch)
+        got = _outcome(reader, path)
+        assert per_field == []
+        assert got == want == _outcome(getattr(frozen_io, reader.__name__), path)
+        assert got[0] == "block" and got[4] == ["Car", name, "Car"]
+
+    @pytest.mark.parametrize("columns, row, name, value, message", [
+        (DET_COLUMNS_VAR, VAR_ROW, "frame", "\u0661" + "\u0660" * 7, "frame index 10000000 above the maximum"),
+        (TRACK_COLUMNS, TRACK_ROW, "frame", "\uff12" + "\uff10" * 6, "frame index 2000000 above the maximum"),
+        (TRACK_COLUMNS, TRACK_ROW, "id", "\u0661", "id 1 repeated in frame 0"),
+        (TRACK_COLUMNS, TRACK_ROW, "id", "\u0661x", "invalid literal for int"),
+        (DET_COLUMNS_VAR, VAR_ROW, "x", "1\x1f", "could not convert string to float"),
+        (DET_COLUMNS_VAR, VAR_ROW, "var_h", "\x1f0.1", "could not convert string to float"),
+        (TRACK_COLUMNS, TRACK_ROW, "score", "0.9\x1f", "could not convert string to float"),
+        (DET_COLUMNS_VAR, VAR_ROW, "class", "Fu\xdf,g\xe4nger", "expected 17 fields, got 18"),
+    ], ids=["arabic-indic-frame", "fullwidth-frame", "arabic-indic-id", "arabic-indic-id-text", "x-unit-separator",
+            "var-unit-separator", "score-unit-separator", "class-with-a-comma"])
+    def test_numbers_that_are_not_plain_ascii_go_field_by_field(self, tmp_path, monkeypatch, columns, row, name,
+                                                                value, message):
+        reader = read_track_columns if columns == TRACK_COLUMNS else read_detection_columns
+        path = tmp_path / "table.csv"
+        fields = row.split(",")
+        fields[columns.index(name)] = value
+        # a non-ASCII class name in another row does not change which path reads the file
+        _write_rows(path, ",".join(columns), [row.replace("Car", "Fu\xdfg\xe4nger"), ",".join(fields)])
+        per_field = self.spied(monkeypatch)
+        got = _outcome(reader, path)
+        assert per_field == [1]
+        assert got == _outcome(getattr(frozen_io, reader.__name__), path)
+        assert got[0] == "error" and got[1].startswith(f"{path}:4: {message}")

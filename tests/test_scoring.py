@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import frozen_geometry as frozen
 import frozen_scoring
+from uatrack import scoring
 from uatrack.boxes import Box3D, BoxVariance, EncodedLogVar, box_values, encode_variance, self_anchor
 from uatrack.io import read_detection_columns, write_detections
 from uatrack.scoring import (
@@ -215,6 +216,18 @@ def clustered_boxes(seed, n_clusters=12, per_cluster=6):
     return boxes
 
 
+def grid_frame():
+    """A seeded frame of 4,000 boxes, jittered about the nodes of a 64-wide grid 6 m apart, as an (n, 8) row block."""
+    rng = np.random.default_rng(7)
+    grid = [(i % 64, i // 64) for i in range(4000)]
+    return rows_of([
+        Box3D(6.0 * gx + rng.uniform(-2, 2), 6.0 * gy + rng.uniform(-2, 2), 0.0,
+              rng.uniform(1.0, 2.0), rng.uniform(2.0, 4.5), 1.5, rng.uniform(-math.pi, math.pi),
+              score=float(rng.uniform(0.1, 1.0)))
+        for gx, gy in grid
+    ])
+
+
 class TestNmsOracle:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", list(IouKind))
@@ -250,16 +263,8 @@ class TestNmsOracle:
         assert nms(rows_of([kept, candidate]), cfg).tolist() == reference_nms([kept, candidate], cfg) == [0]
 
     def test_no_dense_matrix(self):
-        rng = np.random.default_rng(7)
-        grid = [(i % 64, i // 64) for i in range(4000)]
-        boxes = [
-            Box3D(6.0 * gx + rng.uniform(-2, 2), 6.0 * gy + rng.uniform(-2, 2), 0.0,
-                  rng.uniform(1.0, 2.0), rng.uniform(2.0, 4.5), 1.5, rng.uniform(-math.pi, math.pi),
-                  score=float(rng.uniform(0.1, 1.0)))
-            for gx, gy in grid
-        ]
+        rows = grid_frame()
         cfg = NmsConfig(iou_threshold=0.1, pre_top_k=4000)
-        rows = rows_of(boxes)
         tracemalloc.start()
         try:
             kept = nms(rows, cfg)
@@ -267,7 +272,51 @@ class TestNmsOracle:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20  # a dense float64 4000 x 4000 matrix alone is 128 MB
-        assert len(boxes) // 2 < len(kept) < len(boxes)
+        assert len(rows) // 2 < len(kept) < len(rows)
+
+    def test_many_sweep_blocks(self, monkeypatch):
+        # a small block bound splits one dense frame's sweep into many blocks
+        monkeypatch.setattr("uatrack.geometry._GATE_CELLS", 64)
+        sweep, blocks = scoring._grouped_sweep, []
+        monkeypatch.setattr(scoring, "_grouped_sweep", lambda *args: (blocks.append(b) or b for b in sweep(*args)))
+        boxes = clustered_boxes(5, n_clusters=50, per_cluster=5)
+        assert len(boxes) == 300
+        for kind in IouKind:
+            cfg = NmsConfig(iou_threshold=0.3, pre_top_k=300, iou_kind=kind)
+            blocks.clear()
+            assert nms(rows_of(boxes), cfg).tolist() == reference_nms(boxes, cfg)
+            assert len(blocks) > 10
+
+
+@st.composite
+def nms_frames(draw):
+    """A frame of clustered near-duplicates, some repeated exactly, scores from few values (0.0 and -0.0 too)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        cx, cy, cz = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-0.3, 0.3)
+        w, l, h, theta = rng.uniform(1.0, 2.5), rng.uniform(2.0, 5.0), rng.uniform(1.0, 2.0), rng.uniform(-4, 4)
+        for score in draw(st.lists(st.sampled_from([0.0, -0.0, 0.3, 0.5, 0.9]), min_size=1, max_size=5)):
+            boxes.append(Box3D(
+                cx + rng.normal(0, 0.3), cy + rng.normal(0, 0.3), cz + rng.normal(0, 0.3),
+                w * rng.uniform(0.8, 1.2), l * rng.uniform(0.8, 1.2), h, theta + rng.normal(0, 0.2), score=score,
+            ))
+    if boxes:
+        boxes += [boxes[i] for i in draw(st.lists(st.integers(0, len(boxes) - 1), max_size=4))]
+    return [boxes[i] for i in draw(st.permutations(range(len(boxes))))]
+
+
+class TestNmsGenerated:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_as_the_greedy_loop(self, data):
+        boxes = data.draw(nms_frames())
+        cfg = NmsConfig(
+            iou_threshold=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            pre_top_k=data.draw(st.integers(1, len(boxes) + 5)),
+            iou_kind=data.draw(st.sampled_from(list(IouKind))),
+        )
+        assert nms(rows_of(boxes), cfg).tolist() == reference_nms(boxes, cfg)
 
 
 # --- row rescoring against the per-box pipeline -------------------------------
