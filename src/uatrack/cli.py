@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,13 +36,14 @@ from .io import (
     read_track_columns,
     table_text,
     write_detections,
+    write_frames,
     write_table,
     write_tracks,
 )
 from .losses import GaussianNllConfig, VonMisesNllConfig, gaussian_nll, von_mises_nll
 from .metrics import TrackingReport, clear_mot_rows, detection_pr_rows
 from .scoring import AggregateMode, IouKind, NmsConfig, ScoreMapConfig, ScoreStrategy, nms, rescore
-from .sim import generate_scenario
+from .sim import ScenarioConfig, scenario_frames
 from .tracker import track_frames
 
 # encode_variance, score_detection, detection_pr, read_detections and read_tracks stay bound here: the
@@ -106,18 +108,26 @@ def _report_cells(report: TrackingReport, columns: list[str]) -> list[str]:
 # --- simulate ------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    """Write each frame's truth and detection rows as the frame is drawn (see io.write_frames).
+
+    A config the scenario refuses while frames are drawn leaves neither
+    output path changed; the output files are opened first, so a bad
+    --out-gt or --out-dets is named ahead of such a refusal.
+    """
     cfg = config_from_dict(_config_dict(args)).scenario
+    n_truth, n_dets = write_frames(args.out_gt, args.out_dets, _drawn(cfg))
+    print(f"wrote {n_truth} ground-truth rows to {args.out_gt}")
+    print(f"wrote {n_dets} detections to {args.out_dets}")
+    return 0
+
+
+def _drawn(cfg: ScenarioConfig) -> Iterator[tuple[TrackColumns, DetectionColumns]]:
+    """Each frame's truth and detection blocks; a config the scenario refuses raises FormatError."""
     try:
-        scenario = generate_scenario(cfg)
+        for frame in scenario_frames(cfg):
+            yield frame.truth, frame.detections
     except ValueError as exc:  # a noise model whose variance overflows
         raise FormatError(f"config scenario: {exc}") from exc
-    truth = scenario.ground_truth.block
-    write_tracks(args.out_gt, truth)
-    dets = DetectionColumns.concat(scenario.detections)
-    write_detections(args.out_dets, dets)
-    print(f"wrote {len(truth)} ground-truth rows to {args.out_gt}")
-    print(f"wrote {len(dets)} detections to {args.out_dets}")
-    return 0
 
 
 # --- track ---------------------------------------------------------------
@@ -256,7 +266,8 @@ def _cmd_sweep(args) -> int:
             ap, max_f1, _ = detection_pr_rows(gt, (kept.frame, kept.rows), cfg.eval)
             return [format_float(ap), format_float(max_f1)]
 
-    write_table(args.out, [key for key, _ in axes] + columns, (cells + score(cfg) for cells, cfg in grid))
+    rows = [cells + score(cfg) for cells, cfg in grid]  # every cell scored before the output opens
+    write_table(args.out, [key for key, _ in axes] + columns, rows)
     return 0
 
 
@@ -306,12 +317,13 @@ def _cmd_plot_data(args) -> int:
 
     def row(s: float) -> list[str]:
         values = [loss(residual, 0.0, s, cfg).value for _, cfg in curves]
-        if not all(map(math.isfinite, values)):  # the table is built in full before a byte is written
+        if not all(map(math.isfinite, values)):
             raise FormatError(f"{flags}, --s-min and --s-max give a loss beyond the float range at s={format_float(s)}")
         return [format_float(s), *map(format_float, values)]
 
     s_values = [args.s_min + i * (args.s_max - args.s_min) / (args.points - 1) for i in range(args.points)]
-    write_table(args.out, ["s"] + [name for name, _ in curves], map(row, s_values))
+    rows = list(map(row, s_values))  # every row built before the output opens, so a refused one writes nothing
+    write_table(args.out, ["s"] + [name for name, _ in curves], rows)
     return 0
 
 

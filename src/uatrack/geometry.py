@@ -41,7 +41,7 @@ EDGE_EPS = 1e-9
 _CHUNK = 1024
 # Sweep candidates per block of the reach test: bounds its temporaries
 # likewise.
-_GATE_CELLS = 1 << 15
+_GATE_CELLS = 1 << 13
 # Relative widening of a sweep window: far above the few ulps by which
 # the window's ends and an exact test can round, far below any gate.
 SWEEP_SLACK = 1e-9

@@ -9,24 +9,30 @@ refuse, with FormatError and before writing anything, a class name that
 holds a comma or a line boundary str.splitlines splits at, which a
 reader would split into fields or lines.
 
-One reader, _read_block, finishes the row block of detection and track
-files.  str.splitlines cuts a file into lines, and one C-level pass of
-numpy's tokenizer parses every data line into int64 frames and ids,
-class text as written and float64 values, each bit for bit what int()
-and float() give.  Where numpy refuses a line (a field that only int()
-or float() takes, a wrong field count) or a field other than class is
-not plain ASCII, the per-field path parses each field with int or float.
-Whole columns are then checked at once (frame range,
-boxes.first_bad_row, an id repeated in a frame); the first bad row, by
-the order a row-by-row reader would check, raises FormatError naming its
-path:line, and theta is wrapped.  A detection file reads as
-boxes.DetectionColumns and a track file as a read-only
-boxes.TrackColumns (both re-exported here, both written back by the
-writers), arrays with one entry per row (the form `uatrack nms` carries
-from reader to writer, `uatrack track` feeds the tracker one frame block
-at a time, and `uatrack eval-det` and `uatrack eval-track` score as row
-blocks, and the block `uatrack track` writes as tracker.track_frames
-returns it), or as DetectionRecord rows and (frame, id, box) rows.
+Memory follows the data: the writers format and write a batch of rows
+at a time, and `uatrack simulate` writes each frame as it is drawn
+(write_frames).  One reader, _read_block, finishes the row block of
+detection and track files.  It decodes a file a chunk of bytes at a
+time and cuts it into the lines str.splitlines would cut the whole text
+into, and one C-level pass of numpy's tokenizer parses each batch of
+data lines into int64 frames and ids, class text as written and float64
+values, each bit for bit what int() and float() give.  Where numpy
+refuses a line (a field that only int() or float() takes, a wrong field
+count) or a field other than class is not plain ASCII, the per-field
+path parses the batch's fields with int or float.  A batch's columns
+are then checked at once (frame range, boxes.first_bad_row, an id
+repeated in a frame, also in an earlier batch); the first bad row of the
+file, by the order a row-by-row reader would check, raises FormatError
+naming its path:line, and theta is wrapped.  Only the finished arrays
+grow with the file, and a block's class column holds one str per
+distinct name.  A detection file reads as boxes.DetectionColumns and a
+track file as a read-only boxes.TrackColumns (both re-exported here,
+both written back by the writers), arrays with one entry per row (the
+form `uatrack nms` carries from reader to writer, `uatrack track` feeds
+the tracker one frame block at a time, and `uatrack eval-det` and
+`uatrack eval-track` score as row blocks, and the block `uatrack track`
+writes as tracker.track_frames returns it), or as DetectionRecord rows
+and (frame, id, box) rows.
 Records reach the detection writer and detections_to_frames only as a
 block, through DetectionColumns.of: records with and without a variance
 raise FormatError.  KITTI object/tracking label files can be imported as
@@ -46,16 +52,21 @@ z forward, yaw ry about y, location at the box bottom) map to it as
 
 from __future__ import annotations
 
+import codecs
 import json
+import locale
 import math
+import os
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -84,6 +95,12 @@ class FormatError(ValueError):
 
 _FLOAT_FORMAT = ".9g"
 
+# Rows the writers format and write at a time, and lines the readers
+# parse at a time: each bounds what a batch holds beside the data.
+_BATCH = 1024
+# Bytes the readers decode at a time.
+_CHUNK = 1 << 16
+
 
 def format_float(x: float) -> str:
     """A float printed with 9 significant digits, the precision of every emitted file."""
@@ -92,16 +109,42 @@ def format_float(x: float) -> str:
 
 def table_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
     """The version line, the header and one comma-joined line per row, each ending in a newline."""
-    return "\n".join([FORMAT_VERSION_LINE, ",".join(header), *(",".join(row) for row in rows)]) + "\n"
+    return _head(header) + "".join(",".join(row) + "\n" for row in rows)
 
 
 def write_table(path: str | Path | None, header: list[str], rows: Iterable[Iterable[str]]) -> None:
-    """Write table_text to path, or to stdout when there is no path."""
-    text = table_text(header, rows)
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    """Write table_text's text to path, or to stdout when there is no path, _BATCH rows at a time.
+
+    Each batch of rows is joined and written as it is taken, so a row
+    that raises leaves the rows before it written: a caller that may
+    refuse a row builds its rows before calling.
+    """
+    _write(path, header, map(",".join, rows))
+
+
+def _write(path: str | Path | None, header: list[str], lines: Iterable[str]) -> None:
+    """Write the version line, the header and the lines to path, or to stdout when there is no path."""
+    with open(path, "w") if path else nullcontext(sys.stdout) as out:
+        out.write(_head(header))
+        _write_lines(out, lines)
+
+
+def _head(header: list[str]) -> str:
+    """The version line and the header, each ending in a newline."""
+    return f"{FORMAT_VERSION_LINE}\n{','.join(header)}\n"
+
+
+def _write_lines(out: TextIO, lines: Iterable[str]) -> None:
+    """Write each line and a newline, _BATCH lines at a time."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _BATCH)):
+        out.write("\n".join(batch) + "\n")
+
+
+def _rows_of(*columns: np.ndarray) -> Iterator[tuple]:
+    """The columns' rows as tuples of Python values, converted _BATCH rows at a time."""
+    for lo in range(0, len(columns[0]), _BATCH):
+        yield from zip(*(column[lo:lo + _BATCH].tolist() for column in columns))
 
 
 def _float_cells(k: int) -> str:
@@ -129,23 +172,104 @@ def write_detections(path: str | Path, records: list[DetectionRecord] | Detectio
     dets = _columns_of(records)
     _check_class_names(set(dets.class_id.tolist()))
     has_var = dets.var is not None and len(dets) > 0  # no rows: no variance columns either
-    values = np.hstack([dets.rows, dets.var]) if has_var else dets.rows
-    floats = _float_cells(values.shape[1])
-    rows = ((str(f), c, floats % tuple(v))
-            for f, c, v in zip(dets.frame.tolist(), dets.class_id.tolist(), values.tolist()))
-    write_table(path, DET_COLUMNS_VAR if has_var else DET_COLUMNS, rows)
+    _write(path, DET_COLUMNS_VAR if has_var else DET_COLUMNS, _detection_lines(dets, has_var))
+
+
+def _detection_lines(dets: DetectionColumns, has_var: bool) -> Iterator[str]:
+    """Each detection row's line: frame, class and floats, its variances too where has_var is true."""
+    if has_var:
+        line = "%s,%s," + _float_cells(15)
+        return (line % (f, c, *r, *v) for f, c, r, v in _rows_of(dets.frame, dets.class_id, dets.rows, dets.var))
+    line = "%s,%s," + _float_cells(8)
+    return (line % (f, c, *r) for f, c, r in _rows_of(dets.frame, dets.class_id, dets.rows))
+
+
+_TRACK_LINE = "%s,%s,%s," + _float_cells(8)
+
+
+def _track_lines(tracks: TrackColumns) -> Iterator[str]:
+    """Each track row's line: frame, id, class and floats."""
+    return (_TRACK_LINE % (f, i, c, *r) for f, i, c, r in _rows_of(tracks.frame, tracks.track_id, tracks.class_id,
+                                                                   tracks.rows))
+
+
+def write_frames(gt_path: str | Path, dets_path: str | Path,
+                 frames: Iterable[tuple[TrackColumns, DetectionColumns]]) -> tuple[int, int]:
+    """Write each frame's (truth, detections) blocks as it comes; returns the numbers of rows written.
+
+    The files hold the bytes write_tracks and write_detections write for
+    the frames' blocks one after another: every detection block carries
+    variances or none does, and no detection row means no variance
+    columns.  Only the frame at hand is held.  Each file is written to a
+    sibling and renamed over its path after the last frame (see
+    _replaced), so where a class name is refused or taking a frame
+    raises, neither path changes.
+    """
+    n_truth = n_dets = 0
+    with_var = None  # whether the detection blocks carry variances, known from the first row
+    with _replaced(gt_path, dets_path) as (gt, dets):
+        gt.write(_head(TRACK_COLUMNS))
+        for truth, found in frames:
+            _check_class_names(set(truth.class_id.tolist()) | set(found.class_id.tolist()))
+            _write_lines(gt, _track_lines(truth))
+            if len(found) and with_var is None:
+                with_var = found.var is not None
+                dets.write(_head(DET_COLUMNS_VAR if with_var else DET_COLUMNS))
+            if len(found) and with_var != (found.var is not None):
+                raise FormatError("either every block carries variances or none does")
+            _write_lines(dets, _detection_lines(found, with_var))
+            n_truth, n_dets = n_truth + len(truth), n_dets + len(found)
+        if with_var is None:
+            dets.write(_head(DET_COLUMNS))
+    return n_truth, n_dets
+
+
+@contextmanager
+def _replaced(*paths: str | Path) -> Iterator[list[TextIO]]:
+    """Text files whose bytes take the paths' places, in order, once the block ends without raising.
+
+    Each file is a sibling of its path, renamed over the path after the
+    block and removed where the block raises, so a path holds its old
+    bytes or all of the new ones.  A path that exists and is not a
+    regular file (a directory, a device) is opened as it is, and a
+    symbolic link's target is replaced, not the link.  An error opening
+    a file names its path, as opening the path would.
+    """
+    opened: list[tuple[TextIO, str]] = []  # (file, the path it takes the place of)
+    try:
+        for k, path in enumerate(paths):  # k tells apart the siblings of a path given twice
+            target = os.path.realpath(path)
+            temp = (target if os.path.exists(target) and not os.path.isfile(target) else
+                    os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.{k}.partial"))
+            try:
+                opened.append((open(temp, "w"), target))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+        yield [file for file, _ in opened]
+        for file, _ in opened:
+            file.close()
+    except BaseException:
+        for file, target in opened:
+            file.close()
+            if file.name != target:
+                os.unlink(file.name)
+        raise
+    for file, target in opened:
+        if file.name != target:
+            os.replace(file.name, target)
 
 
 class _Faults:
-    """The first bad row of a table whose checks run column by column.
+    """The first bad row of a batch of rows whose checks run column by column.
 
     Checks are made in the order a row-by-row reader makes them: the
     earliest bad row wins, and within a row the check made first, so the
     error is the one a row-by-row reader would raise.
     """
 
-    def __init__(self, path: str | Path, lines: list[str], n_rows: int):
-        self.path, self.lines, self.n_rows = path, lines, n_rows  # the data lines, blank ones too
+    def __init__(self, path: str | Path, lines: list[str], n_rows: int, start: int):
+        self.path, self.lines, self.n_rows = path, lines, n_rows  # the batch's data lines, blank ones too
+        self.start = start  # the line number of lines[0]
         self.row, self.message = n_rows, ""
 
     def note(self, row: int, message: str) -> None:
@@ -160,68 +284,136 @@ class _Faults:
 
     def lineno(self, row: int) -> int:
         """The line number of the row-th non-blank data line."""
-        return next(islice((n for n, line in enumerate(self.lines, start=3) if line.strip()), row, None))
+        return next(islice((n for n, line in enumerate(self.lines, start=self.start) if line.strip()), row, None))
 
-    def raise_first(self) -> None:
-        """Raise FormatError naming the first bad row's path:line, if there is one."""
-        if self.row < self.n_rows:
-            raise FormatError(f"{self.path}:{self.lineno(self.row)}: {self.message}")
+    def first(self) -> str | None:
+        """The first bad row's path:line and what is wrong with it, or None where every row is good."""
+        return f"{self.path}:{self.lineno(self.row)}: {self.message}" if self.row < self.n_rows else None
 
 
 def _read_block(path: str | Path, headers: list[list[str]]) -> tuple[np.ndarray | None, ...]:
     """A versioned table with one of the given headers as finished arrays, every row checked.
 
     Returns the int64 frames, the ids as Python ints (None without an id
-    column), the class texts as written, the (n, 8) rows with theta
-    wrapped by motion.wrap_angles, and the (n, 7) variances (None
-    without variance columns).  Blank lines are skipped.  The rows are
-    parsed in one pass of numpy's tokenizer (see _loaded), given only
-    rows whose fields other than class are ASCII without U+001F (see
-    _plain).  Where it is not given the rows or refuses one, the
-    per-field path parses each field with int or float instead.  The
-    rows must pass first_bad_row, and an id appear at most once per
-    frame: the first bad row raises FormatError naming its path:line.  A
-    file that is not UTF-8 text raises FormatError naming its path.
+    column), the class names (one str per distinct name), the (n, 8)
+    rows with theta wrapped by motion.wrap_angles, and the (n, 7)
+    variances (None without variance columns).  The file is decoded
+    _CHUNK bytes and parsed _BATCH lines at a time (see _lines), so
+    beside the arrays only a batch is held.  Blank lines are skipped.  A
+    batch's rows are parsed in one pass of numpy's tokenizer (see
+    _loaded), given only rows whose fields other than class are ASCII
+    without U+001F (see _plain).  Where it is not given the rows or
+    refuses one, the per-field path parses each field with int or float
+    instead, and a row without the header's field count raises
+    FormatError naming its path:line at once.  The rows must pass
+    first_bad_row, and an id appear at most once per frame: the first
+    bad row raises FormatError naming its path:line once every batch is
+    parsed.  A file that is not UTF-8 text raises FormatError naming its
+    path, whatever else is wrong with it.
     """
+    lines = chain.from_iterable(_lines(path))
     try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_VERSION_LINE:
+        return _parsed_block(path, headers, lines)
+    except FormatError:
+        for _ in lines:  # a decoding error later in the file wins, as when the whole text was decoded first
+            pass
+        raise
+
+
+def _parsed_block(path: str | Path, headers: list[list[str]], lines: Iterator[str]) -> tuple[np.ndarray | None, ...]:
+    """_read_block's arrays from the file's lines."""
+    version, header = next(lines, None), next(lines, "")
+    if version is None or version.strip() != FORMAT_VERSION_LINE:
         raise FormatError(f"{path}: missing version line {FORMAT_VERSION_LINE!r}")
-    header = lines[1].strip() if len(lines) > 1 else ""
-    if header not in [",".join(columns) for columns in headers]:
-        raise FormatError(f"{path}: unrecognized header {header!r}")
-    header, rows = header.split(","), [line for line in lines[2:] if line.strip()]
-    faults = _Faults(path, lines[2:], len(rows))
-    at, has_id = header.index("class"), "id" in header
-    plain = (text.isascii() and "\x1f" not in text) or _plain(rows, at)
-    table = _loaded(rows, header) if plain else None
-    if table is not None:
-        frame = np.ascontiguousarray(table["frame"])
-        faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(frame[row])))
-        ids = table["id"].astype(object) if has_id else None  # each id a Python int
-        names, values = np.array(table["class"], dtype=object), table["values"].copy()
-    else:
-        columns = _columns(rows, len(header), faults)
-        frame = _parsed(columns[0], _frame_index, faults, dtype=np.int64)
-        values = np.column_stack([_parsed(column, float, faults) for column in columns[at + 1:]])
-        ids = _parsed(columns[header.index("id")], int, faults, dtype=object) if has_id else None
-        names = np.array(columns[at], dtype=object)
-    boxes, var = values[:, :8], (values[:, 8:] if values.shape[1] > 8 else None)
-    if bad := first_bad_row(boxes, var):
-        faults.note(*bad)
-    if has_id:
-        seen: set[tuple[int, int]] = set()
-        for row, key in enumerate(zip(frame.tolist(), ids.tolist())):
-            if key in seen:
-                faults.note(row, f"id {key[1]} repeated in frame {key[0]}")
-                break
-            seen.add(key)
-    faults.raise_first()
-    boxes[:, 6] = wrap_angles(boxes[:, 6])
-    return frame, ids, names, boxes, var
+    if header.strip() not in [",".join(columns) for columns in headers]:
+        raise FormatError(f"{path}: unrecognized header {header.strip()!r}")
+    header = header.strip().split(",")
+    at, has_id, n_values = header.index("class"), "id" in header, len(header) - header.index("class") - 1
+    frames, ids, names, boxes, variances = [], [], [], [], []
+    fault, start = None, 3  # the file's first bad row, and the line number of the batch's first line
+    seen: set[tuple[int, int]] = set()  # every (frame, id) of the rows before the batch
+    shared: dict[str, str] = {}  # one str per distinct class name
+    while batch := list(islice(lines, _BATCH)):
+        rows = [line for line in batch if line.strip()]
+        faults = _Faults(path, batch, len(rows), start)
+        start += len(batch)
+        if not rows:
+            continue
+        table = _loaded(rows, header) if _plain(rows, at) else None
+        if table is not None:
+            frame = np.ascontiguousarray(table["frame"])
+            faults.check((frame < 0) | (frame > MAX_FRAME_INDEX), lambda row: _frame_fault(int(frame[row])))
+            batch_ids = table["id"].astype(object) if has_id else None  # each id a Python int
+            classes, values = table["class"].tolist(), table["values"]
+        else:
+            columns = _columns(rows, len(header), faults)
+            frame = _parsed(columns[0], _frame_index, faults, dtype=np.int64)
+            values = np.column_stack([_parsed(column, float, faults) for column in columns[at + 1:]])
+            batch_ids = _parsed(columns[header.index("id")], int, faults, dtype=object) if has_id else None
+            classes = columns[at]
+        if bad := first_bad_row(values[:, :8], values[:, 8:] if n_values > 8 else None):
+            faults.note(*bad)
+        if has_id and fault is None:
+            for row, key in enumerate(zip(frame.tolist(), batch_ids.tolist())):
+                if key in seen:
+                    faults.note(row, f"id {key[1]} repeated in frame {key[0]}")
+                    break
+                seen.add(key)
+        fault = fault or faults.first()
+        if fault is None:  # after a bad row, a later batch matters only for a wrong field count
+            frames.append(frame)
+            ids.append(batch_ids)
+            names.append(np.fromiter(map(shared.setdefault, classes, classes), object, len(classes)))
+            boxes.append(values[:, :8].copy())
+            variances.append(values[:, 8:].copy())
+    if fault:
+        raise FormatError(fault)
+    rows = _joined(boxes, np.empty((0, 8)))
+    rows[:, 6] = wrap_angles(rows[:, 6])
+    return (_joined(frames, np.empty(0, np.int64)), _joined(ids, np.empty(0, object)) if has_id else None,
+            _joined(names, np.empty(0, object)), rows,
+            _joined(variances, np.empty((0, n_values - 8))) if n_values > 8 else None)
+
+
+def _joined(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    """The parts one after another (`empty` where there are none); the list is emptied, so each part can be freed."""
+    out = np.concatenate(parts) if parts else empty
+    parts.clear()
+    return out
+
+
+def _lines(path: str | Path) -> Iterator[list[str]]:
+    """The file's lines, as str.splitlines cuts its text, decoded _CHUNK bytes at a time: a list per chunk.
+
+    A file the locale's encoding (the one Path.read_text uses) does not
+    decode raises FormatError naming its path, with the byte positions
+    that decoding the whole file gives.
+    """
+    decoder = codecs.getincrementaldecoder(locale.getpreferredencoding(False))()
+    with open(path, "rb") as file:
+        rest, done = "", 0  # the text after the last whole line, and the bytes decoded before this chunk
+        while data := file.read(_CHUNK):
+            try:
+                text = rest + decoder.decode(data)
+            except UnicodeDecodeError as exc:  # exc.object is the decoder's held bytes, then data
+                raise _not_text(path, exc, done + len(data) - len(exc.object)) from None
+            done += len(data)
+            # the text up to the last line boundary; the line after it may go on in the next chunk
+            cut = text.rfind("\n") + 1 or len(text) - len((text.splitlines(keepends=True) or [""])[-1])
+            yield text[:cut].splitlines()
+            rest = text[cut:]
+        try:
+            yield (rest + decoder.decode(b"", final=True)).splitlines()
+        except UnicodeDecodeError as exc:
+            raise _not_text(path, exc, done - len(exc.object)) from None
+
+
+def _not_text(path: str | Path, exc: UnicodeDecodeError, shift: int) -> FormatError:
+    """FormatError naming path for exc, its byte positions moved on by shift, as str(exc) would print them."""
+    start, end = exc.start + shift, exc.end + shift
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if exc.end == exc.start + 1 else
+             f"bytes in position {start}-{end - 1}")
+    return FormatError(f"{path}: not UTF-8 text: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
 
 def _plain(rows: list[str], at: int) -> bool:
@@ -233,6 +425,9 @@ def _plain(rows: list[str], at: int) -> bool:
     float() reject.  It keeps class text as written, whatever it holds.
     Only the rows that are not all ASCII, or hold U+001F, are split.
     """
+    text = "".join(rows)
+    if text.isascii() and "\x1f" not in text:
+        return True
     for row in [row for row in rows if not row.isascii() or "\x1f" in row]:
         fields = row.split(",")
         numbers = ",".join(fields[:at] + fields[at + 1:])
@@ -305,8 +500,8 @@ def _frame_index(text: str) -> int:
 def read_detection_columns(path: str | Path) -> DetectionColumns:
     """A detection file as columns, every row checked.
 
-    The data lines are parsed in one pass of numpy's tokenizer (see
-    _loaded); where it refuses one, each field is parsed by int or
+    Each batch of data lines is parsed in one pass of numpy's tokenizer
+    (see _loaded); where it refuses one, each field is parsed by int or
     float.  Frame indices must lie in [0, MAX_FRAME_INDEX], box values
     and scores be finite, extents and variances positive.  The first bad
     row raises FormatError naming its path:line (see _read_block).
@@ -341,15 +536,12 @@ def detections_to_frames(records: Sequence[DetectionRecord]) -> list[DetectionCo
 def write_tracks(path: str | Path, tracks: list[tuple[int, int, Box3D]] | TrackColumns) -> None:
     """Write track rows, given as (frame, track id, box) rows or as columns: a first pass checks their class names."""
     if isinstance(tracks, TrackColumns):
-        rows = zip(tracks.frame.tolist(), tracks.track_id.tolist(), tracks.class_id.tolist(), tracks.rows.tolist())
-        names = set(tracks.class_id.tolist())
+        _check_class_names(set(tracks.class_id.tolist()))
+        lines = _track_lines(tracks)
     else:
-        rows = ((frame, track_id, box.class_id, _box_row(box)) for frame, track_id, box in tracks)
-        names = {box.class_id for _, _, box in tracks}
-    _check_class_names(names)
-    floats = _float_cells(8)
-    write_table(path, TRACK_COLUMNS, ((str(frame), str(track_id), name, floats % tuple(values))
-                                      for frame, track_id, name, values in rows))
+        _check_class_names({box.class_id for _, _, box in tracks})
+        lines = (_TRACK_LINE % (frame, track_id, box.class_id, *_box_row(box)) for frame, track_id, box in tracks)
+    _write(path, TRACK_COLUMNS, lines)
 
 
 def read_track_columns(path: str | Path) -> TrackColumns:

@@ -5,11 +5,13 @@ perturbations of acceleration and turn rate.  Detections are the true
 boxes plus independent zero-mean Gaussian noise whose per-parameter
 standard deviation grows linearly with range from the sensor at the
 origin, so a tracker consuming the per-detection covariance sees a
-genuinely heteroscedastic stream with known ground truth.  Each
-frame's detections are one DetectionColumns block, tagged with its frame
-index and checked as a whole; the ground truth of every frame is one
-read-only TrackColumns block, seen as (id, box) frame lists through a
-TrackFrames view.  No object is built per detection or per true box.
+genuinely heteroscedastic stream with known ground truth.
+scenario_frames draws the frames one at a time, and generate_scenario
+keeps them all.  Each frame's detections are one DetectionColumns block,
+tagged with its frame index and checked as a whole; the ground truth of
+every frame is one read-only TrackColumns block, seen as (id, box) frame
+lists through a TrackFrames view.  No object is built per detection or
+per true box, and every class column holds the one str "Car".
 
 All randomness comes from a single numpy Generator seeded from the
 config (PCG64, a named portable algorithm with documented state), with a
@@ -19,11 +21,14 @@ fixed draw order, so scenarios are bitwise reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .boxes import MAX_FRAME_INDEX, DetectionColumns, TrackColumns, TrackFrames, check_rows, math_map
+from .boxes import (MAX_FRAME_INDEX, DetectionColumns, TrackColumns, TrackFrames, check_rows, first_bad_row,
+                    math_map)
 from .motion import ctra_step, wrap_angles
 
 # Per-frame random-walk scale on acceleration and turn rate, per sqrt(s).
@@ -58,9 +63,12 @@ VARIANCE_FLOOR = 1e-12
 # Most targets a scenario may hold: each frame draws (n_targets, 7) arrays,
 # so this bounds a frame's memory; a crowded scene is a few hundred.
 MAX_TARGETS = 100_000
-# Most boxes a scenario may hold, n_targets * n_frames: generate_scenario
-# keeps about 0.5 kB per box (truth rows, detections, their variances and
-# the states), so this bounds it near 5 GB.
+# Most boxes a scenario may hold, n_targets * n_frames.  This bounds
+# generate_scenario, which keeps about 0.37 kB per box (truth rows,
+# detections, their reported and true variances and the states; 348 MB
+# of peak RSS for 10**6 boxes of 1,000 targets), near 3.7 GB.  scenario_frames holds one frame at a time, whose arrays
+# MAX_TARGETS bounds, and `uatrack simulate` writes each frame as it is
+# drawn: it peaked at 166 MB for 10**7 boxes of 100,000 targets.
 _MAX_BOXES = 10**7
 
 
@@ -111,39 +119,85 @@ class ScenarioConfig:
             raise ValueError(f"field_extent must have a finite double, got {self.field_extent!r}")
 
 
+class SimFrame(NamedTuple):
+    """One drawn frame of a scenario.
+
+    state is every target's CTRA state (n, 6); truth is the frame's true
+    boxes as one TrackColumns block: ids 0 to n - 1, "Car" names and
+    (n, 8) rows (BOX_FIELDS values with theta wrapped by
+    motion.wrap_angles, then score 1.0); detections is the frame's
+    detections as one block: frame indices, "Car" names, (n, 8) rows
+    (BOX_FIELDS values with theta wrapped, then score) and the (n, 7)
+    *reported* variances; true_variances is the actual generating noise
+    variances of those detections as one (n, 7) array, rows in the
+    block's order and columns in BOX_FIELDS order (equal to the reported
+    ones when miscalibration_factor is 1).  Every name column holds one
+    shared str.
+    """
+
+    state: np.ndarray
+    truth: TrackColumns
+    detections: DetectionColumns
+    true_variances: np.ndarray
+
+
 @dataclass
 class Scenario:
-    """Generated ground truth and detections.
+    """Generated ground truth and detections: scenario_frames' frames, collected.
 
     ground_truth is every frame's true boxes as one read-only
-    TrackColumns block (ground_truth.block): frame indices, ids 0 to
-    n_targets - 1 in each frame, "Car" names and (n, 8) rows (BOX_FIELDS
-    values with theta wrapped by motion.wrap_angles, then score 1.0),
-    frame by frame.  As a Sequence, ground_truth[f] is frame f's
-    (id, Box3D) list, built when read (see boxes.TrackFrames).
-    detections[f] holds frame f's detections as one block: frame indices,
-    "Car" names, (n, 8) rows (BOX_FIELDS values with theta wrapped by
-    motion.wrap_angles, then score) and the (n, 7) *reported* variances.
-    true_variances[f] holds the actual generating noise variances of
-    frame f's detections as one (n, 7) array, rows in the block's order
-    and columns in BOX_FIELDS order (equal to the reported ones when
-    miscalibration_factor is 1).  gt_states keeps the full CTRA state per
-    target per frame for motion-level checks.
+    TrackColumns block (ground_truth.block): SimFrame.truth's blocks one
+    after another, tagged with their frame indices.  As a Sequence,
+    ground_truth[f] is frame f's (id, Box3D) list, built when read (see
+    boxes.TrackFrames).  detections[f] and true_variances[f] are frame
+    f's SimFrame.detections and SimFrame.true_variances.  gt_states is
+    one (n_frames, n_targets, 6) array: gt_states[f] is every target's
+    CTRA state at frame f, for motion-level checks.
     """
 
     config: ScenarioConfig
     ground_truth: TrackFrames
     detections: list[DetectionColumns]
     true_variances: list[np.ndarray]
-    gt_states: list[np.ndarray]
+    gt_states: np.ndarray
+
+
+def _names(n: int) -> np.ndarray:
+    """n class names as an object column, every entry the one str "Car"."""
+    names = np.empty(n, object)
+    names.fill("Car")  # np.full would make a str per entry
+    return names
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
-    """The scenario the config describes.
+    """The scenario the config describes, every frame of scenario_frames kept.
 
-    Raises ValueError where the noise model's variance leaves float64's
-    positive finite range, or where a detection or a true box fails
-    Box3D's checks.
+    Raises ValueError as scenario_frames does.
+    """
+    n = cfg.n_targets
+    truth_rows = np.empty((cfg.n_frames, n, 8))
+    gt_states = np.empty((cfg.n_frames, n, 6))
+    detections: list[DetectionColumns] = []
+    true_variances: list[np.ndarray] = []
+    for f, frame in enumerate(scenario_frames(cfg)):
+        gt_states[f] = frame.state
+        truth_rows[f] = frame.truth.rows
+        detections.append(frame.detections)
+        true_variances.append(frame.true_variances)
+    truth = TrackColumns.sealed(np.repeat(np.arange(cfg.n_frames, dtype=np.int64), n),
+                                np.tile(np.arange(n), cfg.n_frames).astype(object), _names(cfg.n_frames * n),
+                                truth_rows.reshape(-1, 8))
+    return Scenario(cfg, TrackFrames(truth, cfg.n_frames), detections, true_variances, gt_states)
+
+
+def scenario_frames(cfg: ScenarioConfig) -> Iterator[SimFrame]:
+    """The scenario the config describes, one frame at a time, frames 0 to n_frames - 1.
+
+    Each frame is drawn when it is asked for, so only the frame at hand
+    is held.  Raises ValueError where the noise model's variance leaves
+    float64's positive finite range, or where a detection fails Box3D's
+    checks, on reaching that frame; where a true box fails them, after
+    the last frame, so a detection's fault in any frame comes first.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_targets
@@ -164,18 +218,17 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     cruise_speed = states[:, 3].copy()
     widths, lengths, heights = (rng.uniform(lo, hi, n) for lo, hi in SIZE_RANGES)
     z_centers = heights / 2.0
-
-    truth_rows = np.empty((cfg.n_frames, n, 8))  # every frame's true boxes, then score 1.0
-    truth_rows[:, :, 7] = 1.0
-    detections: list[DetectionColumns] = []
-    true_variances: list[np.ndarray] = []
-    gt_states: list[np.ndarray] = []
+    ids, names = np.arange(n).astype(object), _names(n)  # every frame's truth block shares them
+    truth_fault = None  # the first true box's fault, raised after the last frame
 
     for f in range(cfg.n_frames):
-        gt_states.append(states.copy())
         # box rows in BOX_FIELDS order, theta unwrapped
         truth = np.column_stack([states[:, 0], states[:, 1], z_centers, widths, lengths, heights, states[:, 2]])
-        truth_rows[f, :, :7] = truth
+        truth_rows = np.empty((n, 8))  # the true boxes, then score 1.0
+        truth_rows[:, :7] = truth
+        truth_rows[:, 7] = 1.0
+        truth_fault = truth_fault or first_bad_row(truth_rows)
+        truth_rows[:, 6] = wrap_angles(truth_rows[:, 6])
 
         noise = rng.standard_normal((n, 7))
         fn_draws = rng.random(n)
@@ -210,9 +263,9 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         rows[:n_tp, 7] = np.clip(tp_scores, 0.05, 0.99)
         rows[n_tp:, 7] = fp_score
         check_rows(rows)
-        detections.append(DetectionColumns(np.full(n_dets, f, np.int64), np.full(n_dets, "Car", object), rows,
-                                           reported))
-        true_variances.append(var)
+        # ctra_step below builds the next frame's states as a new array, so this frame's stay as they are
+        yield SimFrame(states, TrackColumns(np.full(n, f, np.int64), ids, names, truth_rows),
+                       DetectionColumns(np.full(n_dets, f, np.int64), _names(n_dets), rows, reported), var)
 
         # next frame: exact CTRA, then perturb the accel and turn rate
         states = ctra_step(states, cfg.dt)
@@ -233,10 +286,5 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             TURN_LIMIT,
         )
 
-    truth_rows = truth_rows.reshape(-1, 8)
-    check_rows(truth_rows)
-    truth_rows[:, 6] = wrap_angles(truth_rows[:, 6])
-    truth = TrackColumns.sealed(np.repeat(np.arange(cfg.n_frames, dtype=np.int64), n),
-                                np.tile(np.arange(n), cfg.n_frames).astype(object),
-                                np.full(len(truth_rows), "Car", object), truth_rows)
-    return Scenario(cfg, TrackFrames(truth, cfg.n_frames), detections, true_variances, gt_states)
+    if truth_fault:
+        raise ValueError(truth_fault[1])

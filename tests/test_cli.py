@@ -1,16 +1,21 @@
 """End-to-end CLI behavior: determinism, formats, exit codes."""
 
 import errno
+import itertools
+import math
 import os
+import sys
 from dataclasses import replace
 
 import pytest
 
 from uatrack import scoring
-from uatrack.cli import MAX_PLOT_POINTS, build_parser, main
+from uatrack.cli import MAX_PLOT_POINTS, _config_dict, build_parser, main
 from uatrack.experiments import SCENARIO, SIGMA_GRID, TRACKER, compare_adaptive_vs_constant
-from uatrack.io import format_float, read_detections, read_tracks, write_tracks
+from uatrack.io import (DetectionRecord, config_from_dict, format_float, read_detections, read_tracks, write_detections,
+                        write_tracks)
 from uatrack.metrics import MAX_RECALL_POINTS
+from uatrack.sim import scenario_frames
 
 # The paper's range-dependent noise coefficients as one simulate flag value.
 RANGE_COEFF = ",".join(map(str, SCENARIO.noise_range_coeff))
@@ -485,6 +490,96 @@ class TestPlotData:
         assert run(["plot-data", *argv, "--points", "3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err and "--s-min and --s-max" in err
+        assert not out.exists()
+
+
+class TestNothingWrittenOnRefusal:
+    """simulate writes each frame as it is drawn, plot-data and sweep build their rows first: a refusal writes nothing."""
+
+    # seed 4 draws seven frames before a false positive's range-dependent variance overflows
+    OVERFLOW = ["--n-targets", "1", "--n-frames", "20", "--fp-rate", "1", "--seed", "4",
+                "--noise-range-coeff", ",".join([repr(math.sqrt(sys.float_info.max) / 70)] + ["0"] * 6)]
+    VARIANCE_ERROR = ("error: config scenario: noise_base, noise_range_coeff and miscalibration_factor give a "
+                      "reported variance outside float64's positive finite range\n")
+
+    def test_the_overflow_comes_mid_stream(self):
+        args = build_parser().parse_args(["simulate", "--out-gt", "g", "--out-dets", "d", *self.OVERFLOW])
+        frames = scenario_frames(config_from_dict(_config_dict(args)).scenario)
+        assert len(list(itertools.islice(frames, 7))) == 7
+        with pytest.raises(ValueError, match="reported variance outside"):
+            next(frames)
+
+    @pytest.mark.parametrize("before", ["absent", "present"])
+    def test_a_refused_config_leaves_both_paths_as_they_were(self, tmp_path, capsys, before):
+        gt, dets = tmp_path / "gt.csv", tmp_path / "dets.csv"
+        if before == "present":
+            gt.write_text("old truth\n")
+            dets.write_text("old detections\n")
+        capsys.readouterr()
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), *self.OVERFLOW]) == 2
+        assert capsys.readouterr().err == self.VARIANCE_ERROR
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before == "absent" else ["dets.csv", "gt.csv"])
+        if before == "present":
+            assert (gt.read_text(), dets.read_text()) == ("old truth\n", "old detections\n")
+
+    def test_a_bad_out_path_is_named_ahead_of_a_refused_config(self, tmp_path, capsys):
+        # the outputs are opened before the first frame is drawn
+        capsys.readouterr()
+        assert run(["simulate", "--out-gt", str(tmp_path / "missing" / "g.csv"), "--out-dets",
+                    str(tmp_path / "d.csv"), *self.OVERFLOW]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'missing' / 'g.csv'}: {os.strerror(errno.ENOENT)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("overflow", [True, False])
+    def test_a_detection_refusal_comes_ahead_of_a_true_box_refusal(self, tmp_path, capsys, monkeypatch, overflow):
+        # frame 1's true boxes are taken as bad: their refusal waits for the last frame, a detection's does not
+        import uatrack.sim
+
+        calls, steps, step = itertools.count(), itertools.count(), uatrack.sim.ctra_step
+        monkeypatch.setattr(uatrack.sim, "first_bad_row",
+                            lambda rows: (0, "box values must be finite, got (nan,)") if next(calls) == 1 else None)
+
+        def counted_step(*args):  # called once a frame, after the frame is drawn
+            next(steps)
+            return step(*args)
+
+        monkeypatch.setattr(uatrack.sim, "ctra_step", counted_step)
+        argv = ["simulate", "--out-gt", str(tmp_path / "g.csv"), "--out-dets", str(tmp_path / "d.csv")]
+        capsys.readouterr()
+        assert run(argv + (self.OVERFLOW if overflow else ["--n-frames", "5"])) == 2
+        assert capsys.readouterr().err == (self.VARIANCE_ERROR if overflow else
+                                           "error: config scenario: box values must be finite, got (nan,)\n")
+        assert next(steps) == (7 if overflow else 5)  # every frame up to the refusal was drawn
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_path_that_is_not_a_regular_file_is_written_as_it_is(self, tmp_path):
+        gt, real = tmp_path / "gt.csv", tmp_path / "real" / "dets.csv"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        (tmp_path / "link.csv").symlink_to(real)
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", os.devnull, "--n-frames", "3"]) == 0
+        assert len(read_tracks(gt)) == 15
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(tmp_path / "link.csv"), "--n-frames", "3"]) == 0
+        assert (tmp_path / "link.csv").is_symlink() and len(read_detections(real)) == 15
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "link.csv", "real"]
+        assert [p.name for p in real.parent.iterdir()] == ["dets.csv"]
+
+    def test_one_path_for_both_outputs_holds_the_detections(self, tmp_path):
+        both, dets = tmp_path / "both.csv", tmp_path / "dets.csv"
+        assert run(["simulate", "--out-gt", str(both), "--out-dets", str(both), "--n-frames", "3"]) == 0
+        assert run(["simulate", "--out-gt", str(tmp_path / "gt.csv"), "--out-dets", str(dets), "--n-frames", "3"]) == 0
+        assert both.read_bytes() == dets.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["both.csv", "dets.csv", "gt.csv"]
+
+    def test_a_sweep_cell_refused_after_a_scored_one_writes_nothing(self, tmp_path, capsys):
+        dets, gt, out = tmp_path / "dets.csv", tmp_path / "gt.csv", tmp_path / "sweep.csv"
+        assert run(["simulate", "--out-gt", str(gt), "--out-dets", str(dets), "--n-frames", "4"]) == 0
+        plain = [DetectionRecord(d.frame, d.box) for d in read_detections(dets)]  # no variance columns
+        write_detections(dets, plain)
+        capsys.readouterr()
+        assert run(["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
+                    "--param", "scoring.strategy=none,exponential", "--out", str(out)]) == 2
+        assert "variance columns are required" in capsys.readouterr().err
         assert not out.exists()
 
 

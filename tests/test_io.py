@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -741,3 +742,152 @@ class TestClassTextLeavesTheFileToTheTokenizer:
         assert per_field == [1]
         assert got == _outcome(getattr(frozen_io, reader.__name__), path)
         assert got[0] == "error" and got[1].startswith(f"{path}:4: {message}")
+
+
+# Batch sizes that put batch and chunk boundaries everywhere: inside a
+# line, between "\r" and "\n", inside a multi-byte character.
+SMALL_BATCHES = [1, 2, 7]
+
+
+def _set_batches(m, size):
+    """Read and write `size` lines, rows and bytes at a time through the monkeypatch m."""
+    m.setattr(io, "_BATCH", size)
+    m.setattr(io, "_CHUNK", size)
+
+
+class TestReadersAgainstTheFrozenOnesInSmallBatches(TestReadersAgainstTheFrozenOnes):
+    """The readers give what the frozen ones give, block for block and error for error, in batches of 1, 2 and 7."""
+
+    @pytest.fixture(scope="class", autouse=True, params=SMALL_BATCHES)
+    def small_batches(self, request):
+        with pytest.MonkeyPatch.context() as m:  # class-scoped: hypothesis runs many examples per test call
+            _set_batches(m, request.param)
+            yield
+
+
+class _SmallBatches:
+    @pytest.fixture(autouse=True, params=SMALL_BATCHES)
+    def small_batches(self, request, monkeypatch):
+        _set_batches(monkeypatch, request.param)
+
+
+class TestDetectionsRoundTripInSmallBatches(_SmallBatches, TestDetectionsRoundTrip):
+    pass
+
+
+class TestTracksRoundTripInSmallBatches(_SmallBatches, TestTracksRoundTrip):
+    pass
+
+
+class TestClassNamesInSmallBatches(_SmallBatches, TestClassNames):
+    pass
+
+
+def _frozen_outcome(reader, path):
+    return _outcome(getattr(frozen_io, reader.__name__), path)
+
+
+class TestBatchBoundaries(_SmallBatches):
+    """What each batch boundary must not change: lines, line numbers, bytes and the first error."""
+
+    @staticmethod
+    def table(path, columns, rows, end="\n"):
+        path.write_bytes(end.join(["# uatrack-v1", ",".join(columns), *rows, ""]).encode())
+
+    def test_writers_write_the_bytes_of_table_text(self, tmp_path):
+        frame, _, names, rows, var = (np.arange(9) // 4, None, np.array(["Car", "Ped"] * 4 + ["Car"], object),
+                                      np.random.default_rng(5).uniform(0.5, 2.0, (9, 8)),
+                                      np.random.default_rng(6).uniform(0.5, 2.0, (9, 7)))
+        ids = np.arange(9).astype(object)
+        cells = [io.format_float(v) for v in rows.ravel().tolist()]
+        var_cells = [io.format_float(v) for v in var.ravel().tolist()]
+        want = {
+            "dets": io.table_text(DET_COLUMNS_VAR, [[str(f), c, *cells[8 * k:8 * k + 8], *var_cells[7 * k:7 * k + 7]]
+                                                    for k, (f, c) in enumerate(zip(frame.tolist(), names))]),
+            "plain": io.table_text(DET_COLUMNS, [[str(f), c, *cells[8 * k:8 * k + 8]]
+                                                 for k, (f, c) in enumerate(zip(frame.tolist(), names))]),
+            "none": io.table_text(DET_COLUMNS, []),
+            "tracks": io.table_text(TRACK_COLUMNS, [[str(f), str(i), c, *cells[8 * k:8 * k + 8]]
+                                                    for k, (f, i, c) in enumerate(zip(frame.tolist(), ids, names))]),
+        }
+        write_detections(tmp_path / "dets", DetectionColumns(frame, names, rows, var))
+        write_detections(tmp_path / "plain", DetectionColumns(frame, names, rows))
+        write_detections(tmp_path / "none", DetectionColumns(frame[:0], names[:0], rows[:0], var[:0]))
+        write_tracks(tmp_path / "tracks", TrackColumns(frame, ids, names, rows))
+        write_tracks(tmp_path / "track rows", [(f, i, Box3D(*r[:7], class_id=c, score=r[7]))
+                                              for f, i, c, r in zip(frame.tolist(), ids, names, rows.tolist())])
+        want["track rows"] = want["tracks"]
+        assert {name: (tmp_path / name).read_text() for name in want} == want
+
+    @pytest.mark.parametrize("empty", ["no frame", "every frame"])
+    def test_streamed_frames_write_the_bytes_of_their_blocks(self, tmp_path, empty):
+        scenario = generate_scenario(ScenarioConfig(n_targets=3, n_frames=6, fp_rate=0.5, fn_rate=0.3, seed=2))
+        truth = [TrackColumns(np.full(3, f), np.arange(3).astype(object), np.array(["Car"] * 3, object),
+                              scenario.ground_truth.block.rows[3 * f:3 * f + 3]) for f in range(6)]
+        dets = [d.take(np.zeros(0, np.intp)) if empty == "every frame" else d for d in scenario.detections]
+        assert io.write_frames(tmp_path / "gt", tmp_path / "dets", zip(truth, dets)) == (18, sum(map(len, dets)))
+        write_tracks(tmp_path / "gt_once", scenario.ground_truth.block)
+        write_detections(tmp_path / "dets_once", DetectionColumns.concat(dets))
+        assert (tmp_path / "gt").read_bytes() == (tmp_path / "gt_once").read_bytes()
+        assert (tmp_path / "dets").read_bytes() == (tmp_path / "dets_once").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dets", "dets_once", "gt", "gt_once"]
+        if empty == "no frame":  # blocks with and without variances: refused, and neither file changes
+            mixed = [dets[0], replace(dets[1], var=None)]
+            with pytest.raises(FormatError, match="every block carries variances or none does"):
+                io.write_frames(tmp_path / "gt", tmp_path / "dets", zip(truth, mixed))
+            assert (tmp_path / "dets").read_bytes() == (tmp_path / "dets_once").read_bytes()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["dets", "dets_once", "gt", "gt_once"]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\x1c", "\u2028", "\x85"])
+    def test_any_line_boundary_at_any_chunk_boundary(self, tmp_path, monkeypatch, end):
+        path = tmp_path / "tracks.csv"
+        rows = [TRACK_ROW.replace("0,1,", f"{f},{i},", 1) for f in range(2) for i in range(3)]
+        self.table(path, TRACK_COLUMNS, rows[:3] + [""] + rows[3:], end)
+        want = _frozen_outcome(read_track_columns, path)
+        assert want[0] == "block" and len(want[2]) == 8 * 6
+        for chunk in range(1, len(path.read_bytes()) + 1):  # "\r" at a chunk's end, "\n" at the next one's start
+            monkeypatch.setattr(io, "_CHUNK", chunk)
+            assert _outcome(read_track_columns, path) == want, chunk
+        self.table(path, TRACK_COLUMNS, rows + [rows[4].replace("1.5", "0")], end)
+        monkeypatch.setattr(io, "_CHUNK", 3)
+        assert _outcome(read_track_columns, path) == _frozen_outcome(read_track_columns, path)
+
+    def test_a_bad_row_in_a_later_batch_names_its_own_line(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        rows = [VAR_ROW] * 9 + [""] + [VAR_ROW] * 3 + [VAR_ROW.replace(",1.8,", ",-1,")] + [VAR_ROW] * 2
+        _write_rows(path, ",".join(DET_COLUMNS_VAR), rows)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:16: box dimensions must be positive")):
+            read_detection_columns(path)
+        assert _outcome(read_detection_columns, path) == _frozen_outcome(read_detection_columns, path)
+
+    def test_an_id_repeated_across_batches(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        rows = [TRACK_ROW.replace("0,1,", f"0,{i},", 1) for i in range(10)] + [TRACK_ROW.replace("0,1,", "1,3,", 1),
+                                                                              TRACK_ROW.replace("0,1,", "0,3,", 1)]
+        _write_rows(path, ",".join(TRACK_COLUMNS), rows)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:14: id 3 repeated in frame 0")):
+            read_track_columns(path)
+        assert _outcome(read_track_columns, path) == _frozen_outcome(read_track_columns, path)
+
+    def test_a_field_count_in_a_later_batch_wins_over_an_earlier_fault(self, tmp_path):
+        # the per-field path checks every row's field count before it parses a field
+        path = tmp_path / "dets.csv"
+        rows = [VAR_ROW.replace(",1.8,", ",-1,")] + [VAR_ROW] * 10 + [VAR_ROW + ",0.1"]
+        _write_rows(path, ",".join(DET_COLUMNS_VAR), rows)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:14: expected 17 fields, got 18")):
+            read_detection_columns(path)
+        assert _outcome(read_detection_columns, path) == _frozen_outcome(read_detection_columns, path)
+
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"\xe2\x28\xa1\n", b"\xe2\x82", b"\xf0\x9f\x98"],
+                             ids=["invalid-start", "invalid-continuation", "truncated-at-eof", "truncated-4-byte"])
+    def test_a_decoding_error_names_its_byte_in_the_file(self, tmp_path, tail):
+        path = tmp_path / "dets.csv"
+        # a bad row ahead of it does not hide that the file is not text
+        text = "\n".join(["# uatrack-v1", ",".join(DET_COLUMNS_VAR), VAR_ROW.replace(",1.8,", ",-1,"),
+                          VAR_ROW.replace("Car", "Fu\xdfg\xe4nger"), ""])
+        path.write_bytes(text.encode() + tail)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        with pytest.raises(FormatError) as exc:
+            read_detection_columns(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text: {whole.value}"

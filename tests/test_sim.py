@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uatrack.motion import ctra_step
-from uatrack.sim import ScenarioConfig, generate_scenario
+from uatrack.sim import ScenarioConfig, generate_scenario, scenario_frames
 
 
 def small_config(**kwargs):
@@ -280,6 +280,24 @@ class TestBlocks:
         theta = np.concatenate([frame.rows[:, 6] for frame in sc.detections])
         again = np.array([wrap_angle(t) for t in theta.tolist()])
         assert np.array_equal(again.view(np.uint64), theta.view(np.uint64))
+
+    def test_one_name_str_and_one_state_array(self):
+        cfg = small_config(**self.CONFIG)
+        sc = generate_scenario(cfg)
+        names = [sc.ground_truth.block.class_id, *(frame.class_id for frame in sc.detections)]
+        assert {id(name) for column in names for name in column} == {id(names[0][0])}
+        assert isinstance(sc.gt_states, np.ndarray) and sc.gt_states.shape == (cfg.n_frames, cfg.n_targets, 6)
+
+    def test_streamed_frames_are_the_scenario_frames(self):
+        cfg = small_config(**self.CONFIG)
+        sc = generate_scenario(cfg)
+        frames = list(scenario_frames(cfg))
+        assert len(frames) == cfg.n_frames
+        for f, frame in enumerate(frames):
+            assert np.array_equal(frame.state, sc.gt_states[f])
+            assert np.array_equal(frame.truth.rows, sc.ground_truth.block.rows[f * cfg.n_targets:][:cfg.n_targets])
+            assert np.array_equal(frame.detections.rows, sc.detections[f].rows)
+            assert np.array_equal(frame.true_variances, sc.true_variances[f])
 
 
 class TestGroundTruthView:
