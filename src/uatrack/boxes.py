@@ -288,16 +288,6 @@ class DetectionColumns(Sequence):
             np.array([r.variance.as_tuple() for r in records], dtype=float) if n and with_var[0] else None,
         )
 
-    @classmethod
-    def concat(cls, blocks: Sequence[DetectionColumns]) -> DetectionColumns:
-        """The blocks' rows one after another; every block carries variances or none does."""
-        with_var = {b.var is not None for b in blocks}
-        if len(with_var) > 1:
-            raise ValueError("either every block carries variances or none does")
-        return cls(np.concatenate([b.frame for b in blocks]), np.concatenate([b.class_id for b in blocks]),
-                   np.concatenate([b.rows for b in blocks]),
-                   np.concatenate([b.var for b in blocks]) if with_var == {True} else None)
-
     def take(self, index: np.ndarray) -> DetectionColumns:
         """The rows at the given indices, in that order."""
         return DetectionColumns(self.frame[index], self.class_id[index], self.rows[index],

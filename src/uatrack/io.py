@@ -4,17 +4,24 @@ Detections and tracks travel as versioned CSV files with a fixed header;
 floats are printed with 9 significant digits.  That is exact for float32
 but not for float64: a value read back may differ from the one written
 by up to half a unit in its ninth significant digit.  A file written
-here reads back and writes again to the same bytes; so the writers
-refuse, with FormatError and before writing anything, a class name that
-holds a comma or a line boundary str.splitlines splits at, which a
-reader would split into fields or lines.
+here reads back and writes again to the same bytes; so the writer
+refuses, with FormatError, a class name that holds a comma or a line
+boundary str.splitlines splits at, which a reader would split into
+fields or lines.
 
-Memory follows the data: the writers format and write a batch of rows
-at a time, and `uatrack simulate` writes each frame as it is drawn
-(write_frames).  One reader, _read_block, finishes the row block of
+Every file uatrack writes opens through one opener, _replaced: it is
+written to a hidden sibling renamed over its path once complete, so a
+refusal midway leaves the path as it was, and a replaced file keeps its
+permission bits.  One writer, _write_blocks, writes every detection and
+track file (write_detections, write_tracks and, for `uatrack simulate`,
+write_frames, a frame's blocks as the frame is drawn): each header
+comes from the blocks' own columns, and rows are formatted and written
+a batch at a time, so memory follows the data.  write_table writes
+every other table.  One reader, _read_block, finishes the row block of
 detection and track files.  It decodes a file a chunk of bytes at a
 time and cuts it into the lines str.splitlines would cut the whole text
-into, and one C-level pass of numpy's tokenizer parses each batch of
+into (see _decoded, which KITTI label files are read through too), and
+one C-level pass of numpy's tokenizer parses each batch of
 data lines into int64 frames and ids, class text as written and float64
 values, each bit for bit what int() and float() give.  Where numpy
 refuses a line (a field that only int() or float() takes, a wrong field
@@ -27,7 +34,7 @@ naming its path:line, and theta is wrapped.  Only the finished arrays
 grow with the file, and a block's class column holds one str per
 distinct name.  A detection file reads as boxes.DetectionColumns and a
 track file as a read-only boxes.TrackColumns (both re-exported here,
-both written back by the writers), arrays with one entry per row (the
+both written back by the writer), arrays with one entry per row (the
 form `uatrack nms` carries from reader to writer, `uatrack track` feeds
 the tracker one frame block at a time, and `uatrack eval-det` and
 `uatrack eval-track` score as row blocks, and the block `uatrack track`
@@ -53,6 +60,7 @@ z forward, yaw ry about y, location at the box bottom) map to it as
 from __future__ import annotations
 
 import codecs
+import errno
 import json
 import locale
 import math
@@ -61,7 +69,7 @@ import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import partial
 from itertools import chain, islice, repeat
@@ -70,7 +78,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .boxes import (BOX_FIELDS, MAX_FRAME_INDEX, Box3D, DetectionColumns, DetectionRecord, TrackColumns, _box_row,
+from .boxes import (BOX_FIELDS, MAX_FRAME_INDEX, Box3D, DetectionColumns, DetectionRecord, TrackColumns,
                     first_bad_row, wrap_angle)
 from .metrics import EvalConfig
 from .motion import wrap_angles
@@ -107,49 +115,24 @@ def format_float(x: float) -> str:
     return format(float(x), _FLOAT_FORMAT)
 
 
-def table_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
-    """The version line, the header and one comma-joined line per row, each ending in a newline."""
-    return _head(header) + "".join(",".join(row) + "\n" for row in rows)
-
-
 def write_table(path: str | Path | None, header: list[str], rows: Iterable[Iterable[str]]) -> None:
-    """Write table_text's text to path, or to stdout when there is no path, _BATCH rows at a time.
+    """Write the version line, the header and each row's comma-joined cells, _BATCH rows at a time.
 
-    Each batch of rows is joined and written as it is taken, so a row
-    that raises leaves the rows before it written: a caller that may
-    refuse a row builds its rows before calling.
+    A path is written through a sibling that replaces it once every row
+    is written (see _replaced), so a row that raises leaves the path as
+    it was; without a path the lines go to stdout as they are taken, and
+    a caller that may refuse a row builds its rows before calling.
     """
-    _write(path, header, map(",".join, rows))
-
-
-def _write(path: str | Path | None, header: list[str], lines: Iterable[str]) -> None:
-    """Write the version line, the header and the lines to path, or to stdout when there is no path."""
-    with open(path, "w") if path else nullcontext(sys.stdout) as out:
+    with _replaced(path) if path else nullcontext([sys.stdout]) as (out,):
         out.write(_head(header))
-        _write_lines(out, lines)
+        rows = iter(rows)
+        while batch := list(islice(rows, _BATCH)):
+            out.write("".join([",".join(row) + "\n" for row in batch]))
 
 
 def _head(header: list[str]) -> str:
     """The version line and the header, each ending in a newline."""
     return f"{FORMAT_VERSION_LINE}\n{','.join(header)}\n"
-
-
-def _write_lines(out: TextIO, lines: Iterable[str]) -> None:
-    """Write each line and a newline, _BATCH lines at a time."""
-    lines = iter(lines)
-    while batch := list(islice(lines, _BATCH)):
-        out.write("\n".join(batch) + "\n")
-
-
-def _rows_of(*columns: np.ndarray) -> Iterator[tuple]:
-    """The columns' rows as tuples of Python values, converted _BATCH rows at a time."""
-    for lo in range(0, len(columns[0]), _BATCH):
-        yield from zip(*(column[lo:lo + _BATCH].tolist() for column in columns))
-
-
-def _float_cells(k: int) -> str:
-    """A %-format of k comma-joined floats; %-formatting prints what format_float prints."""
-    return ",".join(["%" + _FLOAT_FORMAT] * k)
 
 
 def _check_class_names(names: set[str]) -> None:
@@ -168,29 +151,16 @@ def _columns_of(records: Sequence[DetectionRecord]) -> DetectionColumns:
 
 
 def write_detections(path: str | Path, records: list[DetectionRecord] | DetectionColumns) -> None:
-    """Write detection rows, given as records or as columns; variance columns are all-or-none."""
-    dets = _columns_of(records)
-    _check_class_names(set(dets.class_id.tolist()))
-    has_var = dets.var is not None and len(dets) > 0  # no rows: no variance columns either
-    _write(path, DET_COLUMNS_VAR if has_var else DET_COLUMNS, _detection_lines(dets, has_var))
+    """Write detection rows, given as records or as columns; variance columns are all-or-none (see _write_blocks)."""
+    _write_blocks([path], [[_columns_of(records)]])
 
 
-def _detection_lines(dets: DetectionColumns, has_var: bool) -> Iterator[str]:
-    """Each detection row's line: frame, class and floats, its variances too where has_var is true."""
-    if has_var:
-        line = "%s,%s," + _float_cells(15)
-        return (line % (f, c, *r, *v) for f, c, r, v in _rows_of(dets.frame, dets.class_id, dets.rows, dets.var))
-    line = "%s,%s," + _float_cells(8)
-    return (line % (f, c, *r) for f, c, r in _rows_of(dets.frame, dets.class_id, dets.rows))
-
-
-_TRACK_LINE = "%s,%s,%s," + _float_cells(8)
-
-
-def _track_lines(tracks: TrackColumns) -> Iterator[str]:
-    """Each track row's line: frame, id, class and floats."""
-    return (_TRACK_LINE % (f, i, c, *r) for f, i, c, r in _rows_of(tracks.frame, tracks.track_id, tracks.class_id,
-                                                                   tracks.rows))
+def write_tracks(path: str | Path, tracks: list[tuple[int, int, Box3D]] | TrackColumns) -> None:
+    """Write track rows, given as (frame, track id, box) rows or as columns (see _write_blocks)."""
+    if not isinstance(tracks, TrackColumns):  # the rows as one frame list of (id, box) pairs, then their own frames
+        block = TrackColumns.of([[(track_id, box) for _, track_id, box in tracks]])
+        tracks = replace(block, frame=np.array([frame for frame, _, _ in tracks], np.int64))
+    _write_blocks([path], [[tracks]])
 
 
 def write_frames(gt_path: str | Path, dets_path: str | Path,
@@ -198,39 +168,82 @@ def write_frames(gt_path: str | Path, dets_path: str | Path,
     """Write each frame's (truth, detections) blocks as it comes; returns the numbers of rows written.
 
     The files hold the bytes write_tracks and write_detections write for
-    the frames' blocks one after another: every detection block carries
-    variances or none does, and no detection row means no variance
-    columns.  Only the frame at hand is held.  Each file is written to a
-    sibling and renamed over its path after the last frame (see
-    _replaced), so where a class name is refused or taking a frame
-    raises, neither path changes.
+    the frames' blocks one after another, and only the frame at hand is
+    held (see _write_blocks).
     """
-    n_truth = n_dets = 0
-    with_var = None  # whether the detection blocks carry variances, known from the first row
-    with _replaced(gt_path, dets_path) as (gt, dets):
-        gt.write(_head(TRACK_COLUMNS))
-        for truth, found in frames:
-            _check_class_names(set(truth.class_id.tolist()) | set(found.class_id.tolist()))
-            _write_lines(gt, _track_lines(truth))
-            if len(found) and with_var is None:
-                with_var = found.var is not None
-                dets.write(_head(DET_COLUMNS_VAR if with_var else DET_COLUMNS))
-            if len(found) and with_var != (found.var is not None):
-                raise FormatError("either every block carries variances or none does")
-            _write_lines(dets, _detection_lines(found, with_var))
-            n_truth, n_dets = n_truth + len(truth), n_dets + len(found)
-        if with_var is None:
-            dets.write(_head(DET_COLUMNS))
-    return n_truth, n_dets
+    none = TrackColumns.of([]), DetectionColumns.of([])  # a frame without rows: no frames still give both headers
+    return tuple(_write_blocks([gt_path, dets_path], chain([none], frames)))
+
+
+def _write_blocks(paths: list[str | Path], frames: Iterable[Sequence[TrackColumns | DetectionColumns]]) -> list[int]:
+    """Write each frame's blocks, one per path, as the frame comes; returns the numbers of rows written to each path.
+
+    The one writer of detection and track files.  A path's header is the
+    columns of its first block with rows, or of its last block where
+    none has rows: frame, id for a track block, class, the box fields,
+    score, and the variances of a detection block with rows that carries
+    them.  Every later block with rows must have the same columns, so a
+    detection file's blocks carry variances all or none.  Each block's
+    class names are checked first (see _check_class_names), and its rows
+    are formatted and written _BATCH at a time (see _text).  Each path is
+    written through a sibling that replaces it after the last frame (see
+    _replaced), so where a block is refused or taking a frame raises, no
+    path changes.
+    """
+    counts = [0] * len(paths)
+    heads: list[tuple[list[str], str] | None] = [None] * len(paths)  # each file's header and line format, once set
+    last: list[list[str] | None] = [None] * len(paths)  # each path's last block's header
+    with _replaced(*paths) as files:
+        for blocks in frames:
+            for k, (out, block) in enumerate(zip(files, blocks, strict=True)):
+                header, columns = _cells(block)
+                last[k] = header
+                if not len(block):
+                    continue
+                _check_class_names(set(block.class_id.tolist()))
+                if heads[k] is None:
+                    heads[k] = header, ",".join(["%s" if name in ("frame", "id", "class") else
+                                                 "%" + _FLOAT_FORMAT for name in header]) + "\n"
+                    out.write(_head(header))
+                elif heads[k][0] != header:
+                    raise FormatError("either every block carries variances or none does")
+                for lo in range(0, len(block), _BATCH):
+                    out.write(_text(heads[k][1], columns, lo))
+                counts[k] += len(block)
+        for out, head, header in zip(files, heads, last):
+            if head is None:
+                out.write(_head(header))
+    return counts
+
+
+def _cells(block: TrackColumns | DetectionColumns) -> tuple[list[str], list[np.ndarray]]:
+    """A block's header and its arrays in header order; variances count only in a detection block with rows."""
+    if isinstance(block, TrackColumns):
+        return TRACK_COLUMNS, [block.frame, block.track_id, block.class_id, block.rows]
+    if block.var is not None and len(block):
+        return DET_COLUMNS_VAR, [block.frame, block.class_id, block.rows, block.var]
+    return DET_COLUMNS, [block.frame, block.class_id, block.rows]
+
+
+def _text(line: str, columns: list[np.ndarray], lo: int) -> str:
+    """Rows lo to lo + _BATCH of the columns, (n,) or (n, k) arrays, each row %-formatted by line as one flat tuple.
+
+    %-formatting prints what format_float prints.
+    """
+    cells = chain.from_iterable(np.atleast_2d(column[lo:lo + _BATCH].T).tolist() for column in columns)
+    return "".join(map(line.__mod__, zip(*cells)))
 
 
 @contextmanager
 def _replaced(*paths: str | Path) -> Iterator[list[TextIO]]:
     """Text files whose bytes take the paths' places, in order, once the block ends without raising.
 
-    Each file is a sibling of its path, renamed over the path after the
-    block and removed where the block raises, so a path holds its old
-    bytes or all of the new ones.  A path that exists and is not a
+    The one opener of every file uatrack writes.  Each file is a sibling
+    of its path, renamed over the path after the block and removed where
+    the block raises, so a path holds its old bytes or all of the new
+    ones.  A path that is a regular file keeps its permission bits but
+    not its hard links or owner, and one the user cannot write is
+    refused as opening it would be.  A path that exists and is not a
     regular file (a directory, a device) is opened as it is, and a
     symbolic link's target is replaced, not the link.  An error opening
     a file names its path, as opening the path would.
@@ -239,10 +252,15 @@ def _replaced(*paths: str | Path) -> Iterator[list[TextIO]]:
     try:
         for k, path in enumerate(paths):  # k tells apart the siblings of a path given twice
             target = os.path.realpath(path)
-            temp = (target if os.path.exists(target) and not os.path.isfile(target) else
+            kept = os.path.isfile(target)  # an existing file whose mode the new one keeps
+            temp = (target if os.path.exists(target) and not kept else
                     os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.{k}.partial"))
             try:
+                if kept and not os.access(target, os.W_OK):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
                 opened.append((open(temp, "w"), target))
+                if kept:
+                    os.chmod(opened[-1][0].fileno(), os.stat(target).st_mode & 0o7777)  # the permission bits
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, str(path)) from None
         yield [file for file, _ in opened]
@@ -291,37 +309,41 @@ class _Faults:
         return f"{self.path}:{self.lineno(self.row)}: {self.message}" if self.row < self.n_rows else None
 
 
-def _read_block(path: str | Path, headers: list[list[str]]) -> tuple[np.ndarray | None, ...]:
-    """A versioned table with one of the given headers as finished arrays, every row checked.
+def _decoded(path: str | Path, parse: Callable, *args):
+    """parse(path, the file's lines (see _lines), *args); a decoding error anywhere in the file wins over a FormatError.
 
-    Returns the int64 frames, the ids as Python ints (None without an id
-    column), the class names (one str per distinct name), the (n, 8)
-    rows with theta wrapped by motion.wrap_angles, and the (n, 7)
-    variances (None without variance columns).  The file is decoded
-    _CHUNK bytes and parsed _BATCH lines at a time (see _lines), so
-    beside the arrays only a batch is held.  Blank lines are skipped.  A
-    batch's rows are parsed in one pass of numpy's tokenizer (see
-    _loaded), given only rows whose fields other than class are ASCII
-    without U+001F (see _plain).  Where it is not given the rows or
-    refuses one, the per-field path parses each field with int or float
-    instead, and a row without the header's field count raises
-    FormatError naming its path:line at once.  The rows must pass
-    first_bad_row, and an id appear at most once per frame: the first
-    bad row raises FormatError naming its path:line once every batch is
-    parsed.  A file that is not UTF-8 text raises FormatError naming its
-    path, whatever else is wrong with it.
+    A parser that stops at a bad line leaves the rest undecoded, so the
+    rest is decoded before its FormatError goes on.
     """
     lines = chain.from_iterable(_lines(path))
     try:
-        return _parsed_block(path, headers, lines)
+        return parse(path, lines, *args)
     except FormatError:
         for _ in lines:  # a decoding error later in the file wins, as when the whole text was decoded first
             pass
         raise
 
 
-def _parsed_block(path: str | Path, headers: list[list[str]], lines: Iterator[str]) -> tuple[np.ndarray | None, ...]:
-    """_read_block's arrays from the file's lines."""
+def _read_block(path: str | Path, lines: Iterator[str], headers: list[list[str]]) -> tuple[np.ndarray | None, ...]:
+    """A versioned table's lines, with one of the given headers, as finished arrays, every row checked.
+
+    Returns the int64 frames, the ids as Python ints (None without an id
+    column), the class names (one str per distinct name), the (n, 8)
+    rows with theta wrapped by motion.wrap_angles, and the (n, 7)
+    variances (None without variance columns).  Read through _decoded,
+    the file is decoded _CHUNK bytes at a time (see _lines) and parsed
+    _BATCH lines at a time, so beside the arrays only a batch is held.
+    Blank lines are skipped.  A batch's rows are parsed in one pass of
+    numpy's tokenizer (see _loaded), given only rows whose fields other
+    than class are ASCII without U+001F (see _plain).  Where it is not
+    given the rows or refuses one, the per-field path parses each field
+    with int or float instead, and a row without the header's field
+    count raises FormatError naming its path:line at once.  The rows must
+    pass first_bad_row, and an id appear at most once per frame: the
+    first bad row raises FormatError naming its path:line once every
+    batch is parsed.  A file that is not UTF-8 text raises FormatError
+    naming its path, whatever else is wrong with it.
+    """
     version, header = next(lines, None), next(lines, "")
     if version is None or version.strip() != FORMAT_VERSION_LINE:
         raise FormatError(f"{path}: missing version line {FORMAT_VERSION_LINE!r}")
@@ -506,7 +528,7 @@ def read_detection_columns(path: str | Path) -> DetectionColumns:
     and scores be finite, extents and variances positive.  The first bad
     row raises FormatError naming its path:line (see _read_block).
     """
-    frame, _, names, rows, var = _read_block(path, [DET_COLUMNS, DET_COLUMNS_VAR])
+    frame, _, names, rows, var = _decoded(path, _read_block, [DET_COLUMNS, DET_COLUMNS_VAR])
     return DetectionColumns(frame, names, rows, var)
 
 
@@ -533,24 +555,13 @@ def detections_to_frames(records: Sequence[DetectionRecord]) -> list[DetectionCo
     return [frames.get(f, none) for f in range(max(frames, default=-1) + 1)]
 
 
-def write_tracks(path: str | Path, tracks: list[tuple[int, int, Box3D]] | TrackColumns) -> None:
-    """Write track rows, given as (frame, track id, box) rows or as columns: a first pass checks their class names."""
-    if isinstance(tracks, TrackColumns):
-        _check_class_names(set(tracks.class_id.tolist()))
-        lines = _track_lines(tracks)
-    else:
-        _check_class_names({box.class_id for _, _, box in tracks})
-        lines = (_TRACK_LINE % (frame, track_id, box.class_id, *_box_row(box)) for frame, track_id, box in tracks)
-    _write(path, TRACK_COLUMNS, lines)
-
-
 def read_track_columns(path: str | Path) -> TrackColumns:
     """A track file as columns, read as read_detection_columns reads one; an id appears at most once per frame.
 
     The block's arrays are read-only, so what is computed from it is
     kept with it (see TrackColumns.kept).
     """
-    frame, ids, names, rows, _ = _read_block(path, [TRACK_COLUMNS])
+    frame, ids, names, rows, _ = _decoded(path, _read_block, [TRACK_COLUMNS])
     return TrackColumns.sealed(frame, ids, names, rows)
 
 
@@ -567,11 +578,17 @@ def parse_kitti_labels(path: str | Path) -> dict[int, list[Box3D]]:
     Object-format lines (15 or 16 fields) all land in frame 0; tracking
     lines (17 or 18 fields, leading frame and id) use their own frame.
     Only the frames present are keys, ascending, each frame's boxes in
-    line order.  Blank lines and DontCare entries are skipped.
+    line order.  Blank lines and DontCare entries are skipped.  The file
+    is decoded as the CSV readers decode one (see _lines): one that is
+    not UTF-8 text raises FormatError naming its path.
     """
+    return _decoded(path, _kitti_frames)
+
+
+def _kitti_frames(path: str | Path, lines: Iterator[str]) -> dict[int, list[Box3D]]:
+    """parse_kitti_labels' frames from the file's lines."""
     frames: dict[int, list[Box3D]] = {}
-    text = Path(path).read_text().splitlines()
-    for lineno, line in enumerate(text, start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -717,7 +734,8 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def save_config(path: str | Path, cfg: RunConfig) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    with _replaced(path) as (out,):
+        out.write(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def read_config(path: str | Path) -> dict:

@@ -353,15 +353,6 @@ class TestDetectionColumns:
         mixed = self._records() + self._records(with_var=False)
         with pytest.raises(ValueError, match="every record"):
             DetectionColumns.of(mixed)
-        with pytest.raises(ValueError, match="every block"):
-            DetectionColumns.concat([DetectionColumns.of(self._records()),
-                                     DetectionColumns.of(self._records(with_var=False))])
-
-    def test_concat(self):
-        a, b = self._records(), self._records()[1:]
-        assert list(DetectionColumns.concat([DetectionColumns.of(a), DetectionColumns.of(b)])) == a + b
-        no_var = DetectionColumns.concat([DetectionColumns.of(self._records(with_var=False))] * 2)
-        assert no_var.var is None and len(no_var) == 6
 
 
 class TestTrustedBox:

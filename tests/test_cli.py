@@ -4,16 +4,18 @@ import errno
 import itertools
 import math
 import os
+import stat
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from uatrack import scoring
+from uatrack import cli, io, scoring
 from uatrack.cli import MAX_PLOT_POINTS, _config_dict, build_parser, main
 from uatrack.experiments import SCENARIO, SIGMA_GRID, TRACKER, compare_adaptive_vs_constant
-from uatrack.io import (DetectionRecord, config_from_dict, format_float, read_detections, read_tracks, write_detections,
-                        write_tracks)
+from uatrack.io import (DetectionRecord, FormatError, config_from_dict, format_float, read_detections, read_tracks,
+                        write_detections, write_tracks)
 from uatrack.metrics import MAX_RECALL_POINTS
 from uatrack.sim import scenario_frames
 
@@ -581,6 +583,99 @@ class TestNothingWrittenOnRefusal:
                     "--param", "scoring.strategy=none,exponential", "--out", str(out)]) == 2
         assert "variance columns are required" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputsReplaceTheirPathWhenComplete:
+    """Every output is written to a sibling renamed over its path at the end: a refusal midway leaves the path."""
+
+    REFUSAL = "error: refused midway\n"
+
+    @staticmethod
+    def refuse_after_first(items):
+        items = iter(items)
+        yield next(items)
+        raise FormatError("refused midway")
+
+    @staticmethod
+    def refuse_second_batch(monkeypatch):
+        """Make the block writer's line source raise once its first batch is formatted."""
+        calls, text = itertools.count(), io._text
+
+        def first_batch_only(*args):
+            if next(calls):
+                raise FormatError("refused midway")
+            return text(*args)
+
+        monkeypatch.setattr(io, "_text", first_batch_only)
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(io, "_BATCH", 1)
+
+    @pytest.mark.parametrize("before", ["absent", "present"])
+    @pytest.mark.parametrize("command", ["track", "nms", "simulate", "eval-det", "sweep", "experiment"])
+    def test_a_writer_refused_after_its_first_batch_leaves_each_path(self, tmp_path, scenario_files, capsys,
+                                                                     monkeypatch, command, before):
+        gt, dets = scenario_files
+        out, out_dets = tmp_path / "out" / "a.csv", tmp_path / "out" / "b.csv"
+        out.parent.mkdir()
+        if before == "present":
+            out.write_text("old a\n")
+            out_dets.write_text("old b\n")
+        argv = {
+            "track": ["track", "--dets", str(dets), "--out", str(out)],
+            "nms": ["nms", "--dets", str(dets), "--out", str(out)],
+            "simulate": ["simulate", "--out-gt", str(out), "--out-dets", str(out_dets), "--n-targets", "4"],
+            "eval-det": ["eval-det", "--gt", str(gt), "--dets", str(dets), "--out", str(out)],
+            "sweep": ["sweep", "--mode", "nms", "--gt", str(gt), "--dets", str(dets),
+                      "--param", "nms.pre_top_k=5,6", "--out", str(out)],
+            "experiment": ["experiment", "--seeds", "0-1", "--out", str(out)],
+        }[command]
+        if command in ("track", "nms", "simulate"):
+            self.refuse_second_batch(monkeypatch)
+        elif command == "experiment":  # seed 0 gives its rows, seed 1 raises
+            arms = [SimpleNamespace(label=label, rmse=1.0, mota=50.0) for label in ("adaptive", "sigma=1")]
+            seeds = self.refuse_after_first([arms])
+            monkeypatch.setattr(cli, "compare_adaptive_vs_constant", lambda *args: next(seeds))
+        else:
+            monkeypatch.setattr(cli, "write_table", lambda path, header, rows: io.write_table(
+                path, header, self.refuse_after_first(rows)))
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == self.REFUSAL
+        if before == "present":
+            assert (out.read_text(), out_dets.read_text()) == ("old a\n", "old b\n")
+        assert sorted(p.name for p in out.parent.iterdir()) == ([] if before == "absent" else ["a.csv", "b.csv"])
+
+    def test_an_output_keeps_its_permission_bits(self, tmp_path, scenario_files):
+        gt, dets = scenario_files
+        out = {name: tmp_path / f"{name}.csv" for name in ("gt", "dets", "tracks", "kept", "report")}
+        for path in out.values():
+            path.write_text("old\n")
+            path.chmod(0o600)
+        out["kept"].chmod(0o640)
+        assert run(["simulate", "--out-gt", str(out["gt"]), "--out-dets", str(out["dets"]), "--n-frames", "3"]) == 0
+        assert run(["track", "--dets", str(dets), "--out", str(out["tracks"])]) == 0
+        assert run(["nms", "--dets", str(dets), "--out", str(out["kept"])]) == 0
+        assert run(["eval-det", "--gt", str(gt), "--dets", str(dets), "--out", str(out["report"])]) == 0
+        modes = {name: stat.S_IMODE(path.stat().st_mode) for name, path in out.items()}
+        assert modes == {"gt": 0o600, "dets": 0o600, "tracks": 0o600, "kept": 0o640, "report": 0o600}
+        assert all(path.read_text() != "old\n" for path in out.values())
+        assert not list(tmp_path.glob(".*.partial"))
+
+    def test_an_output_the_user_cannot_write_is_refused_naming_it(self, tmp_path, scenario_files, capsys,
+                                                                 monkeypatch):
+        # the tests run as any user, root too, whom no mode keeps from writing: os.access says no instead
+        gt, dets = scenario_files
+        out = tmp_path / "tracks.csv"
+        out.write_text("old\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK and access(path, mode))
+        capsys.readouterr()
+        assert run(["track", "--dets", str(dets), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.EACCES)}\n"
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dets.csv", "gt.csv", "tracks.csv"]
 
 
 @pytest.fixture

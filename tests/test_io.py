@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import frozen_io
 from uatrack import io
-from uatrack.boxes import Box3D, BoxVariance, DetectionColumns, TrackColumns
+from uatrack.boxes import Box3D, BoxVariance, DetectionColumns, TrackColumns, _box_row
 from uatrack.cli import main
 from uatrack.experiments import SCENARIO
 from uatrack.geometry import _box_table, _table
@@ -251,6 +251,17 @@ class TestKittiLabels:
         path = tmp_path / "bad.txt"
         path.write_text(self.CAR_LINE + "\n" + " ".join(fields) + "\n")
         with pytest.raises(FormatError, match=f"bad.txt:2: .*{message}"):
+            parse_kitti_labels(path)
+
+    @pytest.mark.parametrize("first", ["good", "bad"])
+    def test_a_file_that_is_not_utf8_names_its_path(self, tmp_path, monkeypatch, first):
+        # it was a bare UnicodeDecodeError; a bad line ahead of the bad byte does not hide it, as in the CSV readers
+        monkeypatch.setattr(io, "_CHUNK", 7)
+        path = tmp_path / "label.txt"
+        first_line = self.CAR_LINE if first == "good" else "Car 1 2 3"
+        path.write_bytes(f"{first_line}\n{self.CAR_LINE}".encode() + b"\xff\n")
+        message = f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(FormatError, match=re.escape(message)):
             parse_kitti_labels(path)
 
 
@@ -787,6 +798,17 @@ def _frozen_outcome(reader, path):
     return _outcome(getattr(frozen_io, reader.__name__), path)
 
 
+def table_text(header, rows):
+    """The version line, the header and one comma-joined line per row, each ending in a newline."""
+    return "".join(f"{line}\n" for line in ["# uatrack-v1", ",".join(header), *map(",".join, rows)])
+
+
+def _record_cells(record):
+    """A detection record's cells as a detection file holds them: frame, class, box values, score, variances."""
+    values = [*_box_row(record.box), *(record.variance.as_tuple() if record.variance else ())]
+    return [str(record.frame), record.box.class_id, *map(io.format_float, values)]
+
+
 class TestBatchBoundaries(_SmallBatches):
     """What each batch boundary must not change: lines, line numbers, bytes and the first error."""
 
@@ -802,13 +824,13 @@ class TestBatchBoundaries(_SmallBatches):
         cells = [io.format_float(v) for v in rows.ravel().tolist()]
         var_cells = [io.format_float(v) for v in var.ravel().tolist()]
         want = {
-            "dets": io.table_text(DET_COLUMNS_VAR, [[str(f), c, *cells[8 * k:8 * k + 8], *var_cells[7 * k:7 * k + 7]]
-                                                    for k, (f, c) in enumerate(zip(frame.tolist(), names))]),
-            "plain": io.table_text(DET_COLUMNS, [[str(f), c, *cells[8 * k:8 * k + 8]]
+            "dets": table_text(DET_COLUMNS_VAR, [[str(f), c, *cells[8 * k:8 * k + 8], *var_cells[7 * k:7 * k + 7]]
                                                  for k, (f, c) in enumerate(zip(frame.tolist(), names))]),
-            "none": io.table_text(DET_COLUMNS, []),
-            "tracks": io.table_text(TRACK_COLUMNS, [[str(f), str(i), c, *cells[8 * k:8 * k + 8]]
-                                                    for k, (f, i, c) in enumerate(zip(frame.tolist(), ids, names))]),
+            "plain": table_text(DET_COLUMNS, [[str(f), c, *cells[8 * k:8 * k + 8]]
+                                              for k, (f, c) in enumerate(zip(frame.tolist(), names))]),
+            "none": table_text(DET_COLUMNS, []),
+            "tracks": table_text(TRACK_COLUMNS, [[str(f), str(i), c, *cells[8 * k:8 * k + 8]]
+                                                 for k, (f, i, c) in enumerate(zip(frame.tolist(), ids, names))]),
         }
         write_detections(tmp_path / "dets", DetectionColumns(frame, names, rows, var))
         write_detections(tmp_path / "plain", DetectionColumns(frame, names, rows))
@@ -827,7 +849,9 @@ class TestBatchBoundaries(_SmallBatches):
         dets = [d.take(np.zeros(0, np.intp)) if empty == "every frame" else d for d in scenario.detections]
         assert io.write_frames(tmp_path / "gt", tmp_path / "dets", zip(truth, dets)) == (18, sum(map(len, dets)))
         write_tracks(tmp_path / "gt_once", scenario.ground_truth.block)
-        write_detections(tmp_path / "dets_once", DetectionColumns.concat(dets))
+        records = [record for block in dets for record in block]
+        (tmp_path / "dets_once").write_text(table_text(DET_COLUMNS_VAR if records else DET_COLUMNS,
+                                                       map(_record_cells, records)))
         assert (tmp_path / "gt").read_bytes() == (tmp_path / "gt_once").read_bytes()
         assert (tmp_path / "dets").read_bytes() == (tmp_path / "dets_once").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dets", "dets_once", "gt", "gt_once"]
@@ -837,6 +861,11 @@ class TestBatchBoundaries(_SmallBatches):
                 io.write_frames(tmp_path / "gt", tmp_path / "dets", zip(truth, mixed))
             assert (tmp_path / "dets").read_bytes() == (tmp_path / "dets_once").read_bytes()
             assert sorted(p.name for p in tmp_path.iterdir()) == ["dets", "dets_once", "gt", "gt_once"]
+
+    def test_no_frames_write_both_headers(self, tmp_path):
+        assert io.write_frames(tmp_path / "gt", tmp_path / "dets", []) == (0, 0)
+        assert (tmp_path / "gt").read_text() == table_text(TRACK_COLUMNS, [])
+        assert (tmp_path / "dets").read_text() == table_text(DET_COLUMNS, [])
 
     @pytest.mark.parametrize("end", ["\r\n", "\r", "\x1c", "\u2028", "\x85"])
     def test_any_line_boundary_at_any_chunk_boundary(self, tmp_path, monkeypatch, end):
